@@ -39,7 +39,6 @@ from .montecarlo import (
 from .pem import (
     EstimationResult,
     OeOrders,
-    dt_covariance,
     init_arx_iv,
     oe_fit,
     predict,
@@ -47,9 +46,9 @@ from .pem import (
 )
 from .rdproj import (
     PemrdResult,
-    ProjectionProblem,
     ct_info_matrix,
     pemrd,
+    project_estimate,
     project_rd,
     projected_covariance,
 )

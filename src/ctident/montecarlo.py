@@ -26,8 +26,11 @@ from .lti import (
 )
 from .metrics import fit, mse_g, mse_theta
 from .pem import OeOrders, init_arx_iv, oe_fit, predict
-from .rdproj import ProjectionProblem, ct_info_matrix, project_rd
-from .sampling import c2d_zoh, d2c_zoh, naive_truncate, sigma_for_snr_db, zoh_map_point
+from .rdproj import project_estimate
+from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
+# not called here; bench/spans.py traces these names on this module
+from .rdproj import ct_info_matrix, project_rd  # noqa: F401
+from .sampling import zoh_map_point  # noqa: F401
 from .signals import gen_multisine, gen_prbs, gen_random_system
 
 __all__ = [
@@ -58,6 +61,8 @@ _STATUS_OK = "ok"
 _STATUS_NEG_POLE = "negative_real_pole"
 _STATUS_NEG_FIT = "negative_fit"
 _STATUS_ERROR = "optimizer_error"
+# what a run may raise; anything else is a bug and propagates
+_FAILURES = (CtIdentError, np.linalg.LinAlgError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -209,23 +214,24 @@ def _metrics_record(run, estimator, g_est, theta_est, y_hat, g0, y0):
                      metrics=m, theta_c=np.asarray(theta_est, dtype=float))
 
 
+def _failed(run, estimators, exc):
+    """Records of estimators stopped by ``exc``, with the status it implies."""
+    neg_pole = isinstance(exc, (NonPrincipalLog, NegativeRealPole))
+    status = _STATUS_NEG_POLE if neg_pole else _STATUS_ERROR
+    return [RunRecord(run=run, estimator=est, status=status, metrics=None)
+            for est in estimators]
+
+
 def _run_once(run, data, g0, y0, config):
     """Estimate once, then score every requested estimator on this run."""
-    records = []
-
-    def fail_all(status):
-        return [RunRecord(run=run, estimator=est, status=status, metrics=None)
-                for est in config.estimators]
-
     try:
         orders = OeOrders.full(g0.n)
         est = oe_fit(data, orders, init_arx_iv(data, orders))
         g_full = d2c_zoh(est.model)
-    except (NonPrincipalLog, NegativeRealPole):
-        return fail_all(_STATUS_NEG_POLE)
-    except (CtIdentError, np.linalg.LinAlgError, ValueError):
-        return fail_all(_STATUS_ERROR)
+    except _FAILURES as exc:
+        return _failed(run, config.estimators, exc)
 
+    records = []
     for estimator in config.estimators:
         try:
             if estimator == PEM:
@@ -233,19 +239,12 @@ def _run_once(run, data, g0, y0, config):
                     run, estimator, g_full, g_full.theta,
                     predict(est.model, data.u), g0, y0))
             else:
-                point = naive_truncate(g_full, config.r).theta
-                map_point = zoh_map_point(point, data.h)
-                info_c = ct_info_matrix(map_point.J, est.covariance)
-                proj = project_rd(ProjectionProblem(g_full.theta, info_c, config.r))
+                proj = project_estimate(g_full.theta, est.covariance, data.h, config.r)
                 y_hat = simulate_dt(c2d_zoh(proj.model, data.h), data.u)
                 records.append(_metrics_record(
                     run, estimator, proj.model, proj.theta_tilde_c, y_hat, g0, y0))
-        except (NonPrincipalLog, NegativeRealPole):
-            records.append(RunRecord(run=run, estimator=estimator,
-                                     status=_STATUS_NEG_POLE, metrics=None))
-        except (CtIdentError, np.linalg.LinAlgError, ValueError):
-            records.append(RunRecord(run=run, estimator=estimator,
-                                     status=_STATUS_ERROR, metrics=None))
+        except _FAILURES as exc:
+            records += _failed(run, [estimator], exc)
     return records
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "predict",
     "prediction_jacobian",
     "oe_fit",
-    "dt_covariance",
     "init_arx_iv",
     "fit_report_dict",
 ]
@@ -111,33 +110,6 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     return psi
 
 
-def _information(model: DtModel, u) -> np.ndarray:
-    psi = prediction_jacobian(model, u)
-    return psi.T @ psi
-
-
-def _covariance_at(model: DtModel, u, sigma2: float) -> np.ndarray:
-    H = _information(model, u)
-    if np.linalg.cond(H) > 1e12:
-        raise SingularInformation("information matrix condition number exceeds 1e12")
-    cov = sigma2 * np.linalg.inv(H)
-    return 0.5 * (cov + cov.T)
-
-
-def dt_covariance(result: EstimationResult, u) -> np.ndarray:
-    """Asymptotic covariance of the parameter estimate.
-
-    ``sigma2_hat`` times the inverse of the Gauss-Newton information matrix
-    evaluated at the estimate, symmetrized.
-
-    Raises
-    ------
-    SingularInformation
-        If the information matrix is numerically singular.
-    """
-    return _covariance_at(result.model, u, result.sigma2_hat)
-
-
 def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationResult:
     """Minimize the output-error cost by a damped Gauss-Newton iteration.
 
@@ -148,11 +120,16 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
     Hitting the 200-iteration cap leaves ``converged`` False without
     raising.
 
+    The covariance is ``sigma2_hat`` times the inverse of the Gauss-Newton
+    information matrix at the estimate, symmetrized.
+
     Raises
     ------
     DivergedUnstable
         If an iterate can only move by leaving the stability region and
         damping cannot restore descent.
+    SingularInformation
+        If the information matrix at the estimate is numerically singular.
     """
     nb, nf = orders.nb, orders.nf
     if init.n != nf:
@@ -226,7 +203,12 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
             break
 
     sigma2 = cost / (data.N - 2 * nf)
-    cov = _covariance_at(model, u, sigma2)
+    psi = prediction_jacobian(model, u)
+    info = psi.T @ psi
+    if np.linalg.cond(info) > 1e12:
+        raise SingularInformation("information matrix condition number exceeds 1e12")
+    cov = sigma2 * np.linalg.inv(info)
+    cov = 0.5 * (cov + cov.T)
     return EstimationResult(
         model=model,
         sigma2_hat=sigma2,

@@ -33,10 +33,10 @@ from .pem import EstimationResult, OeOrders, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, naive_truncate, zoh_map_point
 
 __all__ = [
-    "ProjectionProblem",
     "PemrdResult",
     "ct_info_matrix",
     "project_rd",
+    "project_estimate",
     "projected_covariance",
     "pemrd",
     "pemrd_report_dict",
@@ -88,46 +88,14 @@ def ct_info_matrix(J: np.ndarray, cov_d: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ProjectionProblem:
-    """Constrained weighted least-squares statement.
-
-    Find the vector closest to ``theta_hat_c`` in the ``info_c`` metric
-    subject to its first ``r - 1`` entries being zero.
-    """
-
-    theta_hat_c: np.ndarray
-    info_c: np.ndarray
-    r: int
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta_hat_c, dtype=float)
-        info = np.asarray(self.info_c, dtype=float)
-        object.__setattr__(self, "theta_hat_c", theta)
-        object.__setattr__(self, "info_c", info)
-        m = theta.size
-        if theta.ndim != 1 or m % 2:
-            raise ValueError("parameter vector must be 1-d of even length")
-        if info.shape != (m, m):
-            raise ValueError("information matrix shape does not match the parameter vector")
-        if not 1 <= self.r <= m // 2:
-            raise ValueError("relative degree must lie in [1, n]")
-
-    @property
-    def selection(self) -> np.ndarray:
-        """Selector of the surviving coordinates, ``[0  I]``."""
-        m = self.theta_hat_c.size
-        k = self.r - 1
-        return np.hstack([np.zeros((m - k, k)), np.eye(m - k)])
-
-
-@dataclass(frozen=True)
 class PemrdResult:
     """Projected estimate with its covariance and provenance.
 
     The first ``r - 1`` entries of ``theta_tilde_c`` are exactly zero and
-    the corresponding rows and columns of ``cov_tilde`` vanish.  When the
-    result comes from the full pipeline, ``estimation`` and ``map_point``
-    carry the underlying discrete fit and sampling-map linearization.
+    the corresponding rows and columns of ``cov_tilde`` vanish.
+    :func:`project_estimate` sets ``map_point``, the sampling-map
+    linearization, and :func:`pemrd` also sets ``estimation``, the
+    underlying discrete fit.
     """
 
     theta_tilde_c: np.ndarray
@@ -142,10 +110,12 @@ class PemrdResult:
         return CtModel.from_theta(self.theta_tilde_c, r=self.r)
 
 
-def project_rd(problem: ProjectionProblem) -> PemrdResult:
+def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     """Covariance-weighted projection onto the relative-degree subspace.
 
-    Computes the constrained minimizer two ways: through the Cholesky factor
+    Finds the vector closest to ``theta_hat_c`` in the ``info_c`` metric
+    subject to its first ``r - 1`` entries being zero.  Computes the
+    constrained minimizer two ways: through the Cholesky factor
     of the covariance (zero the first ``r - 1`` whitened coordinates) and
     through the explicit Lagrange multiplier, and cross-checks them to
     1e-10 relative to the estimate's magnitude.  The constrained entries of
@@ -153,16 +123,25 @@ def project_rd(problem: ProjectionProblem) -> PemrdResult:
 
     Raises
     ------
+    ValueError
+        If ``theta_hat_c`` is not 1-d of even length ``2 n``, ``info_c`` is
+        not ``2 n`` square, or ``r`` lies outside ``[1, n]``.
     NotPositiveDefinite
         If the information matrix or its inverse fails factorization.
     SingularCovariance
         If the two computation paths disagree, indicating a covariance too
         ill-conditioned to project reliably.
     """
-    theta = problem.theta_hat_c
+    theta = np.asarray(theta_hat_c, dtype=float)
     m = theta.size
-    k = problem.r - 1
-    info = _sym(problem.info_c)
+    if theta.ndim != 1 or m % 2:
+        raise ValueError("parameter vector must be 1-d of even length")
+    if np.shape(info_c) != (m, m):
+        raise ValueError("information matrix shape does not match the parameter vector")
+    if not 1 <= r <= m // 2:
+        raise ValueError("relative degree must lie in [1, n]")
+    k = r - 1
+    info = _sym(np.asarray(info_c, dtype=float))
     try:
         factor = cho_factor(info, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -189,12 +168,12 @@ def project_rd(problem: ProjectionProblem) -> PemrdResult:
                 "whitened and multiplier projections disagree beyond %.1e" % tol)
         theta_tilde[:k] = 0.0
 
-    cov_tilde = projected_covariance(cov, problem.r)
+    cov_tilde = projected_covariance(cov, r)
     return PemrdResult(
         theta_tilde_c=theta_tilde,
         cov_tilde=cov_tilde,
         lagrange_multiplier=lam,
-        r=problem.r,
+        r=r,
     )
 
 
@@ -225,20 +204,26 @@ def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def pemrd(
-    data: SampledDataset,
-    n: int,
-    r: int,
-    init=None,
-    jacobian_at: str = "truncated",
-) -> PemrdResult:
+def project_estimate(theta_hat_c, cov_d, h: float, r: int) -> PemrdResult:
+    """Relative-degree projection of the continuous-time image of a discrete fit.
+
+    ``theta_hat_c`` is the inverse sampling map of a discrete estimate with
+    covariance ``cov_d`` at period ``h``.  The sampling map is linearized at
+    the naively truncated estimate, ``cov_d`` is carried through that
+    Jacobian into a continuous-domain information matrix, and the estimate
+    is projected in that metric.  The result carries the ``map_point``.
+    """
+    point = naive_truncate(CtModel.from_theta(theta_hat_c), r).theta
+    map_point = zoh_map_point(point, h)
+    info_c = ct_info_matrix(map_point.J, cov_d)
+    return replace(project_rd(theta_hat_c, info_c, r), map_point=map_point)
+
+
+def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:
     """Full indirect pipeline: discrete fit, map to continuous time, project.
 
-    Steps: output-error fit (initialized by :func:`init_arx_iv` unless
-    ``init`` is given), discrete-domain covariance, inverse sampling map,
-    covariance propagation through the map Jacobian linearized at the
-    naively truncated estimate (or at the raw estimate when ``jacobian_at``
-    is ``"estimate"``), and the weighted projection.
+    Steps: output-error fit initialized by :func:`init_arx_iv`, inverse
+    sampling map, then :func:`project_estimate`.
 
     Raises
     ------
@@ -248,25 +233,13 @@ def pemrd(
         normally discard such runs.
     """
     orders = OeOrders.full(n)
-    if init is None:
-        init = init_arx_iv(data, orders)
-    est = oe_fit(data, orders, init)
+    est = oe_fit(data, orders, init_arx_iv(data, orders))
     try:
         full_ct = d2c_zoh(est.model)
     except NonPrincipalLog as exc:
         raise NegativeRealPole(str(exc)) from exc
-    theta_hat_c = full_ct.theta
-    if jacobian_at == "truncated":
-        point = naive_truncate(full_ct, r).theta
-    elif jacobian_at == "estimate":
-        point = theta_hat_c
-    else:
-        raise ValueError("jacobian_at must be 'truncated' or 'estimate'")
-    map_point = zoh_map_point(point, data.h)
-    info_c = ct_info_matrix(map_point.J, est.covariance)
-    problem = ProjectionProblem(theta_hat_c=theta_hat_c, info_c=info_c, r=r)
-    result = project_rd(problem)
-    return replace(result, estimation=est, map_point=map_point)
+    result = project_estimate(full_ct.theta, est.covariance, data.h, r)
+    return replace(result, estimation=est)
 
 
 def pemrd_report_dict(result: PemrdResult, diagnostics: dict | None = None) -> dict:

@@ -127,9 +127,9 @@ def gen_random_system(
     num = rng.standard_normal(deg + 1)
     while abs(num[0]) < 0.05:
         num[0] = rng.standard_normal()
-    dc = num[-1] / den[-1]
-    while abs(dc) < 1e-12:  # essentially never: redraw a degenerate constant term
+    # redraw an essentially zero constant term; a test on the DC gain instead
+    # never ends at high order, where den[-1] can exceed 1e12
+    while abs(num[-1]) < 1e-12:
         num[-1] = rng.standard_normal()
-        dc = num[-1] / den[-1]
-    num *= rng.uniform(0.5, 2.0) / abs(dc)
+    num *= rng.uniform(0.5, 2.0) / abs(num[-1] / den[-1])
     return CtModel(num, den, r=reldeg)

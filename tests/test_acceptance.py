@@ -20,7 +20,6 @@ from ctident import (
     MultisineInput,
     NoiseSetting,
     PrbsInput,
-    ProjectionProblem,
     WhiteNoiseInput,
     c2d_zoh,
     d2c_zoh,
@@ -318,7 +317,7 @@ class TestCriterion6:
             info = (q * np.exp(rng.uniform(-2, 2, m))) @ q.T
             theta = rng.standard_normal(m)
             r = int(rng.integers(2, m // 2 + 1))
-            res = project_rd(ProjectionProblem(theta, info, r))
+            res = project_rd(theta, info, r)
             k = r - 1
             feas = feas and bool(np.all(res.theta_tilde_c[:k] == 0.0))
             d0 = res.theta_tilde_c - theta
@@ -328,7 +327,7 @@ class TestCriterion6:
                 cand[k:] += rng.standard_normal(m - k)
                 d = cand - theta
                 opt = opt and (d @ info @ d >= best - 1e-10 * abs(best))
-            again = project_rd(ProjectionProblem(res.theta_tilde_c, info, r))
+            again = project_rd(res.theta_tilde_c, info, r)
             idem = idem and np.abs(again.theta_tilde_c - res.theta_tilde_c).max() < 1e-10
             cov = np.linalg.inv(info)
             rebuilt = theta - cov[:, :k] @ res.lagrange_multiplier

@@ -4,18 +4,26 @@ from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
 from ctident import (
+    CtModel,
     DtModel,
     EstimationResult,
+    NoiseSpec,
     OeOrders,
     SampledDataset,
-    dt_covariance,
+    c2d_zoh,
     init_arx_iv,
     oe_fit,
     predict,
     prediction_jacobian,
+    simulate_ct_zoh,
     simulate_dt,
 )
-from ctident.errors import UnstablePredictor
+from ctident.errors import (
+    DivergedUnstable,
+    RankDeficientRegression,
+    SingularInformation,
+    UnstablePredictor,
+)
 from ctident.pem import fit_report_dict
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
@@ -98,7 +106,6 @@ class TestOeFit:
         c = res.covariance
         assert_allclose(c, c.T, rtol=1e-12)
         assert np.linalg.eigvalsh(c).min() > 0
-        assert_allclose(dt_covariance(res, data.u), c, rtol=1e-12)
 
     def test_fixed_leading_numerator(self, rng):
         # nb < nf pins the extra leading coefficients at zero
@@ -146,7 +153,34 @@ class TestOeFit:
         assert_allclose(emp, np.sqrt(np.diag(pred)), rtol=0.35)
 
 
+    def test_overparameterized_fit_has_singular_information(self, rng):
+        # order 4 on nearly noiseless second-order data, started at the truth
+        # times a cancelling pole-zero pair: the cost is flat along the pair
+        g = CtModel([3.0], [1.0, 2.8, 4.0])
+        data = simulate_ct_zoh(g, rng.standard_normal(400), 0.1, NoiseSpec(sigma=1e-9, seed=1))
+        gd = c2d_zoh(g, 0.1)
+        pair = np.poly([0.2, 0.2])
+        init = DtModel(np.convolve(gd.num.coeffs, pair), np.convolve(gd.den.coeffs, pair), 0.1)
+        with pytest.raises(SingularInformation, match="condition number exceeds 1e12"):
+            oe_fit(data, OeOrders.full(4), init)
+
+    def test_descent_only_through_instability_raises(self, rng):
+        # data from a pole at 1.05, start just inside the unit circle: every
+        # step that lowers the cost leaves the stability region
+        truth = DtModel([1.0], [1.0, -1.05], h=0.1)
+        u = rng.standard_normal(50)
+        data = SampledDataset(u, simulate_dt(truth, u), 0.1)
+        init = DtModel([1.0], [1.0, -(1.0 - 1e-12)], h=0.1)
+        with pytest.raises(DivergedUnstable):
+            oe_fit(data, OeOrders.full(1), init)
+
+
 class TestInitArxIv:
+    def test_zero_input_is_rank_deficient(self, rng):
+        data = SampledDataset(np.zeros(200), rng.standard_normal(200), 0.1)
+        with pytest.raises(RankDeficientRegression, match="ARX regressor rank 2 < 4"):
+            init_arx_iv(data, OeOrders.full(2))
+
     def test_noiseless_init_is_near_truth(self, rng):
         data = make_data(rng, sigma=0.0)
         init = init_arx_iv(data, OeOrders(2, 2))

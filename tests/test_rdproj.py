@@ -5,12 +5,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from ctident import (
     CtModel,
     NoiseSpec,
-    ProjectionProblem,
     c2d_zoh,
     ct_info_matrix,
+    d2c_zoh,
     fit,
     mse_g,
     pemrd,
+    project_estimate,
     project_rd,
     projected_covariance,
     simulate_ct_zoh,
@@ -34,7 +35,7 @@ class TestProjectRd:
         cov = np.eye(4)
         cov[:2, :2] = [[2.0, 1.0], [1.0, 1.0]]
         info = np.linalg.inv(cov)
-        res = project_rd(ProjectionProblem([1.0, 1.0, 0.0, 0.0], info, r=2))
+        res = project_rd([1.0, 1.0, 0.0, 0.0], info, r=2)
         assert_allclose(res.theta_tilde_c, [0.0, 0.5, 0.0, 0.0], atol=1e-12)
         assert_allclose(res.lagrange_multiplier, [0.5], rtol=1e-10)
         expected = np.diag([0.0, 0.5, 1.0, 1.0])
@@ -46,7 +47,7 @@ class TestProjectRd:
             info = random_spd(rng, m)
             theta = rng.standard_normal(m)
             r = int(rng.integers(2, m // 2 + 1))
-            res = project_rd(ProjectionProblem(theta, info, r))
+            res = project_rd(theta, info, r)
             assert_array_equal(res.theta_tilde_c[: r - 1], 0.0)
 
     def test_optimality_against_random_feasible_points(self, rng):
@@ -54,7 +55,7 @@ class TestProjectRd:
         info = random_spd(rng, m)
         theta = rng.standard_normal(m)
         r = 3
-        res = project_rd(ProjectionProblem(theta, info, r))
+        res = project_rd(theta, info, r)
         d0 = res.theta_tilde_c - theta
         best = d0 @ info @ d0
         for _ in range(100):
@@ -67,8 +68,8 @@ class TestProjectRd:
         m = 8
         info = random_spd(rng, m)
         theta = rng.standard_normal(m)
-        res = project_rd(ProjectionProblem(theta, info, r=4))
-        again = project_rd(ProjectionProblem(res.theta_tilde_c, info, r=4))
+        res = project_rd(theta, info, r=4)
+        again = project_rd(res.theta_tilde_c, info, r=4)
         assert_allclose(again.theta_tilde_c, res.theta_tilde_c, atol=1e-12)
 
     def test_nested_constraints_compose(self, rng):
@@ -76,15 +77,14 @@ class TestProjectRd:
         m = 8
         info = random_spd(rng, m)
         theta = rng.standard_normal(m)
-        via = project_rd(ProjectionProblem(
-            project_rd(ProjectionProblem(theta, info, r=2)).theta_tilde_c, info, r=4))
-        direct = project_rd(ProjectionProblem(theta, info, r=4))
+        via = project_rd(project_rd(theta, info, r=2).theta_tilde_c, info, r=4)
+        direct = project_rd(theta, info, r=4)
         assert_allclose(via.theta_tilde_c, direct.theta_tilde_c, rtol=1e-10, atol=1e-12)
 
     def test_r1_is_identity(self, rng):
         theta = rng.standard_normal(4)
         info = random_spd(rng, 4)
-        res = project_rd(ProjectionProblem(theta, info, r=1))
+        res = project_rd(theta, info, r=1)
         assert_array_equal(res.theta_tilde_c, theta)
         assert res.lagrange_multiplier.size == 0
 
@@ -94,7 +94,7 @@ class TestProjectRd:
         cov = np.linalg.inv(info)
         theta = rng.standard_normal(m)
         r = 3
-        res = project_rd(ProjectionProblem(theta, info, r))
+        res = project_rd(theta, info, r)
         rebuilt = theta - cov[:, : r - 1] @ res.lagrange_multiplier
         rebuilt[: r - 1] = 0.0
         assert_allclose(res.theta_tilde_c, rebuilt, rtol=1e-9, atol=1e-11)
@@ -102,19 +102,17 @@ class TestProjectRd:
     def test_indefinite_info_rejected(self, rng):
         info = np.diag([1.0, -1.0, 1.0, 1.0])
         with pytest.raises(NotPositiveDefinite):
-            project_rd(ProjectionProblem(rng.standard_normal(4), info, r=2))
+            project_rd(rng.standard_normal(4), info, r=2)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
-            ProjectionProblem([1.0, 2.0, 3.0], np.eye(3), r=1)
+            project_rd([1.0, 2.0, 3.0], np.eye(3), r=1)
         with pytest.raises(ValueError):
-            ProjectionProblem([1.0, 2.0], np.eye(3), r=1)
+            project_rd([1.0, 2.0], np.eye(3), r=1)
         with pytest.raises(ValueError):
-            ProjectionProblem([1.0, 2.0], np.eye(2), r=2)
-
-    def test_selection_matrix(self):
-        p = ProjectionProblem(np.zeros(4), np.eye(4), r=2)
-        assert_array_equal(p.selection, np.hstack([np.zeros((3, 1)), np.eye(3)]))
+            project_rd([1.0, 2.0], np.eye(2), r=2)
+        with pytest.raises(ValueError):
+            project_rd([1.0, 2.0], np.eye(2), r=0)
 
 
 class TestProjectedCovariance:
@@ -202,14 +200,16 @@ class TestPemrdPipeline:
         assert_allclose(res.theta_tilde_c, rao_garnier.theta,
                         rtol=0.1, atol=0.05 * np.abs(rao_garnier.theta).max())
 
-    def test_jacobian_point_choice(self, dataset):
-        a = pemrd(dataset, n=4, r=3, jacobian_at="truncated")
-        b = pemrd(dataset, n=4, r=3, jacobian_at="estimate")
-        # the two linearization points give nearly the same projection
-        assert_allclose(a.theta_tilde_c, b.theta_tilde_c, rtol=0.02,
-                        atol=1e-4 * np.abs(a.theta_tilde_c).max())
-        with pytest.raises(ValueError):
-            pemrd(dataset, n=4, r=3, jacobian_at="elsewhere")
+    def test_linearizes_at_truncated_estimate(self, dataset):
+        res = pemrd(dataset, n=4, r=3)
+        theta_hat_c = d2c_zoh(res.estimation.model).theta
+        point = theta_hat_c.copy()
+        point[:2] = 0.0
+        assert_array_equal(res.map_point.theta_c, point)
+        again = project_estimate(theta_hat_c, res.estimation.covariance, dataset.h, 3)
+        assert_array_equal(again.theta_tilde_c, res.theta_tilde_c)
+        assert_array_equal(again.cov_tilde, res.cov_tilde)
+        assert again.estimation is None
 
     def test_projection_never_raises_variance(self, dataset):
         res = pemrd(dataset, n=4, r=3)

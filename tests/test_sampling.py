@@ -18,7 +18,7 @@ from ctident import (
     zoh_jacobian,
     zoh_map_point,
 )
-from ctident.errors import NonPrincipalLog
+from ctident.errors import DegenerateMap, NonPrincipalLog, SingularMap
 from conftest import random_stable_ct
 
 E_M01 = np.exp(-0.1)
@@ -110,6 +110,14 @@ class TestD2C:
             d2c_zoh(DtModel([1.0], den, h=0.1))
 
 
+    @pytest.mark.filterwarnings("ignore:logm result may be inaccurate")
+    def test_singular_input_map_rejected(self):
+        # poles at 1e15 and 0.5: the integral of expm(A t) over one period
+        # has condition number above 1e12
+        with pytest.raises(SingularMap):
+            d2c_zoh(DtModel([0.0, 1.0], np.poly([1e15, 0.5]), 1.0))
+
+
 class TestNaiveTruncate:
     def test_zeroes_leading_numerator(self):
         g = CtModel([1.0, 2.0, 3.0], [1.0, 4.0, 6.0, 4.0])
@@ -157,6 +165,12 @@ class TestZohJacobian:
         assert pt.h == h
         assert_allclose(pt.theta_d, c2d_zoh(rao_garnier, h).theta, rtol=1e-12)
         assert_allclose(pt.J, zoh_jacobian(rao_garnier.theta, h), rtol=1e-12)
+
+
+    def test_degenerate_probe_rejected(self):
+        # the probe points overflow the matrix exponential
+        with pytest.raises(DegenerateMap):
+            zoh_jacobian([1.0, 1e300, 1.0, 1e300], 0.1)
 
 
 class TestSimulateCtZoh:

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import ctident
 from ctident import gen_multisine, gen_prbs, gen_random_system, lfsr_bits
 from ctident.errors import AliasedFrequency, UnsupportedRegisterLength
 
@@ -119,6 +126,26 @@ class TestRandomSystem:
             dc = g.num.coeffs[-1] / g.den.coeffs[-1]
             assert 0.5 - 1e-12 <= abs(dc) <= 2.0 + 1e-12
             assert abs(g.num.coeffs[0] / g.den.coeffs[0]) > 0  # leading term kept
+
+    def test_order_eight_draws_finish(self):
+        # at order 8 the constant denominator coefficient can exceed 1e12;
+        # the draws run in a child process so that a hang fails the test
+        script = (
+            "import json, numpy as np\n"
+            "from ctident import gen_random_system\n"
+            "seeds = np.random.SeedSequence(20260816).spawn(20) + list(range(20))\n"
+            "gs = [gen_random_system(8, 2, rng=s) for s in seeds]\n"
+            "print(json.dumps([g.num.coeffs[-1] / g.den.coeffs[-1] for g in gs]))\n"
+        )
+        src = str(Path(ctident.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        dc = np.abs(json.loads(proc.stdout))
+        assert dc.size == 40
+        assert np.all((dc >= 0.5 - 1e-12) & (dc <= 2.0 + 1e-12))
 
     def test_slowest_pole_bound(self):
         rng = np.random.default_rng(0)
