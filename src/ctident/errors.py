@@ -23,7 +23,11 @@ class SingularMap(CtIdentError):
 
 
 class DegenerateMap(CtIdentError):
-    """Finite-difference probing of the sampling map failed near the requested point."""
+    """The sampling map or its Jacobian is not finite at the requested point.
+
+    Raised when the matrix exponential behind the Jacobian overflows, for
+    parameters far too large for the sampling period.
+    """
 
 
 class UnstablePredictor(CtIdentError):

@@ -86,7 +86,9 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     Column ``j < n`` (numerator coefficient of ``z**(n-1-j)``) is ``u``
     passed through ``z**(n-1-j) / F(z)``; column ``n + j`` (denominator
     coefficient of ``z**(n-1-j)``) is the prediction passed through
-    ``-z**(n-1-j) / F(z)``.  Shape ``(N, 2 n)``.
+    ``-z**(n-1-j) / F(z)``.  Every column is therefore a copy of ``u / F``
+    or ``-yhat / F`` delayed by ``j + 1`` samples, so two filter runs give
+    the whole matrix.  Shape ``(N, 2 n)``, Fortran-ordered.
 
     Raises
     ------
@@ -97,16 +99,18 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     if not is_stable(model):
         raise UnstablePredictor("sensitivity filters require a stable denominator")
     u = np.asarray(u, dtype=float)
+    return _sensitivities(model, u, simulate_dt(model, u))
+
+
+def _sensitivities(model: DtModel, u: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """:func:`prediction_jacobian` for a stable ``model`` whose prediction is ``yhat``."""
     n = model.n
     a = model.den.coeffs
-    yhat = simulate_dt(model, u)
-    psi = np.empty((u.size, 2 * n))
-    e = np.zeros(n + 1)
-    for j in range(n):
-        e[:] = 0.0
-        e[j + 1] = 1.0
-        psi[:, j] = lfilter(e, a, u)
-        psi[:, n + j] = -lfilter(e, a, yhat)
+    N = u.size
+    psi = np.zeros((N, 2 * n), order="F")
+    for half, w in enumerate((lfilter([1.0], a, u), -lfilter([1.0], a, yhat))):
+        for j in range(min(n, N - 1)):
+            psi[j + 1:, half * n + j] = w[: N - j - 1]
     return psi
 
 
@@ -146,7 +150,8 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
     free = slice(fixed, 2 * nf)
 
     model = DtModel.from_theta(theta, data.h)
-    resid = y - simulate_dt(model, u)
+    yhat = simulate_dt(model, u)
+    resid = y - yhat
     cost = float(resid @ resid)
     history = [cost]
     mu = None
@@ -154,7 +159,7 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
-        psi = prediction_jacobian(model, u)[:, free]
+        psi = _sensitivities(model, u, yhat)[:, free]
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
             converged = True
@@ -179,11 +184,12 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
                 saw_unstable = True
                 mu *= 2.0
                 continue
-            cand_resid = y - simulate_dt(cand_model, u)
+            cand_yhat = simulate_dt(cand_model, u)
+            cand_resid = y - cand_yhat
             cand_cost = float(cand_resid @ cand_resid)
             if cand_cost < cost:
                 rel_drop = (cost - cand_cost) / max(cost, np.finfo(float).tiny)
-                theta, model = cand, cand_model
+                theta, model, yhat = cand, cand_model, cand_yhat
                 resid, cost = cand_resid, cand_cost
                 history.append(cost)
                 mu *= 0.5
@@ -203,7 +209,7 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
             break
 
     sigma2 = cost / (data.N - 2 * nf)
-    psi = prediction_jacobian(model, u)
+    psi = _sensitivities(model, u, yhat)
     info = psi.T @ psi
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")

@@ -119,7 +119,9 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     of the covariance (zero the first ``r - 1`` whitened coordinates) and
     through the explicit Lagrange multiplier, and cross-checks them to
     1e-10 relative to the estimate's magnitude.  The constrained entries of
-    the result are set exactly to zero.
+    the result are set exactly to zero.  ``cov_tilde`` is the inverse of the
+    surviving block of ``info_c``, as :func:`projected_covariance` computes
+    from a covariance.
 
     Raises
     ------
@@ -168,10 +170,9 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
                 "whitened and multiplier projections disagree beyond %.1e" % tol)
         theta_tilde[:k] = 0.0
 
-    cov_tilde = projected_covariance(cov, r)
     return PemrdResult(
         theta_tilde_c=theta_tilde,
-        cov_tilde=cov_tilde,
+        cov_tilde=_block_covariance(info, k),
         lagrange_multiplier=lam,
         r=r,
     )
@@ -197,10 +198,13 @@ def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
     k = r - 1
     if k == 0:
         return cov.copy()
-    info = _chol_inverse(cov, "covariance is not invertible")
-    reduced = _chol_inverse(info[k:, k:], "projected information block is not invertible")
-    out = np.zeros_like(cov)
-    out[k:, k:] = reduced
+    return _block_covariance(_chol_inverse(cov, "covariance is not invertible"), k)
+
+
+def _block_covariance(info: np.ndarray, k: int) -> np.ndarray:
+    """Inverse of the ``info[k:, k:]`` block, zero-padded in the first ``k`` rows and columns."""
+    out = np.zeros_like(info)
+    out[k:, k:] = _chol_inverse(info[k:, k:], "projected information block is not invertible")
     return out
 
 

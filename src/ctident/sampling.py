@@ -7,7 +7,8 @@ computed through state-space realizations:
 
 - forward: augmented matrix exponential ``expm([[A, B], [0, 0]] h)``;
 - inverse: principal matrix logarithm ``A = logm(Ad) / h`` followed by the
-  input-map solve ``(integral of expm(A t) over one period) B = Bd``.
+  input-map solve ``(integral of expm(A t) over one period) B = Bd``;
+- Jacobian: exact, from the Frechet derivative of the exponential.
 
 The inverse is well defined only when no discrete-time pole lies on the
 closed negative real axis; offending models raise :class:`NonPrincipalLog`.
@@ -150,37 +151,84 @@ def naive_truncate(model: CtModel, r: int) -> CtModel:
 def zoh_jacobian(theta_c, h: float) -> np.ndarray:
     """Jacobian of the sampling map ``theta_c -> theta_d`` at ``theta_c``.
 
-    Central finite differences with per-coordinate steps
-    ``eps**(1/3) * max(1, |theta_c[i]|)``, the usual accuracy/rounding
-    compromise for second-order differencing.
+    Exact to rounding.  In the controllable canonical realization of
+    :func:`ct_to_ss`, a denominator parameter moves one entry of ``A`` and a
+    numerator parameter one entry of ``C``, which sampling leaves alone.
+    The derivatives of ``(Ad, Bd)`` along the ``n`` denominator directions
+    ``E_i`` are the Frechet derivatives ``L(X, E_i)`` of the exponential at
+    ``X = h [[A, B], [0, 0]]``, read off one exponential of a block upper
+    triangular matrix with ``X`` on its diagonal and the ``E_i`` in its
+    first block row (Al-Mohy & Higham, 2009).  They are chained through
+    ``num = poly(Ad - Bd C) - poly(Ad)`` with Jacobi's formula: the
+    characteristic coefficients ``c_k`` of ``M`` move by
+    ``-tr(B_{k-1} dM)``, where ``B_0 = I`` and ``B_k = M B_{k-1} + c_k I``.
 
     Raises
     ------
+    ValueError
+        If ``theta_c`` is not a finite 1-d vector of even length or ``h`` is
+        not positive.
     DegenerateMap
-        If the map cannot be evaluated, or returns non-finite values, at one
-        of the probe points.
+        If the exponential or the Jacobian is not finite, as when the
+        parameters are so large that the exponential overflows.
     """
     theta_c = np.asarray(theta_c, dtype=float)
     if theta_c.ndim != 1 or theta_c.size % 2 or theta_c.size < 2:
         raise ValueError("parameter vector must be 1-d of even length")
-    m = theta_c.size
-    step_scale = np.finfo(float).eps ** (1.0 / 3.0)
-    J = np.empty((m, m))
-    for i in range(m):
-        step = step_scale * max(1.0, abs(theta_c[i]))
-        up = theta_c.copy()
-        dn = theta_c.copy()
-        up[i] += step
-        dn[i] -= step
+    h = float(h)
+    if not h > 0:
+        raise ValueError("sampling period must be positive")
+    n = theta_c.size // 2
+    ss = ct_to_ss(CtModel.from_theta(theta_c))
+    p = n + 1
+    X = np.zeros((p, p))
+    X[:n, :n] = ss.A * h
+    X[:n, n:] = ss.B * h
+    # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
+    big = np.kron(np.eye(p), X)
+    for i in range(n):
+        big[n - 1, p * (i + 1) + n - 1 - i] = -h
+    with np.errstate(all="ignore"):
+        E = expm(big)[:p]
+    if not np.all(np.isfinite(E)):
+        raise DegenerateMap("matrix exponential of the sampling map is not finite")
+    Ad, Bd, C = E[:n, :n], E[:n, n:p], ss.C
+    # directions: n numerator ones move C only, n denominator ones move Ad, Bd
+    dAd = np.zeros((2 * n, n, n))
+    dBd = np.zeros((2 * n, n, 1))
+    dC = np.zeros((2 * n, 1, n))
+    for i in range(n):
+        dC[i, 0, n - 1 - i] = 1.0
+        dAd[n + i] = E[:n, p * (i + 1): p * (i + 1) + n]
+        dBd[n + i] = E[:n, p * (i + 1) + n: p * (i + 2)]
+    with np.errstate(all="ignore"):
+        M = Ad - Bd @ C
+        dM = dAd - dBd @ C - Bd @ dC
         try:
-            f_up = c2d_zoh(CtModel.from_theta(up), h).theta
-            f_dn = c2d_zoh(CtModel.from_theta(dn), h).theta
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise DegenerateMap("sampling map failed near the requested point: %s" % exc) from exc
-        J[:, i] = (f_up - f_dn) / (2.0 * step)
+            d_den = _charpoly_derivative(Ad, dAd)
+            J = np.vstack([_charpoly_derivative(M, dM) - d_den, d_den])
+        except np.linalg.LinAlgError as exc:  # eigenvalues of an overflowed M
+            raise DegenerateMap("sampling-map Jacobian is not finite") from exc
     if not np.all(np.isfinite(J)):
-        raise DegenerateMap("sampling map returned non-finite values")
+        raise DegenerateMap("sampling-map Jacobian is not finite")
     return J
+
+
+def _charpoly_derivative(M: np.ndarray, dM: np.ndarray) -> np.ndarray:
+    """Derivatives of ``np.poly(M)[1:]`` along each direction ``dM[j]``.
+
+    Row ``k - 1`` holds ``d c_k = -tr(B_{k-1} dM)`` (Jacobi's formula), the
+    ``B_k`` being the Faddeev-LeVerrier coefficients of the adjugate of
+    ``x I - M``.  Shape ``(n, len(dM))``.
+    """
+    n = M.shape[0]
+    c = np.poly(M)
+    B = np.eye(n)
+    out = np.empty((n, dM.shape[0]))
+    for k in range(1, n + 1):
+        out[k - 1] = -np.einsum("ij,dji->d", B, dM)
+        B = M @ B + c[k] * np.eye(n)
+    return out
 
 
 def zoh_map_point(theta_c, h: float) -> ZohMapPoint:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
@@ -24,7 +25,10 @@ from ctident.errors import (
     SingularInformation,
     UnstablePredictor,
 )
+from ctident import pem
 from ctident.pem import fit_report_dict
+from conftest import random_stable_ct
+from oracles import filter_bank_sensitivities
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
 
@@ -67,6 +71,33 @@ class TestPredictionJacobian:
         a = TRUE_DT.den.coeffs
         assert_allclose(psi[:, 0], lfilter([0.0, 1.0, 0.0], a, u), rtol=1e-12)
         assert_allclose(psi[:, 1], lfilter([0.0, 0.0, 1.0], a, u), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
+           h=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    def test_matches_filter_bank(self, seed, order, h):
+        # Both versions run the recursion 1/F, which amplifies rounding by up
+        # to the l1 norm kappa of its impulse response: with poles crowding
+        # z = 1 (order 6, h = 0.01) both are about 1e-6 away from an
+        # extended-precision evaluation.  Over 600 draws of this grid the two
+        # differed by at most 3.5 eps kappa of a column's maximum.
+        rng = np.random.default_rng(seed)
+        g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
+        model = c2d_zoh(g, h)
+        u = rng.standard_normal(300)
+        psi = prediction_jacobian(model, u)
+        oracle = filter_bank_sensitivities(model, u)
+        impulse = np.zeros(u.size)
+        impulse[0] = 1.0
+        kappa = np.abs(lfilter([1.0], model.den.coeffs, impulse)).sum()
+        rtol = max(1e-12, 20.0 * np.finfo(float).eps * kappa)
+        assert psi.shape == oracle.shape
+        assert np.all(np.abs(psi - oracle) <= rtol * np.abs(oracle).max(axis=0))
+
+    def test_short_record(self):
+        # fewer samples than delays: the late columns are all zero
+        psi = prediction_jacobian(TRUE_DT, [1.0, 2.0])
+        assert_allclose(psi, filter_bank_sensitivities(TRUE_DT, [1.0, 2.0]), atol=1e-15)
 
     def test_unstable_model_rejected(self, rng):
         bad = DtModel([1.0], [1.0, -1.7, 0.6], h=0.1)  # roots 1.2 and 0.5
@@ -152,6 +183,21 @@ class TestOeFit:
         emp = np.std(np.asarray(thetas), axis=0, ddof=1)
         assert_allclose(emp, np.sqrt(np.diag(pred)), rtol=0.35)
 
+
+    def test_same_fit_with_filter_bank_sensitivities(self, rng, monkeypatch):
+        # the Gauss-Newton path does not depend on how the sensitivities are
+        # computed: the 2n-filter oracle gives the same iterations and estimate
+        rg = CtModel([-6400.0, 1600.0], [1.0, 5.0, 408.0, 416.0, 1600.0])
+        data = simulate_ct_zoh(rg, rng.standard_normal(1500), 0.05, NoiseSpec(sigma=0.3, seed=2))
+        orders = OeOrders.full(4)
+        init = init_arx_iv(data, orders)
+        fast = oe_fit(data, orders, init)
+        monkeypatch.setattr(pem, "_sensitivities",
+                            lambda model, u, yhat: filter_bank_sensitivities(model, u))
+        slow = oe_fit(data, orders, init)
+        assert fast.iterations == slow.iterations > 1
+        assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
+        assert_allclose(fast.covariance, slow.covariance, rtol=1e-8)
 
     def test_overparameterized_fit_has_singular_information(self, rng):
         # order 4 on nearly noiseless second-order data, started at the truth

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ctident import (
@@ -20,6 +21,7 @@ from ctident import (
 )
 from ctident.errors import DegenerateMap, NonPrincipalLog, SingularMap
 from conftest import random_stable_ct
+from oracles import difference_jacobian, difference_steps, high_precision_jacobian
 
 E_M01 = np.exp(-0.1)
 
@@ -144,7 +146,7 @@ class TestZohJacobian:
         d_bd_b = 1.0 - E_M01
         d_bd_a = h * E_M01 - (1.0 - E_M01)
         d_ad_a = h * E_M01
-        assert_allclose(J, [[d_bd_b, d_bd_a], [0.0, d_ad_a]], rtol=1e-7, atol=1e-9)
+        assert_allclose(J, [[d_bd_b, d_bd_a], [0.0, d_ad_a]], rtol=1e-12, atol=1e-15)
 
     def test_linearizes_the_map(self, rao_garnier):
         h = 0.05
@@ -155,9 +157,48 @@ class TestZohJacobian:
         f1 = c2d_zoh(CtModel.from_theta(th + delta), h).theta
         assert_allclose(f1 - f0, J @ delta, rtol=1e-4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
+           h=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    def test_matches_fourth_order_differences(self, seed, order, h):
+        # The difference oracle is limited by the rounding of c2d_zoh, whose
+        # numerator is a difference of characteristic coefficients of size
+        # S = max |den_d|: its error is about eps S / step per column, which
+        # at order 6 and h = 0.01 exceeds the numerator derivatives a
+        # hundredfold.  Over 400 draws of this grid the discrepancy stayed
+        # below 24 (eps S / step + 1e-9 column max); the bound allows 100.
+        rng = np.random.default_rng(seed)
+        g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
+        J = zoh_jacobian(g.theta, h)
+        oracle = difference_jacobian(g.theta, h, order=4)
+        S = np.abs(c2d_zoh(g, h).den.coeffs).max()
+        rounding = np.finfo(float).eps * S / difference_steps(g.theta, 4)
+        bound = 100.0 * (rounding + 1e-9 * np.abs(J).max(axis=0))
+        assert np.all(np.abs(J - oracle) <= bound)
+
+    @pytest.mark.parametrize("order, h", [(2, 0.01), (4, 0.05), (6, 0.01), (6, 0.5)])
+    def test_exact_against_high_precision(self, order, h):
+        # where double-precision differences fail (order 6, h = 0.01) the
+        # closed form still matches a 60-digit evaluation of the map
+        g = random_stable_ct(np.random.default_rng(order), order, reldeg=1)
+        J = zoh_jacobian(g.theta, h)
+        ref = high_precision_jacobian(g.theta, h)
+        assert np.all(np.abs(J - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+
+    def test_close_to_former_central_differences(self, rao_garnier):
+        # the central differences this replaced were accurate to about 5e-7
+        # of each column on the benchmark plant at h = 0.05
+        J = zoh_jacobian(rao_garnier.theta, 0.05)
+        old = difference_jacobian(rao_garnier.theta, 0.05, order=2)
+        assert np.all(np.abs(J - old) <= 2e-6 * np.abs(J).max(axis=0))
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             zoh_jacobian([1.0, 2.0, 3.0], 0.1)
+        with pytest.raises(ValueError):
+            zoh_jacobian([1.0, 2.0], 0.0)
+        with pytest.raises(ValueError):
+            zoh_jacobian([1.0, np.nan], 0.1)
 
     def test_map_point_consistency(self, rao_garnier):
         h = 0.05
@@ -168,9 +209,14 @@ class TestZohJacobian:
 
 
     def test_degenerate_probe_rejected(self):
-        # the probe points overflow the matrix exponential
+        # the matrix exponential overflows at this point
         with pytest.raises(DegenerateMap):
             zoh_jacobian([1.0, 1e300, 1.0, 1e300], 0.1)
+
+    def test_degenerate_jacobian_rejected(self):
+        # finite exponential, but Ad - Bd C overflows
+        with pytest.raises(DegenerateMap):
+            zoh_jacobian([1e308, 1e308, 1e-3, 1e-3], 10.0)
 
 
 class TestSimulateCtZoh:
