@@ -72,15 +72,15 @@ class TestPredictionJacobian:
         assert_allclose(psi[:, 0], lfilter([0.0, 1.0, 0.0], a, u), rtol=1e-12)
         assert_allclose(psi[:, 1], lfilter([0.0, 0.0, 1.0], a, u), rtol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
            h=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
     def test_matches_filter_bank(self, seed, order, h):
         # Both versions run the recursion 1/F, which amplifies rounding by up
         # to the l1 norm kappa of its impulse response: with poles crowding
         # z = 1 (order 6, h = 0.01) both are about 1e-6 away from an
-        # extended-precision evaluation.  Over 600 draws of this grid the two
-        # differed by at most 3.5 eps kappa of a column's maximum.
+        # extended-precision evaluation.  Over 2000 draws of this grid the
+        # two differed by at most 3.6 eps kappa of a column's maximum.
         rng = np.random.default_rng(seed)
         g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
         model = c2d_zoh(g, h)

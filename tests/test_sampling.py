@@ -157,7 +157,7 @@ class TestZohJacobian:
         f1 = c2d_zoh(CtModel.from_theta(th + delta), h).theta
         assert_allclose(f1 - f0, J @ delta, rtol=1e-4)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
            h=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
     def test_matches_fourth_order_differences(self, seed, order, h):
@@ -165,8 +165,8 @@ class TestZohJacobian:
         # numerator is a difference of characteristic coefficients of size
         # S = max |den_d|: its error is about eps S / step per column, which
         # at order 6 and h = 0.01 exceeds the numerator derivatives a
-        # hundredfold.  Over 400 draws of this grid the discrepancy stayed
-        # below 24 (eps S / step + 1e-9 column max); the bound allows 100.
+        # hundredfold.  Over 1000 draws of this grid the discrepancy stayed
+        # below 26 (eps S / step + 1e-9 column max); the bound allows 100.
         rng = np.random.default_rng(seed)
         g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
         J = zoh_jacobian(g.theta, h)
