@@ -13,15 +13,12 @@ from .lti import (
     DtModel,
     Polynomial,
     SampledDataset,
-    StateSpace,
-    ct_to_ss,
-    dt_to_ss,
+    companion,
     freq_response,
     is_stable,
     l2_norm_sq,
     model_from_dict,
     model_to_dict,
-    poles,
     simulate_dt,
 )
 from .metrics import fit, mse_g, mse_theta
@@ -38,7 +35,6 @@ from .montecarlo import (
 )
 from .pem import (
     EstimationResult,
-    OeOrders,
     init_arx_iv,
     oe_fit,
     predict,

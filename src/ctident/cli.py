@@ -35,7 +35,7 @@ from .montecarlo import (
     run_monte_carlo,
     save_report,
 )
-from .pem import OeOrders, fit_report_dict, init_arx_iv, oe_fit
+from .pem import fit_report_dict, init_arx_iv, oe_fit
 from .rdproj import pemrd_report_dict, project_estimate
 from .sampling import (
     NoiseSpec,
@@ -91,8 +91,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data, _meta = load_dataset(args.data)
-    orders = OeOrders.full(args.order)
-    result = oe_fit(data, orders, init_arx_iv(data, orders))
+    result = oe_fit(data, args.order, init_arx_iv(data, args.order))
     report = fit_report_dict(result)
     _emit(json.dumps(report, indent=1) + "\n", args.out)
     return 0

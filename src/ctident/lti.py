@@ -29,14 +29,11 @@ __all__ = [
     "Polynomial",
     "CtModel",
     "DtModel",
-    "StateSpace",
     "SampledDataset",
-    "ct_to_ss",
-    "dt_to_ss",
+    "companion",
     "simulate_dt",
     "l2_norm_sq",
     "freq_response",
-    "poles",
     "is_stable",
     "model_to_dict",
     "model_from_dict",
@@ -184,43 +181,6 @@ class DtModel(_RationalModel):
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """State-space realization ``(A, B, C, D)`` with a domain tag.
-
-    ``domain`` is ``"ct"`` or ``"dt"``; discrete realizations carry their
-    sampling period in ``h``.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: float
-    domain: str
-    h: float | None = None
-
-    def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.asarray(self.B, dtype=float).reshape(A.shape[0], -1)
-        C = np.asarray(self.C, dtype=float).reshape(-1, A.shape[0])
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", float(self.D))
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
-        if B.shape != (A.shape[0], 1) or C.shape != (1, A.shape[0]):
-            raise ValueError("B must be n-by-1 and C 1-by-n")
-        if self.domain not in ("ct", "dt"):
-            raise ValueError("domain must be 'ct' or 'dt'")
-        if self.domain == "dt" and (self.h is None or not self.h > 0):
-            raise ValueError("discrete realization needs a positive sampling period")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
-@dataclass(frozen=True)
 class SampledDataset:
     """Input/output record sampled at a fixed period."""
 
@@ -246,51 +206,38 @@ class SampledDataset:
         return int(self.u.size)
 
 
-def _companion_realization(num: Polynomial, den: Polynomial):
-    """Controllable canonical form with states ordered low derivative first.
+def companion(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Controllable canonical realization ``(A, B, C)`` of a model.
 
-    The last row of A carries the negated denominator coefficients in
-    ascending order and C carries the ascending numerator coefficients.
+    States are ordered low derivative first: the last row of A carries the
+    negated denominator coefficients in ascending order and C carries the
+    ascending numerator coefficients.  The same form serves continuous- and
+    discrete-time models.
     """
-    n = den.degree
+    n = model.n
     A = np.eye(n, k=1)
-    A[-1, :] = -den.coeffs[:0:-1]
+    A[-1, :] = -model.den.coeffs[:0:-1]
     B = np.zeros((n, 1))
     B[-1, 0] = 1.0
     C = np.zeros((1, n))
-    C[0, : num.degree + 1] = num.coeffs[::-1]
-    return A, B, C, 0.0
+    C[0, : model.num.degree + 1] = model.num.coeffs[::-1]
+    return A, B, C
 
 
-def ct_to_ss(model: CtModel) -> StateSpace:
-    """Controllable canonical realization of a continuous-time model."""
-    A, B, C, D = _companion_realization(model.num, model.den)
-    return StateSpace(A, B, C, D, domain="ct")
-
-
-def dt_to_ss(model: DtModel) -> StateSpace:
-    """Controllable canonical realization of a discrete-time model."""
-    A, B, C, D = _companion_realization(model.num, model.den)
-    return StateSpace(A, B, C, D, domain="dt", h=model.h)
-
-
-def ss_to_numden(A, B, C, D=0.0):
-    """Transfer-function coefficients of a SISO realization.
+def ss_to_numden(A, B, C):
+    """Transfer-function coefficients of a strictly proper SISO realization.
 
     Uses the determinant identity
     ``det(xI - A + B C) = det(xI - A) (1 + C (xI - A)^{-1} B)``,
-    so ``num = poly(A - B C) - (1 - D) poly(A)``.  Only strictly proper
-    results are supported; returns descending (num, den) arrays with den
-    monic of length ``n + 1`` and num of length ``n``.
+    so ``num = poly(A - B C) - poly(A)``, whose leading coefficient is
+    exactly zero.  Returns descending (num, den) arrays with den monic of
+    length ``n + 1`` and num of length ``n``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float).reshape(A.shape[0], 1)
     C = np.asarray(C, dtype=float).reshape(1, A.shape[0])
     den = np.poly(A)
-    full = np.poly(A - B @ C) - (1.0 - float(D)) * den
-    if abs(full[0]) > 1e-9 * max(1.0, np.max(np.abs(full))):
-        raise ValueError("realization is not strictly proper")
-    return full[1:], den
+    return (np.poly(A - B @ C) - den)[1:], den
 
 
 def simulate_dt(model: DtModel, u) -> np.ndarray:
@@ -320,9 +267,9 @@ def l2_norm_sq(model: CtModel) -> float:
     """
     if not is_stable(model):
         raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
-    ss = ct_to_ss(model)
-    P = solve_continuous_lyapunov(ss.A, -ss.B @ ss.B.T)
-    val = (ss.C @ P @ ss.C.T).item()
+    A, B, C = companion(model)
+    P = solve_continuous_lyapunov(A, -B @ B.T)
+    val = (C @ P @ C.T).item()
     # tiny negative values can appear for (near-)zero numerators
     return max(val, 0.0)
 
@@ -331,7 +278,7 @@ def freq_response(model, omega) -> np.ndarray:
     """Frequency response on a grid of angular frequencies (rad/s).
 
     Continuous-time models are evaluated at ``s = j omega``, discrete-time
-    models and realizations at ``z = exp(j omega h)``.
+    models at ``z = exp(j omega h)``.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if isinstance(model, CtModel):
@@ -340,24 +287,12 @@ def freq_response(model, omega) -> np.ndarray:
     if isinstance(model, DtModel):
         pts = np.exp(1j * omega * model.h)
         return model.num(pts) / model.den(pts)
-    if isinstance(model, StateSpace):
-        pts = 1j * omega if model.domain == "ct" else np.exp(1j * omega * model.h)
-        eye = np.eye(model.n)
-        out = np.empty(pts.shape, dtype=complex)
-        for k, p in enumerate(pts):
-            out[k] = (model.C @ np.linalg.solve(p * eye - model.A, model.B) + model.D).item()
-        return out
     raise TypeError("unsupported model type: %r" % type(model).__name__)
-
-
-def poles(model) -> np.ndarray:
-    """Denominator roots of a transfer-function model."""
-    return model.den.roots()
 
 
 def is_stable(model) -> bool:
     """Asymptotic stability: open left half-plane (ct) or open unit disc (dt)."""
-    p = poles(model)
+    p = model.den.roots()
     if p.size == 0:
         return True
     if isinstance(model, DtModel):

@@ -25,7 +25,7 @@ from .lti import (
     simulate_dt,
 )
 from .metrics import fit, mse_g, mse_theta
-from .pem import OeOrders, init_arx_iv, oe_fit, predict
+from .pem import init_arx_iv, oe_fit, predict
 from .rdproj import project_estimate
 from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
 # not called here; bench/spans.py traces these names on this module
@@ -225,8 +225,7 @@ def _failed(run, estimators, exc):
 def _run_once(run, data, g0, y0, config):
     """Estimate once, then score every requested estimator on this run."""
     try:
-        orders = OeOrders.full(g0.n)
-        est = oe_fit(data, orders, init_arx_iv(data, orders))
+        est = oe_fit(data, g0.n, init_arx_iv(data, g0.n))
         g_full = d2c_zoh(est.model)
     except _FAILURES as exc:
         return _failed(run, config.estimators, exc)

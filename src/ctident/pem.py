@@ -1,7 +1,7 @@
 """Discrete-time output-error estimation.
 
 The model structure is ``y = (B(z)/F(z)) u + e`` with ``F`` monic of degree
-``nf``, ``B`` of degree ``nb - 1``, and white measurement noise ``e``.  The
+``n``, ``B`` of degree ``n - 1``, and white measurement noise ``e``.  The
 quadratic prediction-error cost is minimized by a damped Gauss-Newton
 (Levenberg-Marquardt) iteration whose search direction comes from exact
 sensitivity filters, started from an ARX / instrumental-variable /
@@ -24,7 +24,6 @@ from .errors import (
 from .lti import DtModel, SampledDataset, is_stable, simulate_dt
 
 __all__ = [
-    "OeOrders",
     "EstimationResult",
     "predict",
     "prediction_jacobian",
@@ -40,28 +39,11 @@ _GRAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class OeOrders:
-    """Structure orders: ``nb`` numerator coefficients over a degree ``nf`` denominator."""
-
-    nb: int
-    nf: int
-
-    def __post_init__(self):
-        if not (1 <= self.nb <= self.nf):
-            raise ValueError("orders must satisfy 1 <= nb <= nf")
-
-    @classmethod
-    def full(cls, n: int) -> "OeOrders":
-        """Equal orders, the common case for sampled physical systems."""
-        return cls(n, n)
-
-
-@dataclass(frozen=True)
 class EstimationResult:
     """Estimate plus optimizer diagnostics.
 
     ``covariance`` is the asymptotic parameter covariance in the full
-    length ``2 nf`` layout; ``cost_history`` records the cost after each
+    length ``2 n`` layout; ``cost_history`` records the cost after each
     accepted step, starting at the initial point.
     """
 
@@ -114,8 +96,8 @@ def _sensitivities(model: DtModel, u: np.ndarray, yhat: np.ndarray) -> np.ndarra
     return psi
 
 
-def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationResult:
-    """Minimize the output-error cost by a damped Gauss-Newton iteration.
+def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
+    """Fit an order ``n`` model by a damped Gauss-Newton iteration from ``init``.
 
     Candidate steps that leave the stability region or increase the cost are
     rejected by doubling the damping, up to 30 times per iteration; accepted
@@ -129,26 +111,24 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
 
     Raises
     ------
+    ValueError
+        If ``init`` is not a stable model of order ``n`` or the record has
+        no more samples than parameters.
     DivergedUnstable
         If an iterate can only move by leaving the stability region and
         damping cannot restore descent.
     SingularInformation
         If the information matrix at the estimate is numerically singular.
     """
-    nb, nf = orders.nb, orders.nf
-    if init.n != nf:
-        raise ValueError("initial model order does not match the requested structure")
+    if init.n != n:  # also rejects n < 1, since every model has order >= 1
+        raise ValueError("initial model order %d does not match n = %d" % (init.n, n))
     if not is_stable(init):
         raise ValueError("initial model must be stable")
-    if data.N <= 2 * nf:
+    if data.N <= 2 * n:
         raise ValueError("need more samples than parameters")
     u, y = data.u, data.y
 
-    theta = init.theta.copy()
-    fixed = nf - nb
-    theta[:fixed] = 0.0
-    free = slice(fixed, 2 * nf)
-
+    theta = init.theta
     model = DtModel.from_theta(theta, data.h)
     yhat = simulate_dt(model, u)
     resid = y - yhat
@@ -159,7 +139,7 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
-        psi = _sensitivities(model, u, yhat)[:, free]
+        psi = _sensitivities(model, u, yhat)
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
             converged = True
@@ -177,8 +157,7 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
             except np.linalg.LinAlgError:
                 mu *= 2.0
                 continue
-            cand = theta.copy()
-            cand[free] += delta
+            cand = theta + delta
             cand_model = DtModel.from_theta(cand, data.h)
             if not is_stable(cand_model):
                 saw_unstable = True
@@ -208,7 +187,7 @@ def oe_fit(data: SampledDataset, orders: OeOrders, init: DtModel) -> EstimationR
             converged = True
             break
 
-    sigma2 = cost / (data.N - 2 * nf)
+    sigma2 = cost / (data.N - 2 * n)
     psi = _sensitivities(model, u, yhat)
     info = psi.T @ psi
     if np.linalg.cond(info) > 1e12:
@@ -248,8 +227,8 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
     return np.atleast_1d(np.poly(rts)).real
 
 
-def init_arx_iv(data: SampledDataset, orders: OeOrders) -> DtModel:
-    """Initial output-error model from data alone.
+def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
+    """Initial order ``n`` output-error model from data alone.
 
     Three stages: ARX least squares, one instrumental-variable pass with
     instruments simulated from the ARX model, then up to 20
@@ -264,27 +243,28 @@ def init_arx_iv(data: SampledDataset, orders: OeOrders) -> DtModel:
 
     Raises
     ------
+    ValueError
+        If ``n < 1`` or the record is too short for ``2 n`` parameters.
     RankDeficientRegression
         If the ARX regressor does not have full column rank.
     """
-    nb, nf = orders.nb, orders.nf
+    if n < 1:
+        raise ValueError("model order must be at least 1")
     u, y = data.u, data.y
     N = data.N
-    npar = nb + nf
-    if N - nf < npar:
-        raise ValueError("not enough samples for the requested orders")
+    npar = 2 * n
+    if N - n < npar:
+        raise ValueError("not enough samples for the requested order")
 
     def regressor(w_in, w_out):
         # columns ordered like the parameter vector: numerator block first
-        cols = [w_in[nf - d: N - d] for d in range(nf - nb + 1, nf + 1)]
-        cols += [-w_out[nf - d: N - d] for d in range(1, nf + 1)]
+        cols = [w_in[n - d: N - d] for d in range(1, n + 1)]
+        cols += [-w_out[n - d: N - d] for d in range(1, n + 1)]
         return np.column_stack(cols)
 
-    def to_model(theta_red):
-        den = _reflect_stable(np.concatenate([[1.0], theta_red[nb:]]))
-        num = np.zeros(nf)
-        num[nf - nb:] = theta_red[:nb]
-        return DtModel(num, den, data.h)
+    def to_model(th):
+        den = _reflect_stable(np.concatenate([[1.0], th[n:]]))
+        return DtModel(th[:n], den, data.h)
 
     def oe_cost(candidate):
         e = y - simulate_dt(candidate, u)
@@ -292,7 +272,7 @@ def init_arx_iv(data: SampledDataset, orders: OeOrders) -> DtModel:
 
     # stage 1: ARX least squares
     phi = regressor(u, y)
-    target = y[nf:]
+    target = y[n:]
     theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
@@ -318,7 +298,7 @@ def init_arx_iv(data: SampledDataset, orders: OeOrders) -> DtModel:
         uf = lfilter([1.0], den, u)
         yf = lfilter([1.0], den, y)
         phi_f = regressor(uf, yf)
-        theta_new, _, rank, _ = np.linalg.lstsq(phi_f, yf[nf:], rcond=None)
+        theta_new, _, rank, _ = np.linalg.lstsq(phi_f, yf[n:], rcond=None)
         if rank < npar or not np.all(np.isfinite(theta_new)):
             break
         new_model = to_model(theta_new)

@@ -29,7 +29,7 @@ from .errors import (
     SingularCovariance,
 )
 from .lti import CtModel, SampledDataset
-from .pem import EstimationResult, OeOrders, init_arx_iv, oe_fit
+from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, naive_truncate, zoh_map_point
 
 __all__ = [
@@ -236,8 +236,7 @@ def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:
         axis, so no continuous-time equivalent exists.  Monte Carlo drivers
         normally discard such runs.
     """
-    orders = OeOrders.full(n)
-    est = oe_fit(data, orders, init_arx_iv(data, orders))
+    est = oe_fit(data, n, init_arx_iv(data, n))
     try:
         full_ct = d2c_zoh(est.model)
     except NonPrincipalLog as exc:

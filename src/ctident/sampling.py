@@ -29,8 +29,7 @@ from .lti import (
     CtModel,
     DtModel,
     SampledDataset,
-    ct_to_ss,
-    dt_to_ss,
+    companion,
     simulate_dt,
     ss_to_numden,
 )
@@ -86,13 +85,13 @@ def c2d_zoh(model: CtModel, h: float) -> DtModel:
     h = float(h)
     if not h > 0:
         raise ValueError("sampling period must be positive")
-    ss = ct_to_ss(model)
-    n = ss.n
+    A, B, C = companion(model)
+    n = model.n
     aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = ss.A
-    aug[:n, n:] = ss.B
+    aug[:n, :n] = A
+    aug[:n, n:] = B
     E = expm(aug * h)
-    num, den = ss_to_numden(E[:n, :n], E[:n, n:], ss.C, 0.0)
+    num, den = ss_to_numden(E[:n, :n], E[:n, n:], C)
     return DtModel(num, den, h)
 
 
@@ -113,14 +112,14 @@ def d2c_zoh(model: DtModel) -> CtModel:
         if abs(z) <= 1e-12 or (z.real <= 0.0 and abs(z.imag) <= 1e-9 * max(1.0, abs(z))):
             raise NonPrincipalLog(
                 "discrete-time pole %s lies on the closed negative real axis" % z)
-    ss = dt_to_ss(model)
-    n = ss.n
+    Ad, Bd, C = companion(model)
+    n = model.n
     h = model.h
-    L = logm(ss.A)
+    L = logm(Ad)
     if np.abs(L.imag).max() > 1e-8 * max(1.0, np.abs(L.real).max()):
         raise NonPrincipalLog("matrix logarithm has a nontrivial imaginary part")
     A = L.real / h
-    if np.abs(expm(A * h) - ss.A).max() > 1e-6 * max(1.0, np.abs(ss.A).max()):
+    if np.abs(expm(A * h) - Ad).max() > 1e-6 * max(1.0, np.abs(Ad).max()):
         raise NonPrincipalLog("matrix logarithm evaluation failed to invert the exponential")
     # input map: Gamma B = Bd with Gamma the integral of expm(A t) over [0, h]
     aug = np.zeros((2 * n, 2 * n))
@@ -129,8 +128,8 @@ def d2c_zoh(model: DtModel) -> CtModel:
     gamma = expm(aug * h)[:n, n:]
     if np.linalg.cond(gamma) > 1e12:
         raise SingularMap("zero-order-hold input map is singular at this sampling period")
-    B = np.linalg.solve(gamma, ss.B)
-    num, den = ss_to_numden(A, B, ss.C, 0.0)
+    B = np.linalg.solve(gamma, Bd)
+    num, den = ss_to_numden(A, B, C)
     return CtModel(num, den, r=1)
 
 
@@ -148,17 +147,18 @@ def naive_truncate(model: CtModel, r: int) -> CtModel:
     return CtModel.from_theta(th, r=r)
 
 
-def zoh_jacobian(theta_c, h: float) -> np.ndarray:
-    """Jacobian of the sampling map ``theta_c -> theta_d`` at ``theta_c``.
+def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
+    """The sampling map and its Jacobian at one point, from one exponential.
 
-    Exact to rounding.  In the controllable canonical realization of
-    :func:`ct_to_ss`, a denominator parameter moves one entry of ``A`` and a
+    The Jacobian is exact to rounding.  In the controllable canonical form of
+    :func:`companion`, a denominator parameter moves one entry of ``A`` and a
     numerator parameter one entry of ``C``, which sampling leaves alone.
     The derivatives of ``(Ad, Bd)`` along the ``n`` denominator directions
     ``E_i`` are the Frechet derivatives ``L(X, E_i)`` of the exponential at
     ``X = h [[A, B], [0, 0]]``, read off one exponential of a block upper
     triangular matrix with ``X`` on its diagonal and the ``E_i`` in its
-    first block row (Al-Mohy & Higham, 2009).  They are chained through
+    first block row (Al-Mohy & Higham, 2009); its diagonal block
+    ``expm(X)`` gives ``theta_d``.  The derivatives are chained through
     ``num = poly(Ad - Bd C) - poly(Ad)`` with Jacobi's formula: the
     characteristic coefficients ``c_k`` of ``M`` move by
     ``-tr(B_{k-1} dM)``, where ``B_0 = I`` and ``B_k = M B_{k-1} + c_k I``.
@@ -179,11 +179,11 @@ def zoh_jacobian(theta_c, h: float) -> np.ndarray:
     if not h > 0:
         raise ValueError("sampling period must be positive")
     n = theta_c.size // 2
-    ss = ct_to_ss(CtModel.from_theta(theta_c))
+    A, B, C = companion(CtModel.from_theta(theta_c))
     p = n + 1
     X = np.zeros((p, p))
-    X[:n, :n] = ss.A * h
-    X[:n, n:] = ss.B * h
+    X[:n, :n] = A * h
+    X[:n, n:] = B * h
     # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
     big = np.kron(np.eye(p), X)
     for i in range(n):
@@ -192,7 +192,7 @@ def zoh_jacobian(theta_c, h: float) -> np.ndarray:
         E = expm(big)[:p]
     if not np.all(np.isfinite(E)):
         raise DegenerateMap("matrix exponential of the sampling map is not finite")
-    Ad, Bd, C = E[:n, :n], E[:n, n:p], ss.C
+    Ad, Bd = E[:n, :n], E[:n, n:p]
     # directions: n numerator ones move C only, n denominator ones move Ad, Bd
     dAd = np.zeros((2 * n, n, n))
     dBd = np.zeros((2 * n, n, 1))
@@ -211,7 +211,8 @@ def zoh_jacobian(theta_c, h: float) -> np.ndarray:
             raise DegenerateMap("sampling-map Jacobian is not finite") from exc
     if not np.all(np.isfinite(J)):
         raise DegenerateMap("sampling-map Jacobian is not finite")
-    return J
+    theta_d = DtModel(*ss_to_numden(Ad, Bd, C), h).theta
+    return ZohMapPoint(theta_c=theta_c.copy(), h=h, theta_d=theta_d, J=J)
 
 
 def _charpoly_derivative(M: np.ndarray, dM: np.ndarray) -> np.ndarray:
@@ -231,12 +232,13 @@ def _charpoly_derivative(M: np.ndarray, dM: np.ndarray) -> np.ndarray:
     return out
 
 
-def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
-    """Evaluate the sampling map and its Jacobian at one point."""
-    theta_c = np.asarray(theta_c, dtype=float)
-    theta_d = c2d_zoh(CtModel.from_theta(theta_c), h).theta
-    J = zoh_jacobian(theta_c, h)
-    return ZohMapPoint(theta_c=theta_c.copy(), h=float(h), theta_d=theta_d, J=J)
+def zoh_jacobian(theta_c, h: float) -> np.ndarray:
+    """Jacobian of the sampling map ``theta_c -> theta_d`` at ``theta_c``.
+
+    Exact to rounding; the ``J`` of :func:`zoh_map_point`, which documents
+    the method and the errors raised.
+    """
+    return zoh_map_point(theta_c, h).J
 
 
 def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDataset:

@@ -102,6 +102,17 @@ class TestFitProjectChain:
         rc = main(["fit", "--data", str(tmp_path / "no.csv"), "--order", "2"])
         assert rc == 1
 
+    def test_fit_rejects_order_zero(self, sim_config, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_config),
+                     "--out", str(data_dir)]) == 0
+        fit_path = tmp_path / "fit.json"
+        rc = main(["fit", "--data", str(data_dir / "dataset.csv"),
+                   "--order", "0", "--out", str(fit_path)])
+        assert rc == 1
+        assert "configuration error: model order must be at least 1" in capsys.readouterr().err
+        assert not fit_path.exists()
+
 
 class TestMonteCarloCommand:
     def test_study_outputs(self, tmp_path):

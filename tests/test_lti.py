@@ -11,15 +11,12 @@ from ctident import (
     DtModel,
     Polynomial,
     SampledDataset,
-    StateSpace,
-    ct_to_ss,
-    dt_to_ss,
+    companion,
     freq_response,
     is_stable,
     l2_norm_sq,
     model_from_dict,
     model_to_dict,
-    poles,
     simulate_dt,
 )
 from ctident.errors import UnstableSystem
@@ -100,20 +97,6 @@ class TestDtModel:
         assert g.h == 0.1
 
 
-class TestStateSpace:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            StateSpace(np.eye(2), np.ones((1, 1)), np.ones((1, 2)), 0.0, "ct")
-
-    def test_dt_needs_period(self):
-        with pytest.raises(ValueError):
-            StateSpace([[0.5]], [[1.0]], [[1.0]], 0.0, "dt")
-
-    def test_domain_tag(self):
-        with pytest.raises(ValueError):
-            StateSpace([[0.5]], [[1.0]], [[1.0]], 0.0, "zt")
-
-
 class TestSampledDataset:
     def test_basic(self):
         d = SampledDataset([1.0, 2.0], [3.0, 4.0], 0.5)
@@ -126,32 +109,21 @@ class TestSampledDataset:
 
 class TestRealization:
     def test_companion_form_values(self, rao_garnier):
-        ss = ct_to_ss(rao_garnier)
-        assert_array_equal(ss.A[-1, :], [-1600.0, -416.0, -408.0, -5.0])
-        assert_array_equal(ss.A[:3, :], np.eye(4, k=1)[:3, :])
-        assert_array_equal(ss.B.ravel(), [0.0, 0.0, 0.0, 1.0])
-        assert_array_equal(ss.C.ravel(), [1600.0, -6400.0, 0.0, 0.0])
-        assert ss.D == 0.0
+        A, B, C = companion(rao_garnier)
+        assert_array_equal(A[-1, :], [-1600.0, -416.0, -408.0, -5.0])
+        assert_array_equal(A[:3, :], np.eye(4, k=1)[:3, :])
+        assert_array_equal(B, [[0.0], [0.0], [0.0], [1.0]])
+        assert_array_equal(C, [[1600.0, -6400.0, 0.0, 0.0]])
 
     def test_tf_ss_tf_roundtrip(self, rng):
         for _ in range(30):
             order = int(rng.integers(1, 6))
             g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
-            ss = ct_to_ss(g)
-            num, den = ss_to_numden(ss.A, ss.B, ss.C, ss.D)
+            num, den = ss_to_numden(*companion(g))
             pad = np.zeros(order - 1 - g.num.degree)
             assert_allclose(num, np.concatenate([pad, g.num.coeffs]),
                             rtol=1e-9, atol=1e-9 * np.max(np.abs(g.num.coeffs)))
             assert_allclose(den, g.den.coeffs, rtol=1e-9)
-
-    def test_ss_to_numden_rejects_direct_feedthrough(self):
-        with pytest.raises(ValueError):
-            ss_to_numden([[-1.0]], [[1.0]], [[1.0]], 1.0)
-
-    def test_dt_realization_keeps_period(self):
-        ss = dt_to_ss(DtModel([1.0], [1.0, -0.5], h=0.25))
-        assert ss.domain == "dt"
-        assert ss.h == 0.25
 
 
 class TestSimulateDt:
@@ -211,12 +183,11 @@ class TestFreqResponse:
         assert_allclose(freq_response(g, 0.0), [0.5], rtol=1e-14)
 
     def test_ss_matches_tf(self, rao_garnier):
+        # the companion realization has the model's frequency response
         w = np.logspace(-1, 2, 40)
-        assert_allclose(
-            freq_response(ct_to_ss(rao_garnier), w),
-            freq_response(rao_garnier, w),
-            rtol=1e-9,
-        )
+        A, B, C = companion(rao_garnier)
+        ss = [(C @ np.linalg.solve(1j * wk * np.eye(4) - A, B)).item() for wk in w]
+        assert_allclose(ss, freq_response(rao_garnier, w), rtol=1e-9)
 
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
@@ -233,7 +204,7 @@ class TestStability:
         assert not is_stable(DtModel([1.0], [1.0, -1.0], h=1.0))
 
     def test_poles_values(self):
-        p = poles(CtModel([1.0], [1.0, 3.0, 2.0]))
+        p = CtModel([1.0], [1.0, 3.0, 2.0]).den.roots()
         assert_allclose(np.sort(p.real), [-2.0, -1.0], atol=1e-12)
 
 

@@ -9,7 +9,6 @@ from ctident import (
     DtModel,
     EstimationResult,
     NoiseSpec,
-    OeOrders,
     SampledDataset,
     c2d_zoh,
     init_arx_iv,
@@ -40,15 +39,14 @@ def make_data(rng, sigma, N=1000, model=TRUE_DT):
 
 
 class TestOrders:
-    def test_full(self):
-        o = OeOrders.full(4)
-        assert (o.nb, o.nf) == (4, 4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            OeOrders(3, 2)
-        with pytest.raises(ValueError):
-            OeOrders(0, 2)
+    def test_validation(self, rng):
+        data = make_data(rng, sigma=0.1, N=100)
+        init = DtModel([0.3], [1.0, -0.5], h=0.1)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                init_arx_iv(data, n)
+            with pytest.raises(ValueError, match="does not match"):
+                oe_fit(data, n, init)
 
 
 class TestPredictionJacobian:
@@ -109,7 +107,7 @@ class TestOeFit:
     def test_exact_recovery_noiseless(self, rng):
         data = make_data(rng, sigma=0.0)
         init = DtModel([0.3, -0.1], [1.0, -1.0, 0.4], h=0.1)
-        res = oe_fit(data, OeOrders(2, 2), init)
+        res = oe_fit(data, 2, init)
         assert res.converged
         assert_allclose(res.model.theta, TRUE_DT.theta, rtol=1e-6, atol=1e-8)
         assert res.cost < 1e-12 * float(data.y @ data.y)
@@ -117,8 +115,8 @@ class TestOeFit:
 
     def test_noisy_recovery_and_diagnostics(self, rng):
         data = make_data(rng, sigma=0.1)
-        init = init_arx_iv(data, OeOrders(2, 2))
-        res = oe_fit(data, OeOrders(2, 2), init)
+        init = init_arx_iv(data, 2)
+        res = oe_fit(data, 2, init)
         assert res.converged
         assert res.iterations >= 1
         # residual variance estimates the noise level
@@ -133,37 +131,26 @@ class TestOeFit:
 
     def test_covariance_is_symmetric_psd(self, rng):
         data = make_data(rng, sigma=0.1)
-        res = oe_fit(data, OeOrders(2, 2), init_arx_iv(data, OeOrders(2, 2)))
+        res = oe_fit(data, 2, init_arx_iv(data, 2))
         c = res.covariance
         assert_allclose(c, c.T, rtol=1e-12)
         assert np.linalg.eigvalsh(c).min() > 0
 
-    def test_fixed_leading_numerator(self, rng):
-        # nb < nf pins the extra leading coefficients at zero
-        model = DtModel([0.4], [1.0, -1.2, 0.52], h=0.1)
-        u = rng.standard_normal(800)
-        y = simulate_dt(model, u) + 0.05 * rng.standard_normal(800)
-        data = SampledDataset(u, y, 0.1)
-        init = DtModel([0.2], [1.0, -1.0, 0.4], h=0.1)
-        res = oe_fit(data, OeOrders(1, 2), init)
-        assert res.model.theta[0] == 0.0
-        assert_allclose(res.model.theta[1:], model.theta[1:], rtol=0.1)
-
     def test_input_validation(self, rng):
         data = make_data(rng, sigma=0.1, N=100)
         with pytest.raises(ValueError):
-            oe_fit(data, OeOrders(2, 2), DtModel([0.3], [1.0, -0.5], h=0.1))
+            oe_fit(data, 2, DtModel([0.3], [1.0, -0.5], h=0.1))
         with pytest.raises(ValueError):
-            oe_fit(data, OeOrders(2, 2), DtModel([0.3, 0.0], [1.0, -1.7, 0.6], h=0.1))
+            oe_fit(data, 2, DtModel([0.3, 0.0], [1.0, -1.7, 0.6], h=0.1))
         tiny = SampledDataset(data.u[:4], data.y[:4], 0.1)
         with pytest.raises(ValueError):
-            oe_fit(tiny, OeOrders(2, 2), DtModel([0.3, 0.0], [1.0, -1.0, 0.4], h=0.1))
+            oe_fit(tiny, 2, DtModel([0.3, 0.0], [1.0, -1.0, 0.4], h=0.1))
 
     def test_error_shrinks_with_record_length(self, rng):
         errs = []
         for N in (400, 6400):
             data = make_data(rng, sigma=0.2, N=N)
-            res = oe_fit(data, OeOrders(2, 2), init_arx_iv(data, OeOrders(2, 2)))
+            res = oe_fit(data, 2, init_arx_iv(data, 2))
             errs.append(np.linalg.norm(res.model.theta - TRUE_DT.theta))
         assert errs[1] < 0.5 * errs[0]
 
@@ -171,13 +158,12 @@ class TestOeFit:
         # empirical spread over repeated noise draws tracks the predicted one
         u = rng.standard_normal(1500)
         y0 = simulate_dt(TRUE_DT, u)
-        orders = OeOrders(2, 2)
         thetas = []
         pred = None
         for _ in range(60):
             y = y0 + 0.15 * rng.standard_normal(u.size)
             data = SampledDataset(u, y, 0.1)
-            res = oe_fit(data, orders, init_arx_iv(data, orders))
+            res = oe_fit(data, 2, init_arx_iv(data, 2))
             thetas.append(res.model.theta)
             pred = res.covariance
         emp = np.std(np.asarray(thetas), axis=0, ddof=1)
@@ -189,12 +175,11 @@ class TestOeFit:
         # computed: the 2n-filter oracle gives the same iterations and estimate
         rg = CtModel([-6400.0, 1600.0], [1.0, 5.0, 408.0, 416.0, 1600.0])
         data = simulate_ct_zoh(rg, rng.standard_normal(1500), 0.05, NoiseSpec(sigma=0.3, seed=2))
-        orders = OeOrders.full(4)
-        init = init_arx_iv(data, orders)
-        fast = oe_fit(data, orders, init)
+        init = init_arx_iv(data, 4)
+        fast = oe_fit(data, 4, init)
         monkeypatch.setattr(pem, "_sensitivities",
                             lambda model, u, yhat: filter_bank_sensitivities(model, u))
-        slow = oe_fit(data, orders, init)
+        slow = oe_fit(data, 4, init)
         assert fast.iterations == slow.iterations > 1
         assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
         assert_allclose(fast.covariance, slow.covariance, rtol=1e-8)
@@ -208,7 +193,7 @@ class TestOeFit:
         pair = np.poly([0.2, 0.2])
         init = DtModel(np.convolve(gd.num.coeffs, pair), np.convolve(gd.den.coeffs, pair), 0.1)
         with pytest.raises(SingularInformation, match="condition number exceeds 1e12"):
-            oe_fit(data, OeOrders.full(4), init)
+            oe_fit(data, 4, init)
 
     def test_descent_only_through_instability_raises(self, rng):
         # data from a pole at 1.05, start just inside the unit circle: every
@@ -218,18 +203,18 @@ class TestOeFit:
         data = SampledDataset(u, simulate_dt(truth, u), 0.1)
         init = DtModel([1.0], [1.0, -(1.0 - 1e-12)], h=0.1)
         with pytest.raises(DivergedUnstable):
-            oe_fit(data, OeOrders.full(1), init)
+            oe_fit(data, 1, init)
 
 
 class TestInitArxIv:
     def test_zero_input_is_rank_deficient(self, rng):
         data = SampledDataset(np.zeros(200), rng.standard_normal(200), 0.1)
         with pytest.raises(RankDeficientRegression, match="ARX regressor rank 2 < 4"):
-            init_arx_iv(data, OeOrders.full(2))
+            init_arx_iv(data, 2)
 
     def test_noiseless_init_is_near_truth(self, rng):
         data = make_data(rng, sigma=0.0)
-        init = init_arx_iv(data, OeOrders(2, 2))
+        init = init_arx_iv(data, 2)
         assert_allclose(init.theta, TRUE_DT.theta, atol=0.05)
 
     def test_always_stable(self, rng):
@@ -237,20 +222,14 @@ class TestInitArxIv:
         for _ in range(10):
             u = rng.standard_normal(300)
             y = rng.standard_normal(300)
-            init = init_arx_iv(SampledDataset(u, y, 0.1), OeOrders(2, 2))
+            init = init_arx_iv(SampledDataset(u, y, 0.1), 2)
             assert np.all(np.abs(init.den.roots()) < 1.0)
-
-    def test_respects_orders(self, rng):
-        data = make_data(rng, sigma=0.1)
-        init = init_arx_iv(data, OeOrders(1, 2))
-        assert init.n == 2
-        assert init.theta[0] == 0.0
 
 
 class TestReport:
     def test_fields(self, rng):
         data = make_data(rng, sigma=0.1, N=300)
-        res = oe_fit(data, OeOrders(2, 2), init_arx_iv(data, OeOrders(2, 2)))
+        res = oe_fit(data, 2, init_arx_iv(data, 2))
         d = fit_report_dict(res)
         assert set(d) == {"theta_d", "h", "sigma2_hat", "covariance",
                           "cost", "iterations", "converged"}

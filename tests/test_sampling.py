@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import expm
 
 from ctident import (
     CtModel,
@@ -19,6 +20,7 @@ from ctident import (
     zoh_jacobian,
     zoh_map_point,
 )
+from ctident import sampling
 from ctident.errors import DegenerateMap, NonPrincipalLog, SingularMap
 from conftest import random_stable_ct
 from oracles import difference_jacobian, difference_steps, high_precision_jacobian
@@ -207,6 +209,17 @@ class TestZohJacobian:
         assert_allclose(pt.theta_d, c2d_zoh(rao_garnier, h).theta, rtol=1e-12)
         assert_allclose(pt.J, zoh_jacobian(rao_garnier.theta, h), rtol=1e-12)
 
+    def test_map_point_uses_one_exponential(self, rao_garnier, monkeypatch):
+        # theta_d is read off the diagonal block of the Jacobian's exponential
+        calls = []
+
+        def counting_expm(M):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(sampling, "expm", counting_expm)
+        zoh_map_point(rao_garnier.theta, 0.05)
+        assert len(calls) == 1
 
     def test_degenerate_probe_rejected(self):
         # the matrix exponential overflows at this point
