@@ -2,9 +2,9 @@
 
 Estimates strictly proper continuous-time transfer functions by fitting a
 discrete-time output-error model to zero-order-hold data, mapping the result
-back through the principal matrix logarithm, and optionally enforcing a
-known relative degree by a covariance-weighted projection that is optimal in
-the asymptotic sense.
+back through the principal logarithms of its poles, and optionally
+enforcing a known relative degree by a covariance-weighted projection that
+is optimal in the asymptotic sense.
 """
 
 from . import errors

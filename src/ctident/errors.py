@@ -13,13 +13,13 @@ class NonPrincipalLog(CtIdentError):
     """The discrete-to-continuous map is ambiguous or undefined for this model.
 
     Raised when a discrete-time pole lies on the closed negative real axis,
-    where the principal matrix logarithm either does not exist or does not
-    correspond to a real continuous-time system.
+    where its principal logarithm either does not exist or does not give a
+    real continuous-time system, or when resampling fails to reproduce it.
     """
 
 
 class SingularMap(CtIdentError):
-    """The zero-order-hold input map cannot be inverted for this sampling period."""
+    """The zero-order-hold numerator map cannot be inverted for this sampling period."""
 
 
 class DegenerateMap(CtIdentError):
@@ -51,7 +51,7 @@ class SingularCovariance(CtIdentError):
 
 
 class NotPositiveDefinite(CtIdentError):
-    """A matrix that must be symmetric positive definite failed factorization."""
+    """A matrix that must be positive (semi)definite failed factorization or its sign test."""
 
 
 class NegativeRealPole(CtIdentError):

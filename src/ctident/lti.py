@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import block_diag, solve_continuous_lyapunov
 from scipy.signal import lfilter
 
-from .errors import UnstableSystem
+from .errors import NotPositiveDefinite, UnstableSystem
 
 __all__ = [
     "Polynomial",
@@ -224,22 +224,6 @@ def companion(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, B, C
 
 
-def ss_to_numden(A, B, C):
-    """Transfer-function coefficients of a strictly proper SISO realization.
-
-    Uses the determinant identity
-    ``det(xI - A + B C) = det(xI - A) (1 + C (xI - A)^{-1} B)``,
-    so ``num = poly(A - B C) - poly(A)``, whose leading coefficient is
-    exactly zero.  Returns descending (num, den) arrays with den monic of
-    length ``n + 1`` and num of length ``n``.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float).reshape(A.shape[0], 1)
-    C = np.asarray(C, dtype=float).reshape(1, A.shape[0])
-    den = np.poly(A)
-    return (np.poly(A - B @ C) - den)[1:], den
-
-
 def simulate_dt(model: DtModel, u) -> np.ndarray:
     """Output of a discrete-time model for input ``u``, zero initial conditions.
 
@@ -257,20 +241,38 @@ def simulate_dt(model: DtModel, u) -> np.ndarray:
 def l2_norm_sq(model: CtModel) -> float:
     """Squared L2 (impulse response energy) norm of a stable model.
 
-    Solves the controllability Lyapunov equation
-    ``A P + P A^T + B B^T = 0`` and returns ``C P C^T``.
-
     Raises
     ------
     UnstableSystem
         If any pole has nonnegative real part.
+    NotPositiveDefinite
+        If the computed quadratic form is negative beyond rounding.
     """
-    if not is_stable(model):
-        raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
-    A, B, C = companion(model)
+    return _h2_norm_sq((1.0, model))
+
+
+def _h2_norm_sq(*terms) -> float:
+    """Squared H2 norm of ``sum(c * g)`` over ``(c, g)`` terms of stable models.
+
+    ``C P C^T`` with ``A P + P A^T + B B^T = 0`` (Zhou, Doyle & Glover, 1996,
+    ch. 4) for the block-diagonal stack of the companion forms, each scaled
+    by ``T = diag(rho**k)``, ``rho`` its largest pole modulus.  A negative
+    value is 0 within rounding and NotPositiveDefinite beyond it.
+    """
+    blocks = []
+    for c, g in terms:
+        p = g.den.roots()
+        if not np.all(p.real < 0.0):
+            raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
+        A, B, C = companion(g)
+        t = np.abs(p).max() ** np.arange(g.n)
+        blocks.append((A * t / t[:, None], B / t[:, None], c * C * t))
+    A, B, C = zip(*blocks)
+    A, B, C = block_diag(*A), np.vstack(B), np.hstack(C)
     P = solve_continuous_lyapunov(A, -B @ B.T)
     val = (C @ P @ C.T).item()
-    # tiny negative values can appear for (near-)zero numerators
+    if val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():
+        raise NotPositiveDefinite("Gramian quadratic form %.3g is negative" % val)
     return max(val, 0.0)
 
 

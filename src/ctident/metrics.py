@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import CtModel, l2_norm_sq
+from .lti import CtModel, _h2_norm_sq, l2_norm_sq
 
 __all__ = ["mse_g", "mse_theta", "fit"]
 
@@ -12,20 +12,19 @@ __all__ = ["mse_g", "mse_theta", "fit"]
 def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
     """Relative squared L2 error of the frequency function.
 
-    ``||g_hat - g_true||_2^2 / ||g_true||_2^2`` with the difference formed
-    as a single rational function before taking the norm.
+    ``||g_hat - g_true||_2^2 / ||g_true||_2^2``, the difference normed
+    through the block-diagonal realization ``diag(A_hat, A_0)``,
+    ``[B_hat; B_0]``, ``[C_hat, -C_0]`` (the order-``2n`` product form loses
+    it to rounding); accurate to about 1e-12 absolute.
 
     Raises
     ------
     UnstableSystem
-        If either model is unstable (propagated from the norm computation).
+        If either model is unstable.
+    NotPositiveDefinite
+        If a Gramian quadratic form is negative beyond rounding.
     """
-    num = np.polysub(
-        np.polymul(g_hat.num.coeffs, g_true.den.coeffs),
-        np.polymul(g_true.num.coeffs, g_hat.den.coeffs),
-    )
-    den = np.polymul(g_hat.den.coeffs, g_true.den.coeffs)
-    return l2_norm_sq(CtModel(num, den)) / l2_norm_sq(g_true)
+    return _h2_norm_sq((1.0, g_hat), (-1.0, g_true)) / l2_norm_sq(g_true)
 
 
 def mse_theta(theta_hat, theta_true) -> float:

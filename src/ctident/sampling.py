@@ -2,12 +2,11 @@
 
 The map between continuous-time and discrete-time parameter vectors induced
 by zero-order-hold (step-invariant) sampling is the backbone of the indirect
-identification route implemented by this package.  Both directions are
-computed through state-space realizations:
+identification route implemented by this package.  All three computations
+share the exponential ``expm([[A, B], [0, 0]] h)`` of the companion form:
 
-- forward: augmented matrix exponential ``expm([[A, B], [0, 0]] h)``;
-- inverse: principal matrix logarithm ``A = logm(Ad) / h`` followed by the
-  input-map solve ``(integral of expm(A t) over one period) B = Bd``;
+- forward: its blocks ``(Ad, Bd)``;
+- inverse: the poles ``log(z) / h``, then one linear solve for the numerator;
 - Jacobian: exact, from the Frechet derivative of the exponential.
 
 The inverse is well defined only when no discrete-time pole lies on the
@@ -22,17 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
 from .errors import DegenerateMap, NonPrincipalLog, SingularMap
-from .lti import (
-    CtModel,
-    DtModel,
-    SampledDataset,
-    companion,
-    simulate_dt,
-    ss_to_numden,
-)
+from .lti import CtModel, DtModel, SampledDataset, companion, simulate_dt
 
 __all__ = [
     "NoiseSpec",
@@ -87,50 +79,47 @@ def c2d_zoh(model: CtModel, h: float) -> DtModel:
         raise ValueError("sampling period must be positive")
     A, B, C = companion(model)
     n = model.n
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = A
-    aug[:n, n:] = B
-    E = expm(aug * h)
-    num, den = ss_to_numden(E[:n, :n], E[:n, n:], C)
-    return DtModel(num, den, h)
+    E = _zoh_exponential(A, B, h)
+    Ad = E[:n, :n]
+    den = np.poly(Ad)
+    return DtModel((np.poly(Ad - E[:n, n:] @ C) - den)[1:], den, h)
 
 
 def d2c_zoh(model: DtModel) -> CtModel:
-    """Inverse of :func:`c2d_zoh` through the principal matrix logarithm.
+    """Inverse of :func:`c2d_zoh`, from the logarithms of the discrete poles.
+
+    The continuous poles are the principal ``log(z) / h`` of the discrete
+    ones.  With them fixed, the discrete numerator is ``K c``: ``c`` is the
+    ascending continuous numerator and row ``k`` of ``K`` is ``(B_k Bd)^T``,
+    with the Faddeev-LeVerrier ``B_k`` of the resampled ``Ad``.
 
     Raises
     ------
     NonPrincipalLog
         If a pole of ``model`` lies on the closed negative real axis
         (including the origin), where no principal real logarithm exists,
-        or if the logarithm cannot be evaluated reliably.
+        or if resampling the logarithms misses the denominator by over 1e-8.
     SingularMap
-        If the zero-order-hold input map is not invertible at this period.
+        If ``K`` with unit columns has a condition number above 1e12.
     """
     zp = model.den.roots()
     for z in zp:
         if abs(z) <= 1e-12 or (z.real <= 0.0 and abs(z.imag) <= 1e-9 * max(1.0, abs(z))):
             raise NonPrincipalLog(
                 "discrete-time pole %s lies on the closed negative real axis" % z)
-    Ad, Bd, C = companion(model)
     n = model.n
-    h = model.h
-    L = logm(Ad)
-    if np.abs(L.imag).max() > 1e-8 * max(1.0, np.abs(L.real).max()):
-        raise NonPrincipalLog("matrix logarithm has a nontrivial imaginary part")
-    A = L.real / h
-    if np.abs(expm(A * h) - Ad).max() > 1e-6 * max(1.0, np.abs(Ad).max()):
-        raise NonPrincipalLog("matrix logarithm evaluation failed to invert the exponential")
-    # input map: Gamma B = Bd with Gamma the integral of expm(A t) over [0, h]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = A
-    aug[:n, n:] = np.eye(n)
-    gamma = expm(aug * h)[:n, n:]
-    if np.linalg.cond(gamma) > 1e12:
-        raise SingularMap("zero-order-hold input map is singular at this sampling period")
-    B = np.linalg.solve(gamma, Bd)
-    num, den = ss_to_numden(A, B, C)
-    return CtModel(num, den, r=1)
+    den = np.poly(np.log(zp.astype(complex)) / model.h).real
+    A, B, _ = companion(CtModel([1.0], den))
+    E = _zoh_exponential(A, B, model.h)
+    den_d, Bk = _faddeev_leverrier(E[:n, :n])
+    if not np.abs(den_d - model.den.coeffs).max() <= 1e-8 * np.abs(model.den.coeffs).max():
+        raise NonPrincipalLog("sampling the pole logarithms does not reproduce the denominator")
+    K = (Bk @ E[:n, n:])[:, :, 0]
+    scale = np.linalg.norm(K, axis=0)  # unit columns: independent of the time unit
+    if not (scale.min() > 0.0 and np.linalg.cond(K / scale) <= 1e12):
+        raise SingularMap("zero-order-hold numerator map is singular at this sampling period")
+    num = np.linalg.solve(K, model.theta[:n])
+    return CtModel(num[::-1], den, r=1)
 
 
 def naive_truncate(model: CtModel, r: int) -> CtModel:
@@ -161,7 +150,7 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     ``expm(X)`` gives ``theta_d``.  The derivatives are chained through
     ``num = poly(Ad - Bd C) - poly(Ad)`` with Jacobi's formula: the
     characteristic coefficients ``c_k`` of ``M`` move by
-    ``-tr(B_{k-1} dM)``, where ``B_0 = I`` and ``B_k = M B_{k-1} + c_k I``.
+    ``-tr(B_{k-1} dM)``, with the ``B_k`` of :func:`_faddeev_leverrier`.
 
     Raises
     ------
@@ -181,15 +170,8 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     n = theta_c.size // 2
     A, B, C = companion(CtModel.from_theta(theta_c))
     p = n + 1
-    X = np.zeros((p, p))
-    X[:n, :n] = A * h
-    X[:n, n:] = B * h
-    # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
-    big = np.kron(np.eye(p), X)
-    for i in range(n):
-        big[n - 1, p * (i + 1) + n - 1 - i] = -h
     with np.errstate(all="ignore"):
-        E = expm(big)[:p]
+        E = _zoh_exponential(A, B, h, frechet=True)
     if not np.all(np.isfinite(E)):
         raise DegenerateMap("matrix exponential of the sampling map is not finite")
     Ad, Bd = E[:n, :n], E[:n, n:p]
@@ -205,31 +187,46 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
         M = Ad - Bd @ C
         dM = dAd - dBd @ C - Bd @ dC
         try:
-            d_den = _charpoly_derivative(Ad, dAd)
-            J = np.vstack([_charpoly_derivative(M, dM) - d_den, d_den])
+            den, B_den = _faddeev_leverrier(Ad)
+            full, B_full = _faddeev_leverrier(M)
         except np.linalg.LinAlgError as exc:  # eigenvalues of an overflowed M
             raise DegenerateMap("sampling-map Jacobian is not finite") from exc
+        d_den = np.array([-np.einsum("ij,dji->d", Bk, dAd) for Bk in B_den])
+        d_full = np.array([-np.einsum("ij,dji->d", Bk, dM) for Bk in B_full])
+        J = np.vstack([d_full - d_den, d_den])
     if not np.all(np.isfinite(J)):
         raise DegenerateMap("sampling-map Jacobian is not finite")
-    theta_d = DtModel(*ss_to_numden(Ad, Bd, C), h).theta
+    theta_d = DtModel((full - den)[1:], den, h).theta
     return ZohMapPoint(theta_c=theta_c.copy(), h=h, theta_d=theta_d, J=J)
 
 
-def _charpoly_derivative(M: np.ndarray, dM: np.ndarray) -> np.ndarray:
-    """Derivatives of ``np.poly(M)[1:]`` along each direction ``dM[j]``.
+def _zoh_exponential(A, B, h, frechet=False) -> np.ndarray:
+    """``expm(X) = [[Ad, Bd], [0, 1]]`` for ``X = h [[A, B], [0, 0]]``.
 
-    Row ``k - 1`` holds ``d c_k = -tr(B_{k-1} dM)`` (Jacobi's formula), the
-    ``B_k`` being the Faddeev-LeVerrier coefficients of the adjugate of
-    ``x I - M``.  Shape ``(n, len(dM))``.
+    With ``frechet``, the first block row of :func:`zoh_map_point`'s exponential.
     """
-    n = M.shape[0]
+    n = A.shape[0]
+    p = n + 1
+    X = np.zeros((p, p))
+    X[:n, :n] = A * h
+    X[:n, n:] = B * h
+    big = np.kron(np.eye(p if frechet else 1), X)
+    # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
+    for i in range(n if frechet else 0):
+        big[n - 1, p * (i + 1) + n - 1 - i] = -h
+    return expm(big)[:p]
+
+
+def _faddeev_leverrier(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``c = np.poly(M)`` and the Faddeev-LeVerrier ``B_0 = I``, ``B_k = M B_{k-1} + c_k I``.
+
+    They are the coefficients of ``adj(x I - M) = sum_k B_k x**(n-1-k)``.
+    """
     c = np.poly(M)
-    B = np.eye(n)
-    out = np.empty((n, dM.shape[0]))
-    for k in range(1, n + 1):
-        out[k - 1] = -np.einsum("ij,dji->d", B, dM)
-        B = M @ B + c[k] * np.eye(n)
-    return out
+    Bk = [np.eye(len(M))]
+    for ck in c[1:-1]:
+        Bk.append(M @ Bk[-1] + ck * np.eye(len(M)))
+    return c, np.array(Bk)
 
 
 def zoh_jacobian(theta_c, h: float) -> np.ndarray:

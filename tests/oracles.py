@@ -10,12 +10,17 @@ they replaced are kept here, for tests to compare against:
 - :func:`high_precision_jacobian`: central differences of the sampling map
   evaluated in 60-digit arithmetic, free of the rounding that limits the
   double-precision differences at short sampling periods.
+
+It also keeps a frequency-domain reference for the Gramian-based quality
+metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
+along the imaginary axis.
 """
 
 import numpy as np
+from scipy.integrate import quad_vec
 from scipy.signal import lfilter
 
-from ctident import CtModel, c2d_zoh, simulate_dt
+from ctident import CtModel, c2d_zoh, freq_response, simulate_dt
 
 
 def filter_bank_sensitivities(model, u):
@@ -120,3 +125,22 @@ def _mp_charpoly(M):
         c.append(-sum(MB[i, i] for i in range(n)) / k)
         B = MB + c[k] * mpmath.eye(n)
     return c
+
+
+def quadrature_mse_g(g_hat, g_true):
+    """``mse_g(g_hat, g_true)`` by adaptive quadrature over ``[0, inf)``.
+
+    Both integrals, of ``|g_hat(jw) - g_true(jw)|^2`` and ``|g_true(jw)|^2``,
+    are taken in one vector-valued ``quad_vec`` per interval, the intervals
+    split at the pole moduli of both models so that each resonance peak lies
+    near an end point.
+    """
+    def integrand(w):
+        g = freq_response(g_true, w)[0]
+        return np.array([abs(freq_response(g_hat, w)[0] - g) ** 2, abs(g) ** 2])
+
+    poles = np.concatenate([g_hat.den.roots(), g_true.den.roots()])
+    ends = np.concatenate([[0.0], np.unique(np.abs(poles)), [np.inf]])
+    total = sum(quad_vec(integrand, a, b, epsrel=1e-11, epsabs=0.0, limit=500)[0]
+                for a, b in zip(ends, ends[1:]) if b > a)
+    return total[0] / total[1]

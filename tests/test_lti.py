@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
-from scipy.signal import BadCoefficients, dlsim
+from scipy.signal import BadCoefficients, dlsim, ss2tf
 
 from ctident import (
     CtModel,
@@ -19,8 +19,7 @@ from ctident import (
     model_to_dict,
     simulate_dt,
 )
-from ctident.errors import UnstableSystem
-from ctident.lti import ss_to_numden
+from ctident.errors import NotPositiveDefinite, UnstableSystem
 from conftest import random_stable_ct
 
 
@@ -119,9 +118,10 @@ class TestRealization:
         for _ in range(30):
             order = int(rng.integers(1, 6))
             g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
-            num, den = ss_to_numden(*companion(g))
-            pad = np.zeros(order - 1 - g.num.degree)
-            assert_allclose(num, np.concatenate([pad, g.num.coeffs]),
+            A, B, C = companion(g)
+            num, den = ss2tf(A, B, C, np.zeros((1, 1)))
+            pad = np.zeros(order - g.num.degree)
+            assert_allclose(num[0], np.concatenate([pad, g.num.coeffs]),
                             rtol=1e-9, atol=1e-9 * np.max(np.abs(g.num.coeffs)))
             assert_allclose(den, g.den.coeffs, rtol=1e-9)
 
@@ -171,6 +171,15 @@ class TestL2Norm:
     def test_unstable_rejected(self):
         with pytest.raises(UnstableSystem):
             l2_norm_sq(CtModel([1.0], [1.0, -1.0]))
+
+    def test_indefinite_gramian_rejected(self):
+        # poles -1e-7, -1 and -1e7: the Lyapunov equation is singular to
+        # working precision, scipy perturbs it, and the quadratic form of the
+        # computed Gramian comes out negative
+        g = CtModel([1.0], np.poly([-1e-7, -1.0, -1e7]))
+        with pytest.warns(RuntimeWarning, match="eigenvalue pair"), \
+                pytest.raises(NotPositiveDefinite):
+            l2_norm_sq(g)
 
 
 class TestFreqResponse:

@@ -21,7 +21,7 @@ from ctident import (
     zoh_map_point,
 )
 from ctident import sampling
-from ctident.errors import DegenerateMap, NonPrincipalLog, SingularMap
+from ctident.errors import CtIdentError, DegenerateMap, NonPrincipalLog, SingularMap
 from conftest import random_stable_ct
 from oracles import difference_jacobian, difference_steps, high_precision_jacobian
 
@@ -113,13 +113,42 @@ class TestD2C:
         with pytest.raises(NonPrincipalLog):
             d2c_zoh(DtModel([1.0], den, h=0.1))
 
-
-    @pytest.mark.filterwarnings("ignore:logm result may be inaccurate")
     def test_singular_input_map_rejected(self):
-        # poles at 1e15 and 0.5: the integral of expm(A t) over one period
-        # has condition number above 1e12
+        # poles at 2e-12, 3e-12 and 4e-12: the sampled pair (Ad, Bd) is
+        # nearly uncontrollable, and the numerator map K with unit columns
+        # has condition number about 7e12
         with pytest.raises(SingularMap):
+            d2c_zoh(DtModel([1.0, 1.0, 1.0], np.poly([2e-12, 3e-12, 4e-12]), 1.0))
+
+    def test_unreproduced_denominator_rejected(self):
+        # poles at 1e15 and 0.5: the eigenvalues of the resampled Ad lose the
+        # pole at 0.5 to rounding, so poly(Ad) misses the denominator
+        with pytest.raises(NonPrincipalLog):
             d2c_zoh(DtModel([0.0, 1.0], np.poly([1e15, 0.5]), 1.0))
+
+    # ten times the largest relative round-trip error over each cell's 50
+    # systems; it grows about as h**-(order - 1), because the sampled
+    # numerator is a difference of characteristic coefficients near the
+    # binomial ones of (z - 1)**n
+    ROUNDTRIP_BOUND = {(2, 0.01): 2e-11, (2, 0.1): 2e-13, (2, 0.5): 1e-13,
+                       (4, 0.01): 2e-7, (4, 0.1): 2e-11, (4, 0.5): 1e-13,
+                       (6, 0.01): 4e-4, (6, 0.1): 6e-10, (6, 0.5): 3e-13}
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("h", [0.01, 0.1, 0.5])
+    def test_roundtrip_grid(self, order, h):
+        # each round trip is accurate or a typed error, and emits no warning
+        # (warnings fail the suite)
+        bound = self.ROUNDTRIP_BOUND[order, h]
+        rng = np.random.default_rng(1000 * order + int(100 * h))
+        for _ in range(50):
+            g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
+            try:
+                back = d2c_zoh(c2d_zoh(g, h))
+            except CtIdentError:
+                continue
+            err = np.abs(back.theta - g.theta).max() / np.abs(g.theta).max()
+            assert err <= bound
 
 
 class TestNaiveTruncate:
