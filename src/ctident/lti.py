@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 from scipy.signal import lfilter
 
 from .errors import NotPositiveDefinite, UnstableSystem
@@ -254,21 +254,23 @@ def l2_norm_sq(model: CtModel) -> float:
 def _h2_norm_sq(*terms) -> float:
     """Squared H2 norm of ``sum(c * g)`` over ``(c, g)`` terms of stable models.
 
-    ``C P C^T`` with ``A P + P A^T + B B^T = 0`` (Zhou, Doyle & Glover, 1996,
-    ch. 4) for the block-diagonal stack of the companion forms, each scaled
-    by ``T = diag(rho**k)``, ``rho`` its largest pole modulus.  A negative
-    value is 0 within rounding and NotPositiveDefinite beyond it.
+    ``C P C^T``, ``A P + P A^T + B B^T = 0`` (Zhou, Doyle & Glover, 1996, ch. 4),
+    for the block-diagonal stack of the companion forms, each scaled by
+    ``diag(rho**k)``, ``rho`` its largest pole modulus.  Negative is 0 within
+    rounding and NotPositiveDefinite beyond it.
     """
-    blocks = []
+    size = sum(g.n for _, g in terms)
+    A, B, C = np.zeros((size, size)), np.zeros((size, 1)), np.zeros((1, size))
+    k = 0
     for c, g in terms:
         p = g.den.roots()
         if not np.all(p.real < 0.0):
             raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
-        A, B, C = companion(g)
+        Ag, Bg, Cg = companion(g)
         t = np.abs(p).max() ** np.arange(g.n)
-        blocks.append((A * t / t[:, None], B / t[:, None], c * C * t))
-    A, B, C = zip(*blocks)
-    A, B, C = block_diag(*A), np.vstack(B), np.hstack(C)
+        s = slice(k, k + g.n)
+        A[s, s], B[s], C[:, s] = Ag * t / t[:, None], Bg / t[:, None], c * Cg * t
+        k += g.n
     P = solve_continuous_lyapunov(A, -B @ B.T)
     val = (C @ P @ C.T).item()
     if val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():

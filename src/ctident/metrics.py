@@ -12,10 +12,10 @@ __all__ = ["mse_g", "mse_theta", "fit"]
 def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
     """Relative squared L2 error of the frequency function.
 
-    ``||g_hat - g_true||_2^2 / ||g_true||_2^2``, the difference normed
-    through the block-diagonal realization ``diag(A_hat, A_0)``,
-    ``[B_hat; B_0]``, ``[C_hat, -C_0]`` (the order-``2n`` product form loses
-    it to rounding); accurate to about 1e-12 absolute.
+    ``||g_hat - g_true||_2^2 / ||g_true||_2^2``, the difference normed through
+    the block-diagonal realization of both models, not their order-``2n``
+    product form, which loses it to rounding; accurate to 1e-6 relative plus
+    1e-11 against frequency-domain quadrature.
 
     Raises
     ------

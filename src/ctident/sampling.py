@@ -108,7 +108,7 @@ def d2c_zoh(model: DtModel) -> CtModel:
             raise NonPrincipalLog(
                 "discrete-time pole %s lies on the closed negative real axis" % z)
     n = model.n
-    den = np.poly(np.log(zp.astype(complex)) / model.h).real
+    den = np.poly(np.log(zp) / model.h).real
     A, B, _ = companion(CtModel([1.0], den))
     E = _zoh_exponential(A, B, model.h)
     den_d, Bk = _faddeev_leverrier(E[:n, :n])
