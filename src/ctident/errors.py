@@ -51,7 +51,11 @@ class SingularCovariance(CtIdentError):
 
 
 class NotPositiveDefinite(CtIdentError):
-    """A matrix that must be positive (semi)definite failed factorization or its sign test."""
+    """A matrix that must be positive (semi)definite failed factorization or its sign test.
+
+    Also raised for a Gramian whose Lyapunov equation is singular to
+    working precision, so that it could not be computed as a definite matrix.
+    """
 
 
 class NegativeRealPole(CtIdentError):

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,7 +247,8 @@ def l2_norm_sq(model: CtModel) -> float:
     UnstableSystem
         If any pole has nonnegative real part.
     NotPositiveDefinite
-        If the computed quadratic form is negative beyond rounding.
+        If the computed quadratic form is negative beyond rounding, or the
+        Gramian's Lyapunov equation is singular to working precision.
     """
     return _h2_norm_sq((1.0, model))
 
@@ -257,7 +259,9 @@ def _h2_norm_sq(*terms) -> float:
     ``C P C^T``, ``A P + P A^T + B B^T = 0`` (Zhou, Doyle & Glover, 1996, ch. 4),
     for the block-diagonal stack of the companion forms, each scaled by
     ``diag(rho**k)``, ``rho`` its largest pole modulus.  Negative is 0 within
-    rounding and NotPositiveDefinite beyond it.
+    rounding and NotPositiveDefinite beyond it, as is a Lyapunov equation
+    that scipy could solve only by perturbing it (a pole pair summing to
+    about 0 relative to the largest pole).
     """
     size = sum(g.n for _, g in terms)
     A, B, C = np.zeros((size, size)), np.zeros((size, 1)), np.zeros((1, size))
@@ -271,7 +275,13 @@ def _h2_norm_sq(*terms) -> float:
         s = slice(k, k + g.n)
         A[s, s], B[s], C[:, s] = Ag * t / t[:, None], Bg / t[:, None], c * Cg * t
         k += g.n
-    P = solve_continuous_lyapunov(A, -B @ B.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            P = solve_continuous_lyapunov(A, -B @ B.T)
+        except RuntimeWarning as exc:
+            raise NotPositiveDefinite(
+                "Lyapunov equation singular to working precision: %s" % exc) from None
     val = (C @ P @ C.T).item()
     if val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():
         raise NotPositiveDefinite("Gramian quadratic form %.3g is negative" % val)

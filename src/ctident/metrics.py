@@ -22,9 +22,15 @@ def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
     UnstableSystem
         If either model is unstable.
     NotPositiveDefinite
-        If a Gramian quadratic form is negative beyond rounding.
+        If a Gramian quadratic form is negative beyond rounding, or a
+        Gramian's Lyapunov equation is singular to working precision.
     """
-    return _h2_norm_sq((1.0, g_hat), (-1.0, g_true)) / l2_norm_sq(g_true)
+    return _mse_g(g_hat, g_true, l2_norm_sq(g_true))
+
+
+def _mse_g(g_hat: CtModel, g_true: CtModel, true_norm_sq: float) -> float:
+    """:func:`mse_g` given ``true_norm_sq = l2_norm_sq(g_true)``, for callers that reuse it."""
+    return _h2_norm_sq((1.0, g_hat), (-1.0, g_true)) / true_norm_sq
 
 
 def mse_theta(theta_hat, theta_true) -> float:

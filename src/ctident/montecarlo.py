@@ -10,6 +10,7 @@ seed, so results are reproducible and independent of execution order.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,15 +21,17 @@ from .errors import CtIdentError, NegativeRealPole, NonPrincipalLog
 from .lti import (
     CtModel,
     SampledDataset,
+    l2_norm_sq,
     model_from_dict,
     model_to_dict,
     simulate_dt,
 )
-from .metrics import fit, mse_g, mse_theta
+from .metrics import _mse_g, fit, mse_theta
 from .pem import init_arx_iv, oe_fit, predict
 from .rdproj import project_estimate
 from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
 # not called here; bench/spans.py traces these names on this module
+from .metrics import mse_g  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
 from .sampling import zoh_map_point  # noqa: F401
 from .signals import gen_multisine, gen_prbs, gen_random_system
@@ -202,10 +205,19 @@ def _resolve_sigma(noise: NoiseSetting, y0: np.ndarray) -> float:
     return float(noise.peak_fraction) * float(np.abs(y0).max())
 
 
-def _metrics_record(run, estimator, g_est, theta_est, y_hat, g0, y0):
+def _lazy_norm_sq(g0):
+    """``l2_norm_sq(g0)`` as a function of no arguments that computes it once.
+
+    A failure is not cached: every call then raises it again, so each
+    estimator's record fails as it would computing the norm itself.
+    """
+    return functools.cache(functools.partial(l2_norm_sq, g0))
+
+
+def _metrics_record(run, estimator, g_est, theta_est, y_hat, g0, y0, g0_norm_sq):
     fit_val = fit(y_hat, y0)
     m = Metrics(
-        mse_g=mse_g(g_est, g0),
+        mse_g=_mse_g(g_est, g0, g0_norm_sq()),
         mse_theta=mse_theta(theta_est, g0.theta),
         fit=fit_val,
     )
@@ -222,7 +234,7 @@ def _failed(run, estimators, exc):
             for est in estimators]
 
 
-def _run_once(run, data, g0, y0, config):
+def _run_once(run, data, g0, y0, g0_norm_sq, config):
     """Estimate once, then score every requested estimator on this run."""
     try:
         est = oe_fit(data, g0.n, init_arx_iv(data, g0.n))
@@ -236,12 +248,13 @@ def _run_once(run, data, g0, y0, config):
             if estimator == PEM:
                 records.append(_metrics_record(
                     run, estimator, g_full, g_full.theta,
-                    predict(est.model, data.u), g0, y0))
+                    predict(est.model, data.u), g0, y0, g0_norm_sq))
             else:
                 proj = project_estimate(g_full.theta, est.covariance, data.h, config.r)
                 y_hat = simulate_dt(c2d_zoh(proj.model, data.h), data.u)
                 records.append(_metrics_record(
-                    run, estimator, proj.model, proj.theta_tilde_c, y_hat, g0, y0))
+                    run, estimator, proj.model, proj.theta_tilde_c, y_hat, g0, y0,
+                    g0_norm_sq))
         except _FAILURES as exc:
             records += _failed(run, [estimator], exc)
     return records
@@ -285,6 +298,7 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
             raise ValueError("input length %d does not match N=%d" % (u.size, config.N))
         y0 = simulate_dt(c2d_zoh(g0, h), u)
         sigma = _resolve_sigma(config.noise, y0)
+        g0_norm_sq = _lazy_norm_sq(g0)
 
     records = []
     for run in range(config.M):
@@ -296,9 +310,10 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
             u = _build_input(config.input, config.N, h, rng)
             y0 = simulate_dt(c2d_zoh(g0, h), u)
             sigma = _resolve_sigma(config.noise, y0)
+            g0_norm_sq = _lazy_norm_sq(g0)
         y_m = y0 + sigma * rng.standard_normal(config.N)
         data = SampledDataset(u=u, y=y_m, h=h)
-        records.extend(_run_once(run, data, g0, y0, config))
+        records.extend(_run_once(run, data, g0, y0, g0_norm_sq, config))
 
     aggregates = {est: _aggregate(records, est) for est in config.estimators}
     return McReport(config=config_to_dict(config), seed=config.seed,

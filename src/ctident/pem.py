@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf
 from scipy.signal import lfilter
 
 from .errors import (
@@ -140,6 +142,7 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
 
     for iterations in range(1, _MAX_ITER + 1):
         psi = _sensitivities(model, u, yhat)
+        accepted = False
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
             converged = True
@@ -148,7 +151,6 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
         if mu is None:
             mu = 1e-3 * np.trace(H) / H.shape[0]
 
-        accepted = False
         saw_unstable = False
         rel_drop = 0.0
         for _ in range(_MAX_DOUBLINGS + 1):
@@ -188,7 +190,8 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
             break
 
     sigma2 = cost / (data.N - 2 * n)
-    psi = _sensitivities(model, u, yhat)
+    if accepted:  # psi belongs to the model before the last step
+        psi = _sensitivities(model, u, yhat)
     info = psi.T @ psi
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
@@ -211,12 +214,13 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
 
     Roots are reflected by modulus inversion (phase preserved) and then
     nudged off the circle itself, so the returned polynomial is always
-    strictly stable.
+    strictly stable.  A denominator whose roots all lie within ``1 - 1e-7``
+    of the origin is returned as it is.
     """
     rts = np.roots(den)
-    if rts.size == 0:
-        return np.asarray(den, dtype=float)
     mags = np.abs(rts)
+    if not np.any(mags > 1.0 - 1e-7):
+        return np.asarray(den, dtype=float)
     outside = mags >= 1.0
     if outside.any():
         rts[outside] = rts[outside] / mags[outside] ** 2
@@ -225,6 +229,43 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
     if rim.any():
         rts[rim] *= (1.0 - 1e-7) / mags[rim]
     return np.atleast_1d(np.poly(rts)).real
+
+
+def _fill_regressor(buf: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
+    """Write the lagged regression of ``w_out`` on ``w_in`` into ``buf`` and return it.
+
+    For order ``n`` the ``N - n`` rows of ``buf`` (shape ``(N - n, 2 n + 1)``)
+    get ``w_in`` at delays ``1..n``, then ``-w_out`` at delays ``1..n``
+    (the parameter vector's layout, numerator block first), and the target
+    ``w_out[n:]`` as the last column.
+    """
+    n = buf.shape[1] // 2
+    N = w_in.size
+    for d in range(1, n + 1):
+        buf[:, d - 1] = w_in[n - d: N - d]
+        np.negative(w_out[n - d: N - d], out=buf[:, n + d - 1])
+    buf[:, -1] = w_out[n:]
+    return buf
+
+
+def _qr_lstsq(buf: np.ndarray):
+    """Least-squares fit of the last column of ``buf`` by the others, by Householder QR.
+
+    ``buf`` is factored in place (Fortran order spares LAPACK a copy).  The
+    top of the triangle of ``[Phi | t]`` holds both ``R`` and ``(Q^T t)``, so
+    ``R theta = (Q^T t)[:p]`` gives ``theta``.  The rank is counted as
+    ``np.linalg.lstsq`` with ``rcond=None`` counts it, from the singular
+    values of ``R`` (those of ``Phi``): ``s > eps max(rows, p) s_max``.
+    Returns ``(theta, rank)``, with ``theta`` None below full rank ``p``.
+    """
+    m, p = buf.shape[0], buf.shape[1] - 1
+    qr = dgeqrf(buf, overwrite_a=1)[0]
+    R = np.triu(qr[:p, :p])
+    s = np.linalg.svd(R, compute_uv=False)
+    rank = int(np.count_nonzero(s > np.finfo(float).eps * max(m, p) * s[0]))
+    if rank < p:
+        return None, rank
+    return solve_triangular(R, qr[:p, p]), rank
 
 
 def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
@@ -241,6 +282,12 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     back to the latest healthy estimate if their linear algebra degenerates;
     only a rank-deficient first-stage regression raises.
 
+    Every least-squares stage is one Householder QR of the lagged regressor
+    with its target appended, written into one Fortran-ordered buffer, and a
+    triangular solve (Bjorck, *Numerical Methods for Least Squares
+    Problems*, 1996, sec. 2.4); the rank is decided by the rule of
+    ``np.linalg.lstsq`` on the singular values of the triangle.
+
     Raises
     ------
     ValueError
@@ -256,12 +303,6 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     if N - n < npar:
         raise ValueError("not enough samples for the requested order")
 
-    def regressor(w_in, w_out):
-        # columns ordered like the parameter vector: numerator block first
-        cols = [w_in[n - d: N - d] for d in range(1, n + 1)]
-        cols += [-w_out[n - d: N - d] for d in range(1, n + 1)]
-        return np.column_stack(cols)
-
     def to_model(th):
         den = _reflect_stable(np.concatenate([[1.0], th[n:]]))
         return DtModel(th[:n], den, data.h)
@@ -270,10 +311,11 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         e = y - simulate_dt(candidate, u)
         return float(e @ e)
 
+    # one regression buffer [Phi | target] for every stage
+    buf = np.empty((N - n, npar + 1), order="F")
+
     # stage 1: ARX least squares
-    phi = regressor(u, y)
-    target = y[n:]
-    theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
+    theta, rank = _qr_lstsq(_fill_regressor(buf, u, y))
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
     model = to_model(theta)
@@ -281,10 +323,11 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
 
     # stage 2: instrumental variables, instruments from the ARX model output
     x = simulate_dt(model, u)
-    zmat = regressor(u, x)
-    lhs = zmat.T @ phi
+    zmat = _fill_regressor(np.empty_like(buf), u, x)[:, :npar]
+    normal = zmat.T @ _fill_regressor(buf, u, y)
+    lhs = normal[:, :npar]
     if np.linalg.cond(lhs) < 1e12:
-        theta_iv = np.linalg.solve(lhs, zmat.T @ target)
+        theta_iv = np.linalg.solve(lhs, normal[:, npar])
         if np.all(np.isfinite(theta_iv)):
             theta = theta_iv
             model = to_model(theta)
@@ -297,9 +340,8 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         den = model.den.coeffs
         uf = lfilter([1.0], den, u)
         yf = lfilter([1.0], den, y)
-        phi_f = regressor(uf, yf)
-        theta_new, _, rank, _ = np.linalg.lstsq(phi_f, yf[n:], rcond=None)
-        if rank < npar or not np.all(np.isfinite(theta_new)):
+        theta_new, _ = _qr_lstsq(_fill_regressor(buf, uf, yf))
+        if theta_new is None or not np.all(np.isfinite(theta_new)):
             break
         new_model = to_model(theta_new)
         step = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))

@@ -13,14 +13,17 @@ they replaced are kept here, for tests to compare against:
 
 It also keeps a frequency-domain reference for the Gramian-based quality
 metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
-along the imaginary axis.
+along the imaginary axis; and the initialiser's chain with its regressions
+solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`.
 """
 
 import numpy as np
 from scipy.integrate import quad_vec
 from scipy.signal import lfilter
 
-from ctident import CtModel, c2d_zoh, freq_response, simulate_dt
+from ctident import CtModel, DtModel, c2d_zoh, freq_response, simulate_dt
+from ctident.errors import RankDeficientRegression
+from ctident.pem import _reflect_stable
 
 
 def filter_bank_sensitivities(model, u):
@@ -144,3 +147,62 @@ def quadrature_mse_g(g_hat, g_true):
     total = sum(quad_vec(integrand, a, b, epsrel=1e-11, epsabs=0.0, limit=500)[0]
                 for a, b in zip(ends, ends[1:]) if b > a)
     return total[0] / total[1]
+
+
+def lstsq_init_arx_iv(data, n):
+    """``init_arx_iv(data, n)`` with every regression built by ``np.column_stack``.
+
+    The ARX stage and each Steiglitz-McBride pass call ``np.linalg.lstsq``
+    (an SVD of the regressor), whose rank rule the package's QR kernel
+    copies; the IV stage solves its normal equations as the package does.
+    """
+    u, y = data.u, data.y
+    N = data.N
+    npar = 2 * n
+
+    def regressor(w_in, w_out):
+        cols = [w_in[n - d: N - d] for d in range(1, n + 1)]
+        cols += [-w_out[n - d: N - d] for d in range(1, n + 1)]
+        return np.column_stack(cols)
+
+    def to_model(th):
+        return DtModel(th[:n], _reflect_stable(np.concatenate([[1.0], th[n:]])), data.h)
+
+    def oe_cost(candidate):
+        e = y - simulate_dt(candidate, u)
+        return float(e @ e)
+
+    phi = regressor(u, y)
+    target = y[n:]
+    theta, _, rank, _ = np.linalg.lstsq(phi, target, rcond=None)
+    if rank < npar:
+        raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
+    model = to_model(theta)
+    best, best_cost = model, oe_cost(model)
+
+    zmat = regressor(u, simulate_dt(model, u))
+    lhs = zmat.T @ phi
+    if np.linalg.cond(lhs) < 1e12:
+        theta_iv = np.linalg.solve(lhs, zmat.T @ target)
+        if np.all(np.isfinite(theta_iv)):
+            theta = theta_iv
+            model = to_model(theta)
+            cost = oe_cost(model)
+            if cost < best_cost:
+                best, best_cost = model, cost
+
+    for _ in range(20):
+        den = model.den.coeffs
+        uf = lfilter([1.0], den, u)
+        yf = lfilter([1.0], den, y)
+        theta_new, _, rank, _ = np.linalg.lstsq(regressor(uf, yf), yf[n:], rcond=None)
+        if rank < npar or not np.all(np.isfinite(theta_new)):
+            break
+        step = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
+        theta, model = theta_new, to_model(theta_new)
+        cost = oe_cost(model)
+        if cost < best_cost:
+            best, best_cost = model, cost
+        if step < 1e-8:
+            break
+    return best

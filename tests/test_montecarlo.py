@@ -14,6 +14,7 @@ from ctident import (
     WhiteNoiseInput,
     run_monte_carlo,
 )
+from ctident import montecarlo
 from ctident.montecarlo import (
     PEM,
     PEMRD,
@@ -142,6 +143,21 @@ class TestRunMonteCarlo:
         assert len(rep.records) == 10
         assert any(rec.status == "ok" for rec in rep.records)
         assert report_to_dict(rep) == report_to_dict(run_monte_carlo(cfg))
+
+    def test_true_system_normed_once(self, monkeypatch):
+        # mse_g's denominator: once per fixed-system study, once per scored
+        # run when every run draws its own system
+        calls = []
+        norm = montecarlo.l2_norm_sq
+        monkeypatch.setattr(montecarlo, "l2_norm_sq", lambda g: calls.append(g) or norm(g))
+        rep = run_monte_carlo(quick_config(M=4))
+        assert sum(rec.metrics is not None for rec in rep.records) == 8
+        assert len(calls) == 1
+        calls.clear()
+        rep = run_monte_carlo(ExperimentConfig(
+            system=RandomSystemSpec(order=2, reldeg=1), input=WhiteNoiseInput(),
+            h=None, N=200, noise=NoiseSetting(snr_db=20.0), M=5, r=1, seed=5))
+        assert len(calls) == len({rec.run for rec in rep.records if rec.metrics is not None}) > 1
 
     def test_projection_improves_mean_fit_here(self, rao_garnier):
         cfg = ExperimentConfig(

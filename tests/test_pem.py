@@ -11,10 +11,12 @@ from ctident import (
     NoiseSpec,
     SampledDataset,
     c2d_zoh,
+    gen_prbs,
     init_arx_iv,
     oe_fit,
     predict,
     prediction_jacobian,
+    sigma_for_snr_db,
     simulate_ct_zoh,
     simulate_dt,
 )
@@ -27,7 +29,7 @@ from ctident.errors import (
 from ctident import pem
 from ctident.pem import fit_report_dict
 from conftest import random_stable_ct
-from oracles import filter_bank_sensitivities
+from oracles import filter_bank_sensitivities, lstsq_init_arx_iv
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
 
@@ -36,6 +38,19 @@ def make_data(rng, sigma, N=1000, model=TRUE_DT):
     u = rng.standard_normal(N)
     y = simulate_dt(model, u) + sigma * rng.standard_normal(N)
     return SampledDataset(u, y, model.h)
+
+
+def rg_prbs_data(g, seed):
+    # criterion 1's record: N = 7161 binary-sequence samples at h = 0.05, 10 dB
+    u = gen_prbs(10, 7, 0.0, 2.0)
+    y0 = simulate_dt(c2d_zoh(g, 0.05), u)
+    noise = np.random.default_rng(seed).standard_normal(u.size)
+    return SampledDataset(u, y0 + sigma_for_snr_db(y0, 10.0) * noise, 0.05)
+
+
+def oe_cost(model, data):
+    e = data.y - simulate_dt(model, data.u)
+    return float(e @ e)
 
 
 class TestOrders:
@@ -136,6 +151,28 @@ class TestOeFit:
         assert_allclose(c, c.T, rtol=1e-12)
         assert np.linalg.eigvalsh(c).min() > 0
 
+    def test_covariance_from_sensitivities_at_estimate(self, rng, monkeypatch):
+        # the loop's last sensitivities serve the covariance unless its last
+        # iteration moved the model: a fit that ends on the gradient test
+        # filters once per iteration, one that ends on a step once more
+        calls = []
+        sensitivities = pem._sensitivities
+        monkeypatch.setattr(pem, "_sensitivities",
+                            lambda *args: calls.append(1) or sensitivities(*args))
+        init = DtModel([0.3, -0.1], [1.0, -1.0, 0.4], h=0.1)
+        ended_on_step = set()
+        for sigma in (0.0, 0.1):
+            data = make_data(rng, sigma=sigma)
+            calls.clear()
+            res = oe_fit(data, 2, init)
+            stepped_last = res.cost_history.size == res.iterations + 1
+            ended_on_step.add(stepped_last)
+            assert len(calls) == res.iterations + stepped_last
+            psi = sensitivities(res.model, data.u, simulate_dt(res.model, data.u))
+            cov = res.sigma2_hat * np.linalg.inv(psi.T @ psi)
+            np.testing.assert_array_equal(res.covariance, 0.5 * (cov + cov.T))
+        assert ended_on_step == {False, True}
+
     def test_input_validation(self, rng):
         data = make_data(rng, sigma=0.1, N=100)
         with pytest.raises(ValueError):
@@ -224,6 +261,102 @@ class TestInitArxIv:
             y = rng.standard_normal(300)
             init = init_arx_iv(SampledDataset(u, y, 0.1), 2)
             assert np.all(np.abs(init.den.roots()) < 1.0)
+
+    def test_matches_lstsq_chain_on_rg(self, rao_garnier):
+        for seed in (1, 2, 3):
+            data = rg_prbs_data(rao_garnier, seed)
+            theta = init_arx_iv(data, 4).theta
+            ref = lstsq_init_arx_iv(data, 4).theta
+            assert np.abs(theta - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 6),
+           h=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    def test_matches_lstsq_chain_on_random_systems(self, seed, order, h):
+        # Householder QR and lstsq's SVD solve each regression to within
+        # eps times its condition number kappa; the Steiglitz-McBride
+        # prefilter drives kappa to 1e11-1e12 for orders 5-6 at h = 0.01,
+        # where the chains then differ by up to 1.5e-7.  Over 600 draws of
+        # this grid the difference stayed below 0.37 (1e-8 + eps max kappa).
+        rng = np.random.default_rng(seed)
+        g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
+        u = rng.standard_normal(600)
+        y0 = simulate_dt(c2d_zoh(g, h), u)
+        data = SampledDataset(u, y0 + 0.1 * np.std(y0) * rng.standard_normal(u.size), h)
+        kappa = []
+        kernel = pem._qr_lstsq
+
+        def conditioned_kernel(buf):
+            kappa.append(np.linalg.cond(buf[:, :-1]))
+            return kernel(buf)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pem, "_qr_lstsq", conditioned_kernel)
+            theta = init_arx_iv(data, order).theta
+        ref = lstsq_init_arx_iv(data, order).theta
+        bound = 1e-8 + np.finfo(float).eps * max(kappa)
+        assert np.abs(theta - ref).max() <= bound * np.abs(ref).max()
+
+    def test_rank_matches_matrix_rank(self):
+        # column 3 of the regressor moved toward column 0: the smallest
+        # singular value falls from 560 through 5.6 and 0.56 to 0.057 times
+        # the threshold eps max(rows, cols) s_max
+        base = np.random.default_rng(7).standard_normal((400, 5))
+        ranks = []
+        for scale in (1e-10, 1e-12, 1e-13, 1e-14):
+            buf = np.asfortranarray(base)
+            buf[:, 3] = buf[:, 0] + scale * buf[:, 3]
+            expected = np.linalg.matrix_rank(buf[:, :4])
+            theta, rank = pem._qr_lstsq(buf)
+            assert rank == expected
+            assert (theta is None) == (rank < 4)
+            ranks.append(rank)
+        assert ranks == [4, 4, 3, 3]
+
+    def test_refinement_stops_at_rank_drop(self, rng, monkeypatch):
+        # a regressor that loses a column part-way through the
+        # Steiglitz-McBride chain ends it: no later pass runs, and the best
+        # model met so far is returned
+        data = make_data(rng, sigma=0.3)
+        kernel = pem._qr_lstsq
+        calls = []
+
+        def run(drop_at):
+            def dropping_kernel(buf):
+                calls.append(1)
+                if len(calls) == drop_at:
+                    buf[:, 0] = 0.0
+                return kernel(buf)
+
+            calls.clear()
+            monkeypatch.setattr(pem, "_qr_lstsq", dropping_kernel)
+            return oe_cost(init_arx_iv(data, 2), data), len(calls)
+
+        full_cost, full_calls = run(0)
+        assert full_calls > 5
+        costs = []
+        for drop_at in (2, 3, 4, 5):  # call 1 is the ARX stage
+            cost, n_calls = run(drop_at)
+            assert n_calls == drop_at
+            costs.append(cost)
+        assert costs == sorted(costs, reverse=True)
+        assert costs[-1] >= full_cost
+        with pytest.raises(RankDeficientRegression, match="ARX regressor rank 3 < 4"):
+            run(1)
+
+    def test_makes_no_lstsq_call(self, rao_garnier, monkeypatch):
+        # every regression is one QR; the lstsq chain made 21 calls on this
+        # record, one for ARX and one per refinement pass
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        init_arx_iv(rg_prbs_data(rao_garnier, 1), 4)
+        assert len(calls) == 0
 
 
 class TestReport:
