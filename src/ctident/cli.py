@@ -116,9 +116,9 @@ def _cmd_montecarlo(args) -> int:
     out_dir = save_report(report, args.out)
     for est, agg in report.aggregates.items():
         mean = agg["mean"]
-        print("%-6s successes=%d failures=%d mean_mse_g=%.4g mean_fit=%.4f"
+        print("%-6s successes=%d failures=%d nonconverged=%d mean_mse_g=%.4g mean_fit=%.4f"
               % (est, agg["successes"], sum(agg["failures"].values()),
-                 mean.mse_g, mean.fit))
+                 agg["nonconverged"], mean.mse_g, mean.fit))
     print("report written to %s" % out_dir)
     if all(agg["successes"] == 0 for agg in report.aggregates.values()):
         return 2

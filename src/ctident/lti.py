@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -305,13 +306,47 @@ def freq_response(model, omega) -> np.ndarray:
 
 
 def is_stable(model) -> bool:
-    """Asymptotic stability: open left half-plane (ct) or open unit disc (dt)."""
-    p = model.den.roots()
-    if p.size == 0:
-        return True
+    """Asymptotic stability: open left half-plane (ct) or open unit disc (dt).
+
+    The discrete-time decision is exact for the stored coefficients; see
+    :func:`_schur_stable`.
+    """
     if isinstance(model, DtModel):
-        return bool(np.all(np.abs(p) < 1.0))
+        return _schur_stable(model.den.coeffs)
+    p = model.den.roots()
     return bool(np.all(p.real < 0.0))
+
+
+def _schur_stable(coeffs) -> bool:
+    """Whether every root of ``coeffs`` (descending, leading one nonzero) lies in ``|z| < 1``.
+
+    The Schur-Cohn step-down recursion (Jury, *Theory and Application of the
+    z-Transform Method*, 1964; Astrom & Wittenmark, *Computer-Controlled
+    Systems*, sec. 3.2): with ``c_0 > 0``, the roots lie inside the circle
+    exactly when ``|c_n| < c_0`` and those of the degree ``n - 1``
+    polynomial ``c_0 c_i - c_n c_{n-i}`` do.  Every double is a dyadic
+    rational, so over a common power-of-two denominator the coefficients
+    are integers and the recursion runs without rounding.  Dividing each
+    step by the coefficients' greatest common divisor keeps their length
+    growing linearly in the degree instead of doubling every step.
+    Non-finite coefficients are not stable.
+    """
+    try:
+        ratios = [c.as_integer_ratio() for c in np.asarray(coeffs, dtype=float).tolist()]
+    except (OverflowError, ValueError):
+        return False
+    shift = max(d.bit_length() for _, d in ratios)
+    c = [p << (shift - d.bit_length()) for p, d in ratios]
+    if c[0] < 0:
+        c = [-ci for ci in c]
+    while len(c) > 1:
+        c0, cn = c[0], c[-1]
+        if not abs(cn) < c0:
+            return False
+        c = [c0 * ci - cn * cj for ci, cj in zip(c[:-1], c[:0:-1])]
+        g = math.gcd(*c)
+        c = [ci // g for ci in c]
+    return True
 
 
 def model_to_dict(model) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,11 +164,19 @@ class Metrics:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One estimator's outcome on one run.
+
+    ``iterations`` and ``converged`` describe the run's output-error fit;
+    they are None when the run failed before the fit returned.
+    """
+
     run: int
     estimator: str
     status: str
     metrics: Metrics | None
     theta_c: np.ndarray | None = field(default=None, repr=False)
+    iterations: int | None = None
+    converged: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -238,6 +246,15 @@ def _run_once(run, data, g0, y0, g0_norm_sq, config):
     """Estimate once, then score every requested estimator on this run."""
     try:
         est = oe_fit(data, g0.n, init_arx_iv(data, g0.n))
+    except _FAILURES as exc:
+        return _failed(run, config.estimators, exc)
+    return [replace(rec, iterations=est.iterations, converged=est.converged)
+            for rec in _score(run, data, est, g0, y0, g0_norm_sq, config)]
+
+
+def _score(run, data, est, g0, y0, g0_norm_sq, config):
+    """Records of every requested estimator built on the fit ``est``."""
+    try:
         g_full = d2c_zoh(est.model)
     except _FAILURES as exc:
         return _failed(run, config.estimators, exc)
@@ -267,7 +284,9 @@ def _aggregate(records, estimator):
     for rec in records:
         if rec.estimator == estimator and rec.status != _STATUS_OK:
             failures[rec.status] = failures.get(rec.status, 0) + 1
-    out = {"successes": len(ok), "failures": failures}
+    out = {"successes": len(ok), "failures": failures,
+           "nonconverged": sum(rec.estimator == estimator and rec.converged is False
+                               for rec in records)}
     for stat, reducer in (("mean", np.mean), ("median", np.median)):
         if ok:
             out[stat] = Metrics(
@@ -285,6 +304,9 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 
     Failed runs (no continuous-time equivalent, negative fit, optimizer
     breakdown) are recorded with their cause and excluded from aggregates.
+    Every record carries its fit's iteration count and convergence flag,
+    and each estimator's aggregate counts the fits that stopped at the
+    iteration cap (``nonconverged``), whatever their status.
     Identical configurations produce bitwise identical reports.
     """
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
@@ -407,7 +429,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 def report_to_dict(report: McReport) -> dict:
     records = []
     for rec in report.records:
-        rd = {"run": rec.run, "estimator": rec.estimator, "status": rec.status}
+        rd = {"run": rec.run, "estimator": rec.estimator, "status": rec.status,
+              "iterations": rec.iterations, "converged": rec.converged}
         if rec.metrics is not None:
             rd.update(mse_g=rec.metrics.mse_g, mse_theta=rec.metrics.mse_theta,
                       fit=rec.metrics.fit)
@@ -419,6 +442,7 @@ def report_to_dict(report: McReport) -> dict:
         aggregates[est] = {
             "successes": agg["successes"],
             "failures": agg["failures"],
+            "nonconverged": agg["nonconverged"],
             "mean": vars(agg["mean"]).copy(),
             "median": vars(agg["median"]).copy(),
         }
@@ -429,14 +453,16 @@ def report_to_dict(report: McReport) -> dict:
 def write_run_csv(report: McReport, path):
     with open(Path(path), "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["run", "estimator", "status", "mse_g", "mse_theta", "fit"])
+        w.writerow(["run", "estimator", "status", "mse_g", "mse_theta", "fit",
+                    "iterations", "converged"])
         for rec in report.records:
             if rec.metrics is None:
-                w.writerow([rec.run, rec.estimator, rec.status, "", "", ""])
+                scores = ["", "", ""]
             else:
-                w.writerow([rec.run, rec.estimator, rec.status,
-                            repr(rec.metrics.mse_g), repr(rec.metrics.mse_theta),
-                            repr(rec.metrics.fit)])
+                scores = [repr(rec.metrics.mse_g), repr(rec.metrics.mse_theta),
+                          repr(rec.metrics.fit)]
+            fit_info = ["", ""] if rec.iterations is None else [rec.iterations, rec.converged]
+            w.writerow([rec.run, rec.estimator, rec.status, *scores, *fit_info])
 
 
 def write_aggregate_csv(report: McReport, path):

@@ -23,7 +23,7 @@ from .errors import (
     SingularInformation,
     UnstablePredictor,
 )
-from .lti import DtModel, SampledDataset, is_stable, simulate_dt
+from .lti import DtModel, SampledDataset, _schur_stable, is_stable, simulate_dt
 
 __all__ = [
     "EstimationResult",
@@ -83,13 +83,12 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     if not is_stable(model):
         raise UnstablePredictor("sensitivity filters require a stable denominator")
     u = np.asarray(u, dtype=float)
-    return _sensitivities(model, u, simulate_dt(model, u))
+    return _sensitivities(model.den.coeffs, u, simulate_dt(model, u))
 
 
-def _sensitivities(model: DtModel, u: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """:func:`prediction_jacobian` for a stable ``model`` whose prediction is ``yhat``."""
-    n = model.n
-    a = model.den.coeffs
+def _sensitivities(a: np.ndarray, u: np.ndarray, yhat: np.ndarray) -> np.ndarray:
+    """:func:`prediction_jacobian` for the stable monic denominator ``a``, prediction ``yhat``."""
+    n = a.size - 1
     N = u.size
     psi = np.zeros((N, 2 * n), order="F")
     for half, w in enumerate((lfilter([1.0], a, u), -lfilter([1.0], a, yhat))):
@@ -98,12 +97,19 @@ def _sensitivities(model: DtModel, u: np.ndarray, yhat: np.ndarray) -> np.ndarra
     return psi
 
 
+def _simulate(num: np.ndarray, den: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`simulate_dt` of ``num / den``, ``num`` of length ``den.size - 1``."""
+    return lfilter(np.concatenate(([0.0], num)), den, u)
+
+
 def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     """Fit an order ``n`` model by a damped Gauss-Newton iteration from ``init``.
 
     Candidate steps that leave the stability region or increase the cost are
     rejected by doubling the damping, up to 30 times per iteration; accepted
-    steps halve it.  Convergence is declared on a relative cost decrease
+    steps halve it.  The iteration runs on coefficient arrays: candidate
+    stability is decided exactly from the denominator coefficients, and the
+    estimate becomes a model once, after the loop.  Convergence is declared on a relative cost decrease
     below 1e-9 or a gradient infinity-norm below ``1e-8 (1 + cost)``.
     Hitting the 200-iteration cap leaves ``converged`` False without
     raising.
@@ -131,8 +137,8 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     u, y = data.u, data.y
 
     theta = init.theta
-    model = DtModel.from_theta(theta, data.h)
-    yhat = simulate_dt(model, u)
+    den = init.den.coeffs
+    yhat = _simulate(theta[:n], den, u)
     resid = y - yhat
     cost = float(resid @ resid)
     history = [cost]
@@ -141,7 +147,7 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
-        psi = _sensitivities(model, u, yhat)
+        psi = _sensitivities(den, u, yhat)
         accepted = False
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
@@ -160,17 +166,17 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
                 mu *= 2.0
                 continue
             cand = theta + delta
-            cand_model = DtModel.from_theta(cand, data.h)
-            if not is_stable(cand_model):
+            cand_den = np.concatenate(([1.0], cand[n:]))
+            if not _schur_stable(cand_den):
                 saw_unstable = True
                 mu *= 2.0
                 continue
-            cand_yhat = simulate_dt(cand_model, u)
+            cand_yhat = _simulate(cand[:n], cand_den, u)
             cand_resid = y - cand_yhat
             cand_cost = float(cand_resid @ cand_resid)
             if cand_cost < cost:
                 rel_drop = (cost - cand_cost) / max(cost, np.finfo(float).tiny)
-                theta, model, yhat = cand, cand_model, cand_yhat
+                theta, den, yhat = cand, cand_den, cand_yhat
                 resid, cost = cand_resid, cand_cost
                 history.append(cost)
                 mu *= 0.5
@@ -191,14 +197,14 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
 
     sigma2 = cost / (data.N - 2 * n)
     if accepted:  # psi belongs to the model before the last step
-        psi = _sensitivities(model, u, yhat)
+        psi = _sensitivities(den, u, yhat)
     info = psi.T @ psi
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
     cov = sigma2 * np.linalg.inv(info)
     cov = 0.5 * (cov + cov.T)
     return EstimationResult(
-        model=model,
+        model=DtModel.from_theta(theta, data.h),
         sigma2_hat=sigma2,
         covariance=cov,
         cost=cost,
@@ -215,12 +221,17 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
     Roots are reflected by modulus inversion (phase preserved) and then
     nudged off the circle itself, so the returned polynomial is always
     strictly stable.  A denominator whose roots all lie within ``1 - 1e-7``
-    of the origin is returned as it is.
+    of the origin is returned as it is; the exact stability test on the
+    coefficients scaled to that radius, ``den_k / (1 - 1e-7)**k``, spares
+    the root finding in that case.
     """
+    den = np.asarray(den, dtype=float)
+    if _schur_stable(den / (1.0 - 1e-7) ** np.arange(den.size)):
+        return den
     rts = np.roots(den)
     mags = np.abs(rts)
     if not np.any(mags > 1.0 - 1e-7):
-        return np.asarray(den, dtype=float)
+        return den
     outside = mags >= 1.0
     if outside.any():
         rts[outside] = rts[outside] / mags[outside] ** 2
@@ -280,7 +291,9 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     circle, so the chain keeps every intermediate model and returns the one
     with the smallest output-error cost.  The IV and refinement stages fall
     back to the latest healthy estimate if their linear algebra degenerates;
-    only a rank-deficient first-stage regression raises.
+    only a rank-deficient first-stage regression raises.  The chain carries
+    ``(numerator, denominator)`` coefficient arrays and makes a model of the
+    best pair only.
 
     Every least-squares stage is one Householder QR of the lagged regressor
     with its target appended, written into one Fortran-ordered buffer, and a
@@ -303,12 +316,11 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     if N - n < npar:
         raise ValueError("not enough samples for the requested order")
 
-    def to_model(th):
-        den = _reflect_stable(np.concatenate([[1.0], th[n:]]))
-        return DtModel(th[:n], den, data.h)
+    def stabilized(th):
+        return th[:n], _reflect_stable(np.concatenate([[1.0], th[n:]]))
 
-    def oe_cost(candidate):
-        e = y - simulate_dt(candidate, u)
+    def oe_cost(num, den):
+        e = y - _simulate(num, den, u)
         return float(e @ e)
 
     # one regression buffer [Phi | target] for every stage
@@ -318,11 +330,11 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     theta, rank = _qr_lstsq(_fill_regressor(buf, u, y))
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
-    model = to_model(theta)
-    best, best_cost = model, oe_cost(model)
+    model = stabilized(theta)
+    best, best_cost = model, oe_cost(*model)
 
     # stage 2: instrumental variables, instruments from the ARX model output
-    x = simulate_dt(model, u)
+    x = _simulate(*model, u)
     zmat = _fill_regressor(np.empty_like(buf), u, x)[:, :npar]
     normal = zmat.T @ _fill_regressor(buf, u, y)
     lhs = normal[:, :npar]
@@ -330,29 +342,29 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         theta_iv = np.linalg.solve(lhs, normal[:, npar])
         if np.all(np.isfinite(theta_iv)):
             theta = theta_iv
-            model = to_model(theta)
-            cost = oe_cost(model)
+            model = stabilized(theta)
+            cost = oe_cost(*model)
             if cost < best_cost:
                 best, best_cost = model, cost
 
     # stage 3: Steiglitz-McBride refinements on prefiltered data
     for _ in range(20):
-        den = model.den.coeffs
+        den = model[1]
         uf = lfilter([1.0], den, u)
         yf = lfilter([1.0], den, y)
         theta_new, _ = _qr_lstsq(_fill_regressor(buf, uf, yf))
         if theta_new is None or not np.all(np.isfinite(theta_new)):
             break
-        new_model = to_model(theta_new)
+        new_model = stabilized(theta_new)
         step = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
         theta, model = theta_new, new_model
-        cost = oe_cost(model)
+        cost = oe_cost(*model)
         if cost < best_cost:
             best, best_cost = model, cost
         if step < 1e-8:
             break
 
-    return best
+    return DtModel(*best, data.h)
 
 
 def fit_report_dict(result: EstimationResult) -> dict:

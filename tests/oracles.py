@@ -13,8 +13,9 @@ they replaced are kept here, for tests to compare against:
 
 It also keeps a frequency-domain reference for the Gramian-based quality
 metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
-along the imaginary axis; and the initialiser's chain with its regressions
-solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`.
+along the imaginary axis; the initialiser's chain with its regressions
+solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`; and a root-modulus
+reference for the discrete stability test, :func:`max_root_modulus`.
 """
 
 import numpy as np
@@ -26,16 +27,18 @@ from ctident.errors import RankDeficientRegression
 from ctident.pem import _reflect_stable
 
 
-def filter_bank_sensitivities(model, u):
+def filter_bank_sensitivities(model, u, yhat=None):
     """Prediction sensitivities, column by column, from ``2 n`` filter runs.
 
     Column ``j < n`` is ``u`` filtered by ``z**(n-1-j) / F(z)`` and column
-    ``n + j`` the prediction filtered by ``-z**(n-1-j) / F(z)``.
+    ``n + j`` the prediction ``yhat`` (by default simulated from ``model``)
+    filtered by ``-z**(n-1-j) / F(z)``.
     """
     u = np.asarray(u, dtype=float)
     n = model.n
     a = model.den.coeffs
-    yhat = simulate_dt(model, u)
+    if yhat is None:
+        yhat = simulate_dt(model, u)
     psi = np.empty((u.size, 2 * n))
     e = np.zeros(n + 1)
     for j in range(n):
@@ -206,3 +209,19 @@ def lstsq_init_arx_iv(data, n):
         if step < 1e-8:
             break
     return best
+
+
+def max_root_modulus(coeffs, digits=80):
+    """Largest root modulus of a polynomial with double coefficients, and its error bound.
+
+    The roots of the exact (dyadic) coefficient values are found by
+    ``mpmath.polyroots`` in ``digits``-digit arithmetic.  Returns the two as
+    ``mpmath`` numbers, so that a modulus within rounding of 1 stays
+    decidable.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        roots, err = mpmath.polyroots([mpmath.mpf(float(c)) for c in coeffs],
+                                      maxsteps=200, extraprec=digits, error=True)
+        return max(abs(r) for r in roots), err

@@ -11,6 +11,7 @@ from ctident import (
     DtModel,
     Polynomial,
     SampledDataset,
+    c2d_zoh,
     companion,
     freq_response,
     is_stable,
@@ -21,6 +22,7 @@ from ctident import (
 )
 from ctident.errors import NotPositiveDefinite, UnstableSystem
 from conftest import random_stable_ct
+from oracles import max_root_modulus
 
 
 class TestPolynomial:
@@ -210,6 +212,43 @@ class TestStability:
     def test_dt(self):
         assert is_stable(DtModel([1.0], [1.0, -0.99], h=1.0))
         assert not is_stable(DtModel([1.0], [1.0, -1.0], h=1.0))
+
+    @pytest.mark.parametrize("den, stable", [
+        ([1.0, -1.0], False),  # z = 1
+        ([1.0, 1.0], False),  # z = -1
+        ([1.0, 0.0, 1.0], False),  # z = +-j
+        ([1.0, -1.0, 1.0], False),  # the pair exp(+-j pi/3)
+        ([1.0, -1.5, 0.5], False),  # z = 1 behind z = 0.5: caught one step down
+        ([1.0, -0.99], True),
+        ([1.0, -1.8, 0.81], True),  # double root at 0.9
+    ])
+    def test_dt_exact_boundary(self, den, stable):
+        assert is_stable(DtModel([1.0], den, h=1.0)) is stable
+
+    def test_dt_where_root_finding_errs(self):
+        # sampled order-6 denominator (h = 1e-3) pulled in by 1 - 1e-6: all
+        # roots lie within 7e-5 of the circle, crowded near z = 1, and
+        # np.roots puts one of them outside it
+        den = [1.0, -5.98326315805501, 14.916443033262443, -19.833140012217132,
+               14.833393418930163, -5.916823143982063, 0.9833898620616024]
+        modulus, err = max_root_modulus(den)
+        assert 1 - modulus > 1e-5 and err < 1e-60
+        assert np.abs(np.roots(den)).max() >= 1.0
+        assert is_stable(DtModel([1.0], den, h=1e-3))
+
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_dt_matches_root_oracle(self, order):
+        # sampled denominators of random stable systems, as they are and
+        # with every root scaled by 1 -+ 1e-6 and 1 -+ 1e-3, against root
+        # moduli from 80-digit arithmetic
+        for k, h in enumerate((1e-3, 0.01, 0.1, 0.5)):
+            rng = np.random.default_rng([order, k])
+            den = c2d_zoh(random_stable_ct(rng, order), h).den.coeffs
+            for scale in (1.0, 1 - 1e-6, 1 + 1e-6, 1 - 1e-3, 1 + 1e-3):
+                scaled = den * scale ** np.arange(den.size)
+                modulus, err = max_root_modulus(scaled)
+                assert abs(modulus - 1) > err
+                assert is_stable(DtModel([1.0], scaled, h=h)) is bool(modulus < 1)
 
     def test_poles_values(self):
         p = CtModel([1.0], [1.0, 3.0, 2.0]).den.roots()

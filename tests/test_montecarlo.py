@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ctident import (
     run_monte_carlo,
 )
 from ctident import montecarlo
+from ctident.errors import RankDeficientRegression
 from ctident.montecarlo import (
     PEM,
     PEMRD,
@@ -159,6 +162,53 @@ class TestRunMonteCarlo:
             h=None, N=200, noise=NoiseSetting(snr_db=20.0), M=5, r=1, seed=5))
         assert len(calls) == len({rec.run for rec in rep.records if rec.metrics is not None}) > 1
 
+    def test_fit_diagnostics_recorded(self, monkeypatch, tmp_path):
+        # every record carries its run's iteration count and convergence
+        # flag, None for a run that failed before its fit returned; fits
+        # reported as not converged are counted and change no status
+        cfg = quick_config(N=12, noise=NoiseSetting(snr_db=-10.0), M=6, seed=20260816)
+        plain = run_monte_carlo(cfg)
+        fit, init = montecarlo.oe_fit, montecarlo.init_arx_iv
+        fits, inits = [], []
+
+        def flagged_fit(*args):
+            fits.append(fit(*args))
+            return replace(fits[-1], converged=len(fits) % 2 == 1)
+
+        def init_failing_run_2(*args):
+            inits.append(1)
+            if len(inits) == 3:
+                raise RankDeficientRegression("forced")
+            return init(*args)
+
+        monkeypatch.setattr(montecarlo, "oe_fit", flagged_fit)
+        monkeypatch.setattr(montecarlo, "init_arx_iv", init_failing_run_2)
+        rep = run_monte_carlo(cfg)
+        fitted = [run for run in range(cfg.M) if run != 2]
+        assert len(fits) == len(fitted)
+        by_run = {run: (res.iterations, k % 2 == 0) for k, (run, res) in
+                  enumerate(zip(fitted, fits))}
+        for rec, before in zip(rep.records, plain.records):
+            if rec.run == 2:
+                assert (rec.status, rec.iterations, rec.converged) == ("optimizer_error", None, None)
+            else:
+                assert rec.status == before.status
+                assert (rec.iterations, rec.converged) == by_run[rec.run]
+                assert rec.iterations == before.iterations and before.converged is True
+        for est in (PEM, PEMRD):
+            assert rep.aggregates[est]["nonconverged"] == 2
+            assert plain.aggregates[est]["nonconverged"] == 0
+        d = report_to_dict(rep)
+        assert [(r["iterations"], r["converged"]) for r in d["records"]] == [
+            (rec.iterations, rec.converged) for rec in rep.records]
+        assert d["aggregates"][PEM]["nonconverged"] == 2
+        write_run_csv(rep, tmp_path / "runs.csv")
+        with open(tmp_path / "runs.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["iterations"], r["converged"]) for r in rows] == [
+            ("", "") if rec.iterations is None else (str(rec.iterations), str(rec.converged))
+            for rec in rep.records]
+
     def test_projection_improves_mean_fit_here(self, rao_garnier):
         cfg = ExperimentConfig(
             system=rao_garnier, input=PrbsInput(9, 3), h=0.05, N=1533,
@@ -198,7 +248,7 @@ class TestSerialization:
         ok = [r for r in d["records"] if r["status"] == "ok"]
         assert all(len(r["theta_c"]) == 4 for r in ok)
         agg = d["aggregates"][PEM]
-        assert set(agg) == {"successes", "failures", "mean", "median"}
+        assert set(agg) == {"successes", "failures", "nonconverged", "mean", "median"}
         assert set(agg["mean"]) == {"mse_g", "mse_theta", "fit"}
         json.dumps(d)  # must be JSON-ready as is
 
@@ -209,7 +259,7 @@ class TestCsvOutput:
         path = tmp_path / "runs.csv"
         write_run_csv(rep, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "run,estimator,status,mse_g,mse_theta,fit"
+        assert lines[0] == "run,estimator,status,mse_g,mse_theta,fit,iterations,converged"
         assert len(lines) == 1 + 6
         first = lines[1].split(",")
         assert first[1] in (PEM, PEMRD)

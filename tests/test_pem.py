@@ -168,7 +168,8 @@ class TestOeFit:
             stepped_last = res.cost_history.size == res.iterations + 1
             ended_on_step.add(stepped_last)
             assert len(calls) == res.iterations + stepped_last
-            psi = sensitivities(res.model, data.u, simulate_dt(res.model, data.u))
+            psi = sensitivities(res.model.den.coeffs, data.u,
+                                simulate_dt(res.model, data.u))
             cov = res.sigma2_hat * np.linalg.inv(psi.T @ psi)
             np.testing.assert_array_equal(res.covariance, 0.5 * (cov + cov.T))
         assert ended_on_step == {False, True}
@@ -215,11 +216,33 @@ class TestOeFit:
         init = init_arx_iv(data, 4)
         fast = oe_fit(data, 4, init)
         monkeypatch.setattr(pem, "_sensitivities",
-                            lambda model, u, yhat: filter_bank_sensitivities(model, u))
+                            lambda den, u, yhat: filter_bank_sensitivities(
+                                DtModel([0.0], den, data.h), u, yhat))
         slow = oe_fit(data, 4, init)
         assert fast.iterations == slow.iterations > 1
         assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
         assert_allclose(fast.covariance, slow.covariance, rtol=1e-8)
+
+    def test_loop_makes_no_root_finding_and_one_model(self, rao_garnier, monkeypatch):
+        # candidates are tested for stability on their coefficients and the
+        # estimate becomes a model once: the loop that built a model and
+        # found its roots per candidate made 25 of each on this record
+        data = rg_prbs_data(rao_garnier, 1)
+        init = init_arx_iv(data, 4)
+        calls = {"roots": 0, "eigvals": 0, "DtModel": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np, "roots", counting("roots", np.roots))
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(DtModel, "__init__", counting("DtModel", DtModel.__init__))
+        res = oe_fit(data, 4, init)
+        assert res.iterations > 1
+        assert calls == {"roots": 0, "eigvals": 0, "DtModel": 1}
 
     def test_overparameterized_fit_has_singular_information(self, rng):
         # order 4 on nearly noiseless second-order data, started at the truth
