@@ -318,18 +318,19 @@ def is_stable(model) -> bool:
 
 
 def _schur_stable(coeffs) -> bool:
-    """Whether every root of ``coeffs`` (descending, leading one nonzero) lies in ``|z| < 1``.
+    """Whether every root of ``coeffs`` (descending, leading one positive) lies in ``|z| < 1``.
 
     The Schur-Cohn step-down recursion (Jury, *Theory and Application of the
     z-Transform Method*, 1964; Astrom & Wittenmark, *Computer-Controlled
-    Systems*, sec. 3.2): with ``c_0 > 0``, the roots lie inside the circle
-    exactly when ``|c_n| < c_0`` and those of the degree ``n - 1``
-    polynomial ``c_0 c_i - c_n c_{n-i}`` do.  Every double is a dyadic
-    rational, so over a common power-of-two denominator the coefficients
-    are integers and the recursion runs without rounding.  Dividing each
-    step by the coefficients' greatest common divisor keeps their length
-    growing linearly in the degree instead of doubling every step.
-    Non-finite coefficients are not stable.
+    Systems*, sec. 3.2): the roots lie inside the circle exactly when
+    ``|c_n| < c_0`` and those of the degree ``n - 1`` polynomial
+    ``c_0 c_i - c_n c_{n-i}``, whose leading coefficient ``c_0**2 - c_n**2``
+    is again positive, do.  Every double is a dyadic rational, so over a
+    common power-of-two denominator the coefficients are integers and the
+    recursion runs without rounding.  Dividing each step by the
+    coefficients' greatest common divisor keeps their length growing
+    linearly in the degree instead of doubling every step.  Non-finite
+    coefficients are not stable.
     """
     try:
         ratios = [c.as_integer_ratio() for c in np.asarray(coeffs, dtype=float).tolist()]
@@ -337,8 +338,6 @@ def _schur_stable(coeffs) -> bool:
         return False
     shift = max(d.bit_length() for _, d in ratios)
     c = [p << (shift - d.bit_length()) for p, d in ratios]
-    if c[0] < 0:
-        c = [-ci for ci in c]
     while len(c) > 1:
         c0, cn = c[0], c[-1]
         if not abs(cn) < c0:

@@ -109,10 +109,10 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     rejected by doubling the damping, up to 30 times per iteration; accepted
     steps halve it.  The iteration runs on coefficient arrays: candidate
     stability is decided exactly from the denominator coefficients, and the
-    estimate becomes a model once, after the loop.  Convergence is declared on a relative cost decrease
-    below 1e-9 or a gradient infinity-norm below ``1e-8 (1 + cost)``.
-    Hitting the 200-iteration cap leaves ``converged`` False without
-    raising.
+    estimate becomes a model once, after the loop.  Convergence is declared
+    on a relative cost decrease below 1e-9 or a gradient infinity-norm below
+    ``1e-8 (1 + cost)``.  Hitting the 200-iteration cap leaves ``converged``
+    False without raising.
 
     The covariance is ``sigma2_hat`` times the inverse of the Gauss-Newton
     information matrix at the estimate, symmetrized.
