@@ -10,6 +10,7 @@ table).  Exit codes: 0 on success, 1 on configuration or processing errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -138,7 +139,13 @@ def _cmd_bode(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built on the first call and shared by later ones.
+
+    Parsing does not change the parser, so every :func:`main` call in a
+    process reuses one tree instead of rebuilding it.
+    """
     parser = argparse.ArgumentParser(
         prog="ctident",
         description="Continuous-time system identification from sampled data "

@@ -218,28 +218,35 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
 def _reflect_stable(den: np.ndarray) -> np.ndarray:
     """Map denominator roots on or outside the unit circle inside it.
 
-    Roots are reflected by modulus inversion (phase preserved) and then
-    nudged off the circle itself, so the returned polynomial is always
-    strictly stable.  A denominator whose roots all lie within ``1 - 1e-7``
-    of the origin is returned as it is; the exact stability test on the
-    coefficients scaled to that radius, ``den_k / (1 - 1e-7)**k``, spares
-    the root finding in that case.
+    A denominator that passes the exact stability test is returned as it
+    is.  Otherwise roots outside the circle are reflected by modulus
+    inversion (phase preserved), and roots within 1e-7 of it are nudged to
+    radius ``1 - 1e-7``.  Roots that crowd ``z = 1`` are found
+    inaccurately, so the polynomial of the moved roots (or ``den`` itself,
+    when no found root needs a move) can still fail the exact test; it is
+    then contracted radially, coefficient ``k`` times ``(1 - delta)**k``
+    with ``delta`` doubling from 1e-7, until it passes.  So the returned
+    polynomial is always strictly stable.
     """
     den = np.asarray(den, dtype=float)
-    if _schur_stable(den / (1.0 - 1e-7) ** np.arange(den.size)):
+    if _schur_stable(den):
         return den
     rts = np.roots(den)
     mags = np.abs(rts)
-    if not np.any(mags > 1.0 - 1e-7):
-        return den
-    outside = mags >= 1.0
-    if outside.any():
-        rts[outside] = rts[outside] / mags[outside] ** 2
-    mags = np.abs(rts)
-    rim = mags > 1.0 - 1e-7
-    if rim.any():
-        rts[rim] *= (1.0 - 1e-7) / mags[rim]
-    return np.atleast_1d(np.poly(rts)).real
+    if np.any(mags > 1.0 - 1e-7):
+        outside = mags >= 1.0
+        if outside.any():
+            rts[outside] = rts[outside] / mags[outside] ** 2
+        mags = np.abs(rts)
+        rim = mags > 1.0 - 1e-7
+        if rim.any():
+            rts[rim] *= (1.0 - 1e-7) / mags[rim]
+        den = np.atleast_1d(np.poly(rts)).real
+    out, delta = den, 1e-7
+    while not _schur_stable(out) and delta < 1.0:
+        out = den * (1.0 - delta) ** np.arange(den.size)
+        delta *= 2.0
+    return out
 
 
 def _fill_regressor(buf: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
@@ -331,10 +338,11 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
     model = stabilized(theta)
-    best, best_cost = model, oe_cost(*model)
-
-    # stage 2: instrumental variables, instruments from the ARX model output
     x = _simulate(*model, u)
+    e = y - x
+    best, best_cost = model, float(e @ e)
+
+    # stage 2: instrumental variables, instruments from the ARX model output x
     zmat = _fill_regressor(np.empty_like(buf), u, x)[:, :npar]
     normal = zmat.T @ _fill_regressor(buf, u, y)
     lhs = normal[:, :npar]

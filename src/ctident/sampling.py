@@ -15,7 +15,6 @@ closed negative real axis; offending models raise :class:`NonPrincipalLog`.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,16 +263,18 @@ def sigma_for_snr_db(y, snr_db: float) -> float:
 def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):
     """Write a dataset as ``k,t,u,y`` CSV plus a JSON sidecar of metadata.
 
-    Floats are written in shortest round-trip form.  The sidecar (same stem,
-    ``.json`` extension) records ``h``, ``N`` and, when given, the noise
-    deviation, seed and true-system coefficients.
+    Floats are written in shortest round-trip form, ``t`` is ``k * h`` and
+    rows end in CRLF, the line ending of :mod:`csv`'s default dialect.  The
+    CSV is built as one string, column by column.  The sidecar (same
+    stem, ``.json`` extension) records ``h``, ``N`` and, when given, the
+    noise deviation, seed and true-system coefficients.
     """
     path = Path(path)
+    N = ds.N
+    columns = (map(str, range(N)), map(repr, [k * ds.h for k in range(N)]),
+               map(repr, ds.u.tolist()), map(repr, ds.y.tolist()))
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["k", "t", "u", "y"])
-        for k in range(ds.N):
-            w.writerow([k, repr(k * ds.h), repr(float(ds.u[k])), repr(float(ds.y[k]))])
+        f.write("\r\n".join(["k,t,u,y", *map(",".join, zip(*columns)), ""]))
     meta = {"h": ds.h, "N": ds.N, "sigma": sigma, "seed": seed, "system": system}
     with open(path.with_suffix(".json"), "w") as f:
         json.dump(meta, f, indent=1)

@@ -14,9 +14,12 @@ they replaced are kept here, for tests to compare against:
 It also keeps a frequency-domain reference for the Gramian-based quality
 metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
 along the imaginary axis; the initialiser's chain with its regressions
-solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`; and a root-modulus
-reference for the discrete stability test, :func:`max_root_modulus`.
+solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`; a root-modulus
+reference for the discrete stability test, :func:`max_root_modulus`; and the
+row-by-row ``csv.writer`` version of the dataset CSV, :func:`csv_writer_dataset`.
 """
+
+import csv
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -225,3 +228,12 @@ def max_root_modulus(coeffs, digits=80):
         roots, err = mpmath.polyroots([mpmath.mpf(float(c)) for c in coeffs],
                                       maxsteps=200, extraprec=digits, error=True)
         return max(abs(r) for r in roots), err
+
+
+def csv_writer_dataset(ds, path):
+    """The ``k,t,u,y`` CSV of ``save_dataset``, one ``csv.writer`` row per sample."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["k", "t", "u", "y"])
+        for k in range(ds.N):
+            w.writerow([k, repr(k * ds.h), repr(float(ds.u[k])), repr(float(ds.y[k]))])

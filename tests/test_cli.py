@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ctident import CtModel, c2d_zoh, load_dataset, model_to_dict
-from ctident.cli import main
+from ctident.cli import build_parser, main
 
 G2 = CtModel([3.0], [1.0, 2.8, 4.0], r=2)
 
@@ -112,6 +113,41 @@ class TestFitProjectChain:
         assert rc == 1
         assert "configuration error: model order must be at least 1" in capsys.readouterr().err
         assert not fit_path.exists()
+
+
+class TestParser:
+    def test_parser_built_once(self, sim_config, tmp_path, monkeypatch, capsys):
+        build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        data = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(data)]) == 0
+        assert main(["fit", "--data", str(data / "dataset.csv"), "--order", "2",
+                     "--out", str(tmp_path / "fit.json")]) == 0
+        assert main(["project", "--report", str(tmp_path / "fit.json"), "--r", "2",
+                     "--out", str(tmp_path / "project.json")]) == 0
+        # one tree: the top-level parser and one parser per subcommand
+        assert built == ["ctident"] + ["ctident " + c for c in
+                                       ("simulate", "fit", "project", "montecarlo", "bode")]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ctident")
+        assert len(built) == 6
+
+    def test_usage_error_exit_code(self, capsys):
+        for _ in range(2):  # the second call runs on the parser the first one built
+            with pytest.raises(SystemExit) as exc:
+                main(["fit", "--order", "2"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: --data" in capsys.readouterr().err
 
 
 class TestMonteCarloCommand:

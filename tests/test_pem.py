@@ -27,6 +27,7 @@ from ctident.errors import (
     UnstablePredictor,
 )
 from ctident import pem
+from ctident.lti import _schur_stable
 from ctident.pem import fit_report_dict
 from conftest import random_stable_ct
 from oracles import filter_bank_sensitivities, lstsq_init_arx_iv
@@ -284,6 +285,22 @@ class TestInitArxIv:
             y = rng.standard_normal(300)
             init = init_arx_iv(SampledDataset(u, y, 0.1), 2)
             assert np.all(np.abs(init.den.roots()) < 1.0)
+
+    @pytest.mark.parametrize("order", [4, 6, 8])
+    def test_reflection_passes_exact_test(self, order):
+        # sampled denominators with roots crowding z = 1, scaled radially
+        # just inside and just outside the circle: np.roots misplaces such
+        # roots by more than the reflection's 1e-7 nudge
+        for seed in range(40):
+            system = random_stable_ct(np.random.default_rng(seed), order)
+            for h in (1e-3, 1e-2):
+                den = c2d_zoh(system, h).den.coeffs
+                for scale in (1 / (1 + 1e-3), 1 / (1 + 1e-6), 1 / (1 - 1e-8)):
+                    scaled = den * scale ** np.arange(den.size)
+                    reflected = pem._reflect_stable(scaled)
+                    assert _schur_stable(reflected)
+                    if _schur_stable(scaled):
+                        assert reflected is scaled
 
     def test_matches_lstsq_chain_on_rg(self, rao_garnier):
         for seed in (1, 2, 3):

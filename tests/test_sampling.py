@@ -8,6 +8,7 @@ from ctident import (
     CtModel,
     DtModel,
     NoiseSpec,
+    SampledDataset,
     c2d_zoh,
     d2c_zoh,
     freq_response,
@@ -23,7 +24,12 @@ from ctident import (
 from ctident import sampling
 from ctident.errors import CtIdentError, DegenerateMap, NonPrincipalLog, SingularMap
 from conftest import random_stable_ct
-from oracles import difference_jacobian, difference_steps, high_precision_jacobian
+from oracles import (
+    csv_writer_dataset,
+    difference_jacobian,
+    difference_steps,
+    high_precision_jacobian,
+)
 
 E_M01 = np.exp(-0.1)
 
@@ -321,3 +327,23 @@ class TestDatasetIo:
         first = path.read_text().splitlines()[0]
         assert first == "k,t,u,y"
         assert (tmp_path / "tiny.json").exists()
+
+    @pytest.mark.parametrize("case", ["random", "special_values"])
+    def test_same_bytes_as_row_writer(self, case, rng, tmp_path):
+        if case == "random":
+            N, h = 1533, rng.uniform(1e-3, 1.0)
+            u = rng.standard_normal(N) * 10.0 ** rng.uniform(-8, 8, N)
+            y = rng.standard_normal(N) * 10.0 ** rng.uniform(-300, 300, N)
+        else:
+            N, h = 508, 0.013
+            special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan]
+            u = np.resize(special, N)
+            y = np.where(rng.random(N) < 0.5, rng.permutation(u), rng.standard_normal(N))
+        ds = SampledDataset(u, y, h)
+        save_dataset(ds, tmp_path / "fast.csv")
+        csv_writer_dataset(ds, tmp_path / "rows.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        back, _ = load_dataset(tmp_path / "fast.csv")
+        assert back.u.tobytes() == ds.u.tobytes()
+        assert back.y.tobytes() == ds.y.tobytes()
+        assert back.h == h
