@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
-from scipy.signal import lfilter
+from scipy.linalg.blas import dtbsv
 
 from .errors import NotPositiveDefinite, UnstableSystem
 
@@ -229,15 +229,56 @@ def companion(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def simulate_dt(model: DtModel, u) -> np.ndarray:
     """Output of a discrete-time model for input ``u``, zero initial conditions.
 
-    Implements the difference equation of the transfer function directly;
-    the first ``r`` output samples of a relative-degree ``r`` model are zero
-    for inputs starting at the first sample.
+    The numerator runs as a convolution, then the monic denominator as one
+    banded triangular solve (see :func:`_solve`); ``u`` is not modified.  The
+    first ``r`` output samples of a relative-degree ``r`` model are zero for
+    inputs starting at the first sample.  An empty input gives an empty output.
     """
     u = np.asarray(u, dtype=float)
+    if not u.size:
+        return np.zeros(0)
     n = model.n
     b = np.zeros(n + 1)
     b[n - model.num.degree:] = model.num.coeffs
-    return lfilter(b, model.den.coeffs, u)
+    return _solve(_band(model.den.coeffs, u.size), _fir(b, u), overwrite=True)
+
+
+def _fir(b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``x`` passed through the polynomial ``b`` in ``z**-1``, zero initial state."""
+    return np.convolve(x, b)[:x.size]
+
+
+def _band(a: np.ndarray, N: int) -> np.ndarray:
+    """Band storage of the ``N x N`` lower-triangular Toeplitz matrix of monic ``a``.
+
+    Column ``j`` of the matrix holds ``a`` from its diagonal down, so the
+    Fortran-ordered ``(a.size, N)`` band is ``a`` repeated ``N`` times in
+    memory: a block of copies is broadcast, then doubled until it fills the
+    band.  Entries past the matrix's last row are never read.
+    """
+    band = np.empty((N, a.size))
+    m = min(N, 32)
+    band[:m] = a
+    while m < N:
+        c = min(m, N - m)
+        band[m:m + c] = band[:c]
+        m += c
+    return band.T
+
+
+def _solve(band: np.ndarray, v: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """``v`` passed through ``1 / a(z**-1)``, zero initial state, ``band = _band(a, v.size)``.
+
+    The recursion ``x[t] = v[t] - a_1 x[t-1] - ... - a_n x[t-n]`` is forward
+    substitution with the unit lower-triangular banded Toeplitz matrix of
+    ``a``: one BLAS ``dtbsv``.  ``a`` must be monic, since the unit diagonal
+    is implied.  Every caller's is: ``DtModel`` normalizes its denominator,
+    the fitting loops build theirs as ``[1, ...]``, and ``pem._reflect_stable``
+    returns monic polynomials.
+    ``v`` is overwritten only with ``overwrite`` and then only if it is a
+    contiguous double array; otherwise the result is a new array.
+    """
+    return dtbsv(band.shape[0] - 1, band, v, lower=1, diag=1, overwrite_x=overwrite)
 
 
 def l2_norm_sq(model: CtModel) -> float:

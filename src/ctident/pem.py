@@ -6,6 +6,12 @@ quadratic prediction-error cost is minimized by a damped Gauss-Newton
 (Levenberg-Marquardt) iteration whose search direction comes from exact
 sensitivity filters, started from an ARX / instrumental-variable /
 Steiglitz-McBride chain that needs no user-supplied guess.
+
+Every filter here (prefilters, predictor, sensitivities) is the recursion
+``1 / F`` of a monic denominator, run as one banded triangular solve, plus a
+convolution with the numerator.  Each denominator's band is built once, and
+``u / F`` serves both its prediction and its sensitivities (or its
+Steiglitz-McBride prefilter), so no signal is filtered twice.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
-from scipy.signal import lfilter
 
 from .errors import (
     DivergedUnstable,
@@ -23,7 +28,16 @@ from .errors import (
     SingularInformation,
     UnstablePredictor,
 )
-from .lti import DtModel, SampledDataset, _schur_stable, is_stable, simulate_dt
+from .lti import (
+    DtModel,
+    SampledDataset,
+    _band,
+    _fir,
+    _schur_stable,
+    _solve,
+    is_stable,
+    simulate_dt,
+)
 
 __all__ = [
     "EstimationResult",
@@ -71,8 +85,10 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     passed through ``z**(n-1-j) / F(z)``; column ``n + j`` (denominator
     coefficient of ``z**(n-1-j)``) is the prediction passed through
     ``-z**(n-1-j) / F(z)``.  Every column is therefore a copy of ``u / F``
-    or ``-yhat / F`` delayed by ``j + 1`` samples, so two filter runs give
-    the whole matrix.  Shape ``(N, 2 n)``, Fortran-ordered.
+    or ``-yhat / F`` delayed by ``j + 1`` samples.  The prediction is the
+    numerator's convolution with ``u / F``, so two recursions ``1 / F``,
+    each one banded triangular solve on the same band, give the whole
+    matrix.  Shape ``(N, 2 n)``, Fortran-ordered.
 
     Raises
     ------
@@ -83,23 +99,34 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     if not is_stable(model):
         raise UnstablePredictor("sensitivity filters require a stable denominator")
     u = np.asarray(u, dtype=float)
-    return _sensitivities(model.den.coeffs, u, simulate_dt(model, u))
+    n = model.n
+    band = _band(model.den.coeffs, u.size)
+    w1 = _solve(band, u)
+    psi = np.zeros((u.size, 2 * n), order="F")
+    return _sensitivities(psi, band, w1, _output(model.theta[:n], w1))
 
 
-def _sensitivities(a: np.ndarray, u: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """:func:`prediction_jacobian` for the stable monic denominator ``a``, prediction ``yhat``."""
-    n = a.size - 1
-    N = u.size
-    psi = np.zeros((N, 2 * n), order="F")
-    for half, w in enumerate((lfilter([1.0], a, u), -lfilter([1.0], a, yhat))):
-        for j in range(min(n, N - 1)):
-            psi[j + 1:, half * n + j] = w[: N - j - 1]
+def _output(num: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Prediction of ``num / F`` from ``w1 = u / F``, ``num`` of length ``n``."""
+    return _fir(np.concatenate(([0.0], num)), w1)
+
+
+def _sensitivities(psi: np.ndarray, band: np.ndarray, w1: np.ndarray,
+                   yhat: np.ndarray) -> np.ndarray:
+    """:func:`prediction_jacobian` written into ``psi`` and returned.
+
+    ``band`` is the band of the stable monic denominator, ``w1 = u / F`` and
+    ``yhat`` the prediction; ``-yhat / F`` is the one recursion made here.
+    Only the entries below the zero triangle of ``psi`` (shape
+    ``(N, 2 n)``) are written, so a buffer reused across calls keeps it.
+    """
+    n = psi.shape[1] // 2
+    N = w1.size
+    w2 = _solve(band, np.negative(yhat), overwrite=True)
+    for j in range(min(n, N - 1)):
+        psi[j + 1:, j] = w1[: N - j - 1]
+        psi[j + 1:, n + j] = w2[: N - j - 1]
     return psi
-
-
-def _simulate(num: np.ndarray, den: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`simulate_dt` of ``num / den``, ``num`` of length ``den.size - 1``."""
-    return lfilter(np.concatenate(([0.0], num)), den, u)
 
 
 def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
@@ -113,6 +140,12 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     on a relative cost decrease below 1e-9 or a gradient infinity-norm below
     ``1e-8 (1 + cost)``.  Hitting the 200-iteration cap leaves ``converged``
     False without raising.
+
+    Each point carries the band of its denominator and ``w1 = u / F``: a
+    candidate costs one band and one recursion (its prediction is the
+    numerator's convolution with ``w1``), and the sensitivities of an
+    accepted point one more recursion, ``yhat / F``.  The sensitivity
+    matrix is one buffer per fit.
 
     The covariance is ``sigma2_hat`` times the inverse of the Gauss-Newton
     information matrix at the estimate, symmetrized.
@@ -137,17 +170,19 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     u, y = data.u, data.y
 
     theta = init.theta
-    den = init.den.coeffs
-    yhat = _simulate(theta[:n], den, u)
+    band = _band(init.den.coeffs, data.N)
+    w1 = _solve(band, u)
+    yhat = _output(theta[:n], w1)
     resid = y - yhat
     cost = float(resid @ resid)
     history = [cost]
     mu = None
     converged = False
     iterations = 0
+    psi = np.zeros((data.N, 2 * n), order="F")
 
     for iterations in range(1, _MAX_ITER + 1):
-        psi = _sensitivities(den, u, yhat)
+        psi = _sensitivities(psi, band, w1, yhat)
         accepted = False
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
@@ -171,12 +206,14 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
                 saw_unstable = True
                 mu *= 2.0
                 continue
-            cand_yhat = _simulate(cand[:n], cand_den, u)
+            cand_band = _band(cand_den, data.N)
+            cand_w1 = _solve(cand_band, u)
+            cand_yhat = _output(cand[:n], cand_w1)
             cand_resid = y - cand_yhat
             cand_cost = float(cand_resid @ cand_resid)
             if cand_cost < cost:
                 rel_drop = (cost - cand_cost) / max(cost, np.finfo(float).tiny)
-                theta, den, yhat = cand, cand_den, cand_yhat
+                theta, band, w1, yhat = cand, cand_band, cand_w1, cand_yhat
                 resid, cost = cand_resid, cand_cost
                 history.append(cost)
                 mu *= 0.5
@@ -197,7 +234,7 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
 
     sigma2 = cost / (data.N - 2 * n)
     if accepted:  # psi belongs to the model before the last step
-        psi = _sensitivities(den, u, yhat)
+        psi = _sensitivities(psi, band, w1, yhat)
     info = psi.T @ psi
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
@@ -302,6 +339,12 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     ``(numerator, denominator)`` coefficient arrays and makes a model of the
     best pair only.
 
+    Each stabilized pair carries its denominator's band and ``u / F``; its
+    output is the numerator's convolution with ``u / F`` and gives both its
+    cost and, for the ARX model, the instruments.  A Steiglitz-McBride pass
+    reuses that ``u / F`` and solves ``y / F`` on the same band, so it makes
+    two recursions: ``y / F`` and the new model's ``u / F``.
+
     Every least-squares stage is one Householder QR of the lagged regressor
     with its target appended, written into one Fortran-ordered buffer, and a
     triangular solve (Bjorck, *Numerical Methods for Least Squares
@@ -324,11 +367,14 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         raise ValueError("not enough samples for the requested order")
 
     def stabilized(th):
-        return th[:n], _reflect_stable(np.concatenate([[1.0], th[n:]]))
-
-    def oe_cost(num, den):
-        e = y - _simulate(num, den, u)
-        return float(e @ e)
+        # (num, den) with den reflected to stability, den's band, u / den, and
+        # the pair's output and output-error cost
+        num, den = th[:n], _reflect_stable(np.concatenate([[1.0], th[n:]]))
+        band = _band(den, N)
+        uf = _solve(band, u)
+        x = _output(num, uf)
+        e = y - x
+        return (num, den), band, uf, x, float(e @ e)
 
     # one regression buffer [Phi | target] for every stage
     buf = np.empty((N - n, npar + 1), order="F")
@@ -337,10 +383,8 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     theta, rank = _qr_lstsq(_fill_regressor(buf, u, y))
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
-    model = stabilized(theta)
-    x = _simulate(*model, u)
-    e = y - x
-    best, best_cost = model, float(e @ e)
+    model, band, uf, x, best_cost = stabilized(theta)
+    best = model
 
     # stage 2: instrumental variables, instruments from the ARX model output x
     zmat = _fill_regressor(np.empty_like(buf), u, x)[:, :npar]
@@ -350,23 +394,19 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         theta_iv = np.linalg.solve(lhs, normal[:, npar])
         if np.all(np.isfinite(theta_iv)):
             theta = theta_iv
-            model = stabilized(theta)
-            cost = oe_cost(*model)
+            model, band, uf, _, cost = stabilized(theta)
             if cost < best_cost:
                 best, best_cost = model, cost
 
     # stage 3: Steiglitz-McBride refinements on prefiltered data
     for _ in range(20):
-        den = model[1]
-        uf = lfilter([1.0], den, u)
-        yf = lfilter([1.0], den, y)
+        yf = _solve(band, y)
         theta_new, _ = _qr_lstsq(_fill_regressor(buf, uf, yf))
         if theta_new is None or not np.all(np.isfinite(theta_new)):
             break
-        new_model = stabilized(theta_new)
         step = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
-        theta, model = theta_new, new_model
-        cost = oe_cost(*model)
+        theta = theta_new
+        model, band, uf, _, cost = stabilized(theta)
         if cost < best_cost:
             best, best_cost = model, cost
         if step < 1e-8:

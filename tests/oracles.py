@@ -5,6 +5,8 @@ the sampling-map Jacobian in closed form.  The straightforward versions
 they replaced are kept here, for tests to compare against:
 
 - :func:`filter_bank_sensitivities`: one filter run per sensitivity column;
+- :func:`long_double_filter`: the difference equation of a filter in
+  extended precision, a reference for the package's banded-solve filter;
 - :func:`difference_jacobian`: central differences of ``c2d_zoh``, second
   order with the package's former steps or fourth order;
 - :func:`high_precision_jacobian`: central differences of the sampling map
@@ -50,6 +52,25 @@ def filter_bank_sensitivities(model, u, yhat=None):
         psi[:, j] = lfilter(e, a, u)
         psi[:, n + j] = -lfilter(e, a, yhat)
     return psi
+
+
+def long_double_filter(b, a, x):
+    """``x`` through ``b(z**-1) / a(z**-1)``, monic ``a``, zero initial state, in long double.
+
+    The difference equation ``y[t] = sum b_j x[t-j] - sum_{i>=1} a_i y[t-i]``
+    evaluated in ``np.longdouble`` (a 64-bit significand on x86-64, 11 bits
+    more than a double) on the exact values of the double inputs.  Returns
+    long doubles.
+    """
+    b, a, x = (np.asarray(v, dtype=np.longdouble) for v in (b, a, x))
+    v = np.convolve(x, b)[:x.size]
+    k = a.size - 1
+    back = a[:0:-1]  # a_k, ..., a_1
+    y = np.zeros(x.size, dtype=np.longdouble)
+    for t in range(x.size):
+        lo = max(0, t - k)
+        y[t] = v[t] - back[k - (t - lo):] @ y[lo:t]
+    return y
 
 
 def difference_steps(theta_c, order):

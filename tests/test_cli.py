@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ctident
 from ctident import CtModel, c2d_zoh, load_dataset, model_to_dict
 from ctident.cli import build_parser, main
 
@@ -219,3 +224,41 @@ class TestBode:
                    "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 18
+
+
+STARTUP_SCRIPT = """
+import json, sys
+heavy = {"scipy.signal", "scipy.stats"}
+import ctident
+from ctident import cli
+try:
+    cli.main(["--help"])
+except SystemExit as exc:
+    assert exc.code == 0
+loaded = {"start": sorted(heavy & set(sys.modules))}
+config, out = sys.argv[1:]
+codes = [cli.main(["simulate", "--config", config, "--out", out + "/data"]),
+         cli.main(["fit", "--data", out + "/data/dataset.csv", "--order", "2",
+                   "--out", out + "/fit.json"]),
+         cli.main(["project", "--report", out + "/fit.json", "--r", "2",
+                   "--out", out + "/project.json"])]
+loaded["request"] = sorted(heavy & set(sys.modules))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+class TestStartup:
+    def test_scipy_signal_and_stats_never_loaded(self, sim_config, tmp_path):
+        # a fresh interpreter imports the package, prints the CLI help and
+        # serves a simulate -> fit -> project request: importing scipy.signal
+        # (which imports scipy.stats) took about 1.1 s of a 1.5 s start-up,
+        # and without it no scipy.signal.lfilter call can happen
+        src = str(Path(ctident.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(sim_config),
+                               str(tmp_path)], capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"codes": [0, 0, 0], "loaded": {"start": [], "request": []}}

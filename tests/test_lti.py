@@ -2,9 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
-from scipy.signal import BadCoefficients, dlsim, ss2tf
+from scipy.signal import BadCoefficients, dlsim, lfilter, ss2tf
 
 from ctident import (
     CtModel,
@@ -22,7 +23,14 @@ from ctident import (
 )
 from ctident.errors import NotPositiveDefinite, UnstableSystem
 from conftest import random_stable_ct
-from oracles import max_root_modulus
+from oracles import long_double_filter, max_root_modulus
+
+
+def padded_numerator(model):
+    """The numerator as a filter in ``z**-1``: length ``n + 1``, leading zeros kept."""
+    b = np.zeros(model.n + 1)
+    b[model.n - model.num.degree:] = model.num.coeffs
+    return b
 
 
 class TestPolynomial:
@@ -155,6 +163,71 @@ class TestSimulateDt:
         g = DtModel([1.0], [1.0, 0.0, 0.0], h=1.0)
         y = simulate_dt(g, np.ones(4))
         assert_array_equal(y[:2], [0.0, 0.0])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 8),
+           h=st.sampled_from([1e-3, 0.01, 0.1, 0.5]),
+           radius=st.sampled_from([0.5, 0.9, 0.99, 0.999]))
+    def test_against_long_double_recursion(self, seed, order, h, radius):
+        # A sampled random system with its poles contracted so that the
+        # largest modulus is `radius`.  The recursion 1/a amplifies rounding
+        # by up to the l1 norm kappa of its impulse response; the banded
+        # solve must stay within twice scipy's direct-form error or 20 eps
+        # kappa of the output's size, whichever is larger.  Over 400 draws
+        # of this grid it used at most 0.15 of that bound.
+        rng = np.random.default_rng(seed)
+        gd = c2d_zoh(random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1))), h)
+        rho = radius / np.abs(gd.den.roots()).max()
+        model = DtModel(gd.num.coeffs, gd.den.coeffs * rho ** np.arange(order + 1), h)
+        assume(is_stable(model))
+        u = rng.standard_normal(400)
+        b, a = padded_numerator(model), model.den.coeffs
+        ref = long_double_filter(b, a, u)
+        impulse = np.zeros(u.size)
+        impulse[0] = 1.0
+        kappa = float(np.abs(long_double_filter([1.0], a, impulse)).sum())
+        err = float(np.abs(simulate_dt(model, u) - ref).max())
+        err_lfilter = float(np.abs(lfilter(b, a, u) - ref).max())
+        eps = np.finfo(float).eps
+        assert err <= max(2.0 * err_lfilter, 20.0 * eps * kappa * float(np.abs(ref).max()))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_records_no_longer_than_order(self, N):
+        # order 4: N <= n leaves the band with more rows than the record
+        g = DtModel([0.5, -0.2, 0.1, 0.3], np.poly([0.9, 0.5, -0.3, 0.2]), h=0.1)
+        u = np.arange(1.0, N + 1.0)
+        y = simulate_dt(g, u)
+        assert y.shape == (N,) and y[0] == 0.0
+        ref = long_double_filter(padded_numerator(g), g.den.coeffs, u)
+        assert_allclose(y, ref.astype(float), rtol=1e-15, atol=1e-16)
+
+    def test_numerator_leading_zeros(self, rng):
+        # relative degree 3: two leading zeros are stripped and the output
+        # starts with three zeros
+        g = DtModel([0.0, 0.0, 0.7, -0.2], np.poly([0.95, 0.6 + 0.3j, 0.6 - 0.3j, 0.1]).real,
+                    h=0.1)
+        assert g.num.degree == 1
+        u = rng.standard_normal(50)
+        y = simulate_dt(g, u)
+        assert_array_equal(y[:3], 0.0)
+        ref = long_double_filter([0.0, 0.0, 0.0, 0.7, -0.2], g.den.coeffs, u).astype(float)
+        assert_allclose(y, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
+
+    def test_strided_input_unmodified(self, rng):
+        # load_dataset hands out columns of one array: strided views
+        g = DtModel([0.3, -0.1], [1.0, -1.1, 0.3], h=0.5)
+        table = rng.standard_normal((200, 3))
+        before = table.copy()
+        y = simulate_dt(g, table[:, 1])
+        assert_array_equal(table, before)
+        assert_array_equal(y, simulate_dt(g, before[:, 1].copy()))
+        u = before[:, 2].copy()
+        simulate_dt(g, u)
+        assert_array_equal(u, before[:, 2])
+
+    def test_empty_input(self):
+        g = DtModel([0.3], [1.0, -0.5], h=1.0)
+        assert simulate_dt(g, []).shape == (0,)
 
 
 class TestL2Norm:

@@ -26,7 +26,7 @@ from ctident.errors import (
     SingularInformation,
     UnstablePredictor,
 )
-from ctident import pem
+from ctident import lti, pem
 from ctident.lti import _schur_stable
 from ctident.pem import fit_report_dict
 from conftest import random_stable_ct
@@ -169,8 +169,10 @@ class TestOeFit:
             stepped_last = res.cost_history.size == res.iterations + 1
             ended_on_step.add(stepped_last)
             assert len(calls) == res.iterations + stepped_last
-            psi = sensitivities(res.model.den.coeffs, data.u,
-                                simulate_dt(res.model, data.u))
+            band = pem._band(res.model.den.coeffs, data.N)
+            w1 = pem._solve(band, data.u)
+            psi = sensitivities(np.zeros((data.N, 4), order="F"), band, w1,
+                                pem._output(res.model.theta[:2], w1))
             cov = res.sigma2_hat * np.linalg.inv(psi.T @ psi)
             np.testing.assert_array_equal(res.covariance, 0.5 * (cov + cov.T))
         assert ended_on_step == {False, True}
@@ -216,9 +218,10 @@ class TestOeFit:
         data = simulate_ct_zoh(rg, rng.standard_normal(1500), 0.05, NoiseSpec(sigma=0.3, seed=2))
         init = init_arx_iv(data, 4)
         fast = oe_fit(data, 4, init)
+        # column 0 of the band holds the denominator's coefficients
         monkeypatch.setattr(pem, "_sensitivities",
-                            lambda den, u, yhat: filter_bank_sensitivities(
-                                DtModel([0.0], den, data.h), u, yhat))
+                            lambda psi, band, w1, yhat: filter_bank_sensitivities(
+                                DtModel([0.0], band[:, 0], data.h), data.u, yhat))
         slow = oe_fit(data, 4, init)
         assert fast.iterations == slow.iterations > 1
         assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
@@ -397,6 +400,65 @@ class TestInitArxIv:
         monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
         init_arx_iv(rg_prbs_data(rao_garnier, 1), 4)
         assert len(calls) == 0
+
+
+class TestFilterKernel:
+    """Every filter is a band of its denominator plus banded solves on it."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        calls = {"band": 0, "solve": 0, "qr": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        band, solve = counting("band", lti._band), counting("solve", lti._solve)
+        for module in (lti, pem):
+            monkeypatch.setattr(module, "_band", band)
+            monkeypatch.setattr(module, "_solve", solve)
+        monkeypatch.setattr(pem, "_qr_lstsq", counting("qr", pem._qr_lstsq))
+        return calls
+
+    def test_two_recursions_per_accepted_step(self, rao_garnier, counts):
+        # a point gets one band, u / F on it and, for its sensitivities,
+        # yhat / F; every candidate of this fit is accepted, so each point
+        # visited costs exactly that (three filter runs before)
+        data = rg_prbs_data(rao_garnier, 1)
+        init = init_arx_iv(data, 4)
+        counts.update(band=0, solve=0)
+        res = oe_fit(data, 4, init)
+        points = res.cost_history.size
+        assert points > 10
+        assert counts == {"band": points, "solve": 2 * points, "qr": counts["qr"]}
+
+    def test_two_recursions_per_steiglitz_mcbride_pass(self, rao_garnier, counts):
+        # ARX and IV models: one band and u / F each; a pass then solves
+        # y / F on its model's band and builds the next model (band, u / F)
+        data = rg_prbs_data(rao_garnier, 1)
+        counts.update(band=0, solve=0)
+        init_arx_iv(data, 4)
+        passes = counts["qr"] - 1
+        assert passes > 5
+        assert counts["band"] == 2 + passes
+        assert counts["solve"] == 2 + 2 * passes
+
+    def test_strided_record_unmodified(self, rng):
+        # load_dataset's u and y are strided columns of one table; the fit
+        # reads them without writing and gives what contiguous copies give
+        table = np.column_stack([rng.standard_normal(400), np.zeros(400)])
+        table[:, 1] = simulate_dt(TRUE_DT, table[:, 0]) + 0.1 * rng.standard_normal(400)
+        before = table.copy()
+        strided = SampledDataset(table[:, 0], table[:, 1], 0.1)
+        assert not strided.u.flags.c_contiguous
+        packed = SampledDataset(before[:, 0].copy(), before[:, 1].copy(), 0.1)
+        fits = [oe_fit(d, 2, init_arx_iv(d, 2)) for d in (strided, packed)]
+        np.testing.assert_array_equal(fits[0].model.theta, fits[1].model.theta)
+        np.testing.assert_array_equal(prediction_jacobian(TRUE_DT, strided.u),
+                                      prediction_jacobian(TRUE_DT, packed.u))
+        np.testing.assert_array_equal(table, before)
 
 
 class TestReport:
