@@ -248,22 +248,25 @@ def _fir(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.convolve(x, b)[:x.size]
 
 
-def _band(a: np.ndarray, N: int) -> np.ndarray:
+def _band(a: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """Band storage of the ``N x N`` lower-triangular Toeplitz matrix of monic ``a``.
 
-    Column ``j`` of the matrix holds ``a`` from its diagonal down, so the
-    Fortran-ordered ``(a.size, N)`` band is ``a`` repeated ``N`` times in
-    memory: a block of copies is broadcast, then doubled until it fills the
-    band.  Entries past the matrix's last row are never read.
+    ``N >= 1``.  Column ``j`` of the matrix holds ``a`` from its diagonal
+    down, so the Fortran-ordered ``(a.size, N)`` band is ``a`` repeated
+    ``N`` times in memory.  Its first 64 columns are broadcast from ``a``,
+    and that block is broadcast over the rest, long contiguous copies.
+    Entries past the matrix's last row are never read.  A loop that builds
+    many bands passes ``out``, a Fortran-ordered ``(a.size, N)`` buffer, to
+    refill it instead of allocating (a band of a long record is hundreds of
+    kB of fresh pages).
     """
-    band = np.empty((N, a.size))
-    m = min(N, 32)
-    band[:m] = a
-    while m < N:
-        c = min(m, N - m)
-        band[m:m + c] = band[:c]
-        m += c
-    return band.T
+    cols = np.empty((N, a.size)) if out is None else out.T
+    m = min(N, 64)
+    cols[:m] = a
+    reps = N // m
+    cols[m:reps * m].reshape(reps - 1, m, a.size)[:] = cols[:m]
+    cols[reps * m:] = cols[:N - reps * m]
+    return cols.T
 
 
 def _solve(band: np.ndarray, v: np.ndarray, overwrite: bool = False) -> np.ndarray:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dtrtrs
 
 from .errors import (
     DivergedUnstable,
@@ -100,6 +99,8 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
         raise UnstablePredictor("sensitivity filters require a stable denominator")
     u = np.asarray(u, dtype=float)
     n = model.n
+    if not u.size:
+        return np.zeros((0, 2 * n), order="F")
     band = _band(model.den.coeffs, u.size)
     w1 = _solve(band, u)
     psi = np.zeros((u.size, 2 * n), order="F")
@@ -145,7 +146,7 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     candidate costs one band and one recursion (its prediction is the
     numerator's convolution with ``w1``), and the sensitivities of an
     accepted point one more recursion, ``yhat / F``.  The sensitivity
-    matrix is one buffer per fit.
+    matrix is one buffer per fit, and the candidates' bands share one more.
 
     The covariance is ``sigma2_hat`` times the inverse of the Gauss-Newton
     information matrix at the estimate, symmetrized.
@@ -171,6 +172,7 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
 
     theta = init.theta
     band = _band(init.den.coeffs, data.N)
+    spare = np.empty_like(band, order="F")  # the candidates' band buffer
     w1 = _solve(band, u)
     yhat = _output(theta[:n], w1)
     resid = y - yhat
@@ -206,14 +208,15 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
                 saw_unstable = True
                 mu *= 2.0
                 continue
-            cand_band = _band(cand_den, data.N)
+            cand_band = _band(cand_den, data.N, spare)
             cand_w1 = _solve(cand_band, u)
             cand_yhat = _output(cand[:n], cand_w1)
             cand_resid = y - cand_yhat
             cand_cost = float(cand_resid @ cand_resid)
             if cand_cost < cost:
                 rel_drop = (cost - cand_cost) / max(cost, np.finfo(float).tiny)
-                theta, band, w1, yhat = cand, cand_band, cand_w1, cand_yhat
+                theta, w1, yhat = cand, cand_w1, cand_yhat
+                band, spare = cand_band, band
                 resid, cost = cand_resid, cand_cost
                 history.append(cost)
                 mu *= 0.5
@@ -312,6 +315,10 @@ def _qr_lstsq(buf: np.ndarray):
     ``np.linalg.lstsq`` with ``rcond=None`` counts it, from the singular
     values of ``R`` (those of ``Phi``): ``s > eps max(rows, p) s_max``.
     Returns ``(theta, rank)``, with ``theta`` None below full rank ``p``.
+    The triangular solve is LAPACK ``dtrtrs`` called as
+    ``scipy.linalg.solve_triangular`` calls it for the C-ordered ``R`` (on
+    ``R^T``, lower, transposed), so the result is the same to the bit
+    without that wrapper's argument checks, which cost more than the solve.
     """
     m, p = buf.shape[0], buf.shape[1] - 1
     qr = dgeqrf(buf, overwrite_a=1)[0]
@@ -320,7 +327,7 @@ def _qr_lstsq(buf: np.ndarray):
     rank = int(np.count_nonzero(s > np.finfo(float).eps * max(m, p) * s[0]))
     if rank < p:
         return None, rank
-    return solve_triangular(R, qr[:p, p]), rank
+    return dtrtrs(R.T, qr[:p, p], lower=1, trans=1)[0], rank
 
 
 def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
@@ -370,14 +377,16 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         # (num, den) with den reflected to stability, den's band, u / den, and
         # the pair's output and output-error cost
         num, den = th[:n], _reflect_stable(np.concatenate([[1.0], th[n:]]))
-        band = _band(den, N)
+        band = _band(den, N, band_buf)
         uf = _solve(band, u)
         x = _output(num, uf)
         e = y - x
         return (num, den), band, uf, x, float(e @ e)
 
-    # one regression buffer [Phi | target] for every stage
+    # one regression buffer [Phi | target] for every stage, and one band
+    # buffer: a model's band is dropped once the next model is built
     buf = np.empty((N - n, npar + 1), order="F")
+    band_buf = np.empty((n + 1, N), order="F")
 
     # stage 1: ARX least squares
     theta, rank = _qr_lstsq(_fill_regressor(buf, u, y))

@@ -112,6 +112,7 @@ class TestPredictionJacobian:
         # fewer samples than delays: the late columns are all zero
         psi = prediction_jacobian(TRUE_DT, [1.0, 2.0])
         assert_allclose(psi, filter_bank_sensitivities(TRUE_DT, [1.0, 2.0]), atol=1e-15)
+        assert prediction_jacobian(TRUE_DT, []).shape == (0, 4)
 
     def test_unstable_model_rejected(self, rng):
         bad = DtModel([1.0], [1.0, -1.7, 0.6], h=0.1)  # roots 1.2 and 0.5
@@ -425,7 +426,7 @@ class TestFilterKernel:
     def test_two_recursions_per_accepted_step(self, rao_garnier, counts):
         # a point gets one band, u / F on it and, for its sensitivities,
         # yhat / F; every candidate of this fit is accepted, so each point
-        # visited costs exactly that (three filter runs before)
+        # visited costs exactly that
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
         counts.update(band=0, solve=0)
