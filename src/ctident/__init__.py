@@ -58,7 +58,6 @@ from .sampling import (
     save_dataset,
     sigma_for_snr_db,
     simulate_ct_zoh,
-    zoh_jacobian,
     zoh_map_point,
 )
 from .signals import gen_multisine, gen_prbs, gen_random_system, lfsr_bits

@@ -19,17 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CtIdentError
-from .lti import (
-    CtModel,
-    DtModel,
-    freq_response,
-    model_from_dict,
-    model_to_dict,
-    simulate_dt,
-)
+from .lti import CtModel, DtModel, SampledDataset, freq_response, model_from_dict, model_to_dict
 from .montecarlo import (
-    _build_input,
-    _resolve_sigma,
+    _experiment,
     config_from_dict,
     input_from_dict,
     noise_from_dict,
@@ -38,17 +30,11 @@ from .montecarlo import (
 )
 from .pem import fit_report_dict, init_arx_iv, oe_fit
 from .rdproj import pemrd_report_dict, project_estimate
-from .sampling import (
-    NoiseSpec,
-    c2d_zoh,
-    d2c_zoh,
-    load_dataset,
-    save_dataset,
-    simulate_ct_zoh,
-)
+from .sampling import d2c_zoh, load_dataset, save_dataset
 # not called here; bench/spans.py traces these names on this module
+from .lti import simulate_dt  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
-from .sampling import zoh_map_point  # noqa: F401
+from .sampling import c2d_zoh, simulate_ct_zoh, zoh_map_point  # noqa: F401
 
 __all__ = ["main"]
 
@@ -73,15 +59,11 @@ def _cmd_simulate(args) -> int:
     h = float(cfg["h"])
     N = int(cfg["N"])
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    noise_setting = noise_from_dict(cfg["noise"])
-    input_spec = input_from_dict(cfg["input"])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    u = _build_input(input_spec, N, h, rng)
-    if u.size != N:
-        raise ValueError("input length %d does not match N=%d" % (u.size, N))
-    y0 = simulate_dt(c2d_zoh(system, h), u)
-    sigma = _resolve_sigma(noise_setting, y0)
-    data = simulate_ct_zoh(system, u, h, NoiseSpec(sigma=sigma, seed=seed))
+    u, y0, sigma = _experiment(system, h, input_from_dict(cfg["input"]), N,
+                               noise_from_dict(cfg["noise"]),
+                               np.random.default_rng(np.random.SeedSequence([seed, 0])))
+    y = y0 + sigma * np.random.default_rng(seed).standard_normal(N)
+    data = SampledDataset(u=u, y=y, h=h)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(data, out_dir / "dataset.csv", sigma=sigma, seed=seed,
@@ -127,6 +109,8 @@ def _cmd_montecarlo(args) -> int:
 
 
 def _cmd_bode(args) -> int:
+    if not (0.0 < args.wmin < np.inf and 0.0 < args.wmax < np.inf) or args.points < 1:
+        raise ValueError("--wmin and --wmax must be positive and finite, --points at least 1")
     model = model_from_dict(_load_json(args.model))
     omega = np.logspace(np.log10(args.wmin), np.log10(args.wmax), args.points)
     resp = freq_response(model, omega)

@@ -195,22 +195,35 @@ def _default_period(g0: CtModel) -> float:
     return 2.0 * np.pi / (10.0 * max(speeds))
 
 
-def _build_input(spec, N: int, h: float, rng) -> np.ndarray:
-    if isinstance(spec, PrbsInput):
-        return gen_prbs(spec.n_stages, spec.p, spec.low, spec.high)
-    if isinstance(spec, MultisineInput):
-        return gen_multisine(spec.freqs, spec.amplitude, N, h)
-    if isinstance(spec, WhiteNoiseInput):
-        return np.sqrt(spec.variance) * rng.standard_normal(N)
-    raise TypeError("unsupported input kind %r" % type(spec).__name__)
+def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, rng):
+    """One ZOH-sampled experiment on ``g0``: ``(u, y0, sigma)``.
 
-
-def _resolve_sigma(noise: NoiseSetting, y0: np.ndarray) -> float:
+    ``u`` is the length-``N`` excitation (``rng`` is drawn from only for
+    white noise), ``y0`` the noiseless sampled output and ``sigma`` the
+    noise deviation that ``noise`` resolves to on ``y0``.  The caller draws
+    the noise itself.  Raises ``ValueError`` when ``u`` is not ``N`` long
+    or ``sigma`` is not finite and nonnegative.
+    """
+    if isinstance(input_spec, PrbsInput):
+        u = gen_prbs(input_spec.n_stages, input_spec.p, input_spec.low, input_spec.high)
+    elif isinstance(input_spec, MultisineInput):
+        u = gen_multisine(input_spec.freqs, input_spec.amplitude, N, h)
+    elif isinstance(input_spec, WhiteNoiseInput):
+        u = np.sqrt(input_spec.variance) * rng.standard_normal(N)
+    else:
+        raise TypeError("unsupported input kind %r" % type(input_spec).__name__)
+    if u.size != N:
+        raise ValueError("input length %d does not match N=%d" % (u.size, N))
+    y0 = simulate_dt(c2d_zoh(g0, h), u)
     if noise.sigma is not None:
-        return float(noise.sigma)
-    if noise.snr_db is not None:
-        return sigma_for_snr_db(y0, noise.snr_db)
-    return float(noise.peak_fraction) * float(np.abs(y0).max())
+        sigma = float(noise.sigma)
+    elif noise.snr_db is not None:
+        sigma = sigma_for_snr_db(y0, noise.snr_db)
+    else:
+        sigma = float(noise.peak_fraction) * float(np.abs(y0).max())
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError("noise deviation must be finite and nonnegative, got %r" % sigma)
+    return u, y0, sigma
 
 
 def _lazy_norm_sq(g0):
@@ -313,13 +326,9 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
     random_mode = isinstance(config.system, RandomSystemSpec)
 
     if not random_mode:
-        g0 = config.system
-        h = config.h
-        u = _build_input(config.input, config.N, h, np.random.default_rng(run_seeds[0]))
-        if u.size != config.N:
-            raise ValueError("input length %d does not match N=%d" % (u.size, config.N))
-        y0 = simulate_dt(c2d_zoh(g0, h), u)
-        sigma = _resolve_sigma(config.noise, y0)
+        g0, h = config.system, config.h
+        u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise,
+                                   np.random.default_rng(run_seeds[0]))
         g0_norm_sq = _lazy_norm_sq(g0)
 
     records = []
@@ -329,9 +338,7 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
             g0 = gen_random_system(config.system.order, config.system.reldeg,
                                    config.system.slowest_pole_bound, rng)
             h = config.h if config.h is not None else _default_period(g0)
-            u = _build_input(config.input, config.N, h, rng)
-            y0 = simulate_dt(c2d_zoh(g0, h), u)
-            sigma = _resolve_sigma(config.noise, y0)
+            u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
             g0_norm_sq = _lazy_norm_sq(g0)
         y_m = y0 + sigma * rng.standard_normal(config.N)
         data = SampledDataset(u=u, y=y_m, h=h)

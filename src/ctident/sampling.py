@@ -31,7 +31,6 @@ __all__ = [
     "c2d_zoh",
     "d2c_zoh",
     "naive_truncate",
-    "zoh_jacobian",
     "zoh_map_point",
     "simulate_ct_zoh",
     "sigma_for_snr_db",
@@ -226,15 +225,6 @@ def _faddeev_leverrier(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for ck in c[1:-1]:
         Bk.append(M @ Bk[-1] + ck * np.eye(len(M)))
     return c, np.array(Bk)
-
-
-def zoh_jacobian(theta_c, h: float) -> np.ndarray:
-    """Jacobian of the sampling map ``theta_c -> theta_d`` at ``theta_c``.
-
-    Exact to rounding; the ``J`` of :func:`zoh_map_point`, which documents
-    the method and the errors raised.
-    """
-    return zoh_map_point(theta_c, h).J
 
 
 def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDataset:

@@ -32,7 +32,7 @@ from ctident import (
     project_rd,
     projected_covariance,
     run_monte_carlo,
-    zoh_jacobian,
+    zoh_map_point,
 )
 from conftest import random_stable_ct
 
@@ -262,7 +262,7 @@ class TestCriterion5:
 
         # the pipeline's projected covariance at the truth is the oracle bound
         psi_d = prediction_jacobian(c2d_zoh(RG, h), u)
-        J_inv = np.linalg.inv(zoh_jacobian(RG.theta, h))
+        J_inv = np.linalg.inv(zoh_map_point(RG.theta, h).J)
         cov_c = J_inv @ (sigma2 * np.linalg.inv(psi_d.T @ psi_d)) @ J_inv.T
         bound = bounds["pemrd"][1]
         cross = (np.linalg.norm(projected_covariance(cov_c, cfg.r)[k:, k:] - bound)

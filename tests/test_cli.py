@@ -10,7 +10,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 import ctident
-from ctident import CtModel, c2d_zoh, load_dataset, model_to_dict
+from ctident import (
+    CtModel,
+    SampledDataset,
+    c2d_zoh,
+    gen_multisine,
+    gen_prbs,
+    load_dataset,
+    model_to_dict,
+    save_dataset,
+    sigma_for_snr_db,
+    simulate_dt,
+)
 from ctident.cli import build_parser, main
 
 G2 = CtModel([3.0], [1.0, 2.8, 4.0], r=2)
@@ -54,6 +65,56 @@ class TestSimulate:
         c = (tmp_path / "c" / "dataset.csv").read_text()
         assert a != b
         assert a == c
+
+    @pytest.mark.parametrize("noise", ["snr_db", "sigma", "peak_fraction"])
+    @pytest.mark.parametrize("kind", ["white", "prbs", "multisine"])
+    def test_dataset_recipe(self, kind, noise, tmp_path):
+        # the bytes rest on this recipe: the input from SeedSequence([seed, 0]),
+        # the noiseless sampled output, then noise from default_rng(seed)
+        seed, h, N = 17, 0.1, 126
+        inputs = {"white": {"type": "white", "variance": 2.0},
+                  "prbs": {"type": "prbs", "n_stages": 6, "p": 2, "low": -1.0, "high": 1.0},
+                  "multisine": {"type": "multisine", "freqs": [0.5, 2.0, 7.0],
+                                "amplitude": 0.3}}
+        levels = {"snr_db": 15.0, "sigma": 0.05, "peak_fraction": 0.02}
+        cfg = {"system": model_to_dict(G2), "input": inputs[kind],
+               "noise": {noise: levels[noise]}, "h": h, "N": N, "seed": seed}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        u = {"white": np.sqrt(2.0) * rng.standard_normal(N),
+             "prbs": gen_prbs(6, 2, -1.0, 1.0),
+             "multisine": gen_multisine([0.5, 2.0, 7.0], 0.3, N, h)}[kind]
+        y0 = simulate_dt(c2d_zoh(G2, h), u)
+        sigma = {"snr_db": sigma_for_snr_db(y0, 15.0), "sigma": 0.05,
+                 "peak_fraction": 0.02 * float(np.abs(y0).max())}[noise]
+        y = y0 + sigma * np.random.default_rng(seed).standard_normal(N)
+        save_dataset(SampledDataset(u=u, y=y, h=h), tmp_path / "dataset.csv", sigma=sigma,
+                     seed=seed, system=model_to_dict(G2))
+        for name in ("dataset.csv", "dataset.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    @pytest.mark.parametrize("noise", [
+        {"sigma": -0.1}, {"peak_fraction": -0.1}, {"snr_db": float("nan")},
+        {"sigma": float("inf")},
+    ], ids=["negative_sigma", "negative_peak_fraction", "nan_snr_db", "infinite_sigma"])
+    def test_bad_noise_level_rejected(self, noise, sim_config, tmp_path, capsys):
+        # unchecked, an infinite deviation would write a y column of inf
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, noise=noise)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (out / "dataset.csv").exists()
+
+    def test_input_length_must_match(self, sim_config, tmp_path, capsys):
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))
+        rc = main(["simulate", "--config", str(sim_config), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "input length 31 does not match N=400" in capsys.readouterr().err
 
     def test_discrete_system_rejected(self, tmp_path):
         cfg = {
@@ -224,6 +285,21 @@ class TestBode:
                    "--out", str(out)])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 18
+
+    @pytest.mark.parametrize("grid", [
+        ["--wmin", "0"], ["--wmin", "-1"], ["--wmin", "nan"], ["--wmax", "inf"],
+        ["--points", "0"],
+    ], ids=["zero_wmin", "negative_wmin", "nan_wmin", "infinite_wmax", "no_points"])
+    def test_bad_grid_rejected(self, grid, tmp_path, capsys):
+        # unchecked, a nonpositive wmin would print rows of nan and exit 0
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_to_dict(G2)))
+        out = tmp_path / "bode.csv"
+        rc = main(["bode", "--model", str(model_path), *grid, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: --wmin and --wmax must be positive and finite")
+        assert not out.exists()
 
 
 STARTUP_SCRIPT = """

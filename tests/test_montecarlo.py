@@ -147,6 +147,18 @@ class TestRunMonteCarlo:
         assert any(rec.status == "ok" for rec in rep.records)
         assert report_to_dict(rep) == report_to_dict(run_monte_carlo(cfg))
 
+    @pytest.mark.parametrize("random_system", [False, True], ids=["fixed", "random"])
+    @pytest.mark.parametrize("noise", [
+        NoiseSetting(sigma=-0.1), NoiseSetting(peak_fraction=-0.1),
+        NoiseSetting(snr_db=np.nan), NoiseSetting(sigma=np.inf),
+    ], ids=["negative_sigma", "negative_peak_fraction", "nan_snr_db", "infinite_sigma"])
+    def test_bad_noise_level_rejected(self, noise, random_system):
+        # unchecked, a negative deviation would run as "ok" and a non-finite
+        # one would turn every record into an optimizer_error
+        kw = dict(system=RandomSystemSpec(order=2, reldeg=1), h=None, r=1) if random_system else {}
+        with pytest.raises(ValueError, match="noise deviation must be finite and nonnegative"):
+            run_monte_carlo(quick_config(noise=noise, **kw))
+
     def test_true_system_normed_once(self, monkeypatch):
         # mse_g's denominator: once per fixed-system study, once per scored
         # run when every run draws its own system

@@ -18,7 +18,6 @@ from ctident import (
     sigma_for_snr_db,
     simulate_ct_zoh,
     simulate_dt,
-    zoh_jacobian,
     zoh_map_point,
 )
 from ctident import sampling
@@ -179,7 +178,7 @@ class TestZohJacobian:
     def test_first_order_analytic(self):
         # theta_c = [b, a] -> theta_d = [b (1 - e^{-ah}) / a, -e^{-ah}]
         h = 0.1
-        J = zoh_jacobian([1.0, 1.0], h)
+        J = zoh_map_point([1.0, 1.0], h).J
         d_bd_b = 1.0 - E_M01
         d_bd_a = h * E_M01 - (1.0 - E_M01)
         d_ad_a = h * E_M01
@@ -188,7 +187,7 @@ class TestZohJacobian:
     def test_linearizes_the_map(self, rao_garnier):
         h = 0.05
         th = rao_garnier.theta
-        J = zoh_jacobian(th, h)
+        J = zoh_map_point(th, h).J
         delta = 1e-5 * np.maximum(1.0, np.abs(th)) * np.array([1, -1, 1, 1, -1, 1, 1, -1])
         f0 = c2d_zoh(CtModel.from_theta(th), h).theta
         f1 = c2d_zoh(CtModel.from_theta(th + delta), h).theta
@@ -206,7 +205,7 @@ class TestZohJacobian:
         # below 26 (eps S / step + 1e-9 column max); the bound allows 100.
         rng = np.random.default_rng(seed)
         g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
-        J = zoh_jacobian(g.theta, h)
+        J = zoh_map_point(g.theta, h).J
         oracle = difference_jacobian(g.theta, h, order=4)
         S = np.abs(c2d_zoh(g, h).den.coeffs).max()
         rounding = np.finfo(float).eps * S / difference_steps(g.theta, 4)
@@ -218,31 +217,30 @@ class TestZohJacobian:
         # where double-precision differences fail (order 6, h = 0.01) the
         # closed form still matches a 60-digit evaluation of the map
         g = random_stable_ct(np.random.default_rng(order), order, reldeg=1)
-        J = zoh_jacobian(g.theta, h)
+        J = zoh_map_point(g.theta, h).J
         ref = high_precision_jacobian(g.theta, h)
         assert np.all(np.abs(J - ref) <= 1e-12 * np.abs(ref).max(axis=0))
 
     def test_close_to_former_central_differences(self, rao_garnier):
         # the central differences this replaced were accurate to about 5e-7
         # of each column on the benchmark plant at h = 0.05
-        J = zoh_jacobian(rao_garnier.theta, 0.05)
+        J = zoh_map_point(rao_garnier.theta, 0.05).J
         old = difference_jacobian(rao_garnier.theta, 0.05, order=2)
         assert np.all(np.abs(J - old) <= 2e-6 * np.abs(J).max(axis=0))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            zoh_jacobian([1.0, 2.0, 3.0], 0.1)
+            zoh_map_point([1.0, 2.0, 3.0], 0.1)
         with pytest.raises(ValueError):
-            zoh_jacobian([1.0, 2.0], 0.0)
+            zoh_map_point([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
-            zoh_jacobian([1.0, np.nan], 0.1)
+            zoh_map_point([1.0, np.nan], 0.1)
 
     def test_map_point_consistency(self, rao_garnier):
         h = 0.05
         pt = zoh_map_point(rao_garnier.theta, h)
         assert pt.h == h
         assert_allclose(pt.theta_d, c2d_zoh(rao_garnier, h).theta, rtol=1e-12)
-        assert_allclose(pt.J, zoh_jacobian(rao_garnier.theta, h), rtol=1e-12)
 
     def test_map_point_uses_one_exponential(self, rao_garnier, monkeypatch):
         # theta_d is read off the diagonal block of the Jacobian's exponential
@@ -259,12 +257,12 @@ class TestZohJacobian:
     def test_degenerate_probe_rejected(self):
         # the matrix exponential overflows at this point
         with pytest.raises(DegenerateMap):
-            zoh_jacobian([1.0, 1e300, 1.0, 1e300], 0.1)
+            zoh_map_point([1.0, 1e300, 1.0, 1e300], 0.1)
 
     def test_degenerate_jacobian_rejected(self):
         # finite exponential, but Ad - Bd C overflows
         with pytest.raises(DegenerateMap):
-            zoh_jacobian([1e308, 1e308, 1e-3, 1e-3], 10.0)
+            zoh_map_point([1e308, 1e308, 1e-3, 1e-3], 10.0)
 
 
 class TestSimulateCtZoh:
