@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,16 +78,28 @@ class PrbsInput:
     low: float = 0.0
     high: float = 2.0
 
+    def __post_init__(self):
+        if not np.isfinite([self.low, self.high]).all():
+            raise ValueError("binary-sequence levels must be finite")
+
 
 @dataclass(frozen=True)
 class MultisineInput:
     freqs: tuple
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not np.isfinite(self.amplitude):
+            raise ValueError("multisine amplitude must be finite")
+
 
 @dataclass(frozen=True)
 class WhiteNoiseInput:
     variance: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.variance < np.inf:
+            raise ValueError("white-noise variance must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,9 @@ class ExperimentConfig:
             order = self.system.n
         if not 1 <= self.r <= order:
             raise ValueError("relative degree must lie in [1, order]")
+        if self.N < 3 * order:
+            raise ValueError("N=%d is below 3 x order = %d, the initialiser's minimum"
+                             % (self.N, 3 * order))
 
 
 @dataclass(frozen=True)
@@ -160,6 +176,9 @@ class Metrics:
     mse_g: float
     mse_theta: float
     fit: float
+
+
+_METRICS = tuple(f.name for f in fields(Metrics))
 
 
 @dataclass(frozen=True)
@@ -235,80 +254,56 @@ def _lazy_norm_sq(g0):
     return functools.cache(functools.partial(l2_norm_sq, g0))
 
 
-def _metrics_record(run, estimator, g_est, theta_est, y_hat, g0, y0, g0_norm_sq):
-    fit_val = fit(y_hat, y0)
-    m = Metrics(
-        mse_g=_mse_g(g_est, g0, g0_norm_sq()),
-        mse_theta=mse_theta(theta_est, g0.theta),
-        fit=fit_val,
-    )
-    status = _STATUS_OK if fit_val >= 0 else _STATUS_NEG_FIT
-    return RunRecord(run=run, estimator=estimator, status=status,
-                     metrics=m, theta_c=np.asarray(theta_est, dtype=float))
-
-
-def _failed(run, estimators, exc):
+def _failed(run, estimators, exc, iterations=None, converged=None):
     """Records of estimators stopped by ``exc``, with the status it implies."""
     neg_pole = isinstance(exc, (NonPrincipalLog, NegativeRealPole))
     status = _STATUS_NEG_POLE if neg_pole else _STATUS_ERROR
-    return [RunRecord(run=run, estimator=est, status=status, metrics=None)
+    return [RunRecord(run, est, status, None, None, iterations, converged)
             for est in estimators]
 
 
 def _run_once(run, data, g0, y0, g0_norm_sq, config):
-    """Estimate once, then score every requested estimator on this run."""
+    """Fit once, then build the record of every requested estimator on that fit."""
     try:
         est = oe_fit(data, g0.n, init_arx_iv(data, g0.n))
     except _FAILURES as exc:
         return _failed(run, config.estimators, exc)
-    return [replace(rec, iterations=est.iterations, converged=est.converged)
-            for rec in _score(run, data, est, g0, y0, g0_norm_sq, config)]
-
-
-def _score(run, data, est, g0, y0, g0_norm_sq, config):
-    """Records of every requested estimator built on the fit ``est``."""
+    diagnostics = {"iterations": est.iterations, "converged": est.converged}
     try:
         g_full = d2c_zoh(est.model)
     except _FAILURES as exc:
-        return _failed(run, config.estimators, exc)
+        return _failed(run, config.estimators, exc, **diagnostics)
 
     records = []
     for estimator in config.estimators:
         try:
             if estimator == PEM:
-                records.append(_metrics_record(
-                    run, estimator, g_full, g_full.theta,
-                    predict(est.model, data.u), g0, y0, g0_norm_sq))
+                model, theta, y_hat = g_full, g_full.theta, predict(est.model, data.u)
             else:
                 proj = project_estimate(g_full.theta, est.covariance, data.h, config.r)
-                y_hat = simulate_dt(c2d_zoh(proj.model, data.h), data.u)
-                records.append(_metrics_record(
-                    run, estimator, proj.model, proj.theta_tilde_c, y_hat, g0, y0,
-                    g0_norm_sq))
+                model, theta = proj.model, proj.theta_tilde_c
+                y_hat = simulate_dt(c2d_zoh(model, data.h), data.u)
+            fit_val = fit(y_hat, y0)
+            metrics = Metrics(_mse_g(model, g0, g0_norm_sq()),
+                              mse_theta(theta, g0.theta), fit_val)
         except _FAILURES as exc:
-            records += _failed(run, [estimator], exc)
+            records += _failed(run, [estimator], exc, **diagnostics)
+            continue
+        status = _STATUS_OK if fit_val >= 0 else _STATUS_NEG_FIT
+        records.append(RunRecord(run, estimator, status, metrics,
+                                 np.asarray(theta, dtype=float), **diagnostics))
     return records
 
 
 def _aggregate(records, estimator):
-    ok = [rec.metrics for rec in records
-          if rec.estimator == estimator and rec.status == _STATUS_OK]
-    failures = {}
-    for rec in records:
-        if rec.estimator == estimator and rec.status != _STATUS_OK:
-            failures[rec.status] = failures.get(rec.status, 0) + 1
+    mine = [rec for rec in records if rec.estimator == estimator]
+    ok = [vars(rec.metrics) for rec in mine if rec.status == _STATUS_OK]
+    failures = dict(Counter(rec.status for rec in mine if rec.status != _STATUS_OK))
     out = {"successes": len(ok), "failures": failures,
-           "nonconverged": sum(rec.estimator == estimator and rec.converged is False
-                               for rec in records)}
+           "nonconverged": sum(rec.converged is False for rec in mine)}
     for stat, reducer in (("mean", np.mean), ("median", np.median)):
-        if ok:
-            out[stat] = Metrics(
-                mse_g=float(reducer([m.mse_g for m in ok])),
-                mse_theta=float(reducer([m.mse_theta for m in ok])),
-                fit=float(reducer([m.fit for m in ok])),
-            )
-        else:
-            out[stat] = Metrics(np.nan, np.nan, np.nan)
+        out[stat] = Metrics(**{name: float(reducer([m[name] for m in ok])) if ok else np.nan
+                               for name in _METRICS})
     return out
 
 
@@ -370,10 +365,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
                    "amplitude": inp.amplitude}
     else:
         input_d = {"type": "white", "variance": inp.variance}
-    noise = {k: v for k, v in (("snr_db", config.noise.snr_db),
-                               ("sigma", config.noise.sigma),
-                               ("peak_fraction", config.noise.peak_fraction))
-             if v is not None}
+    noise = {k: v for k, v in vars(config.noise).items() if v is not None}
     return {
         "system": system,
         "input": input_d,
@@ -401,11 +393,7 @@ def input_from_dict(ind: dict):
 
 
 def noise_from_dict(noise_d: dict) -> NoiseSetting:
-    return NoiseSetting(
-        snr_db=noise_d.get("snr_db"),
-        sigma=noise_d.get("sigma"),
-        peak_fraction=noise_d.get("peak_fraction"),
-    )
+    return NoiseSetting(**{f.name: noise_d.get(f.name) for f in fields(NoiseSetting)})
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -439,49 +427,35 @@ def report_to_dict(report: McReport) -> dict:
         rd = {"run": rec.run, "estimator": rec.estimator, "status": rec.status,
               "iterations": rec.iterations, "converged": rec.converged}
         if rec.metrics is not None:
-            rd.update(mse_g=rec.metrics.mse_g, mse_theta=rec.metrics.mse_theta,
-                      fit=rec.metrics.fit)
+            rd.update(vars(rec.metrics))
         if rec.theta_c is not None:
             rd["theta_c"] = rec.theta_c.tolist()
         records.append(rd)
-    aggregates = {}
-    for est, agg in report.aggregates.items():
-        aggregates[est] = {
-            "successes": agg["successes"],
-            "failures": agg["failures"],
-            "nonconverged": agg["nonconverged"],
-            "mean": vars(agg["mean"]).copy(),
-            "median": vars(agg["median"]).copy(),
-        }
+    aggregates = {est: dict(agg, mean=vars(agg["mean"]).copy(), median=vars(agg["median"]).copy())
+                  for est, agg in report.aggregates.items()}
     return {"config": report.config, "seed": report.seed,
             "records": records, "aggregates": aggregates}
 
 
-def write_run_csv(report: McReport, path):
+def _write_csv(path, columns, rows):
+    """Rows of dicts under ``columns``; a missing key or None is an empty cell."""
     with open(Path(path), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["run", "estimator", "status", "mse_g", "mse_theta", "fit",
-                    "iterations", "converged"])
-        for rec in report.records:
-            if rec.metrics is None:
-                scores = ["", "", ""]
-            else:
-                scores = [repr(rec.metrics.mse_g), repr(rec.metrics.mse_theta),
-                          repr(rec.metrics.fit)]
-            fit_info = ["", ""] if rec.iterations is None else [rec.iterations, rec.converged]
-            w.writerow([rec.run, rec.estimator, rec.status, *scores, *fit_info])
+        w = csv.DictWriter(f, columns, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+
+
+def write_run_csv(report: McReport, path):
+    _write_csv(path, ["run", "estimator", "status", *_METRICS, "iterations", "converged"],
+               report_to_dict(report)["records"])
 
 
 def write_aggregate_csv(report: McReport, path):
-    with open(Path(path), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["estimator", "stat", "mse_g", "mse_theta", "fit", "failures"])
-        for est, agg in report.aggregates.items():
-            n_fail = sum(agg["failures"].values())
-            for stat in ("mean", "median"):
-                m = agg[stat]
-                w.writerow([est, stat, repr(m.mse_g), repr(m.mse_theta),
-                            repr(m.fit), n_fail])
+    rows = [{"estimator": est, "stat": stat, **agg[stat],
+             "failures": sum(agg["failures"].values())}
+            for est, agg in report_to_dict(report)["aggregates"].items()
+            for stat in ("mean", "median")]
+    _write_csv(path, ["estimator", "stat", *_METRICS, "failures"], rows)
 
 
 def save_report(report: McReport, out_dir):

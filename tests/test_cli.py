@@ -109,6 +109,24 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (out / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("excitation", [
+        {"type": "white", "variance": -1.0},
+        {"type": "white", "variance": float("nan")},
+        {"type": "multisine", "freqs": [1.0], "amplitude": float("nan")},
+        {"type": "multisine", "freqs": [1.0], "amplitude": float("inf")},
+        {"type": "prbs", "n_stages": 2, "p": 100, "high": float("inf")},
+    ], ids=["negative_variance", "nan_variance", "nan_amplitude", "infinite_amplitude",
+            "infinite_prbs_level"])
+    def test_bad_excitation_rejected(self, excitation, sim_config, tmp_path, capsys):
+        # unchecked, each would write u and y columns of nan or inf and exit 0
+        # (N=300 is the period of the 2-stage register held 100 samples)
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, input=excitation, noise={"sigma": 0.1}, N=300)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not (out / "dataset.csv").exists()
+
     def test_input_length_must_match(self, sim_config, tmp_path, capsys):
         cfg = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))
@@ -259,6 +277,18 @@ class TestMonteCarloCommand:
         path.write_text(json.dumps(cfg))
         rc = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_record_too_short_for_order(self, tmp_path, capsys, rao_garnier):
+        # every run would fail in the initialiser, so this is not a study
+        cfg = {"system": model_to_dict(rao_garnier), "input": {"type": "white"},
+               "noise": {"snr_db": 10.0}, "h": 0.1, "N": 11, "M": 6, "r": 3, "seed": 1}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: N=11 is below 3 x order = 12")
+        assert not out.exists()
 
 
 class TestBode:

@@ -66,6 +66,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(r=3)
 
+    def test_record_shorter_than_three_times_order(self, rao_garnier):
+        # the initialiser needs N >= 3 n, so below that every run would fail
+        # the same way, as an optimizer_error
+        with pytest.raises(ValueError, match=r"N=5 is below 3 x order = 6"):
+            quick_config(N=5)
+        quick_config(N=6)
+        with pytest.raises(ValueError, match=r"N=11 is below 3 x order = 12"):
+            quick_config(system=rao_garnier, N=11, r=3)
+        with pytest.raises(ValueError, match=r"N=11 is below 3 x order = 12"):
+            quick_config(system=RandomSystemSpec(order=4, reldeg=2), h=None, N=11)
+        quick_config(system=RandomSystemSpec(order=4, reldeg=2), h=None, N=12)
+
     def test_noise_requires_exactly_one_field(self):
         with pytest.raises(ValueError):
             NoiseSetting()
@@ -158,6 +170,25 @@ class TestRunMonteCarlo:
         kw = dict(system=RandomSystemSpec(order=2, reldeg=1), h=None, r=1) if random_system else {}
         with pytest.raises(ValueError, match="noise deviation must be finite and nonnegative"):
             run_monte_carlo(quick_config(noise=noise, **kw))
+
+    @pytest.mark.parametrize("random_system", [False, True], ids=["fixed", "random"])
+    @pytest.mark.parametrize("kind, params, message", [
+        (WhiteNoiseInput, {"variance": -1.0}, "white-noise variance must be finite"),
+        (WhiteNoiseInput, {"variance": np.nan}, "white-noise variance must be finite"),
+        (MultisineInput, {"freqs": (1.0,), "amplitude": np.nan}, "amplitude must be finite"),
+        (MultisineInput, {"freqs": (1.0,), "amplitude": np.inf}, "amplitude must be finite"),
+        (PrbsInput, {"n_stages": 2, "p": 100, "high": np.inf}, "levels must be finite"),
+    ], ids=["negative_variance", "nan_variance", "nan_amplitude", "infinite_amplitude",
+            "infinite_prbs_level"])
+    def test_bad_excitation_rejected(self, kind, params, message, random_system):
+        # unchecked, each would warn or turn every record into an
+        # optimizer_error; N=300 is the period of the 2-stage register held
+        # 100 samples
+        kw = dict(noise=NoiseSetting(sigma=0.1))
+        if random_system:
+            kw.update(system=RandomSystemSpec(order=2, reldeg=1), h=None, r=1)
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(quick_config(input=kind(**params), **kw))
 
     def test_true_system_normed_once(self, monkeypatch):
         # mse_g's denominator: once per fixed-system study, once per scored

@@ -18,6 +18,7 @@ from ctident import (
 )
 from ctident.errors import NegativeRealPole, NotPositiveDefinite, SingularCovariance
 from ctident.lti import DtModel, SampledDataset, simulate_dt
+from ctident import rdproj
 from ctident.rdproj import pemrd_report_dict
 
 
@@ -104,6 +105,42 @@ class TestProjectRd:
         with pytest.raises(NotPositiveDefinite):
             project_rd(rng.standard_normal(4), info, r=2)
 
+    def test_disagreeing_routes_rejected(self, rng, monkeypatch):
+        # rounding trips the cross-check only on a few of many near-singular
+        # draws, so perturb the whitened route by 1e-8 relative instead; the
+        # tolerance is 1e-10 times the largest entry, 4
+        solve = rdproj.solve_triangular
+        monkeypatch.setattr(rdproj, "solve_triangular",
+                            lambda *a, **kw: solve(*a, **kw) * (1.0 + 1e-8))
+        with pytest.raises(SingularCovariance,
+                           match="whitened and multiplier projections disagree beyond 4.0e-10"):
+            project_rd([1.0, 2.0, 3.0, 4.0], random_spd(rng, 4), r=2)
+
+    def test_covariance_factorization_failure(self, rng, monkeypatch):
+        # the inverse of a positive definite information matrix factorizes
+        # except by rounding, so make its factorization fail
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(rdproj.np.linalg, "cholesky", fail)
+        with pytest.raises(NotPositiveDefinite, match="^covariance is not positive definite$"):
+            project_rd(rng.standard_normal(4), random_spd(rng, 4), r=2)
+
+    def test_projected_block_factorization_failure(self, rng, monkeypatch):
+        # a block of a positive definite matrix is positive definite, so only
+        # a failing factorization of the surviving block gets here
+        factor = rdproj.cho_factor
+
+        def fail_on_block(M, **kwargs):
+            if M.shape[0] < 4:
+                raise np.linalg.LinAlgError("forced")
+            return factor(M, **kwargs)
+
+        monkeypatch.setattr(rdproj, "cho_factor", fail_on_block)
+        with pytest.raises(SingularCovariance,
+                           match="projected information block is not invertible"):
+            project_rd(rng.standard_normal(4), random_spd(rng, 4), r=2)
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             project_rd([1.0, 2.0, 3.0], np.eye(3), r=1)
@@ -147,6 +184,10 @@ class TestProjectedCovariance:
         cov = random_spd(rng, 4)
         out = projected_covariance(cov, 1)
         assert_allclose(out, 0.5 * (cov + cov.T), rtol=1e-12)
+
+    def test_singular_covariance(self):
+        with pytest.raises(SingularCovariance, match="covariance is not invertible"):
+            projected_covariance(np.zeros((4, 4)), 2)
 
     def test_range_check(self, rng):
         with pytest.raises(ValueError):
