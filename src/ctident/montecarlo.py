@@ -10,7 +10,6 @@ seed, so results are reproducible and independent of execution order.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -22,6 +21,7 @@ from .errors import CtIdentError, NegativeRealPole, NonPrincipalLog
 from .lti import (
     CtModel,
     SampledDataset,
+    is_stable,
     l2_norm_sq,
     model_from_dict,
     model_to_dict,
@@ -79,8 +79,8 @@ class PrbsInput:
     high: float = 2.0
 
     def __post_init__(self):
-        if not np.isfinite([self.low, self.high]).all():
-            raise ValueError("binary-sequence levels must be finite")
+        if not np.isfinite([self.low, self.high]).all() or self.low == self.high:
+            raise ValueError("binary-sequence levels must be finite and distinct")
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ class MultisineInput:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.amplitude):
-            raise ValueError("multisine amplitude must be finite")
+        if not np.isfinite(self.amplitude) or self.amplitude == 0:
+            raise ValueError("multisine amplitude must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class WhiteNoiseInput:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.variance < np.inf:
-            raise ValueError("white-noise variance must be finite and nonnegative")
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("white-noise variance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,8 @@ class ExperimentConfig:
         else:
             if self.h is None or not self.h > 0:
                 raise ValueError("a fixed-system study needs a positive sampling period")
+            if not is_stable(self.system):
+                raise ValueError("the true system must be stable")
             order = self.system.n
         if not 1 <= self.r <= order:
             raise ValueError("relative degree must lie in [1, order]")
@@ -245,13 +247,18 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
     return u, y0, sigma
 
 
-def _lazy_norm_sq(g0):
-    """``l2_norm_sq(g0)`` as a function of no arguments that computes it once.
+def _true_experiment(config: ExperimentConfig, rng):
+    """``(g0, h, u, y0, sigma, l2_norm_sq(g0))`` for a study's true system.
 
-    A failure is not cached: every call then raises it again, so each
-    estimator's record fails as it would computing the norm itself.
+    A random system is drawn from ``rng``, then sampled at ``config.h`` or,
+    if that is None, at its default period.
     """
-    return functools.cache(functools.partial(l2_norm_sq, g0))
+    g0 = config.system
+    if isinstance(g0, RandomSystemSpec):
+        g0 = gen_random_system(g0.order, g0.reldeg, g0.slowest_pole_bound, rng)
+    h = config.h if config.h is not None else _default_period(g0)
+    u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
+    return g0, h, u, y0, sigma, l2_norm_sq(g0)
 
 
 def _failed(run, estimators, exc, iterations=None, converged=None):
@@ -284,7 +291,7 @@ def _run_once(run, data, g0, y0, g0_norm_sq, config):
                 model, theta = proj.model, proj.theta_tilde_c
                 y_hat = simulate_dt(c2d_zoh(model, data.h), data.u)
             fit_val = fit(y_hat, y0)
-            metrics = Metrics(_mse_g(model, g0, g0_norm_sq()),
+            metrics = Metrics(_mse_g(model, g0, g0_norm_sq),
                               mse_theta(theta, g0.theta), fit_val)
         except _FAILURES as exc:
             records += _failed(run, [estimator], exc, **diagnostics)
@@ -318,25 +325,13 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
     Identical configurations produce bitwise identical reports.
     """
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
-    random_mode = isinstance(config.system, RandomSystemSpec)
-
-    if not random_mode:
-        g0, h = config.system, config.h
-        u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise,
-                                   np.random.default_rng(run_seeds[0]))
-        g0_norm_sq = _lazy_norm_sq(g0)
-
+    fixed = (None if isinstance(config.system, RandomSystemSpec)
+             else _true_experiment(config, np.random.default_rng(run_seeds[0])))
     records = []
     for run in range(config.M):
         rng = np.random.default_rng(run_seeds[run + 1])
-        if random_mode:
-            g0 = gen_random_system(config.system.order, config.system.reldeg,
-                                   config.system.slowest_pole_bound, rng)
-            h = config.h if config.h is not None else _default_period(g0)
-            u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
-            g0_norm_sq = _lazy_norm_sq(g0)
-        y_m = y0 + sigma * rng.standard_normal(config.N)
-        data = SampledDataset(u=u, y=y_m, h=h)
+        g0, h, u, y0, sigma, g0_norm_sq = fixed or _true_experiment(config, rng)
+        data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
         records.extend(_run_once(run, data, g0, y0, g0_norm_sq, config))
 
     aggregates = {est: _aggregate(records, est) for est in config.estimators}
@@ -347,28 +342,36 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 # ---------------------------------------------------------------------------
 # serialization
 
+# JSON settings: each input kind's "type" name -> its class and the
+# converter of every field; the defaults live only in the dataclasses
+_INPUT_KINDS = {
+    "prbs": (PrbsInput, {"n_stages": int, "p": int, "low": float, "high": float}),
+    "multisine": (MultisineInput, {"freqs": lambda ws: tuple(map(float, ws)),
+                                   "amplitude": float}),
+    "white": (WhiteNoiseInput, {"variance": float}),
+}
+_RANDOM_SYSTEM = (RandomSystemSpec, {"order": int, "reldeg": int, "slowest_pole_bound": float})
+
+
+def _settings_to_dict(spec, converters: dict) -> dict:
+    return {name: list(v) if isinstance(v := getattr(spec, name), tuple) else v
+            for name in converters}
+
+
+def _settings_from_dict(d: dict, cls, converters: dict):
+    return cls(**{name: conv(d[name]) for name, conv in converters.items() if name in d})
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     if isinstance(config.system, RandomSystemSpec):
-        system = {"random": {
-            "order": config.system.order,
-            "reldeg": config.system.reldeg,
-            "slowest_pole_bound": config.system.slowest_pole_bound,
-        }}
+        system = {"random": _settings_to_dict(config.system, _RANDOM_SYSTEM[1])}
     else:
         system = model_to_dict(config.system)
-    inp = config.input
-    if isinstance(inp, PrbsInput):
-        input_d = {"type": "prbs", "n_stages": inp.n_stages, "p": inp.p,
-                   "low": inp.low, "high": inp.high}
-    elif isinstance(inp, MultisineInput):
-        input_d = {"type": "multisine", "freqs": list(inp.freqs),
-                   "amplitude": inp.amplitude}
-    else:
-        input_d = {"type": "white", "variance": inp.variance}
+    kind = next(k for k, (cls, _) in _INPUT_KINDS.items() if isinstance(config.input, cls))
     noise = {k: v for k, v in vars(config.noise).items() if v is not None}
     return {
         "system": system,
-        "input": input_d,
+        "input": {"type": kind, **_settings_to_dict(config.input, _INPUT_KINDS[kind][1])},
         "h": config.h,
         "N": config.N,
         "noise": noise,
@@ -381,15 +384,9 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 def input_from_dict(ind: dict):
     kind = ind.get("type")
-    if kind == "prbs":
-        return PrbsInput(n_stages=int(ind["n_stages"]), p=int(ind["p"]),
-                         low=float(ind.get("low", 0.0)), high=float(ind.get("high", 2.0)))
-    if kind == "multisine":
-        return MultisineInput(freqs=tuple(float(w) for w in ind["freqs"]),
-                              amplitude=float(ind.get("amplitude", 1.0)))
-    if kind == "white":
-        return WhiteNoiseInput(variance=float(ind.get("variance", 1.0)))
-    raise ValueError("unknown input type %r" % (kind,))
+    if kind not in _INPUT_KINDS:
+        raise ValueError("unknown input type %r" % (kind,))
+    return _settings_from_dict(ind, *_INPUT_KINDS[kind])
 
 
 def noise_from_dict(noise_d: dict) -> NoiseSetting:
@@ -399,25 +396,21 @@ def noise_from_dict(noise_d: dict) -> NoiseSetting:
 def config_from_dict(d: dict) -> ExperimentConfig:
     sysd = d["system"]
     if "random" in sysd:
-        rd = sysd["random"]
-        system = RandomSystemSpec(order=int(rd["order"]), reldeg=int(rd["reldeg"]),
-                                  slowest_pole_bound=float(rd.get("slowest_pole_bound", -0.1)))
+        system = _settings_from_dict(sysd["random"], *_RANDOM_SYSTEM)
     else:
         system = model_from_dict(sysd)
         if not isinstance(system, CtModel):
             raise ValueError("the true system must be continuous time")
-    inp = input_from_dict(d["input"])
-    noise = noise_from_dict(d["noise"])
     return ExperimentConfig(
         system=system,
-        input=inp,
+        input=input_from_dict(d["input"]),
         h=None if d.get("h") is None else float(d["h"]),
         N=int(d["N"]),
-        noise=noise,
+        noise=noise_from_dict(d["noise"]),
         M=int(d["M"]),
         r=int(d["r"]),
         seed=int(d["seed"]),
-        estimators=tuple(d.get("estimators", (PEM, PEMRD))),
+        **({"estimators": d["estimators"]} if "estimators" in d else {}),
     )
 
 

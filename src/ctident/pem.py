@@ -130,6 +130,11 @@ def _sensitivities(psi: np.ndarray, band: np.ndarray, w1: np.ndarray,
     return psi
 
 
+def _check_finite(data: SampledDataset):
+    if not (np.isfinite(data.u).all() and np.isfinite(data.y).all()):
+        raise ValueError("u and y must be finite")
+
+
 def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     """Fit an order ``n`` model by a damped Gauss-Newton iteration from ``init``.
 
@@ -154,8 +159,8 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     Raises
     ------
     ValueError
-        If ``init`` is not a stable model of order ``n`` or the record has
-        no more samples than parameters.
+        If ``init`` is not a stable model of order ``n``, the record has
+        no more samples than parameters, or ``u`` or ``y`` is not finite.
     DivergedUnstable
         If an iterate can only move by leaving the stability region and
         damping cannot restore descent.
@@ -168,6 +173,7 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
         raise ValueError("initial model must be stable")
     if data.N <= 2 * n:
         raise ValueError("need more samples than parameters")
+    _check_finite(data)
     u, y = data.u, data.y
 
     theta = init.theta
@@ -361,7 +367,8 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     Raises
     ------
     ValueError
-        If ``n < 1`` or the record is too short for ``2 n`` parameters.
+        If ``n < 1``, the record is too short for ``2 n`` parameters, or
+        ``u`` or ``y`` is not finite.
     RankDeficientRegression
         If the ARX regressor does not have full column rank.
     """
@@ -372,6 +379,7 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     npar = 2 * n
     if N - n < npar:
         raise ValueError("not enough samples for the requested order")
+    _check_finite(data)
 
     def stabilized(th):
         # (num, den) with den reflected to stability, den's band, u / den, and

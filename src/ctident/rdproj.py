@@ -47,12 +47,13 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _chol_inverse(M: np.ndarray, error: str) -> np.ndarray:
+def _chol_inverse(M: np.ndarray, exc: Exception) -> np.ndarray:
+    """``M^{-1}`` through a Cholesky factor of ``M``; raises ``exc`` if that fails."""
     try:
         factor = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(error) from exc
-    return _sym(cho_solve(factor, np.eye(M.shape[0])))
+    except np.linalg.LinAlgError as err:
+        raise exc from err
+    return cho_solve(factor, np.eye(M.shape[0]))
 
 
 def ct_info_matrix(J: np.ndarray, cov_d: np.ndarray) -> np.ndarray:
@@ -61,29 +62,20 @@ def ct_info_matrix(J: np.ndarray, cov_d: np.ndarray) -> np.ndarray:
     ``J`` is the Jacobian of the sampling map at the linearization point and
     ``cov_d`` the discrete-domain parameter covariance; to first order the
     continuous estimate has covariance ``J^{-1} cov_d J^{-T}``, hence this
-    information matrix.  ``cov_d`` is symmetrized before factorization and a
-    single jitter of ``1e-12 trace / dim`` is tried if the Cholesky
-    factorization fails.
+    information matrix.  ``cov_d`` is symmetrized before factorization.
 
     Raises
     ------
     SingularCovariance
-        If ``cov_d`` cannot be factorized even after the jitter.
+        If ``cov_d`` is not positive definite.
     """
     J = np.asarray(J, dtype=float)
     cov = _sym(np.asarray(cov_d, dtype=float))
     m = cov.shape[0]
     if cov.shape != (m, m) or J.shape != (m, m):
         raise ValueError("J and cov_d must be square matrices of equal size")
-    try:
-        factor = cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(cov) / m
-        try:
-            factor = cho_factor(cov + jitter * np.eye(m), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance("discrete-domain covariance is not positive definite") from exc
-    inv = cho_solve(factor, np.eye(m))
+    inv = _chol_inverse(
+        cov, SingularCovariance("discrete-domain covariance is not positive definite"))
     return _sym(J.T @ inv @ J)
 
 
@@ -144,11 +136,8 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         raise ValueError("relative degree must lie in [1, n]")
     k = r - 1
     info = _sym(np.asarray(info_c, dtype=float))
-    try:
-        factor = cho_factor(info, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("information matrix is not positive definite") from exc
-    cov = _sym(cho_solve(factor, np.eye(m)))
+    cov = _sym(_chol_inverse(
+        info, NotPositiveDefinite("information matrix is not positive definite")))
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
@@ -198,13 +187,15 @@ def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
     k = r - 1
     if k == 0:
         return cov.copy()
-    return _block_covariance(_chol_inverse(cov, "covariance is not invertible"), k)
+    return _block_covariance(
+        _sym(_chol_inverse(cov, SingularCovariance("covariance is not invertible"))), k)
 
 
 def _block_covariance(info: np.ndarray, k: int) -> np.ndarray:
     """Inverse of the ``info[k:, k:]`` block, zero-padded in the first ``k`` rows and columns."""
     out = np.zeros_like(info)
-    out[k:, k:] = _chol_inverse(info[k:, k:], "projected information block is not invertible")
+    out[k:, k:] = _sym(_chol_inverse(
+        info[k:, k:], SingularCovariance("projected information block is not invertible")))
     return out
 
 

@@ -272,10 +272,15 @@ def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):
 
 
 def load_dataset(path):
-    """Inverse of :func:`save_dataset`; returns ``(dataset, metadata)``."""
+    """Inverse of :func:`save_dataset`; returns ``(dataset, metadata)``.
+
+    Raises ``ValueError`` if the CSV does not hold the sidecar's ``N`` rows.
+    """
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
     with open(path.with_suffix(".json")) as f:
         meta = json.load(f)
+    if len(data) != meta["N"]:
+        raise ValueError("%s holds %d rows, its sidecar says N=%d" % (path, len(data), meta["N"]))
     ds = SampledDataset(u=data[:, 0], y=data[:, 1], h=float(meta["h"]))
     return ds, meta

@@ -115,11 +115,15 @@ class TestSimulate:
         {"type": "multisine", "freqs": [1.0], "amplitude": float("nan")},
         {"type": "multisine", "freqs": [1.0], "amplitude": float("inf")},
         {"type": "prbs", "n_stages": 2, "p": 100, "high": float("inf")},
+        {"type": "white", "variance": 0.0},
+        {"type": "multisine", "freqs": [1.0], "amplitude": 0.0},
+        {"type": "prbs", "n_stages": 2, "p": 100, "low": 1.0, "high": 1.0},
     ], ids=["negative_variance", "nan_variance", "nan_amplitude", "infinite_amplitude",
-            "infinite_prbs_level"])
+            "infinite_prbs_level", "zero_variance", "zero_amplitude", "equal_prbs_levels"])
     def test_bad_excitation_rejected(self, excitation, sim_config, tmp_path, capsys):
-        # unchecked, each would write u and y columns of nan or inf and exit 0
-        # (N=300 is the period of the 2-stage register held 100 samples)
+        # unchecked, each would write u and y columns of nan or inf, or a
+        # constant u, and exit 0 (N=300 is the period of the 2-stage register
+        # held 100 samples)
         cfg = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(cfg, input=excitation, noise={"sigma": 0.1}, N=300)))
         out = tmp_path / "o"
@@ -146,6 +150,14 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_unknown_input_type_rejected(self, sim_config, tmp_path, capsys):
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, input={"type": "square"})))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert "configuration error: unknown input type 'square'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "none.json"),
@@ -182,6 +194,48 @@ class TestFitProjectChain:
         cov = np.asarray(out["cov_tilde"])
         assert cov.shape == (4, 4)
         assert np.all(cov[0, :] == 0.0)
+
+    def _fit_report(self, sim_config, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(data_dir)]) == 0
+        fit_path = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data_dir / "dataset.csv"), "--order", "2",
+                     "--out", str(fit_path)]) == 0
+        return data_dir, fit_path
+
+    def test_project_rejects_semidefinite_covariance(self, sim_config, tmp_path, capsys):
+        # a jitter once made this exit 0 with cov_tilde entries up to 2.9e4
+        _, fit_path = self._fit_report(sim_config, tmp_path)
+        rep = json.loads(fit_path.read_text())
+        rep["covariance"] = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
+        fit_path.write_text(json.dumps(rep))
+        out = tmp_path / "proj.json"
+        capsys.readouterr()
+        assert main(["project", "--report", str(fit_path), "--r", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: discrete-domain covariance is not positive definite\n")
+        assert not out.exists()
+
+    def test_fit_rejects_non_finite_data(self, sim_config, tmp_path, capsys):
+        # unchecked, a nan in y ended as "configuration error: SVD did not converge"
+        data_dir, _ = self._fit_report(sim_config, tmp_path)
+        csv_path = data_dir / "dataset.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[101] = ",".join(lines[101].split(",")[:3] + ["nan\n"])
+        csv_path.write_text("".join(lines))
+        out = tmp_path / "nan_fit.json"
+        capsys.readouterr()
+        assert main(["fit", "--data", str(csv_path), "--order", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: u and y must be finite\n"
+        assert not out.exists()
+
+    def test_fit_rejects_truncated_data(self, sim_config, tmp_path, capsys):
+        data_dir, _ = self._fit_report(sim_config, tmp_path)
+        csv_path = data_dir / "dataset.csv"
+        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:301]))
+        capsys.readouterr()
+        assert main(["fit", "--data", str(csv_path), "--order", "2"]) == 1
+        assert "holds 300 rows, its sidecar says N=400" in capsys.readouterr().err
 
     def test_fit_missing_data(self, tmp_path):
         rc = main(["fit", "--data", str(tmp_path / "no.csv"), "--order", "2"])
@@ -277,6 +331,25 @@ class TestMonteCarloCommand:
         path.write_text(json.dumps(cfg))
         rc = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("change, message", [
+        ({"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}}, "the true system must be stable"),
+        ({"system": {"num": [0.5], "den": [1.0, -0.5], "h": 0.1}},
+         "the true system must be continuous time"),
+        ({"input": {"type": "square"}}, "unknown input type 'square'"),
+    ], ids=["unstable", "discrete", "unknown_input"])
+    def test_bad_study_rejected(self, change, message, tmp_path, capsys):
+        # unchecked, the unstable plant ran all its fits, recorded every one
+        # an optimizer_error and exited 2
+        cfg = dict({"system": model_to_dict(G2), "input": {"type": "white"},
+                    "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "M": 4, "r": 1, "seed": 1},
+                   **change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert not out.exists()
 
     def test_record_too_short_for_order(self, tmp_path, capsys, rao_garnier):
         # every run would fail in the initialiser, so this is not a study

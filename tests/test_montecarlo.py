@@ -66,6 +66,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(r=3)
 
+    def test_unstable_system_rejected(self):
+        # it has no L2 norm, so every run would fail scoring as an optimizer_error
+        with pytest.raises(ValueError, match="the true system must be stable"):
+            quick_config(system=CtModel([1.0], [1.0, -1.0, 2.0]))
+
     def test_record_shorter_than_three_times_order(self, rao_garnier):
         # the initialiser needs N >= 3 n, so below that every run would fail
         # the same way, as an optimizer_error
@@ -178,12 +183,16 @@ class TestRunMonteCarlo:
         (MultisineInput, {"freqs": (1.0,), "amplitude": np.nan}, "amplitude must be finite"),
         (MultisineInput, {"freqs": (1.0,), "amplitude": np.inf}, "amplitude must be finite"),
         (PrbsInput, {"n_stages": 2, "p": 100, "high": np.inf}, "levels must be finite"),
+        (WhiteNoiseInput, {"variance": 0.0}, "white-noise variance must be finite and positive"),
+        (MultisineInput, {"freqs": (1.0,), "amplitude": 0.0}, "finite and nonzero"),
+        (PrbsInput, {"n_stages": 2, "p": 100, "low": 1.0, "high": 1.0}, "finite and distinct"),
     ], ids=["negative_variance", "nan_variance", "nan_amplitude", "infinite_amplitude",
-            "infinite_prbs_level"])
+            "infinite_prbs_level", "zero_variance", "zero_amplitude", "equal_prbs_levels"])
     def test_bad_excitation_rejected(self, kind, params, message, random_system):
         # unchecked, each would warn or turn every record into an
-        # optimizer_error; N=300 is the period of the 2-stage register held
-        # 100 samples
+        # optimizer_error (a constant input leaves the initialiser's
+        # regression rank deficient); N=300 is the period of the 2-stage
+        # register held 100 samples
         kw = dict(noise=NoiseSetting(sigma=0.1))
         if random_system:
             kw.update(system=RandomSystemSpec(order=2, reldeg=1), h=None, r=1)
@@ -191,8 +200,8 @@ class TestRunMonteCarlo:
             run_monte_carlo(quick_config(input=kind(**params), **kw))
 
     def test_true_system_normed_once(self, monkeypatch):
-        # mse_g's denominator: once per fixed-system study, once per scored
-        # run when every run draws its own system
+        # mse_g's denominator: once per fixed-system study, once per drawn
+        # system when every run draws its own
         calls = []
         norm = montecarlo.l2_norm_sq
         monkeypatch.setattr(montecarlo, "l2_norm_sq", lambda g: calls.append(g) or norm(g))
@@ -282,6 +291,48 @@ class TestSerialization:
         assert back.input == cfg.input
         assert back.noise == cfg.noise
         assert back.h is None
+
+    def test_int_fields_come_back_as_floats(self):
+        # JSON has no separate integer type; the readers coerce, and fields
+        # left out take the dataclasses' defaults
+        fixed = config_from_dict(dict(
+            config_to_dict(quick_config()), input={"type": "multisine", "freqs": [1, 3], "amplitude": 2}))
+        assert fixed.input == MultisineInput(freqs=(1.0, 3.0), amplitude=2.0)
+        random = config_from_dict(dict(
+            config_to_dict(quick_config()), system={"random": {"order": 3, "reldeg": 2}},
+            input={"type": "prbs", "n_stages": 5, "p": 2, "low": 0, "high": 1}, h=None, N=62))
+        assert random.system == RandomSystemSpec(order=3, reldeg=2)
+        assert random.input == PrbsInput(5, 2, low=0.0, high=1.0)
+        white = config_from_dict(dict(config_to_dict(quick_config()),
+                                      input={"type": "white", "variance": 2}))
+        for cfg, expected in [
+            (fixed, {"freqs": [1.0, 3.0], "amplitude": 2.0}),
+            (random, {"low": 0.0, "high": 1.0, "slowest_pole_bound": -0.1}),
+            (white, {"variance": 2.0}),
+        ]:
+            d = config_to_dict(cfg)
+            flat = {**d["input"], **d["system"].get("random", {})}
+            # as report.json writes them: "1.0", not "1"
+            assert json.dumps([flat[name] for name in expected]) == json.dumps(
+                list(expected.values()))
+
+    @pytest.mark.parametrize("input_d", [{"type": "square"}, {"variance": 1.0}],
+                             ids=["unknown", "missing"])
+    def test_unknown_input_type_rejected(self, input_d):
+        d = dict(config_to_dict(quick_config()), input=input_d)
+        with pytest.raises(ValueError, match="unknown input type"):
+            config_from_dict(d)
+
+    def test_discrete_system_rejected(self):
+        d = dict(config_to_dict(quick_config()),
+                 system={"num": [0.5], "den": [1.0, -0.5], "h": 0.1})
+        with pytest.raises(ValueError, match="the true system must be continuous time"):
+            config_from_dict(d)
+
+    def test_experiment_rejects_unknown_input_kind(self):
+        with pytest.raises(TypeError, match="unsupported input kind 'object'"):
+            montecarlo._experiment(G2, 0.1, object(), 300, NoiseSetting(sigma=0.1),
+                                   np.random.default_rng(0))
 
     def test_report_dict_shape(self):
         rep = run_monte_carlo(quick_config(M=2))

@@ -215,6 +215,11 @@ class TestCtInfoMatrix:
         with pytest.raises(SingularCovariance):
             ct_info_matrix(np.eye(4), cov)
 
+    def test_semidefinite_covariance(self):
+        # a jitter once turned this into an information entry of 1.33e12
+        with pytest.raises(SingularCovariance, match="not positive definite"):
+            ct_info_matrix(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]))
+
 
 @pytest.fixture(scope="module")
 def dataset(rao_garnier):

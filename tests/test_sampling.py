@@ -326,6 +326,15 @@ class TestDatasetIo:
         assert first == "k,t,u,y"
         assert (tmp_path / "tiny.json").exists()
 
+    def test_row_count_must_match_sidecar(self, rng, tmp_path):
+        # unchecked, a CSV cut short loads as a shorter record
+        path = tmp_path / "run.csv"
+        save_dataset(SampledDataset(rng.standard_normal(200), rng.standard_normal(200), 0.1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:151]))
+        with pytest.raises(ValueError, match="holds 150 rows, its sidecar says N=200"):
+            load_dataset(path)
+
     @pytest.mark.parametrize("case", ["random", "special_values"])
     def test_same_bytes_as_row_writer(self, case, rng, tmp_path):
         if case == "random":
