@@ -22,6 +22,7 @@ from .errors import CtIdentError
 from .lti import CtModel, DtModel, SampledDataset, freq_response, model_from_dict, model_to_dict
 from .montecarlo import (
     _experiment,
+    _whole,
     config_from_dict,
     input_from_dict,
     noise_from_dict,
@@ -57,8 +58,8 @@ def _cmd_simulate(args) -> int:
     if not isinstance(system, CtModel):
         raise ValueError("the simulated system must be continuous time")
     h = float(cfg["h"])
-    N = int(cfg["N"])
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+    N = _whole(cfg["N"], "N")
+    seed = _whole(args.seed if args.seed is not None else cfg.get("seed", 0), "seed")
     u, y0, sigma = _experiment(system, h, input_from_dict(cfg["input"]), N,
                                noise_from_dict(cfg["noise"]),
                                np.random.default_rng(np.random.SeedSequence([seed, 0])))
@@ -74,7 +75,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_fit(args) -> int:
     data, _meta = load_dataset(args.data)
-    result = oe_fit(data, args.order, init_arx_iv(data, args.order))
+    result = oe_fit(data, init_arx_iv(data, args.order))
     report = fit_report_dict(result)
     _emit(json.dumps(report, indent=1) + "\n", args.out)
     return 0

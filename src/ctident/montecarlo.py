@@ -272,7 +272,7 @@ def _failed(run, estimators, exc, iterations=None, converged=None):
 def _run_once(run, data, g0, y0, g0_norm_sq, config):
     """Fit once, then build the record of every requested estimator on that fit."""
     try:
-        est = oe_fit(data, g0.n, init_arx_iv(data, g0.n))
+        est = oe_fit(data, init_arx_iv(data, g0.n))
     except _FAILURES as exc:
         return _failed(run, config.estimators, exc)
     diagnostics = {"iterations": est.iterations, "converged": est.converged}
@@ -342,15 +342,27 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _whole(value, name: str) -> int:
+    """``int(value)``, or a ``ValueError`` naming the field ``name`` if ``value`` is not whole."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    return float(value)
+
+
 # JSON settings: each input kind's "type" name -> its class and the
 # converter of every field; the defaults live only in the dataclasses
 _INPUT_KINDS = {
-    "prbs": (PrbsInput, {"n_stages": int, "p": int, "low": float, "high": float}),
-    "multisine": (MultisineInput, {"freqs": lambda ws: tuple(map(float, ws)),
-                                   "amplitude": float}),
-    "white": (WhiteNoiseInput, {"variance": float}),
+    "prbs": (PrbsInput, {"n_stages": _whole, "p": _whole, "low": _real, "high": _real}),
+    "multisine": (MultisineInput, {"freqs": lambda ws, name: tuple(map(float, ws)),
+                                   "amplitude": _real}),
+    "white": (WhiteNoiseInput, {"variance": _real}),
 }
-_RANDOM_SYSTEM = (RandomSystemSpec, {"order": int, "reldeg": int, "slowest_pole_bound": float})
+_RANDOM_SYSTEM = (RandomSystemSpec,
+                  {"order": _whole, "reldeg": _whole, "slowest_pole_bound": _real})
 
 
 def _settings_to_dict(spec, converters: dict) -> dict:
@@ -359,7 +371,7 @@ def _settings_to_dict(spec, converters: dict) -> dict:
 
 
 def _settings_from_dict(d: dict, cls, converters: dict):
-    return cls(**{name: conv(d[name]) for name, conv in converters.items() if name in d})
+    return cls(**{name: conv(d[name], name) for name, conv in converters.items() if name in d})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -405,11 +417,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         system=system,
         input=input_from_dict(d["input"]),
         h=None if d.get("h") is None else float(d["h"]),
-        N=int(d["N"]),
+        N=_whole(d["N"], "N"),
         noise=noise_from_dict(d["noise"]),
-        M=int(d["M"]),
-        r=int(d["r"]),
-        seed=int(d["seed"]),
+        M=_whole(d["M"], "M"),
+        r=_whole(d["r"], "r"),
+        seed=_whole(d["seed"], "seed"),
         **({"estimators": d["estimators"]} if "estimators" in d else {}),
     )
 

@@ -135,8 +135,8 @@ def _check_finite(data: SampledDataset):
         raise ValueError("u and y must be finite")
 
 
-def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
-    """Fit an order ``n`` model by a damped Gauss-Newton iteration from ``init``.
+def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
+    """Fit a model of ``init``'s order by a damped Gauss-Newton iteration from ``init``.
 
     Candidate steps that leave the stability region or increase the cost are
     rejected by doubling the damping, up to 30 times per iteration; accepted
@@ -159,16 +159,15 @@ def oe_fit(data: SampledDataset, n: int, init: DtModel) -> EstimationResult:
     Raises
     ------
     ValueError
-        If ``init`` is not a stable model of order ``n``, the record has
-        no more samples than parameters, or ``u`` or ``y`` is not finite.
+        If ``init`` is not stable, the record has no more samples than
+        parameters, or ``u`` or ``y`` is not finite.
     DivergedUnstable
         If an iterate can only move by leaving the stability region and
         damping cannot restore descent.
     SingularInformation
         If the information matrix at the estimate is numerically singular.
     """
-    if init.n != n:  # also rejects n < 1, since every model has order >= 1
-        raise ValueError("initial model order %d does not match n = %d" % (init.n, n))
+    n = init.n
     if not is_stable(init):
         raise ValueError("initial model must be stable")
     if data.N <= 2 * n:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     NegativeRealPole,
@@ -106,14 +106,14 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     """Covariance-weighted projection onto the relative-degree subspace.
 
     Finds the vector closest to ``theta_hat_c`` in the ``info_c`` metric
-    subject to its first ``r - 1`` entries being zero.  Computes the
-    constrained minimizer two ways: through the Cholesky factor
-    of the covariance (zero the first ``r - 1`` whitened coordinates) and
-    through the explicit Lagrange multiplier, and cross-checks them to
-    1e-10 relative to the estimate's magnitude.  The constrained entries of
-    the result are set exactly to zero.  ``cov_tilde`` is the inverse of the
-    surviving block of ``info_c``, as :func:`projected_covariance` computes
-    from a covariance.
+    subject to its first ``k = r - 1`` entries being zero.  The surviving
+    entries come from the free block of the information matrix,
+    ``theta[k:] + C22 info_c[k:, :k] theta[:k]`` with ``C22`` the inverse of
+    ``info_c[k:, k:]``; the constrained entries are set exactly to zero.
+    The result is cross-checked against the Lagrange-multiplier route
+    through the full covariance ``info_c^{-1}`` to 1e-10 relative to the
+    estimate's magnitude.  ``cov_tilde`` is ``C22`` zero-padded, as
+    :func:`projected_covariance` computes from a covariance.
 
     Raises
     ------
@@ -121,10 +121,11 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         If ``theta_hat_c`` is not 1-d of even length ``2 n``, ``info_c`` is
         not ``2 n`` square, or ``r`` lies outside ``[1, n]``.
     NotPositiveDefinite
-        If the information matrix or its inverse fails factorization.
+        If the information matrix fails factorization.
     SingularCovariance
-        If the two computation paths disagree, indicating a covariance too
-        ill-conditioned to project reliably.
+        If its free block fails factorization, or the two routes disagree,
+        indicating an information matrix too ill-conditioned to project
+        reliably.
     """
     theta = np.asarray(theta_hat_c, dtype=float)
     m = theta.size
@@ -138,33 +139,18 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     info = _sym(np.asarray(info_c, dtype=float))
     cov = _sym(_chol_inverse(
         info, NotPositiveDefinite("information matrix is not positive definite")))
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("covariance is not positive definite") from exc
-
-    if k == 0:
-        theta_tilde = theta.copy()
-        lam = np.zeros(0)
-    else:
-        whitened = solve_triangular(chol, theta, lower=True)
-        whitened[:k] = 0.0
-        theta_tilde = chol @ whitened
-        # independent route via the multiplier of the equality constraints
-        lam = np.linalg.solve(cov[:k, :k], theta[:k])
-        theta_lagrange = theta - cov[:, :k] @ lam
-        tol = 1e-10 * max(1.0, np.abs(theta).max())
-        if np.abs(theta_tilde - theta_lagrange).max() > tol:
-            raise SingularCovariance(
-                "whitened and multiplier projections disagree beyond %.1e" % tol)
-        theta_tilde[:k] = 0.0
-
-    return PemrdResult(
-        theta_tilde_c=theta_tilde,
-        cov_tilde=_block_covariance(info, k),
-        lagrange_multiplier=lam,
-        r=r,
-    )
+    cov_tilde = _block_covariance(info, k)
+    theta_tilde = theta.copy()
+    theta_tilde[k:] += cov_tilde[k:, k:] @ (info[k:, :k] @ theta[:k])
+    theta_tilde[:k] = 0.0
+    # independent route via the multiplier of the equality constraints
+    lam = np.linalg.solve(cov[:k, :k], theta[:k])
+    tol = 1e-10 * max(1.0, np.abs(theta).max())
+    if np.abs(theta_tilde - (theta - cov[:, :k] @ lam)).max() > tol:
+        raise SingularCovariance(
+            "free-block and multiplier projections disagree beyond %.1e" % tol)
+    return PemrdResult(theta_tilde_c=theta_tilde, cov_tilde=cov_tilde,
+                       lagrange_multiplier=lam, r=r)
 
 
 def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
@@ -227,7 +213,7 @@ def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:
         axis, so no continuous-time equivalent exists.  Monte Carlo drivers
         normally discard such runs.
     """
-    est = oe_fit(data, n, init_arx_iv(data, n))
+    est = oe_fit(data, init_arx_iv(data, n))
     try:
         full_ct = d2c_zoh(est.model)
     except NonPrincipalLog as exc:

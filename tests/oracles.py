@@ -17,8 +17,10 @@ It also keeps a frequency-domain reference for the Gramian-based quality
 metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
 along the imaginary axis; the initialiser's chain with its regressions
 solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`; a root-modulus
-reference for the discrete stability test, :func:`max_root_modulus`; and the
-row-by-row ``csv.writer`` version of the dataset CSV, :func:`csv_writer_dataset`.
+reference for the discrete stability test, :func:`max_root_modulus`; the
+relative-degree projection solved in 50-digit arithmetic,
+:func:`high_precision_projection`; and the row-by-row ``csv.writer``
+version of the dataset CSV, :func:`csv_writer_dataset`.
 """
 
 import csv
@@ -249,6 +251,31 @@ def max_root_modulus(coeffs, digits=80):
         roots, err = mpmath.polyroots([mpmath.mpf(float(c)) for c in coeffs],
                                       maxsteps=200, extraprec=digits, error=True)
         return max(abs(r) for r in roots), err
+
+
+def high_precision_projection(theta_c, info_c, r, digits=50):
+    """Minimizer of ``(x - theta_c)^T info_c (x - theta_c)`` with ``x[:r-1] = 0``.
+
+    The surviving entries ``theta[k:] + info[k:, k:]^{-1} info[k:, :k] theta[:k]``
+    (``k = r - 1``) are solved by ``mpmath.lu_solve`` in ``digits``-digit
+    arithmetic on the exact values of the double inputs, and rounded once
+    to doubles.
+    """
+    import mpmath
+
+    k = r - 1
+    with mpmath.workdps(digits):
+        theta = mpmath.matrix([mpmath.mpf(float(t)) for t in theta_c])
+        info = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in info_c])
+        m = len(theta)
+        out = np.zeros(m)
+        if k == 0:
+            out[:] = [float(t) for t in theta]
+            return out
+        rhs = info[k:m, 0:k] * theta[0:k, 0]
+        free = theta[k:m, 0] + mpmath.lu_solve(info[k:m, k:m], rhs)
+        out[k:] = [float(v) for v in free]
+    return out
 
 
 def csv_writer_dataset(ds, path):

@@ -131,6 +131,19 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (out / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"N": 400.5}, "N must be a whole number, got 400.5"),
+        ({"seed": 3.3}, "seed must be a whole number, got 3.3"),
+    ], ids=["N", "seed"])
+    def test_fractional_integer_rejected(self, change, message, sim_config, tmp_path, capsys):
+        # unchecked, both were truncated: N 400.5 simulated 400 samples
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, **change)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert not out.exists()
+
     def test_input_length_must_match(self, sim_config, tmp_path, capsys):
         cfg = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))
@@ -337,10 +350,12 @@ class TestMonteCarloCommand:
         ({"system": {"num": [0.5], "den": [1.0, -0.5], "h": 0.1}},
          "the true system must be continuous time"),
         ({"input": {"type": "square"}}, "unknown input type 'square'"),
-    ], ids=["unstable", "discrete", "unknown_input"])
+        ({"r": 2.5}, "r must be a whole number, got 2.5"),
+        ({"M": 2.7}, "M must be a whole number, got 2.7"),
+    ], ids=["unstable", "discrete", "unknown_input", "fractional_r", "fractional_M"])
     def test_bad_study_rejected(self, change, message, tmp_path, capsys):
         # unchecked, the unstable plant ran all its fits, recorded every one
-        # an optimizer_error and exited 2
+        # an optimizer_error and exited 2; a fractional r or M was truncated
         cfg = dict({"system": model_to_dict(G2), "input": {"type": "white"},
                     "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "M": 4, "r": 1, "seed": 1},
                    **change)

@@ -21,6 +21,7 @@ from ctident import (
     model_to_dict,
     simulate_dt,
 )
+from ctident import lti
 from ctident.errors import NotPositiveDefinite, UnstableSystem
 from conftest import random_stable_ct
 from oracles import long_double_filter, max_root_modulus
@@ -254,6 +255,15 @@ class TestL2Norm:
         g = CtModel([1.0], np.poly([-1e-7, -1.0, -1e7]))
         with pytest.raises(NotPositiveDefinite, match="eigenvalue pair"):
             l2_norm_sq(g)
+
+    def test_negative_quadratic_form_rejected(self, monkeypatch):
+        # a stable model's Gramian is positive semidefinite, so flip the sign
+        # of the Lyapunov solution: 1/(s+1) then has the form -0.5
+        solve = lti.solve_continuous_lyapunov
+        monkeypatch.setattr(lti, "solve_continuous_lyapunov", lambda *a: -solve(*a))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"^Gramian quadratic form -0\.5 is negative$"):
+            l2_norm_sq(CtModel([1.0], [1.0, 1.0]))
 
 
 class TestFreqResponse:

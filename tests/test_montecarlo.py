@@ -323,6 +323,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="unknown input type"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("change, field, value", [
+        ({"input": {"type": "prbs", "n_stages": 7.9, "p": 1}}, "n_stages", 7.9),
+        ({"input": {"type": "prbs", "n_stages": 5, "p": 1.5}}, "p", 1.5),
+        ({"system": {"random": {"order": 2.5, "reldeg": 1}}}, "order", 2.5),
+        ({"system": {"random": {"order": 2, "reldeg": 1.5}}}, "reldeg", 1.5),
+        ({"N": 300.5}, "N", 300.5),
+        ({"M": 2.7}, "M", 2.7),
+        ({"r": 1.9}, "r", 1.9),
+        ({"seed": 3.3}, "seed", 3.3),
+    ], ids=["n_stages", "p", "order", "reldeg", "N", "M", "r", "seed"])
+    def test_fractional_integer_rejected(self, change, field, value):
+        # unchecked, int() truncated each: n_stages 7.9 ran as 7, M 2.7 as 2
+        d = dict(config_to_dict(quick_config()), **change)
+        with pytest.raises(ValueError, match="^%s must be a whole number, got %r$" % (field, value)):
+            config_from_dict(d)
+
+    def test_whole_floats_accepted(self):
+        d = dict(config_to_dict(quick_config()), N=300.0, M=3.0, r=2.0, seed=99.0)
+        back = config_from_dict(d)
+        assert (back.N, back.M, back.r, back.seed) == (300, 3, 2, 99)
+        assert all(type(v) is int for v in (back.N, back.M, back.r, back.seed))
+
     def test_discrete_system_rejected(self):
         d = dict(config_to_dict(quick_config()),
                  system={"num": [0.5], "den": [1.0, -0.5], "h": 0.1})

@@ -57,12 +57,9 @@ def oe_cost(model, data):
 class TestOrders:
     def test_validation(self, rng):
         data = make_data(rng, sigma=0.1, N=100)
-        init = DtModel([0.3], [1.0, -0.5], h=0.1)
         for n in (0, -1):
             with pytest.raises(ValueError, match="at least 1"):
                 init_arx_iv(data, n)
-            with pytest.raises(ValueError, match="does not match"):
-                oe_fit(data, n, init)
 
 
 class TestPredictionJacobian:
@@ -124,7 +121,7 @@ class TestOeFit:
     def test_exact_recovery_noiseless(self, rng):
         data = make_data(rng, sigma=0.0)
         init = DtModel([0.3, -0.1], [1.0, -1.0, 0.4], h=0.1)
-        res = oe_fit(data, 2, init)
+        res = oe_fit(data, init)
         assert res.converged
         assert_allclose(res.model.theta, TRUE_DT.theta, rtol=1e-6, atol=1e-8)
         assert res.cost < 1e-12 * float(data.y @ data.y)
@@ -133,7 +130,7 @@ class TestOeFit:
     def test_noisy_recovery_and_diagnostics(self, rng):
         data = make_data(rng, sigma=0.1)
         init = init_arx_iv(data, 2)
-        res = oe_fit(data, 2, init)
+        res = oe_fit(data, init)
         assert res.converged
         assert res.iterations >= 1
         # residual variance estimates the noise level
@@ -148,7 +145,7 @@ class TestOeFit:
 
     def test_covariance_is_symmetric_psd(self, rng):
         data = make_data(rng, sigma=0.1)
-        res = oe_fit(data, 2, init_arx_iv(data, 2))
+        res = oe_fit(data, init_arx_iv(data, 2))
         c = res.covariance
         assert_allclose(c, c.T, rtol=1e-12)
         assert np.linalg.eigvalsh(c).min() > 0
@@ -166,7 +163,7 @@ class TestOeFit:
         for sigma in (0.0, 0.1):
             data = make_data(rng, sigma=sigma)
             calls.clear()
-            res = oe_fit(data, 2, init)
+            res = oe_fit(data, init)
             stepped_last = res.cost_history.size == res.iterations + 1
             ended_on_step.add(stepped_last)
             assert len(calls) == res.iterations + stepped_last
@@ -181,12 +178,10 @@ class TestOeFit:
     def test_input_validation(self, rng):
         data = make_data(rng, sigma=0.1, N=100)
         with pytest.raises(ValueError):
-            oe_fit(data, 2, DtModel([0.3], [1.0, -0.5], h=0.1))
-        with pytest.raises(ValueError):
-            oe_fit(data, 2, DtModel([0.3, 0.0], [1.0, -1.7, 0.6], h=0.1))
+            oe_fit(data, DtModel([0.3, 0.0], [1.0, -1.7, 0.6], h=0.1))
         tiny = SampledDataset(data.u[:4], data.y[:4], 0.1)
         with pytest.raises(ValueError):
-            oe_fit(tiny, 2, DtModel([0.3, 0.0], [1.0, -1.0, 0.4], h=0.1))
+            oe_fit(tiny, DtModel([0.3, 0.0], [1.0, -1.0, 0.4], h=0.1))
 
     @pytest.mark.parametrize("column, value", [("y", np.nan), ("u", np.inf)])
     def test_non_finite_record_rejected(self, rng, column, value):
@@ -197,7 +192,7 @@ class TestOeFit:
         bad[column][100] = value
         bad = SampledDataset(bad["u"], bad["y"], data.h)
         with pytest.raises(ValueError, match="u and y must be finite"):
-            oe_fit(bad, 2, init_arx_iv(data, 2))
+            oe_fit(bad, init_arx_iv(data, 2))
         with pytest.raises(ValueError, match="u and y must be finite"):
             init_arx_iv(bad, 2)
 
@@ -205,7 +200,7 @@ class TestOeFit:
         errs = []
         for N in (400, 6400):
             data = make_data(rng, sigma=0.2, N=N)
-            res = oe_fit(data, 2, init_arx_iv(data, 2))
+            res = oe_fit(data, init_arx_iv(data, 2))
             errs.append(np.linalg.norm(res.model.theta - TRUE_DT.theta))
         assert errs[1] < 0.5 * errs[0]
 
@@ -218,7 +213,7 @@ class TestOeFit:
         for _ in range(60):
             y = y0 + 0.15 * rng.standard_normal(u.size)
             data = SampledDataset(u, y, 0.1)
-            res = oe_fit(data, 2, init_arx_iv(data, 2))
+            res = oe_fit(data, init_arx_iv(data, 2))
             thetas.append(res.model.theta)
             pred = res.covariance
         emp = np.std(np.asarray(thetas), axis=0, ddof=1)
@@ -231,12 +226,12 @@ class TestOeFit:
         rg = CtModel([-6400.0, 1600.0], [1.0, 5.0, 408.0, 416.0, 1600.0])
         data = simulate_ct_zoh(rg, rng.standard_normal(1500), 0.05, NoiseSpec(sigma=0.3, seed=2))
         init = init_arx_iv(data, 4)
-        fast = oe_fit(data, 4, init)
+        fast = oe_fit(data, init)
         # column 0 of the band holds the denominator's coefficients
         monkeypatch.setattr(pem, "_sensitivities",
                             lambda psi, band, w1, yhat: filter_bank_sensitivities(
                                 DtModel([0.0], band[:, 0], data.h), data.u, yhat))
-        slow = oe_fit(data, 4, init)
+        slow = oe_fit(data, init)
         assert fast.iterations == slow.iterations > 1
         assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
         assert_allclose(fast.covariance, slow.covariance, rtol=1e-8)
@@ -258,7 +253,7 @@ class TestOeFit:
         monkeypatch.setattr(np, "roots", counting("roots", np.roots))
         monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
         monkeypatch.setattr(DtModel, "__init__", counting("DtModel", DtModel.__init__))
-        res = oe_fit(data, 4, init)
+        res = oe_fit(data, init)
         assert res.iterations > 1
         assert calls == {"roots": 0, "eigvals": 0, "DtModel": 1}
 
@@ -271,7 +266,7 @@ class TestOeFit:
         pair = np.poly([0.2, 0.2])
         init = DtModel(np.convolve(gd.num.coeffs, pair), np.convolve(gd.den.coeffs, pair), 0.1)
         with pytest.raises(SingularInformation, match="condition number exceeds 1e12"):
-            oe_fit(data, 4, init)
+            oe_fit(data, init)
 
     def test_descent_only_through_instability_raises(self, rng):
         # data from a pole at 1.05, start just inside the unit circle: every
@@ -281,7 +276,7 @@ class TestOeFit:
         data = SampledDataset(u, simulate_dt(truth, u), 0.1)
         init = DtModel([1.0], [1.0, -(1.0 - 1e-12)], h=0.1)
         with pytest.raises(DivergedUnstable):
-            oe_fit(data, 1, init)
+            oe_fit(data, init)
 
 
 class TestInitArxIv:
@@ -443,7 +438,7 @@ class TestFilterKernel:
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
         counts.update(band=0, solve=0)
-        res = oe_fit(data, 4, init)
+        res = oe_fit(data, init)
         points = res.cost_history.size
         assert points > 10
         assert counts == {"band": points, "solve": 2 * points, "qr": counts["qr"]}
@@ -468,7 +463,7 @@ class TestFilterKernel:
         strided = SampledDataset(table[:, 0], table[:, 1], 0.1)
         assert not strided.u.flags.c_contiguous
         packed = SampledDataset(before[:, 0].copy(), before[:, 1].copy(), 0.1)
-        fits = [oe_fit(d, 2, init_arx_iv(d, 2)) for d in (strided, packed)]
+        fits = [oe_fit(d, init_arx_iv(d, 2)) for d in (strided, packed)]
         np.testing.assert_array_equal(fits[0].model.theta, fits[1].model.theta)
         np.testing.assert_array_equal(prediction_jacobian(TRUE_DT, strided.u),
                                       prediction_jacobian(TRUE_DT, packed.u))
@@ -478,7 +473,7 @@ class TestFilterKernel:
 class TestReport:
     def test_fields(self, rng):
         data = make_data(rng, sigma=0.1, N=300)
-        res = oe_fit(data, 2, init_arx_iv(data, 2))
+        res = oe_fit(data, init_arx_iv(data, 2))
         d = fit_report_dict(res)
         assert set(d) == {"theta_d", "h", "sigma2_hat", "covariance",
                           "cost", "iterations", "converged"}
