@@ -12,9 +12,18 @@ class UnstableSystem(CtIdentError):
 class NonPrincipalLog(CtIdentError):
     """The discrete-to-continuous map is ambiguous or undefined for this model.
 
-    Raised when a discrete-time pole lies on the closed negative real axis,
-    where its principal logarithm either does not exist or does not give a
-    real continuous-time system, or when resampling fails to reproduce it.
+    Raised as such when sampling the principal pole logarithms fails to
+    reproduce the denominator; a pole on the closed negative real axis
+    raises the subclass :class:`NegativeRealPole`.
+    """
+
+
+class NegativeRealPole(NonPrincipalLog):
+    """A discrete-time pole lies on the closed negative real axis (origin included).
+
+    Its principal logarithm does not exist or gives no real continuous-time
+    system, so the model has no real preimage under zero-order hold;
+    Monte Carlo drivers record such runs as failures.
     """
 
 
@@ -55,14 +64,6 @@ class NotPositiveDefinite(CtIdentError):
 
     Also raised for a Gramian whose Lyapunov equation is singular to
     working precision, so that it could not be computed as a definite matrix.
-    """
-
-
-class NegativeRealPole(CtIdentError):
-    """An estimated discrete-time pole fell on the closed negative real axis.
-
-    Such estimates have no real continuous-time equivalent under zero-order
-    hold and are normally discarded by Monte Carlo drivers.
     """
 
 

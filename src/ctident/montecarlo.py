@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CtIdentError, NegativeRealPole, NonPrincipalLog
+from .errors import CtIdentError, NonPrincipalLog
 from .lti import (
     CtModel,
     SampledDataset,
@@ -65,8 +65,9 @@ _STATUS_OK = "ok"
 _STATUS_NEG_POLE = "negative_real_pole"
 _STATUS_NEG_FIT = "negative_fit"
 _STATUS_ERROR = "optimizer_error"
-# what a run may raise; anything else is a bug and propagates
-_FAILURES = (CtIdentError, np.linalg.LinAlgError, ValueError)
+# what a run may raise (np.linalg.LinAlgError is a ValueError); anything
+# else is a bug and propagates
+_FAILURES = (CtIdentError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ class ExperimentConfig:
         if isinstance(self.system, RandomSystemSpec):
             order = self.system.order
         else:
+            if not isinstance(self.system, CtModel):
+                raise ValueError("the true system must be continuous time")
             if self.h is None or not self.h > 0:
                 raise ValueError("a fixed-system study needs a positive sampling period")
             if not is_stable(self.system):
@@ -263,8 +266,7 @@ def _true_experiment(config: ExperimentConfig, rng):
 
 def _failed(run, estimators, exc, iterations=None, converged=None):
     """Records of estimators stopped by ``exc``, with the status it implies."""
-    neg_pole = isinstance(exc, (NonPrincipalLog, NegativeRealPole))
-    status = _STATUS_NEG_POLE if neg_pole else _STATUS_ERROR
+    status = _STATUS_NEG_POLE if isinstance(exc, NonPrincipalLog) else _STATUS_ERROR
     return [RunRecord(run, est, status, None, None, iterations, converged)
             for est in estimators]
 
@@ -411,8 +413,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         system = _settings_from_dict(sysd["random"], *_RANDOM_SYSTEM)
     else:
         system = model_from_dict(sysd)
-        if not isinstance(system, CtModel):
-            raise ValueError("the true system must be continuous time")
     return ExperimentConfig(
         system=system,
         input=input_from_dict(d["input"]),

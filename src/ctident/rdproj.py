@@ -22,12 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    NegativeRealPole,
-    NonPrincipalLog,
-    NotPositiveDefinite,
-    SingularCovariance,
-)
+from .errors import NotPositiveDefinite, SingularCovariance
 from .lti import CtModel, SampledDataset
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, naive_truncate, zoh_map_point
@@ -209,16 +204,15 @@ def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:
     Raises
     ------
     NegativeRealPole
-        If the fitted discrete model has a pole on the closed negative real
-        axis, so no continuous-time equivalent exists.  Monte Carlo drivers
-        normally discard such runs.
+        From :func:`d2c_zoh`, if the fitted discrete model has a pole on the
+        closed negative real axis, so no continuous-time equivalent exists.
+        Monte Carlo drivers record such runs as failures.
+    NonPrincipalLog
+        From :func:`d2c_zoh`, if the pole logarithms do not resample to the
+        fitted denominator.
     """
     est = oe_fit(data, init_arx_iv(data, n))
-    try:
-        full_ct = d2c_zoh(est.model)
-    except NonPrincipalLog as exc:
-        raise NegativeRealPole(str(exc)) from exc
-    result = project_estimate(full_ct.theta, est.covariance, data.h, r)
+    result = project_estimate(d2c_zoh(est.model).theta, est.covariance, data.h, r)
     return replace(result, estimation=est)
 
 

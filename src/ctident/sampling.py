@@ -10,7 +10,7 @@ share the exponential ``expm([[A, B], [0, 0]] h)`` of the companion form:
 - Jacobian: exact, from the Frechet derivative of the exponential.
 
 The inverse is well defined only when no discrete-time pole lies on the
-closed negative real axis; offending models raise :class:`NonPrincipalLog`.
+closed negative real axis; offending models raise :class:`NegativeRealPole`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DegenerateMap, NonPrincipalLog, SingularMap
+from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
 from .lti import CtModel, DtModel, SampledDataset, companion, simulate_dt
 
 __all__ = [
@@ -93,17 +93,18 @@ def d2c_zoh(model: DtModel) -> CtModel:
 
     Raises
     ------
-    NonPrincipalLog
+    NegativeRealPole
         If a pole of ``model`` lies on the closed negative real axis
-        (including the origin), where no principal real logarithm exists,
-        or if resampling the logarithms misses the denominator by over 1e-8.
+        (including the origin), where no principal real logarithm exists.
+    NonPrincipalLog
+        If resampling the logarithms misses the denominator by over 1e-8.
     SingularMap
         If ``K`` with unit columns has a condition number above 1e12.
     """
     zp = model.den.roots()
     for z in zp:
         if abs(z) <= 1e-12 or (z.real <= 0.0 and abs(z.imag) <= 1e-9 * max(1.0, abs(z))):
-            raise NonPrincipalLog(
+            raise NegativeRealPole(
                 "discrete-time pole %s lies on the closed negative real axis" % z)
     n = model.n
     den = np.poly(np.log(zp) / model.h).real

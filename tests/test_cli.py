@@ -265,6 +265,31 @@ class TestFitProjectChain:
         assert "configuration error: model order must be at least 1" in capsys.readouterr().err
         assert not fit_path.exists()
 
+    def test_fit_rejects_short_record(self, sim_config, tmp_path, capsys):
+        # order 4 needs N >= 12: N - n equations for 2 n parameters
+        sim_config.write_text(json.dumps(dict(json.loads(sim_config.read_text()), N=11)))
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(data_dir)]) == 0
+        fit_path = tmp_path / "fit.json"
+        capsys.readouterr()
+        rc = main(["fit", "--data", str(data_dir / "dataset.csv"),
+                   "--order", "4", "--out", str(fit_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "configuration error: not enough samples for the requested order\n")
+        assert not fit_path.exists()
+
+    def test_project_refuses_negative_real_pole(self, tmp_path, capsys):
+        # the discrete pole -0.5 has no real continuous-time preimage
+        rep = tmp_path / "fit.json"
+        rep.write_text(json.dumps({"theta_d": [1.0, 0.5], "h": 0.1,
+                                   "covariance": [[1.0, 0.0], [0.0, 1.0]]}))
+        out = tmp_path / "proj.json"
+        assert main(["project", "--report", str(rep), "--r", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: discrete-time pole -0.5 lies on the closed negative real axis\n")
+        assert not out.exists()
+
 
 class TestParser:
     def test_parser_built_once(self, sim_config, tmp_path, monkeypatch, capsys):

@@ -117,6 +117,26 @@ class TestSampledDataset:
             SampledDataset([1.0], [1.0, 2.0], 0.5)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Polynomial([]), "coefficients must form a nonempty 1-d sequence"),
+    (lambda: Polynomial([[1.0, 2.0], [3.0, 4.0]]),
+     "coefficients must form a nonempty 1-d sequence"),
+    (lambda: CtModel([1.0], [2.0]), "denominator must have degree at least 1"),
+    # the leading zero is stripped, leaving a constant
+    (lambda: DtModel([0.0], [0.0, 3.0], h=0.1), "denominator must have degree at least 1"),
+    (lambda: DtModel.from_theta([0.5, 0.2, -0.9], h=0.1),
+     "parameter vector must be 1-d of even length"),
+    (lambda: SampledDataset([], [], 0.1), "dataset must contain at least one sample"),
+    (lambda: SampledDataset([1.0], [1.0], 0.0), "sampling period must be positive"),
+    (lambda: SampledDataset([1.0], [1.0], np.nan), "sampling period must be positive"),
+], ids=["empty_polynomial", "2d_polynomial", "constant_ct_denominator",
+        "stripped_dt_denominator", "odd_dt_theta", "empty_dataset", "zero_period",
+        "nan_period"])
+def test_invalid_construction_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestRealization:
     def test_companion_form_values(self, rao_garnier):
         A, B, C = companion(rao_garnier)
@@ -332,6 +352,12 @@ class TestStability:
                 modulus, err = max_root_modulus(scaled)
                 assert abs(modulus - 1) > err
                 assert is_stable(DtModel([1.0], scaled, h=h)) is bool(modulus < 1)
+
+    @pytest.mark.parametrize("den", [
+        [1.0, np.inf], [1.0, -np.inf, 0.5], [1.0, np.nan], [1.0, 0.5, np.nan]])
+    def test_dt_non_finite_not_stable(self, den):
+        # Polynomial refuses these, so only the raw coefficients reach it
+        assert lti._schur_stable(den) is False
 
     def test_poles_values(self):
         p = CtModel([1.0], [1.0, 3.0, 2.0]).den.roots()

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from ctident import (
     CtModel,
+    DtModel,
     ExperimentConfig,
     MultisineInput,
     NoiseSetting,
@@ -70,6 +71,15 @@ class TestConfigValidation:
         # it has no L2 norm, so every run would fail scoring as an optimizer_error
         with pytest.raises(ValueError, match="the true system must be stable"):
             quick_config(system=CtModel([1.0], [1.0, -1.0, 2.0]))
+
+    def test_discrete_system_rejected(self):
+        # unchecked, the study ran every record as ok, scoring the discrete
+        # coefficients as a continuous plant, and its report's config could
+        # not be read back by config_from_dict
+        with pytest.raises(ValueError, match="the true system must be continuous time"):
+            ExperimentConfig(system=DtModel([1.0], [1.0, 1.5, 0.56], h=0.1),
+                             input=WhiteNoiseInput(), h=0.1, N=600,
+                             noise=NoiseSetting(snr_db=20), M=3, r=1, seed=1)
 
     def test_record_shorter_than_three_times_order(self, rao_garnier):
         # the initialiser needs N >= 3 n, so below that every run would fail

@@ -61,6 +61,13 @@ class TestOrders:
             with pytest.raises(ValueError, match="at least 1"):
                 init_arx_iv(data, n)
 
+    @pytest.mark.parametrize("n, N", [(1, 2), (2, 5), (4, 11)])
+    def test_record_shorter_than_three_times_order(self, rng, n, N):
+        # N - n equations for 2 n parameters
+        with pytest.raises(ValueError, match="not enough samples for the requested order"):
+            init_arx_iv(make_data(rng, sigma=0.1, N=N), n)
+        init_arx_iv(make_data(rng, sigma=0.1, N=N + 1), n)
+
 
 class TestPredictionJacobian:
     def test_matches_finite_differences(self, rng):

@@ -21,7 +21,13 @@ from ctident import (
     zoh_map_point,
 )
 from ctident import sampling
-from ctident.errors import CtIdentError, DegenerateMap, NonPrincipalLog, SingularMap
+from ctident.errors import (
+    CtIdentError,
+    DegenerateMap,
+    NegativeRealPole,
+    NonPrincipalLog,
+    SingularMap,
+)
 from conftest import random_stable_ct
 from oracles import (
     csv_writer_dataset,
@@ -106,16 +112,16 @@ class TestD2C:
                             atol=1e-8 * np.abs(g.theta).max())
 
     def test_negative_real_pole_rejected(self):
-        with pytest.raises(NonPrincipalLog):
+        with pytest.raises(NegativeRealPole, match="discrete-time pole"):
             d2c_zoh(DtModel([1.0], [1.0, 0.5], h=0.1))
 
     def test_pole_at_origin_rejected(self):
-        with pytest.raises(NonPrincipalLog):
+        with pytest.raises(NegativeRealPole, match="discrete-time pole"):
             d2c_zoh(DtModel([1.0], [1.0, 0.0], h=0.1))
 
     def test_complex_negative_real_pair_rejected(self):
         den = np.poly([-0.3, -0.3])
-        with pytest.raises(NonPrincipalLog):
+        with pytest.raises(NegativeRealPole, match="discrete-time pole"):
             d2c_zoh(DtModel([1.0], den, h=0.1))
 
     def test_singular_input_map_rejected(self):
@@ -128,8 +134,10 @@ class TestD2C:
     def test_unreproduced_denominator_rejected(self):
         # poles at 1e15 and 0.5: the eigenvalues of the resampled Ad lose the
         # pole at 0.5 to rounding, so poly(Ad) misses the denominator
-        with pytest.raises(NonPrincipalLog):
+        # neither pole is negative, so this is no NegativeRealPole
+        with pytest.raises(NonPrincipalLog, match="does not reproduce") as info:
             d2c_zoh(DtModel([0.0, 1.0], np.poly([1e15, 0.5]), 1.0))
+        assert not isinstance(info.value, NegativeRealPole)
 
     # ten times the largest relative round-trip error over each cell's 50
     # systems; it grows about as h**-(order - 1), because the sampled
@@ -263,6 +271,15 @@ class TestZohJacobian:
         # finite exponential, but Ad - Bd C overflows
         with pytest.raises(DegenerateMap):
             zoh_map_point([1e308, 1e308, 1e-3, 1e-3], 10.0)
+
+    def test_overflowing_jacobian_rejected(self):
+        # a pole at s = 460 with h = 1: the exponential (about 1e200) and
+        # Ad - Bd C are finite, but the products of the Faddeev-LeVerrier
+        # B_1 with the Frechet derivatives overflow, so only the final check
+        # on J sees it (the earlier raise chains a LinAlgError as its cause)
+        with pytest.raises(DegenerateMap, match="Jacobian is not finite") as info:
+            zoh_map_point([0.0, 1.0, -459.0, -460.0], 1.0)
+        assert info.value.__cause__ is None
 
 
 class TestSimulateCtZoh:
