@@ -52,13 +52,13 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+        c = np.array(coeffs, dtype=float, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a nonempty 1-d sequence")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
-        nz = np.flatnonzero(c != 0.0)
-        c = c[nz[0]:].copy() if nz.size else c[-1:].copy()
+        if c[0] == 0.0:
+            c = c[np.flatnonzero(c)[0]:] if c.any() else c[-1:]
         c.flags.writeable = False
         self.coeffs = c
 
@@ -328,7 +328,7 @@ def _h2_norm_sq(*terms) -> float:
             raise NotPositiveDefinite(
                 "Lyapunov equation singular to working precision: %s" % exc) from None
     val = (C @ P @ C.T).item()
-    if val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():
+    if val < 0.0 and val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():
         raise NotPositiveDefinite("Gramian quadratic form %.3g is negative" % val)
     return max(val, 0.0)
 

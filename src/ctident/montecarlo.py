@@ -28,11 +28,12 @@ from .lti import (
     simulate_dt,
 )
 from .metrics import _mse_g, fit, mse_theta
-from .pem import init_arx_iv, oe_fit, predict
+from .pem import init_arx_iv, oe_fit
 from .rdproj import project_estimate
 from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
 # not called here; bench/spans.py traces these names on this module
 from .metrics import mse_g  # noqa: F401
+from .pem import predict  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
 from .sampling import zoh_map_point  # noqa: F401
 from .signals import gen_multisine, gen_prbs, gen_random_system
@@ -287,7 +288,7 @@ def _run_once(run, data, g0, y0, g0_norm_sq, config):
     for estimator in config.estimators:
         try:
             if estimator == PEM:
-                model, theta, y_hat = g_full, g_full.theta, predict(est.model, data.u)
+                model, theta, y_hat = g_full, g_full.theta, data.y - est.residuals
             else:
                 proj = project_estimate(g_full.theta, est.covariance, data.h, config.r)
                 model, theta = proj.model, proj.theta_tilde_c

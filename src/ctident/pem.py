@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dposv, dtrtrs
 
 from .errors import (
     DivergedUnstable,
@@ -187,6 +187,7 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     converged = False
     iterations = 0
     psi = np.zeros((data.N, 2 * n), order="F")
+    eye = np.eye(2 * n)
 
     for iterations in range(1, _MAX_ITER + 1):
         psi = _sensitivities(psi, band, w1, yhat)
@@ -202,9 +203,8 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
         saw_unstable = False
         rel_drop = 0.0
         for _ in range(_MAX_DOUBLINGS + 1):
-            try:
-                delta = np.linalg.solve(H + mu * np.eye(H.shape[0]), g)
-            except np.linalg.LinAlgError:
+            _, delta, info = dposv(H + mu * eye, g, overwrite_a=1)  # H + mu I is positive definite
+            if info:
                 mu *= 2.0
                 continue
             cand = theta + delta

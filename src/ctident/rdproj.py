@@ -25,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import NotPositiveDefinite, SingularCovariance
 from .lti import CtModel, SampledDataset
 from .pem import EstimationResult, init_arx_iv, oe_fit
-from .sampling import ZohMapPoint, d2c_zoh, naive_truncate, zoh_map_point
+from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
 __all__ = [
     "PemrdResult",
@@ -189,7 +189,14 @@ def project_estimate(theta_hat_c, cov_d, h: float, r: int) -> PemrdResult:
     Jacobian into a continuous-domain information matrix, and the estimate
     is projected in that metric.  The result carries the ``map_point``.
     """
-    point = naive_truncate(CtModel.from_theta(theta_hat_c), r).theta
+    point = np.array(theta_hat_c, dtype=float)
+    if point.ndim != 1 or point.size % 2:
+        raise ValueError("parameter vector must be 1-d of even length")
+    if not np.all(np.isfinite(point)):
+        raise ValueError("coefficients must be finite")
+    if not 1 <= r <= point.size // 2:
+        raise ValueError("relative degree must lie in [1, n]")
+    point[:r - 1] = 0.0  # the naive truncation
     map_point = zoh_map_point(point, h)
     info_c = ct_info_matrix(map_point.J, cov_d)
     return replace(project_rd(theta_hat_c, info_c, r), map_point=map_point)

@@ -102,10 +102,10 @@ def d2c_zoh(model: DtModel) -> CtModel:
         If ``K`` with unit columns has a condition number above 1e12.
     """
     zp = model.den.roots()
-    for z in zp:
-        if abs(z) <= 1e-12 or (z.real <= 0.0 and abs(z.imag) <= 1e-9 * max(1.0, abs(z))):
-            raise NegativeRealPole(
-                "discrete-time pole %s lies on the closed negative real axis" % z)
+    bad = (zp.real <= 0.0) & (abs(zp.imag) <= 1e-9 * np.maximum(1.0, abs(zp))) | (abs(zp) <= 1e-12)
+    if bad.any():
+        raise NegativeRealPole(
+            "discrete-time pole %s lies on the closed negative real axis" % zp[bad.argmax()])
     n = model.n
     den = np.poly(np.log(zp) / model.h).real
     A, B, _ = companion(CtModel([1.0], den))
@@ -174,14 +174,12 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     if not np.all(np.isfinite(E)):
         raise DegenerateMap("matrix exponential of the sampling map is not finite")
     Ad, Bd = E[:n, :n], E[:n, n:p]
-    # directions: n numerator ones move C only, n denominator ones move Ad, Bd
-    dAd = np.zeros((2 * n, n, n))
-    dBd = np.zeros((2 * n, n, 1))
-    dC = np.zeros((2 * n, 1, n))
-    for i in range(n):
-        dC[i, 0, n - 1 - i] = 1.0
-        dAd[n + i] = E[:n, p * (i + 1): p * (i + 1) + n]
-        dBd[n + i] = E[:n, p * (i + 1) + n: p * (i + 2)]
+    # numerator direction i moves C[0, n - 1 - i] only; denominator direction
+    # i moves (Ad, Bd) by block i + 1 of the exponential's first block row
+    dC = np.eye(2 * n, n)[:, None, ::-1]
+    blocks = E[:n, p:].reshape(n, n, p).swapaxes(0, 1)
+    dAd = np.concatenate([np.zeros((n, n, n)), blocks[:, :, :n]])
+    dBd = np.concatenate([np.zeros((n, n, 1)), blocks[:, :, n:]])
     with np.errstate(all="ignore"):
         M = Ad - Bd @ C
         dM = dAd - dBd @ C - Bd @ dC
@@ -190,12 +188,12 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
             full, B_full = _faddeev_leverrier(M)
         except np.linalg.LinAlgError as exc:  # eigenvalues of an overflowed M
             raise DegenerateMap("sampling-map Jacobian is not finite") from exc
-        d_den = np.array([-np.einsum("ij,dji->d", Bk, dAd) for Bk in B_den])
-        d_full = np.array([-np.einsum("ij,dji->d", Bk, dM) for Bk in B_full])
+        d_den = -np.einsum("kij,dji->kd", B_den, dAd)
+        d_full = -np.einsum("kij,dji->kd", B_full, dM)
         J = np.vstack([d_full - d_den, d_den])
     if not np.all(np.isfinite(J)):
         raise DegenerateMap("sampling-map Jacobian is not finite")
-    theta_d = DtModel((full - den)[1:], den, h).theta
+    theta_d = np.concatenate([(full - den)[1:], den[1:]])  # den is monic
     return ZohMapPoint(theta_c=theta_c.copy(), h=h, theta_d=theta_d, J=J)
 
 
@@ -209,7 +207,7 @@ def _zoh_exponential(A, B, h, frechet=False) -> np.ndarray:
     X = np.zeros((p, p))
     X[:n, :n] = A * h
     X[:n, n:] = B * h
-    big = np.kron(np.eye(p if frechet else 1), X)
+    big = np.kron(np.eye(p), X) if frechet else X
     # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
     for i in range(n if frechet else 0):
         big[n - 1, p * (i + 1) + n - 1 - i] = -h

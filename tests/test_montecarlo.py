@@ -15,6 +15,8 @@ from ctident import (
     PrbsInput,
     RandomSystemSpec,
     WhiteNoiseInput,
+    fit,
+    predict,
     run_monte_carlo,
 )
 from ctident import montecarlo
@@ -223,6 +225,26 @@ class TestRunMonteCarlo:
             system=RandomSystemSpec(order=2, reldeg=1), input=WhiteNoiseInput(),
             h=None, N=200, noise=NoiseSetting(snr_db=20.0), M=5, r=1, seed=5))
         assert len(calls) == len({rec.run for rec in rep.records if rec.metrics is not None}) > 1
+
+    def test_pem_scored_on_the_fit_prediction(self, monkeypatch):
+        # the PEM estimate is scored on the prediction its fit already holds,
+        # data.y - residuals, which equals simulating the fitted model again
+        runs, fits = [], []
+        run_once, oe_fit = montecarlo._run_once, montecarlo.oe_fit
+
+        def fitting(*args):
+            fits.append(oe_fit(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(montecarlo, "_run_once",
+                            lambda *args: runs.append(args) or run_once(*args))
+        monkeypatch.setattr(montecarlo, "oe_fit", fitting)
+        rep = run_monte_carlo(quick_config(M=5))
+        pem_records = [rec for rec in rep.records if rec.estimator == PEM]
+        assert len(pem_records) == len(runs) == len(fits) == 5
+        for rec, (_, data, _, y0, _, _), est in zip(pem_records, runs, fits):
+            expected = fit(predict(est.model, data.u), y0)
+            assert rec.metrics.fit == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_fit_diagnostics_recorded(self, monkeypatch, tmp_path):
         # every record carries its run's iteration count and convergence

@@ -264,6 +264,49 @@ class TestOeFit:
         assert res.iterations > 1
         assert calls == {"roots": 0, "eigvals": 0, "DtModel": 1}
 
+    def test_loop_makes_no_lu_solve_and_one_identity(self, rao_garnier, monkeypatch):
+        # each damped step is one Cholesky solve of H + mu I, with I built
+        # once per fit; the loop that LU-solved H + mu eye(2n) made one
+        # np.linalg.solve and one np.eye per damped step on this record
+        data = rg_prbs_data(rao_garnier, 1)
+        init = init_arx_iv(data, 4)
+        calls = {"solve": 0, "eye": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(np, "eye", counting("eye", np.eye))
+        res = oe_fit(data, init)
+        assert res.iterations > 1
+        assert calls == {"solve": 0, "eye": 1}
+
+    def test_failed_cholesky_doubles_damping(self, rao_garnier, monkeypatch):
+        # a factorization that reports H + mu I not positive definite is
+        # retried on the same H at twice the damping, as a singular LU solve
+        # was; the fit then reaches the same minimum
+        data = rg_prbs_data(rao_garnier, 1)
+        init = init_arx_iv(data, 4)
+        plain = oe_fit(data, init)
+        dposv, seen = pem.dposv, []
+
+        def failing_first(a, b, **kwargs):
+            seen.append(a.copy())
+            c, x, info = dposv(a, b, **kwargs)
+            return (c, x, 1) if len(seen) == 1 else (c, x, info)
+
+        monkeypatch.setattr(pem, "dposv", failing_first)
+        res = oe_fit(data, init)
+        # the first damping is 1e-3 times the mean diagonal of H
+        mu = 1e-3 * np.trace(seen[0]) / (seen[0].shape[0] * (1.0 + 1e-3))
+        assert_allclose(seen[1] - seen[0], mu * np.eye(8), rtol=1e-9, atol=1e-12 * mu)
+        assert res.converged
+        assert np.all(np.diff(res.cost_history) < 0)
+        assert abs(res.cost - plain.cost) <= 1e-8 * plain.cost
+
     def test_overparameterized_fit_has_singular_information(self, rng):
         # order 4 on nearly noiseless second-order data, started at the truth
         # times a cancelling pole-zero pair: the cost is flat along the pair

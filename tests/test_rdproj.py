@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +276,20 @@ class TestPemrdPipeline:
         assert_array_equal(again.theta_tilde_c, res.theta_tilde_c)
         assert_array_equal(again.cov_tilde, res.cov_tilde)
         assert again.estimation is None
+
+    @pytest.mark.parametrize("size, r, first, message", [
+        (8, 0, 0.5, "relative degree must lie in [1, n]"),
+        (8, 5, 0.5, "relative degree must lie in [1, n]"),
+        (7, 1, 0.5, "parameter vector must be 1-d of even length"),
+        (8, 2, np.nan, "coefficients must be finite"),
+    ], ids=["r_zero", "r_above_n", "odd_length", "non_finite"])
+    def test_estimate_refusals(self, rao_garnier, monkeypatch, size, r, first, message):
+        # refused before the sampling map is evaluated; the nan sits in the
+        # entry that the naive truncation would zero
+        monkeypatch.setattr(rdproj, "zoh_map_point", None)
+        theta = np.r_[first, rao_garnier.theta[1:]][:size]
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            project_estimate(theta, np.eye(size), 0.05, r)
 
     def test_projection_never_raises_variance(self, dataset):
         res = pemrd(dataset, n=4, r=3)

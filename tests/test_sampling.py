@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from ctident import (
     NoiseSpec,
     SampledDataset,
     c2d_zoh,
+    companion,
     d2c_zoh,
     freq_response,
     naive_truncate,
@@ -76,6 +79,14 @@ class TestC2D:
         gd = c2d_zoh(rao_garnier, 0.05)
         assert gd.num.degree == rao_garnier.n - 1
 
+    def test_plain_exponential_is_expm(self, rao_garnier):
+        # without the Frechet blocks the kernel is expm of the augmented
+        # matrix itself, bit for bit
+        A, B, _ = companion(rao_garnier)
+        X = np.zeros((5, 5))
+        X[:4, :4], X[:4, 4:] = A, B
+        assert_array_equal(sampling._zoh_exponential(A, B, 0.05), expm(0.05 * X))
+
     def test_rejects_nonpositive_period(self, rao_garnier):
         with pytest.raises(ValueError):
             c2d_zoh(rao_garnier, 0.0)
@@ -114,6 +125,15 @@ class TestD2C:
     def test_negative_real_pole_rejected(self):
         with pytest.raises(NegativeRealPole, match="discrete-time pole"):
             d2c_zoh(DtModel([1.0], [1.0, 0.5], h=0.1))
+
+    def test_first_negative_pole_named(self):
+        # two poles on the negative real axis: the message names the first
+        # in the order the roots are found
+        model = DtModel([1.0], np.poly([-0.7, 0.3, -0.2]), h=0.1)
+        first, second = [z for z in model.den.roots() if z.real < 0.0]
+        with pytest.raises(NegativeRealPole, match=re.escape("pole %s lies" % first)):
+            d2c_zoh(model)
+        assert str(first) != str(second)
 
     def test_pole_at_origin_rejected(self):
         with pytest.raises(NegativeRealPole, match="discrete-time pole"):
