@@ -174,8 +174,7 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     if not np.all(np.isfinite(E)):
         raise DegenerateMap("matrix exponential of the sampling map is not finite")
     Ad, Bd = E[:n, :n], E[:n, n:p]
-    # numerator direction i moves C[0, n - 1 - i] only; denominator direction
-    # i moves (Ad, Bd) by block i + 1 of the exponential's first block row
+    # numerator i moves C[0, n - 1 - i]; denominator i moves (Ad, Bd) by E[:n]'s block i + 1
     dC = np.eye(2 * n, n)[:, None, ::-1]
     blocks = E[:n, p:].reshape(n, n, p).swapaxes(0, 1)
     dAd = np.concatenate([np.zeros((n, n, n)), blocks[:, :, :n]])
