@@ -18,12 +18,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import NotPositiveDefinite, UnstableSystem
 
@@ -72,10 +71,32 @@ class Polynomial:
     def roots(self) -> np.ndarray:
         if self.degree == 0:
             return np.array([], dtype=complex)
-        return np.roots(self.coeffs)
+        return _roots(self.coeffs)
 
     def __repr__(self):
         return "Polynomial(%s)" % self.coeffs.tolist()
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """``np.roots(c)`` for a 1-d ``c`` with ``c[0] != 0``, step for step."""
+    m = np.flatnonzero(c)[-1] + 1  # c[m:] are zero roots
+    A = np.eye(m - 1, k=-1)
+    A[:1] = -c[1:m] / c[0]
+    r = np.linalg.eigvals(A)
+    return np.concatenate([r, np.zeros(c.size - m, r.dtype)])
+
+
+def _poly(zeros: np.ndarray) -> np.ndarray:
+    """``np.poly(zeros).real``, expanded as it does: one convolution per root in their dtype."""
+    a = np.ones(1, zeros.dtype)
+    for z in zeros:
+        a = np.convolve(a, np.array([1, -z], dtype=zeros.dtype))
+    return a.real
+
+
+def _charpoly(M: np.ndarray) -> np.ndarray:
+    """``np.poly(M)`` of a real square matrix: :func:`_poly` of its eigenvalues."""
+    return _poly(np.linalg.eigvals(M))
 
 
 def _as_poly(p) -> Polynomial:
@@ -216,13 +237,18 @@ def companion(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ascending numerator coefficients.  The same form serves continuous- and
     discrete-time models.
     """
-    n = model.n
+    return _companion(model.den.coeffs, model.num.coeffs)
+
+
+def _companion(den, num) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`companion` of a monic ``den``, length ``n + 1``, and a ``num`` of length ``<= n``."""
+    n = len(den) - 1
     A = np.eye(n, k=1)
-    A[-1, :] = -model.den.coeffs[:0:-1]
+    A[-1, :] = -den[:0:-1]
     B = np.zeros((n, 1))
     B[-1, 0] = 1.0
     C = np.zeros((1, n))
-    C[0, : model.num.degree + 1] = model.num.coeffs[::-1]
+    C[0, :len(num)] = num[::-1]
     return A, B, C
 
 
@@ -303,10 +329,12 @@ def _h2_norm_sq(*terms) -> float:
 
     ``C P C^T``, ``A P + P A^T + B B^T = 0`` (Zhou, Doyle & Glover, 1996, ch. 4),
     for the block-diagonal stack of the companion forms, each scaled by
-    ``diag(rho**k)``, ``rho`` its largest pole modulus.  Negative is 0 within
-    rounding and NotPositiveDefinite beyond it, as is a Lyapunov equation
-    that scipy could solve only by perturbing it (a pole pair summing to
-    about 0 relative to the largest pole).
+    ``diag(rho**k)``, ``rho`` its largest pole modulus.  ``P`` is solved by
+    the LAPACK calls of ``solve_continuous_lyapunov``, Bartels-Stewart (1972)
+    on the real Schur form of ``A``.  Negative is 0 within rounding and
+    NotPositiveDefinite beyond it, as is an equation ``dtrsyl`` could solve
+    only by perturbing it (a pole pair summing to about 0 relative to the
+    largest pole).
     """
     size = sum(g.n for _, g in terms)
     A, B, C = np.zeros((size, size)), np.zeros((size, 1)), np.zeros((1, size))
@@ -320,17 +348,27 @@ def _h2_norm_sq(*terms) -> float:
         s = slice(k, k + g.n)
         A[s, s], B[s], C[:, s] = Ag * t / t[:, None], Bg / t[:, None], c * Cg * t
         k += g.n
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            P = solve_continuous_lyapunov(A, -B @ B.T)
-        except RuntimeWarning as exc:
-            raise NotPositiveDefinite(
-                "Lyapunov equation singular to working precision: %s" % exc) from None
+    Q = -B @ B.T
+    if not (np.isfinite(A).all() and np.isfinite(Q).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lwork = dgees(_unsorted, A, lwork=-1)[-2][0].real.astype(np.int_)
+    R, _, _, _, U, _, info = dgees(_unsorted, A, lwork=lwork)
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    Y, scale, info = dtrsyl(R, R, U.T.dot(Q.dot(U)), tranb="T")
+    if info == 1:
+        raise NotPositiveDefinite("Lyapunov equation singular to working precision: "
+                                  "A has an eigenvalue pair summing to about zero")
+    Y *= scale
+    P = U.dot(Y).dot(U.T)
     val = (C @ P @ C.T).item()
     if val < 0.0 and val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():
         raise NotPositiveDefinite("Gramian quadratic form %.3g is negative" % val)
     return max(val, 0.0)
+
+
+def _unsorted(*eigenvalue):
+    """``dgees``'s eigenvalue selector, not called without ``sort_t``."""
 
 
 def freq_response(model, omega) -> np.ndarray:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefinite, SingularCovariance
 from .lti import CtModel, SampledDataset
@@ -43,12 +43,16 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 
 def _chol_inverse(M: np.ndarray, exc: Exception) -> np.ndarray:
-    """``M^{-1}`` through a Cholesky factor of ``M``; raises ``exc`` if that fails."""
-    try:
-        factor = cho_factor(M, lower=True)
-    except np.linalg.LinAlgError as err:
-        raise exc from err
-    return cho_solve(factor, np.eye(M.shape[0]))
+    """``M^{-1}`` by the LAPACK calls of ``cho_solve(cho_factor(M, lower=True), I)``.
+
+    Raises ``exc`` if the factorization fails, and ``ValueError`` for a non-finite ``M``.
+    """
+    if not np.all(np.isfinite(M)):
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise exc
+    return dpotrs(factor, np.eye(M.shape[0]), lower=1)[0]
 
 
 def ct_info_matrix(J: np.ndarray, cov_d: np.ndarray) -> np.ndarray:
@@ -113,8 +117,9 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     Raises
     ------
     ValueError
-        If ``theta_hat_c`` is not 1-d of even length ``2 n``, ``info_c`` is
-        not ``2 n`` square, or ``r`` lies outside ``[1, n]``.
+        If ``theta_hat_c`` is not a finite 1-d vector of even length ``2 n``,
+        ``info_c`` is not a finite ``2 n`` square matrix, or ``r`` lies
+        outside ``[1, n]``.
     NotPositiveDefinite
         If the information matrix fails factorization.
     SingularCovariance
@@ -126,6 +131,8 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     m = theta.size
     if theta.ndim != 1 or m % 2:
         raise ValueError("parameter vector must be 1-d of even length")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("coefficients must be finite")
     if np.shape(info_c) != (m, m):
         raise ValueError("information matrix shape does not match the parameter vector")
     if not 1 <= r <= m // 2:

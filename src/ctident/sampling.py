@@ -23,7 +23,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
-from .lti import CtModel, DtModel, SampledDataset, companion, simulate_dt
+from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _poly, companion,
+                  simulate_dt)
 
 __all__ = [
     "NoiseSpec",
@@ -79,8 +80,8 @@ def c2d_zoh(model: CtModel, h: float) -> DtModel:
     n = model.n
     E = _zoh_exponential(A, B, h)
     Ad = E[:n, :n]
-    den = np.poly(Ad)
-    return DtModel((np.poly(Ad - E[:n, n:] @ C) - den)[1:], den, h)
+    den = _charpoly(Ad)
+    return DtModel((_charpoly(Ad - E[:n, n:] @ C) - den)[1:], den, h)
 
 
 def d2c_zoh(model: DtModel) -> CtModel:
@@ -107,8 +108,10 @@ def d2c_zoh(model: DtModel) -> CtModel:
         raise NegativeRealPole(
             "discrete-time pole %s lies on the closed negative real axis" % zp[bad.argmax()])
     n = model.n
-    den = np.poly(np.log(zp) / model.h).real
-    A, B, _ = companion(CtModel([1.0], den))
+    den = _poly(np.log(zp) / model.h)
+    if not np.all(np.isfinite(den)):
+        raise ValueError("coefficients must be finite")
+    A, B, _ = _companion(den, [1.0])
     E = _zoh_exponential(A, B, model.h)
     den_d, Bk = _faddeev_leverrier(E[:n, :n])
     if not np.abs(den_d - model.den.coeffs).max() <= 1e-8 * np.abs(model.den.coeffs).max():
@@ -163,11 +166,13 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     theta_c = np.asarray(theta_c, dtype=float)
     if theta_c.ndim != 1 or theta_c.size % 2 or theta_c.size < 2:
         raise ValueError("parameter vector must be 1-d of even length")
+    if not np.all(np.isfinite(theta_c)):
+        raise ValueError("coefficients must be finite")
     h = float(h)
     if not h > 0:
         raise ValueError("sampling period must be positive")
     n = theta_c.size // 2
-    A, B, C = companion(CtModel.from_theta(theta_c))
+    A, B, C = _companion(np.concatenate([[1.0], theta_c[n:]]), theta_c[:n])
     p = n + 1
     with np.errstate(all="ignore"):
         E = _zoh_exponential(A, B, h, frechet=True)
@@ -206,7 +211,10 @@ def _zoh_exponential(A, B, h, frechet=False) -> np.ndarray:
     X = np.zeros((p, p))
     X[:n, :n] = A * h
     X[:n, n:] = B * h
-    big = np.kron(np.eye(p), X) if frechet else X
+    big = X
+    if frechet:  # X on each of the p diagonal blocks
+        big = np.zeros((p * p, p * p))
+        big.reshape(p, p, p, p)[range(p), :, range(p), :] = X
     # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
     for i in range(n if frechet else 0):
         big[n - 1, p * (i + 1) + n - 1 - i] = -h
@@ -218,10 +226,11 @@ def _faddeev_leverrier(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     They are the coefficients of ``adj(x I - M) = sum_k B_k x**(n-1-k)``.
     """
-    c = np.poly(M)
-    Bk = [np.eye(len(M))]
+    c = _charpoly(M)
+    eye = np.eye(len(M))
+    Bk = [eye]
     for ck in c[1:-1]:
-        Bk.append(M @ Bk[-1] + ck * np.eye(len(M)))
+        Bk.append(M @ Bk[-1] + ck * eye)
     return c, np.array(Bk)
 
 

@@ -35,3 +35,10 @@ def random_stable_ct(rng, order, reldeg=1):
     while abs(num[0]) < 0.1:
         num[0] = rng.standard_normal()
     return CtModel(num, den)
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bytes: signed zeros and the last bit included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), (got, want)

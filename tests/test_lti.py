@@ -23,7 +23,7 @@ from ctident import (
 )
 from ctident import lti
 from ctident.errors import NotPositiveDefinite, UnstableSystem
-from conftest import random_stable_ct
+from conftest import assert_same_bits, random_stable_ct
 from oracles import long_double_filter, max_root_modulus
 
 
@@ -279,11 +279,99 @@ class TestL2Norm:
     def test_negative_quadratic_form_rejected(self, monkeypatch):
         # a stable model's Gramian is positive semidefinite, so flip the sign
         # of the Lyapunov solution: 1/(s+1) then has the form -0.5
-        solve = lti.solve_continuous_lyapunov
-        monkeypatch.setattr(lti, "solve_continuous_lyapunov", lambda *a: -solve(*a))
+        trsyl = lti.dtrsyl
+
+        def negated(*args, **kwargs):
+            y, scale, info = trsyl(*args, **kwargs)
+            return -y, scale, info
+
+        monkeypatch.setattr(lti, "dtrsyl", negated)
         with pytest.raises(NotPositiveDefinite,
                            match=r"^Gramian quadratic form -0\.5 is negative$"):
             l2_norm_sq(CtModel([1.0], [1.0, 1.0]))
+
+    def test_schur_failure_raised(self, monkeypatch):
+        # dgees reports a QR iteration that did not converge as info > 0,
+        # which scipy's schur raised as this LinAlgError
+        gees = lti.dgees
+
+        def failing(select, a, lwork=0):
+            *out, info = gees(select, a, lwork=lwork)
+            return (*out, 1 if lwork != -1 else info)
+
+        monkeypatch.setattr(lti, "dgees", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="^Schur form not found"):
+            l2_norm_sq(CtModel([1.0], [1.0, 1.0]))
+
+    def test_non_finite_stack_rejected(self):
+        # poles -1e200 and -1: the diagonal scaling overflows the companion
+        # form, and the stack is refused as scipy's finiteness check did
+        g = CtModel([1.0], [1.0, 1e200, 1e200])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^array must not contain infs or NaNs$"):
+            l2_norm_sq(g)
+
+
+# root lists of every kind: real, complex pairs, double and exact zero roots
+ROOT_KINDS = st.lists(st.sampled_from(["real", "pair", "double", "zero"]), min_size=1, max_size=3)
+
+
+def roots_of(kinds, seed, stable=False):
+    """Orders 1-6, complex dtype when a pair is drawn; ``stable`` real parts lie in [-5, -0.2]."""
+    rng = np.random.default_rng(seed)
+    z = []
+    for kind in kinds:
+        re = -rng.uniform(0.2, 5.0) if stable else rng.uniform(-3.0, 3.0)
+        im = rng.uniform(0.1, 5.0)
+        z += {"real": [re], "pair": [re + 1j * im, re - 1j * im], "double": [re, re],
+              "zero": [0.0]}[kind]
+    return np.array(z)
+
+
+class TestSameBitsAsNumpyAndScipy:
+    """The private LAPACK routes give the bits of the numpy and scipy calls they replace."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kinds=ROOT_KINDS, seed=st.integers(0, 2**32 - 1))
+    def test_poly_and_charpoly(self, kinds, seed):
+        z = roots_of(kinds, seed)
+        assert_same_bits(lti._poly(z), np.poly(z).real)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((z.size, z.size)))
+        for M in (lti._companion(np.poly(z).real, [1.0])[0], rng.standard_normal((z.size, z.size)),
+                  q @ np.diag(z.real) @ q.T):
+            assert_same_bits(lti._charpoly(M), np.poly(M))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kinds=ROOT_KINDS, seed=st.integers(0, 2**32 - 1),
+           lead=st.sampled_from([1.0, -0.3, 7.0]))
+    def test_roots(self, kinds, seed, lead):
+        # a zero root is an exact trailing zero of the coefficients
+        c = lead * np.poly(roots_of(kinds, seed)).real
+        assert_same_bits(lti._roots(c), np.roots(c))
+        assert_same_bits(Polynomial(c).roots(), np.roots(c))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from(["real", "pair", "double"]), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1), other=st.integers(0, 6))
+    def test_h2_norm_sq(self, kinds, seed, other):
+        from scipy.linalg import solve_continuous_lyapunov
+        rng = np.random.default_rng(seed)
+        p = roots_of(kinds, seed, stable=True)
+        g = CtModel(rng.standard_normal(p.size), np.poly(p).real)
+        terms = ((1.0, g),) + (((-1.0, random_stable_ct(rng, other)),) if other else ())
+        # the stack of _h2_norm_sq, solved by scipy
+        size = sum(m.n for _, m in terms)
+        A, B, C = np.zeros((size, size)), np.zeros((size, 1)), np.zeros((1, size))
+        k = 0
+        for c, m in terms:
+            Am, Bm, Cm = companion(m)
+            t = np.abs(m.den.roots()).max() ** np.arange(m.n)
+            s = slice(k, k + m.n)
+            A[s, s], B[s], C[:, s] = Am * t / t[:, None], Bm / t[:, None], c * Cm * t
+            k += m.n
+        P = solve_continuous_lyapunov(A, -B @ B.T)
+        assert_same_bits(lti._h2_norm_sq(*terms), max((C @ P @ C.T).item(), 0.0))
 
 
 class TestFreqResponse:

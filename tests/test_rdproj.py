@@ -23,6 +23,7 @@ from ctident.errors import NegativeRealPole, NotPositiveDefinite, SingularCovari
 from ctident.lti import DtModel, SampledDataset, simulate_dt
 from ctident import rdproj
 from ctident.rdproj import pemrd_report_dict
+from conftest import assert_same_bits
 from oracles import high_precision_projection
 
 
@@ -149,14 +150,14 @@ class TestProjectRd:
     def test_projected_block_factorization_failure(self, rng, monkeypatch):
         # a block of a positive definite matrix is positive definite, so only
         # a failing factorization of the surviving block gets here
-        factor = rdproj.cho_factor
+        factor = rdproj.dpotrf
 
         def fail_on_block(M, **kwargs):
             if M.shape[0] < 4:
-                raise np.linalg.LinAlgError("forced")
+                return M, 1  # LAPACK's "leading minor 1 is not positive definite"
             return factor(M, **kwargs)
 
-        monkeypatch.setattr(rdproj, "cho_factor", fail_on_block)
+        monkeypatch.setattr(rdproj, "dpotrf", fail_on_block)
         with pytest.raises(SingularCovariance,
                            match="projected information block is not invertible"):
             project_rd(rng.standard_normal(4), random_spd(rng, 4), r=2)
@@ -170,6 +171,30 @@ class TestProjectRd:
             project_rd([1.0, 2.0], np.eye(2), r=2)
         with pytest.raises(ValueError):
             project_rd([1.0, 2.0], np.eye(2), r=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimate_rejected(self, bad):
+        # before, a nan came back as the projection [0, nan, nan, nan]
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            project_rd([bad, 1.0, 2.0, 3.0], np.eye(4), r=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_information_rejected(self, bad):
+        info = np.eye(4)
+        info[1, 2] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            project_rd([1.0, 1.0, 2.0, 3.0], info, r=2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 25.0))
+    def test_chol_inverse_same_bits_as_scipy(self, m, seed, spread):
+        # the full matrix, as ct_info_matrix and project_rd pass it, and a
+        # strided trailing block, as _block_covariance does
+        from scipy.linalg import cho_factor, cho_solve
+        M = random_spd(np.random.default_rng(seed), m + 1, spread)
+        for A in (M, M[1:, 1:]):
+            assert_same_bits(rdproj._chol_inverse(A, AssertionError()),
+                             cho_solve(cho_factor(A, lower=True), np.eye(len(A))))
 
 
 class TestProjectedCovariance:
@@ -239,6 +264,13 @@ class TestCtInfoMatrix:
         # a jitter once turned this into an information entry of 1.33e12
         with pytest.raises(SingularCovariance, match="not positive definite"):
             ct_info_matrix(np.eye(4), np.diag([1.0, 1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        cov = np.eye(4)
+        cov[3, 3] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            ct_info_matrix(np.eye(4), cov)
 
 
 @pytest.fixture(scope="module")

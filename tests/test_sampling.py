@@ -31,7 +31,7 @@ from ctident.errors import (
     NonPrincipalLog,
     SingularMap,
 )
-from conftest import random_stable_ct
+from conftest import assert_same_bits, random_stable_ct
 from oracles import (
     csv_writer_dataset,
     difference_jacobian,
@@ -86,6 +86,20 @@ class TestC2D:
         X = np.zeros((5, 5))
         X[:4, :4], X[:4, 4:] = A, B
         assert_array_equal(sampling._zoh_exponential(A, B, 0.05), expm(0.05 * X))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
+           h=st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
+    def test_frechet_exponential_same_bits_as_kron_build(self, seed, order, h):
+        # X on the diagonal blocks by slice assignment, as np.kron(I, X) built them
+        A, B, _ = companion(random_stable_ct(np.random.default_rng(seed), order))
+        p = order + 1
+        X = np.zeros((p, p))
+        X[:order, :order], X[:order, order:] = A * h, B * h
+        big = np.kron(np.eye(p), X)
+        for i in range(order):
+            big[order - 1, p * (i + 1) + order - 1 - i] = -h
+        assert_same_bits(sampling._zoh_exponential(A, B, h, frechet=True), expm(big)[:p])
 
     def test_rejects_nonpositive_period(self, rao_garnier):
         with pytest.raises(ValueError):
@@ -150,6 +164,12 @@ class TestD2C:
         # has condition number about 7e12
         with pytest.raises(SingularMap):
             d2c_zoh(DtModel([1.0, 1.0, 1.0], np.poly([2e-12, 3e-12, 4e-12]), 1.0))
+
+    def test_overflowing_logarithms_rejected(self):
+        # at h = 1e-300 the continuous poles log(z) / h are about 1e300, and
+        # their product overflows the continuous denominator
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            d2c_zoh(DtModel([1.0, 0.5], [1.0, -1.2, 0.35], h=1e-300))
 
     def test_unreproduced_denominator_rejected(self):
         # poles at 1e15 and 0.5: the eigenvalues of the resampled Ad lose the
