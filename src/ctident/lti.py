@@ -321,33 +321,41 @@ def l2_norm_sq(model: CtModel) -> float:
         If the computed quadratic form is negative beyond rounding, or the
         Gramian's Lyapunov equation is singular to working precision.
     """
-    return _h2_norm_sq((1.0, model))
+    return _h2_norm_sq(_h2_block(1.0, model))
 
 
-def _h2_norm_sq(*terms) -> float:
-    """Squared H2 norm of ``sum(c * g)`` over ``(c, g)`` terms of stable models.
+def _h2_block(c: float, g: CtModel):
+    """``(A, B, C)`` of ``c * g`` in :func:`_h2_norm_sq`'s stack.
+
+    ``g``'s companion form scaled by ``diag(rho**k)``, ``rho`` its largest
+    pole modulus; UnstableSystem if a pole has nonnegative real part.
+    """
+    p = g.den.roots()
+    if not np.all(p.real < 0.0):
+        raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
+    A, B, C = companion(g)
+    t = np.abs(p).max() ** np.arange(g.n)
+    return A * t / t[:, None], B / t[:, None], c * C * t
+
+
+def _h2_norm_sq(*blocks) -> float:
+    """Squared H2 norm of ``sum(c * g)``, given the :func:`_h2_block` of each term.
 
     ``C P C^T``, ``A P + P A^T + B B^T = 0`` (Zhou, Doyle & Glover, 1996, ch. 4),
-    for the block-diagonal stack of the companion forms, each scaled by
-    ``diag(rho**k)``, ``rho`` its largest pole modulus.  ``P`` is solved by
-    the LAPACK calls of ``solve_continuous_lyapunov``, Bartels-Stewart (1972)
-    on the real Schur form of ``A``.  Negative is 0 within rounding and
+    for the block-diagonal stack of the blocks.  ``P`` is solved by the
+    LAPACK calls of ``solve_continuous_lyapunov``, Bartels-Stewart (1972) on
+    the real Schur form of ``A``.  Negative is 0 within rounding and
     NotPositiveDefinite beyond it, as is an equation ``dtrsyl`` could solve
     only by perturbing it (a pole pair summing to about 0 relative to the
     largest pole).
     """
-    size = sum(g.n for _, g in terms)
+    size = sum(Ag.shape[0] for Ag, _, _ in blocks)
     A, B, C = np.zeros((size, size)), np.zeros((size, 1)), np.zeros((1, size))
     k = 0
-    for c, g in terms:
-        p = g.den.roots()
-        if not np.all(p.real < 0.0):
-            raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
-        Ag, Bg, Cg = companion(g)
-        t = np.abs(p).max() ** np.arange(g.n)
-        s = slice(k, k + g.n)
-        A[s, s], B[s], C[:, s] = Ag * t / t[:, None], Bg / t[:, None], c * Cg * t
-        k += g.n
+    for Ag, Bg, Cg in blocks:
+        s = slice(k, k + Ag.shape[0])
+        A[s, s], B[s], C[:, s] = Ag, Bg, Cg
+        k += Ag.shape[0]
     Q = -B @ B.T
     if not (np.isfinite(A).all() and np.isfinite(Q).all()):
         raise ValueError("array must not contain infs or NaNs")
@@ -390,8 +398,9 @@ def freq_response(model, omega) -> np.ndarray:
 def is_stable(model) -> bool:
     """Asymptotic stability: open left half-plane (ct) or open unit disc (dt).
 
-    The discrete-time decision is exact for the stored coefficients; see
-    :func:`_schur_stable`.
+    The discrete-time decision is exact for the stored coefficients: a
+    floating-point test with an error bound, then an exact integer test
+    where rounding could flip the answer (:func:`_schur_stable`).
     """
     if isinstance(model, DtModel):
         return _schur_stable(model.den.coeffs)
@@ -402,6 +411,44 @@ def is_stable(model) -> bool:
 def _schur_stable(coeffs) -> bool:
     """Whether every root of ``coeffs`` (descending, leading one positive) lies in ``|z| < 1``.
 
+    The Schur-Cohn step-down recursion of :func:`_schur_exact`, run in
+    doubles first: a filter that hands what it cannot certify to an exact
+    test, as Shewchuk's (*Discrete Comput. Geom.* 18, 1997).  The computed
+    coefficients ``f_i`` carry one bound ``e`` with ``|f_i - c_i| <= e``
+    against the exact recursion's ``c_i``, ``e = 0`` for the input.  A step
+    is certified stable when ``f_0 - |f_n| > 2 e`` and unstable when
+    ``|f_n| - f_0 > 2 e``, since ``c_0 - |c_n|`` then has the same sign.
+    With ``M = max |f_i|``, each product ``c_0 c_i`` lies within
+    ``M e + (M + e) e`` of ``f_0 f_i``, and the two products and their
+    difference round by at most ``u M**2`` each and ``2 u M**2 (1 + u)``
+    (``u = 2**-53``), so the next coefficients keep
+    ``e' = 2 (2 M + e) e + 4.0001 u M**2``.  Underflow adds at most
+    ``3 * 2**-1075``; the bound and the tests are evaluated with a factor
+    ``1 + 2**-40`` and ``2**-1070`` added, which covers it and their own
+    rounding.  Overflow cannot occur while ``2**-300 <= M <= 2**300``.  Any
+    other ``M`` and any step certified neither way go to :func:`_schur_exact`,
+    so the answer is always the exact one: a root on the circle or within
+    rounding of it, and non-finite input, which is not stable, end there.
+    """
+    c = np.asarray(coeffs, dtype=float).tolist()
+    e = 0.0
+    while len(c) > 1:
+        M = max(map(abs, c))
+        if not 2.0 ** -300 <= M <= 2.0 ** 300:
+            return _schur_exact(coeffs)
+        c0, cn = c[0], c[-1]
+        d, t = c0 - abs(cn), 2.0 * e * (1.0 + 2.0 ** -40) + 2.0 ** -1070
+        if not d > t:
+            return False if -d > t else _schur_exact(coeffs)
+        c = [c0 * ci - cn * cj for ci, cj in zip(c[:-1], c[:0:-1])]
+        e = (2.0 * (2.0 * M + e) * e + 4.0001 * 2.0 ** -53 * M * M) * (1.0 + 2.0 ** -40)
+        e += 2.0 ** -1070
+    return True
+
+
+def _schur_exact(coeffs) -> bool:
+    """:func:`_schur_stable` decided in exact integer arithmetic.
+
     The Schur-Cohn step-down recursion (Jury, *Theory and Application of the
     z-Transform Method*, 1964; Astrom & Wittenmark, *Computer-Controlled
     Systems*, sec. 3.2): the roots lie inside the circle exactly when
@@ -411,8 +458,9 @@ def _schur_stable(coeffs) -> bool:
     common power-of-two denominator the coefficients are integers and the
     recursion runs without rounding.  Dividing each step by the
     coefficients' greatest common divisor keeps their length growing
-    linearly in the degree instead of doubling every step.  Non-finite
-    coefficients are not stable.
+    linearly in the degree instead of doubling every step; like the common
+    denominator, it scales a step by a positive number and changes no
+    decision.  Non-finite coefficients are not stable.
     """
     try:
         ratios = [c.as_integer_ratio() for c in np.asarray(coeffs, dtype=float).tolist()]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import CtModel, _h2_norm_sq, l2_norm_sq
+from .lti import CtModel, _h2_block, _h2_norm_sq, l2_norm_sq
 
 __all__ = ["mse_g", "mse_theta", "fit"]
 
@@ -25,12 +25,15 @@ def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
         If a Gramian quadratic form is negative beyond rounding, or a
         Gramian's Lyapunov equation is singular to working precision.
     """
-    return _mse_g(g_hat, g_true, l2_norm_sq(g_true))
+    return _mse_g(g_hat, _h2_block(-1.0, g_true), l2_norm_sq(g_true))
 
 
-def _mse_g(g_hat: CtModel, g_true: CtModel, true_norm_sq: float) -> float:
-    """:func:`mse_g` given ``true_norm_sq = l2_norm_sq(g_true)``, for callers that reuse it."""
-    return _h2_norm_sq((1.0, g_hat), (-1.0, g_true)) / true_norm_sq
+def _mse_g(g_hat: CtModel, minus_true, true_norm_sq: float) -> float:
+    """:func:`mse_g` given ``minus_true = _h2_block(-1.0, g_true)`` and ``l2_norm_sq(g_true)``.
+
+    For callers that score several estimates against one true system.
+    """
+    return _h2_norm_sq(_h2_block(1.0, g_hat), minus_true) / true_norm_sq
 
 
 def mse_theta(theta_hat, theta_true) -> float:

@@ -21,6 +21,7 @@ from .errors import CtIdentError, NonPrincipalLog
 from .lti import (
     CtModel,
     SampledDataset,
+    _h2_block,
     is_stable,
     l2_norm_sq,
     model_from_dict,
@@ -252,17 +253,18 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
 
 
 def _true_experiment(config: ExperimentConfig, rng):
-    """``(g0, h, u, y0, sigma, l2_norm_sq(g0))`` for a study's true system.
+    """``(g0, h, u, y0, sigma, truth)`` for a study's true system.
 
     A random system is drawn from ``rng``, then sampled at ``config.h`` or,
-    if that is None, at its default period.
+    if that is None, at its default period.  ``truth`` is what scoring an
+    estimate against ``g0`` reuses, ``metrics._mse_g``'s last two arguments.
     """
     g0 = config.system
     if isinstance(g0, RandomSystemSpec):
         g0 = gen_random_system(g0.order, g0.reldeg, g0.slowest_pole_bound, rng)
     h = config.h if config.h is not None else _default_period(g0)
     u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
-    return g0, h, u, y0, sigma, l2_norm_sq(g0)
+    return g0, h, u, y0, sigma, (_h2_block(-1.0, g0), l2_norm_sq(g0))
 
 
 def _failed(run, estimators, exc, iterations=None, converged=None):
@@ -272,7 +274,7 @@ def _failed(run, estimators, exc, iterations=None, converged=None):
             for est in estimators]
 
 
-def _run_once(run, data, g0, y0, g0_norm_sq, config):
+def _run_once(run, data, g0, y0, truth, config):
     """Fit once, then build the record of every requested estimator on that fit."""
     try:
         est = oe_fit(data, init_arx_iv(data, g0.n))
@@ -294,7 +296,7 @@ def _run_once(run, data, g0, y0, g0_norm_sq, config):
                 model, theta = proj.model, proj.theta_tilde_c
                 y_hat = simulate_dt(c2d_zoh(model, data.h), data.u)
             fit_val = fit(y_hat, y0)
-            metrics = Metrics(_mse_g(model, g0, g0_norm_sq),
+            metrics = Metrics(_mse_g(model, *truth),
                               mse_theta(theta, g0.theta), fit_val)
         except _FAILURES as exc:
             records += _failed(run, [estimator], exc, **diagnostics)
@@ -333,9 +335,9 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
     records = []
     for run in range(config.M):
         rng = np.random.default_rng(run_seeds[run + 1])
-        g0, h, u, y0, sigma, g0_norm_sq = fixed or _true_experiment(config, rng)
+        g0, h, u, y0, sigma, truth = fixed or _true_experiment(config, rng)
         data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
-        records.extend(_run_once(run, data, g0, y0, g0_norm_sq, config))
+        records.extend(_run_once(run, data, g0, y0, truth, config))
 
     aggregates = {est: _aggregate(records, est) for est in config.estimators}
     return McReport(config=config_to_dict(config), seed=config.seed,

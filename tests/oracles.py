@@ -17,13 +17,15 @@ It also keeps a frequency-domain reference for the Gramian-based quality
 metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
 along the imaginary axis; the initialiser's chain with its regressions
 solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`; a root-modulus
-reference for the discrete stability test, :func:`max_root_modulus`; the
+reference for the discrete stability test, :func:`max_root_modulus`, and
+an exact one in rational arithmetic, :func:`fraction_schur_stable`; the
 relative-degree projection solved in 50-digit arithmetic,
 :func:`high_precision_projection`; and the row-by-row ``csv.writer``
 version of the dataset CSV, :func:`csv_writer_dataset`.
 """
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad_vec
@@ -251,6 +253,29 @@ def max_root_modulus(coeffs, digits=80):
         roots, err = mpmath.polyroots([mpmath.mpf(float(c)) for c in coeffs],
                                       maxsteps=200, extraprec=digits, error=True)
         return max(abs(r) for r in roots), err
+
+
+def fraction_schur_stable(coeffs):
+    """Whether every root of ``coeffs`` (descending) lies in ``|z| < 1``, exactly.
+
+    Schur-Cohn in reflection-coefficient form on the exact rational values
+    of the doubles: ``a`` is stable exactly when ``a_0 > 0``, the reflection
+    coefficient ``k = a_n / a_0`` has ``|k| < 1`` and the degree ``n - 1``
+    polynomial ``a_i - k a_{n-i}`` is stable.  Non-finite coefficients are
+    not stable.
+    """
+    try:
+        a = [Fraction(float(c)) for c in coeffs]
+    except (OverflowError, ValueError):
+        return False
+    while len(a) > 1:
+        if not a[0] > 0:
+            return False
+        k = a[-1] / a[0]
+        if not abs(k) < 1:
+            return False
+        a = [a[i] - k * a[-1 - i] for i in range(len(a) - 1)]
+    return True
 
 
 def high_precision_projection(theta_c, info_c, r, digits=50):

@@ -24,7 +24,7 @@ from ctident import (
 from ctident import lti
 from ctident.errors import NotPositiveDefinite, UnstableSystem
 from conftest import assert_same_bits, random_stable_ct
-from oracles import long_double_filter, max_root_modulus
+from oracles import fraction_schur_stable, long_double_filter, max_root_modulus
 
 
 def padded_numerator(model):
@@ -371,7 +371,8 @@ class TestSameBitsAsNumpyAndScipy:
             A[s, s], B[s], C[:, s] = Am * t / t[:, None], Bm / t[:, None], c * Cm * t
             k += m.n
         P = solve_continuous_lyapunov(A, -B @ B.T)
-        assert_same_bits(lti._h2_norm_sq(*terms), max((C @ P @ C.T).item(), 0.0))
+        blocks = [lti._h2_block(c, m) for c, m in terms]
+        assert_same_bits(lti._h2_norm_sq(*blocks), max((C @ P @ C.T).item(), 0.0))
 
 
 class TestFreqResponse:
@@ -393,6 +394,37 @@ class TestFreqResponse:
     def test_unsupported_type(self):
         with pytest.raises(TypeError):
             freq_response(object(), 1.0)
+
+
+def adversarial_den(degree, radius, nudge, seed):
+    """A degree ``degree`` denominator built to sit where rounding decides stability.
+
+    ``radius`` is ``"circle"`` (every root on ``|z| = 1``), an integer
+    ``k > 0`` (every root at ``1 - 10**-k``) or ``k < 0`` (at ``1 -+ 10**k``,
+    the side drawn per root), ``"inside"`` (``[0, 0.9]``), ``"outside"``
+    (``[1.1, 3]``) or ``"uniform"`` (``[0, 3]``).  Roots are real of either
+    sign or conjugate pairs.  ``nudge`` moves one coefficient by one ulp.
+    """
+    rng = np.random.default_rng(seed)
+    roots = []
+    while len(roots) < degree:
+        if radius == "circle":
+            r = 1.0
+        elif isinstance(radius, int):
+            r = 1.0 - (1.0 if radius > 0 else rng.choice([-1.0, 1.0])) * 10.0 ** -abs(radius)
+        else:
+            r = rng.uniform(*{"inside": (0.0, 0.9), "outside": (1.1, 3.0),
+                              "uniform": (0.0, 3.0)}[radius])
+        if degree - len(roots) >= 2 and rng.random() < 0.5:
+            phase = rng.uniform(0.0, np.pi)
+            roots += [r * np.exp(1j * phase), r * np.exp(-1j * phase)]
+        else:
+            roots.append(rng.choice([-r, r]))
+    c = np.poly(roots).real
+    if nudge:
+        i = rng.integers(c.size)
+        c[i] = np.nextafter(c[i], rng.choice([-np.inf, np.inf]))
+    return c
 
 
 class TestStability:
@@ -440,6 +472,38 @@ class TestStability:
                 modulus, err = max_root_modulus(scaled)
                 assert abs(modulus - 1) > err
                 assert is_stable(DtModel([1.0], scaled, h=h)) is bool(modulus < 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(degree=st.integers(1, 10),
+           radius=(st.sampled_from(["circle", "inside", "outside", "uniform"])
+                   | st.integers(-15, 15).filter(bool)),
+           nudge=st.booleans(), scale=st.sampled_from([2.0 ** -700, 2.0 ** 700]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_float_and_exact_match_fraction_oracle(self, degree, radius, nudge, scale, seed):
+        # denominators whose stability rounding could flip: roots on the
+        # circle or within 1e-15 to 1e-1 of it, one coefficient off by an
+        # ulp; scaled, each lies outside the floating-point pass's range
+        for den in (c := adversarial_den(degree, radius, nudge, seed), c * scale):
+            want = fraction_schur_stable(den)
+            assert lti._schur_stable(den) is want
+            assert lti._schur_exact(den) is want
+
+    @pytest.mark.parametrize("den, stable, exact", [
+        (c2d_zoh(CtModel([-6400.0, 1600.0], [1.0, 5.0, 408.0, 416.0, 1600.0]), 0.01).den.coeffs,
+         True, False),  # certified stable
+        ([1.0, 0.0, 0.0, 2.0], False, False),  # certified unstable
+        ([1.0, 0.0, 1.0], False, True),  # |c_n| = c_0: undecided, unstable
+        (adversarial_den(4, 14, False, 2), True, True),  # roots within 1e-14 of the circle
+        (np.array([1.0, -1.5, 0.5625]) * 2.0 ** -400, True, True),  # scale out of range
+    ], ids=["certified_stable", "certified_unstable", "undecided_unstable",
+            "undecided_stable", "out_of_range"])
+    def test_which_path_decides(self, monkeypatch, den, stable, exact):
+        calls = []
+        exact_test = lti._schur_exact
+        monkeypatch.setattr(lti, "_schur_exact", lambda c: calls.append(c) or exact_test(c))
+        assert lti._schur_stable(den) is stable
+        assert fraction_schur_stable(den) is stable
+        assert len(calls) == exact
 
     @pytest.mark.parametrize("den", [
         [1.0, np.inf], [1.0, -np.inf, 0.5], [1.0, np.nan], [1.0, 0.5, np.nan]])

@@ -19,7 +19,7 @@ from ctident import (
     predict,
     run_monte_carlo,
 )
-from ctident import montecarlo
+from ctident import lti, montecarlo
 from ctident.errors import RankDeficientRegression
 from ctident.montecarlo import (
     PEM,
@@ -225,6 +225,18 @@ class TestRunMonteCarlo:
             system=RandomSystemSpec(order=2, reldeg=1), input=WhiteNoiseInput(),
             h=None, N=200, noise=NoiseSetting(snr_db=20.0), M=5, r=1, seed=5))
         assert len(calls) == len({rec.run for rec in rep.records if rec.metrics is not None}) > 1
+
+    def test_true_system_block_built_once(self, monkeypatch):
+        # a fixed true system's poles are found twice per study, for its
+        # norm and for its block of the H2 stack, which scores both
+        # estimators of every run
+        config = quick_config(M=4)
+        calls = []
+        roots = lti._roots
+        monkeypatch.setattr(lti, "_roots", lambda c: calls.append(c) or roots(c))
+        rep = run_monte_carlo(config)
+        assert sum(rec.metrics is not None for rec in rep.records) == 8
+        assert sum(c is config.system.den.coeffs for c in calls) == 2
 
     def test_pem_scored_on_the_fit_prediction(self, monkeypatch):
         # the PEM estimate is scored on the prediction its fit already holds,
