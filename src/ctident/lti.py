@@ -103,6 +103,14 @@ def _as_poly(p) -> Polynomial:
     return p if isinstance(p, Polynomial) else Polynomial(p)
 
 
+def _period(h) -> float:
+    """``h`` as a float; ``ValueError`` unless it is positive and finite."""
+    h = float(h)
+    if not 0.0 < h < np.inf:
+        raise ValueError("sampling period must be positive and finite")
+    return h
+
+
 class _RationalModel:
     """Shared behaviour of strictly proper single-input single-output models."""
 
@@ -185,10 +193,7 @@ class DtModel(_RationalModel):
 
     def __init__(self, num, den, h: float):
         super().__init__(num, den)
-        h = float(h)
-        if not h > 0:
-            raise ValueError("sampling period must be positive")
-        self.h = h
+        self.h = _period(h)
 
     @classmethod
     def from_theta(cls, theta, h: float) -> "DtModel":
@@ -216,13 +221,11 @@ class SampledDataset:
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "h", _period(self.h))
         if u.ndim != 1 or y.ndim != 1 or u.size != y.size:
             raise ValueError("u and y must be 1-d arrays of equal length")
         if u.size < 1:
             raise ValueError("dataset must contain at least one sample")
-        if not self.h > 0:
-            raise ValueError("sampling period must be positive")
 
     @property
     def N(self) -> int:

@@ -22,6 +22,7 @@ from .lti import (
     CtModel,
     SampledDataset,
     _h2_block,
+    _period,
     is_stable,
     l2_norm_sq,
     model_from_dict,
@@ -29,7 +30,7 @@ from .lti import (
     simulate_dt,
 )
 from .metrics import _mse_g, fit, mse_theta
-from .pem import init_arx_iv, oe_fit
+from .pem import _study_buffers, init_arx_iv, oe_fit
 from .rdproj import project_estimate
 from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
 # not called here; bench/spans.py traces these names on this module
@@ -154,6 +155,8 @@ class ExperimentConfig:
                 raise ValueError("unknown estimator %r" % (est,))
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+        if self.h is not None:
+            _period(self.h)
         if self.M < 1 or self.N < 1:
             raise ValueError("M and N must be positive")
         if isinstance(self.input, PrbsInput):
@@ -166,8 +169,8 @@ class ExperimentConfig:
         else:
             if not isinstance(self.system, CtModel):
                 raise ValueError("the true system must be continuous time")
-            if self.h is None or not self.h > 0:
-                raise ValueError("a fixed-system study needs a positive sampling period")
+            if self.h is None:
+                raise ValueError("a fixed-system study needs a sampling period")
             if not is_stable(self.system):
                 raise ValueError("the true system must be stable")
             order = self.system.n
@@ -333,11 +336,12 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
     fixed = (None if isinstance(config.system, RandomSystemSpec)
              else _true_experiment(config, np.random.default_rng(run_seeds[0])))
     records = []
-    for run in range(config.M):
-        rng = np.random.default_rng(run_seeds[run + 1])
-        g0, h, u, y0, sigma, truth = fixed or _true_experiment(config, rng)
-        data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
-        records.extend(_run_once(run, data, g0, y0, truth, config))
+    with _study_buffers():
+        for run in range(config.M):
+            rng = np.random.default_rng(run_seeds[run + 1])
+            g0, h, u, y0, sigma, truth = fixed or _true_experiment(config, rng)
+            data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
+            records.extend(_run_once(run, data, g0, y0, truth, config))
 
     aggregates = {est: _aggregate(records, est) for est in config.estimators}
     return McReport(config=config_to_dict(config), seed=config.seed,

@@ -23,8 +23,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
-from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _poly, companion,
-                  simulate_dt)
+from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _period, _poly,
+                  companion, simulate_dt)
 
 __all__ = [
     "NoiseSpec",
@@ -73,9 +73,7 @@ def c2d_zoh(model: CtModel, h: float) -> DtModel:
     of ``model`` driven by the staircase input.  Generically the result has
     relative degree one regardless of the relative degree of ``model``.
     """
-    h = float(h)
-    if not h > 0:
-        raise ValueError("sampling period must be positive")
+    h = _period(h)
     A, B, C = companion(model)
     n = model.n
     E = _zoh_exponential(A, B, h)
@@ -158,7 +156,7 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     ------
     ValueError
         If ``theta_c`` is not a finite 1-d vector of even length or ``h`` is
-        not positive.
+        not positive and finite.
     DegenerateMap
         If the exponential or the Jacobian is not finite, as when the
         parameters are so large that the exponential overflows.
@@ -168,9 +166,7 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
         raise ValueError("parameter vector must be 1-d of even length")
     if not np.all(np.isfinite(theta_c)):
         raise ValueError("coefficients must be finite")
-    h = float(h)
-    if not h > 0:
-        raise ValueError("sampling period must be positive")
+    h = _period(h)
     n = theta_c.size // 2
     A, B, C = _companion(np.concatenate([[1.0], theta_c[n:]]), theta_c[:n])
     p = n + 1

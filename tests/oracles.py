@@ -20,8 +20,10 @@ solved by ``np.linalg.lstsq``, :func:`lstsq_init_arx_iv`; a root-modulus
 reference for the discrete stability test, :func:`max_root_modulus`, and
 an exact one in rational arithmetic, :func:`fraction_schur_stable`; the
 relative-degree projection solved in 50-digit arithmetic,
-:func:`high_precision_projection`; and the row-by-row ``csv.writer``
-version of the dataset CSV, :func:`csv_writer_dataset`.
+:func:`high_precision_projection`; the row-by-row ``csv.writer``
+version of the dataset CSV, :func:`csv_writer_dataset`; and the
+Gauss-Newton Gram matrix as numpy's ``psi.T @ psi`` builds it,
+:func:`syrk_gram`.
 """
 
 import csv
@@ -310,3 +312,13 @@ def csv_writer_dataset(ds, path):
         w.writerow(["k", "t", "u", "y"])
         for k in range(ds.N):
             w.writerow([k, repr(k * ds.h), repr(float(ds.u[k])), repr(float(ds.y[k]))])
+
+
+def syrk_gram(alpha, a, b, trans_a=0):
+    """``alpha a^T a`` as ``a.T @ a`` makes it, by BLAS ``dsyrk``.
+
+    Takes the arguments of the ``scipy.linalg.blas.dgemm`` call that builds
+    ``oe_fit``'s Gram matrix, so that it can stand in for that call.
+    """
+    assert a is b and trans_a
+    return alpha * (a.T @ a)

@@ -279,6 +279,25 @@ class TestFitProjectChain:
             "configuration error: not enough samples for the requested order\n")
         assert not fit_path.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "project"])
+    def test_infinite_period_rejected(self, command, sim_config, tmp_path, capsys):
+        # unchecked, both printed two RuntimeWarnings from the matrix
+        # exponential, then "Array must not contain infs or NaNs"
+        if command == "simulate":
+            cfg = dict(json.loads(sim_config.read_text()), h=float("inf"))
+        else:
+            cfg = {"theta_d": [0.3, -0.1, -1.0, 0.4], "h": float("inf"),
+                   "covariance": np.eye(4).tolist()}
+        config = tmp_path / "h_inf.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        argv = (["simulate", "--config", str(config)] if command == "simulate"
+                else ["project", "--report", str(config), "--r", "1"])
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: sampling period must be positive and finite\n")
+        assert not out.exists()
+
     def test_project_refuses_negative_real_pole(self, tmp_path, capsys):
         # the discrete pole -0.5 has no real continuous-time preimage
         rep = tmp_path / "fit.json"

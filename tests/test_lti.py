@@ -129,9 +129,12 @@ class TestSampledDataset:
     (lambda: SampledDataset([], [], 0.1), "dataset must contain at least one sample"),
     (lambda: SampledDataset([1.0], [1.0], 0.0), "sampling period must be positive"),
     (lambda: SampledDataset([1.0], [1.0], np.nan), "sampling period must be positive"),
+    # an infinite period passed every check that it is positive
+    (lambda: SampledDataset([1.0], [1.0], np.inf), "sampling period must be positive and finite"),
+    (lambda: DtModel([1.0], [1.0, 0.5], h=np.inf), "sampling period must be positive and finite"),
 ], ids=["empty_polynomial", "2d_polynomial", "constant_ct_denominator",
         "stripped_dt_denominator", "odd_dt_theta", "empty_dataset", "zero_period",
-        "nan_period"])
+        "nan_period", "infinite_period", "infinite_dt_period"])
 def test_invalid_construction_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from ctident import (
     predict,
     run_monte_carlo,
 )
-from ctident import lti, montecarlo
+from ctident import d2c_zoh, lti, montecarlo, pem
 from ctident.errors import RankDeficientRegression
 from ctident.montecarlo import (
     PEM,
@@ -31,6 +33,7 @@ from ctident.montecarlo import (
     write_aggregate_csv,
     write_run_csv,
 )
+from conftest import assert_same_bits
 
 G2 = CtModel([3.0], [1.0, 2.8, 4.0])
 STATUSES = {"ok", "negative_real_pole", "negative_fit", "optimizer_error"}
@@ -64,6 +67,9 @@ class TestConfigValidation:
     def test_fixed_system_needs_period(self):
         with pytest.raises(ValueError):
             quick_config(h=None)
+        for system in (G2, RandomSystemSpec(order=2, reldeg=1)):
+            with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+                quick_config(system=system, h=np.inf, r=1)
 
     def test_relative_degree_range(self):
         with pytest.raises(ValueError):
@@ -313,6 +319,94 @@ class TestRunMonteCarlo:
         assert rep.aggregates[PEMRD]["mean"].fit > rep.aggregates[PEM]["mean"].fit
         assert rep.aggregates[PEMRD]["mean"].mse_g < rep.aggregates[PEM]["mean"].mse_g
         assert 97.0 < rep.aggregates[PEM]["mean"].fit < 99.0
+
+
+def pooled():
+    """The record-length fit buffers this thread holds."""
+    return list((getattr(pem._pool, "arrays", None) or {}).values())
+
+
+class TestStudyBuffers:
+    def test_fits_match_standalone_fits(self, rao_garnier, monkeypatch):
+        # a long-record study, then one at another N in the same thread: each
+        # fit made with the study's buffers is the fit of its record made
+        # without them, and returns no view of a buffer
+        fits = []
+        oe_fit = montecarlo.oe_fit
+
+        def fitting(data, init):
+            est = oe_fit(data, init)
+            fits.append((data, init, est, pooled()))
+            return est
+
+        monkeypatch.setattr(montecarlo, "oe_fit", fitting)
+        for prbs, N in ((PrbsInput(10, 7), 7161), (PrbsInput(9, 3), 1533)):
+            fits.clear()
+            rep = run_monte_carlo(ExperimentConfig(
+                system=rao_garnier, input=prbs, h=0.05, N=N, noise=NoiseSetting(snr_db=10.0),
+                M=3, r=3, seed=20260816))
+            records = [rec for rec in rep.records if rec.estimator == PEM]
+            assert len(fits) == len(records) == 3
+            for rec, (data, init, est, buffers) in zip(records, fits):
+                assert len(buffers) == 5
+                assert all(N in b.shape or N - 4 in b.shape for b in buffers)
+                alone = pem.oe_fit(data, pem.init_arx_iv(data, 4))
+                assert (rec.iterations, rec.converged) == (alone.iterations, alone.converged)
+                assert_same_bits(rec.theta_c, d2c_zoh(alone.model).theta)
+                assert (est.cost, est.sigma2_hat) == (alone.cost, alone.sigma2_hat)
+                fitted = (est.model.num.coeffs, est.model.den.coeffs, est.residuals,
+                          est.covariance, est.cost_history)
+                for got, want in zip(fitted, (alone.model.num.coeffs, alone.model.den.coeffs,
+                                              alone.residuals, alone.covariance,
+                                              alone.cost_history)):
+                    assert_same_bits(got, want)
+                returned = (*fitted, init.num.coeffs, init.den.coeffs, rec.theta_c)
+                assert not any(np.shares_memory(a, b) for a in returned for b in buffers)
+
+    def test_released_when_study_ends(self, monkeypatch):
+        run_monte_carlo(quick_config(M=2))
+        assert not pooled()
+        # a study that a fit breaks on its second run releases them too
+        seen = []
+        init_arx_iv = montecarlo.init_arx_iv
+
+        def breaking(data, n):
+            seen.append(len(pooled()))
+            if len(seen) == 2:
+                raise RuntimeError("broken fit")
+            return init_arx_iv(data, n)
+
+        monkeypatch.setattr(montecarlo, "init_arx_iv", breaking)
+        with pytest.raises(RuntimeError, match="broken fit"):
+            run_monte_carlo(quick_config(M=3))
+        assert seen == [0, 5]
+        assert not pooled()
+
+    def test_threads_keep_their_own_buffers(self):
+        # threads running the same study at once, more of them than cores,
+        # each get the serial report; a short switch interval interleaves
+        # their fits densely
+        config = quick_config(N=2000, M=4)
+        serial = report_to_dict(run_monte_carlo(config))
+        reports = [None] * 3
+        start = threading.Barrier(len(reports), timeout=60)
+
+        def study(i):
+            start.wait()
+            reports[i] = report_to_dict(run_monte_carlo(config))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=study, args=(i,)) for i in range(len(reports))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == [serial] * len(reports)
 
 
 class TestSerialization:

@@ -30,7 +30,7 @@ from ctident import lti, pem
 from ctident.lti import _schur_stable
 from ctident.pem import fit_report_dict
 from conftest import random_stable_ct
-from oracles import filter_bank_sensitivities, lstsq_init_arx_iv
+from oracles import filter_bank_sensitivities, lstsq_init_arx_iv, syrk_gram
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
 
@@ -283,6 +283,20 @@ class TestOeFit:
         res = oe_fit(data, init)
         assert res.iterations > 1
         assert calls == {"solve": 0, "eye": 1}
+
+    def test_gemm_gram_matches_syrk(self, rao_garnier, monkeypatch):
+        # the loop builds psi^T psi by dgemm; with the dsyrk Gram that
+        # psi.T @ psi gives, the fit takes the same steps to within rounding
+        data = rg_prbs_data(rao_garnier, 1)
+        init = init_arx_iv(data, 4)
+        gemm = oe_fit(data, init)
+        calls = []
+        monkeypatch.setattr(pem, "dgemm", lambda *a, **k: calls.append(1) or syrk_gram(*a, **k))
+        syrk = oe_fit(data, init)
+        assert len(calls) in (syrk.iterations - 1, syrk.iterations)
+        assert (syrk.iterations, syrk.converged) == (gemm.iterations, gemm.converged)
+        theta = syrk.model.theta
+        assert np.abs(gemm.model.theta - theta).max() <= 1e-12 * np.abs(theta).max()
 
     def test_failed_cholesky_doubles_damping(self, rao_garnier, monkeypatch):
         # a factorization that reports H + mu I not positive definite is

@@ -104,6 +104,9 @@ class TestC2D:
     def test_rejects_nonpositive_period(self, rao_garnier):
         with pytest.raises(ValueError):
             c2d_zoh(rao_garnier, 0.0)
+        # an infinite period got through, warned twice and failed in expm
+        with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+            c2d_zoh(rao_garnier, np.inf)
 
     def test_matches_simulation(self, rao_garnier, rng):
         # step invariance: DT model reproduces CT step response at samples
@@ -283,6 +286,9 @@ class TestZohJacobian:
             zoh_map_point([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
             zoh_map_point([1.0, np.nan], 0.1)
+        # an infinite period got through and raised DegenerateMap
+        with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+            zoh_map_point([0.0, 3.0, 2.8, 4.0], np.inf)
 
     def test_map_point_consistency(self, rao_garnier):
         h = 0.05
