@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CtIdentError
-from .lti import CtModel, DtModel, SampledDataset, freq_response, model_from_dict, model_to_dict
+from .lti import (CtModel, DtModel, SampledDataset, _whole, freq_response, model_from_dict,
+                  model_to_dict)
 from .montecarlo import (
     _experiment,
-    _whole,
     config_from_dict,
     input_from_dict,
     noise_from_dict,
@@ -84,9 +84,8 @@ def _cmd_fit(args) -> int:
 def _cmd_project(args) -> int:
     rep = _load_json(args.report)
     h = float(rep["h"])
-    full_ct = d2c_zoh(DtModel.from_theta(np.asarray(rep["theta_d"], dtype=float), h))
-    result = project_estimate(full_ct.theta, np.asarray(rep["covariance"], dtype=float),
-                              h, args.r)
+    full_ct = d2c_zoh(DtModel.from_theta(rep["theta_d"], h))
+    result = project_estimate(full_ct.theta, rep["covariance"], h, args.r)
     out = pemrd_report_dict(result, diagnostics={"theta_hat_c": full_ct.theta.tolist()})
     _emit(json.dumps(out, indent=1) + "\n", args.out)
     return 0

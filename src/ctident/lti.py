@@ -13,6 +13,8 @@ Conventions used throughout the package:
 
   the vector is ``theta = [c_{n-1}, ..., c_0, d_{n-1}, ..., d_0]`` of length
   ``2n``.  The same layout is used for continuous- and discrete-time models.
+  :func:`_theta` checks a parameter vector and :func:`_split` splits it;
+  every function that takes one goes through them.
 """
 
 from __future__ import annotations
@@ -111,6 +113,37 @@ def _period(h) -> float:
     return h
 
 
+def _whole(value, name: str) -> int:
+    """``int(value)``, or a ``ValueError`` naming the field ``name`` if ``value`` is not whole."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("%s must be a whole number, got %r" % (name, value))
+    return int(value)
+
+
+def _reldeg(r, n: int) -> int:
+    """``r`` as an int; ``ValueError`` unless it is whole and in ``[1, n]``."""
+    if not 1 <= (r := _whole(r, "r")) <= n:
+        raise ValueError("relative degree must lie in [1, n]")
+    return r
+
+
+def _theta(theta, r=1) -> np.ndarray:
+    """A float copy of ``theta``: 1-d, even length ``2 n > 0``, finite, ``_reldeg(r, n)``."""
+    theta = np.array(theta, dtype=float)
+    if theta.ndim != 1 or not theta.size or theta.size % 2:
+        raise ValueError("parameter vector must be 1-d of even length")
+    if not np.isfinite(theta).all():
+        raise ValueError("coefficients must be finite")
+    _reldeg(r, theta.size // 2)
+    return theta
+
+
+def _split(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The padded numerator ``theta[:n]`` and the monic denominator ``[1, *theta[n:]]``."""
+    n = theta.size // 2
+    return theta[:n], np.concatenate(([1.0], theta[n:]))
+
+
 class _RationalModel:
     """Shared behaviour of strictly proper single-input single-output models."""
 
@@ -151,9 +184,9 @@ class CtModel(_RationalModel):
         Coefficients in descending powers of s.  The denominator is
         normalized to monic form, scaling the numerator accordingly.
     r : int, optional
-        Declared relative degree.  When ``r > 1`` the first ``r - 1`` entries
-        of the padded numerator must be exactly zero; models produced by the
-        projection and truncation routines carry their target ``r`` here.
+        Declared relative degree (whole).  When ``r > 1`` the first ``r - 1``
+        entries of the padded numerator must be exactly zero; models produced
+        by the projection and truncation routines carry their target ``r`` here.
         Defaults to the actual relative degree of the stored coefficients.
     """
 
@@ -162,24 +195,17 @@ class CtModel(_RationalModel):
     def __init__(self, num, den, r: int | None = None):
         super().__init__(num, den)
         actual = self.n - self.num.degree
-        if r is None:
-            r = actual
-        if not 1 <= r <= self.n:
-            raise ValueError("relative degree must lie in [1, n]")
+        r = _reldeg(actual if r is None else r, self.n)
         if r > actual:
             raise ValueError(
                 "declared relative degree %d requires the %d leading numerator "
                 "coefficients to be zero" % (r, r - 1)
             )
-        self.r = int(r)
+        self.r = r
 
     @classmethod
     def from_theta(cls, theta, r: int = 1) -> "CtModel":
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim != 1 or theta.size % 2:
-            raise ValueError("parameter vector must be 1-d of even length")
-        n = theta.size // 2
-        return cls(theta[:n], np.concatenate([[1.0], theta[n:]]), r=r)
+        return cls(*_split(_theta(theta)), r=r)
 
     def __repr__(self):
         return "CtModel(num=%s, den=%s, r=%d)" % (
@@ -197,11 +223,7 @@ class DtModel(_RationalModel):
 
     @classmethod
     def from_theta(cls, theta, h: float) -> "DtModel":
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim != 1 or theta.size % 2:
-            raise ValueError("parameter vector must be 1-d of even length")
-        n = theta.size // 2
-        return cls(theta[:n], np.concatenate([[1.0], theta[n:]]), h=h)
+        return cls(*_split(_theta(theta)), h=h)
 
     def __repr__(self):
         return "DtModel(num=%s, den=%s, h=%g)" % (
@@ -305,7 +327,7 @@ def _solve(band: np.ndarray, v: np.ndarray, overwrite: bool = False) -> np.ndarr
     substitution with the unit lower-triangular banded Toeplitz matrix of
     ``a``: one BLAS ``dtbsv``.  ``a`` must be monic, since the unit diagonal
     is implied.  Every caller's is: ``DtModel`` normalizes its denominator,
-    the fitting loops build theirs as ``[1, ...]``, and ``pem._reflect_stable``
+    the fitting loops take theirs from :func:`_split`, and ``pem._reflect_stable``
     returns monic polynomials.
     ``v`` is overwritten only with ``overwrite`` and then only if it is a
     contiguous double array; otherwise the result is a new array.

@@ -23,6 +23,7 @@ from .lti import (
     SampledDataset,
     _h2_block,
     _period,
+    _whole,
     is_stable,
     l2_norm_sq,
     model_from_dict,
@@ -174,6 +175,7 @@ class ExperimentConfig:
             if not is_stable(self.system):
                 raise ValueError("the true system must be stable")
             order = self.system.n
+        object.__setattr__(self, "r", _whole(self.r, "r"))
         if not 1 <= self.r <= order:
             raise ValueError("relative degree must lie in [1, order]")
         if self.N < 3 * order:
@@ -351,13 +353,6 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _whole(value, name: str) -> int:
-    """``int(value)``, or a ``ValueError`` naming the field ``name`` if ``value`` is not whole."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("%s must be a whole number, got %r" % (name, value))
-    return int(value)
-
-
 def _real(value, name: str) -> float:
     return float(value)
 
@@ -427,7 +422,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         N=_whole(d["N"], "N"),
         noise=noise_from_dict(d["noise"]),
         M=_whole(d["M"], "M"),
-        r=_whole(d["r"], "r"),
+        r=d["r"],
         seed=_whole(d["seed"], "seed"),
         **({"estimators": d["estimators"]} if "estimators" in d else {}),
     )

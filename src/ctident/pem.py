@@ -37,6 +37,7 @@ from .lti import (
     _fir,
     _schur_stable,
     _solve,
+    _split,
     is_stable,
     simulate_dt,
 )
@@ -171,6 +172,18 @@ def _sensitivities(psi: np.ndarray, band: np.ndarray, w1: np.ndarray,
     return psi
 
 
+def _evaluate(num, den, u, y, out) -> tuple:
+    """``(band, u / F, prediction, residuals, cost)`` of ``num / den`` on the record ``(u, y)``.
+
+    ``den`` is monic, ``num`` of length ``n``; the band is written into ``out`` (:func:`_band`).
+    """
+    band = _band(den, u.size, out)
+    w1 = _solve(band, u)
+    yhat = _output(num, w1)
+    resid = y - yhat
+    return band, w1, yhat, resid, float(resid @ resid)
+
+
 def _check_finite(data: SampledDataset):
     if not (np.isfinite(data.u).all() and np.isfinite(data.y).all()):
         raise ValueError("u and y must be finite")
@@ -222,12 +235,9 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     u, y = data.u, data.y
 
     theta = init.theta
-    band = _band(init.den.coeffs, data.N, _buffer("band", (n + 1, data.N)))
+    band, w1, yhat, resid, cost = _evaluate(*_split(theta), u, y,
+                                            _buffer("band", (n + 1, data.N)))
     spare = _buffer("spare band", band.shape)  # the candidates' band buffer
-    w1 = _solve(band, u)
-    yhat = _output(theta[:n], w1)
-    resid = y - yhat
-    cost = float(resid @ resid)
     history = [cost]
     mu = None
     converged = False
@@ -254,21 +264,15 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
                 mu *= 2.0
                 continue
             cand = theta + delta
-            cand_den = np.concatenate(([1.0], cand[n:]))
+            cand_num, cand_den = _split(cand)
             if not _schur_stable(cand_den):
                 saw_unstable = True
                 mu *= 2.0
                 continue
-            cand_band = _band(cand_den, data.N, spare)
-            cand_w1 = _solve(cand_band, u)
-            cand_yhat = _output(cand[:n], cand_w1)
-            cand_resid = y - cand_yhat
-            cand_cost = float(cand_resid @ cand_resid)
-            if cand_cost < cost:
-                rel_drop = (cost - cand_cost) / max(cost, np.finfo(float).tiny)
-                theta, w1, yhat = cand, cand_w1, cand_yhat
-                band, spare = cand_band, band
-                resid, cost = cand_resid, cand_cost
+            point = _evaluate(cand_num, cand_den, u, y, spare)
+            if point[-1] < cost:
+                rel_drop = (cost - point[-1]) / max(cost, np.finfo(float).tiny)
+                theta, spare, (band, w1, yhat, resid, cost) = cand, band, point
                 history.append(cost)
                 mu *= 0.5
                 accepted = True
@@ -429,14 +433,10 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     _check_finite(data)
 
     def stabilized(th):
-        # (num, den) with den reflected to stability, den's band, u / den, and
-        # the pair's output and output-error cost
-        num, den = th[:n], _reflect_stable(np.concatenate([[1.0], th[n:]]))
-        band = _band(den, N, band_buf)
-        uf = _solve(band, u)
-        x = _output(num, uf)
-        e = y - x
-        return (num, den), band, uf, x, float(e @ e)
+        # (num, den) with den reflected to stability, then _evaluate's tuple of the pair
+        num, den = _split(th)
+        den = _reflect_stable(den)
+        return (num, den), *_evaluate(num, den, u, y, band_buf)
 
     # one regression buffer [Phi | target] for every stage, and one band
     # buffer: a model's band is dropped once the next model is built
@@ -447,7 +447,7 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     theta, rank = _qr_lstsq(_fill_regressor(buf, u, y))
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
-    model, band, uf, x, best_cost = stabilized(theta)
+    model, band, uf, x, _, best_cost = stabilized(theta)
     best = model
 
     # stage 2: instrumental variables, instruments from the ARX model output x
@@ -458,7 +458,7 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         theta_iv = np.linalg.solve(lhs, normal[:, npar])
         if np.all(np.isfinite(theta_iv)):
             theta = theta_iv
-            model, band, uf, _, cost = stabilized(theta)
+            model, band, uf, _, _, cost = stabilized(theta)
             if cost < best_cost:
                 best, best_cost = model, cost
 
@@ -470,7 +470,7 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
             break
         step = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
         theta = theta_new
-        model, band, uf, _, cost = stabilized(theta)
+        model, band, uf, _, _, cost = stabilized(theta)
         if cost < best_cost:
             best, best_cost = model, cost
         if step < 1e-8:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefinite, SingularCovariance
-from .lti import CtModel, SampledDataset
+from .lti import CtModel, SampledDataset, _theta
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
@@ -117,9 +117,8 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     Raises
     ------
     ValueError
-        If ``theta_hat_c`` is not a finite 1-d vector of even length ``2 n``,
-        ``info_c`` is not a finite ``2 n`` square matrix, or ``r`` lies
-        outside ``[1, n]``.
+        If ``lti._theta`` refuses ``theta_hat_c`` and ``r``, or ``info_c`` is
+        not a finite square matrix of the vector's size.
     NotPositiveDefinite
         If the information matrix fails factorization.
     SingularCovariance
@@ -127,17 +126,10 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         indicating an information matrix too ill-conditioned to project
         reliably.
     """
-    theta = np.asarray(theta_hat_c, dtype=float)
-    m = theta.size
-    if theta.ndim != 1 or m % 2:
-        raise ValueError("parameter vector must be 1-d of even length")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("coefficients must be finite")
-    if np.shape(info_c) != (m, m):
+    theta = _theta(theta_hat_c, r)
+    if np.shape(info_c) != (theta.size,) * 2:
         raise ValueError("information matrix shape does not match the parameter vector")
-    if not 1 <= r <= m // 2:
-        raise ValueError("relative degree must lie in [1, n]")
-    k = r - 1
+    k = int(r) - 1
     info = _sym(np.asarray(info_c, dtype=float))
     cov = _sym(_chol_inverse(
         info, NotPositiveDefinite("information matrix is not positive definite")))
@@ -152,7 +144,7 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         raise SingularCovariance(
             "free-block and multiplier projections disagree beyond %.1e" % tol)
     return PemrdResult(theta_tilde_c=theta_tilde, cov_tilde=cov_tilde,
-                       lagrange_multiplier=lam, r=r)
+                       lagrange_multiplier=lam, r=k + 1)
 
 
 def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
@@ -195,15 +187,10 @@ def project_estimate(theta_hat_c, cov_d, h: float, r: int) -> PemrdResult:
     the naively truncated estimate, ``cov_d`` is carried through that
     Jacobian into a continuous-domain information matrix, and the estimate
     is projected in that metric.  The result carries the ``map_point``.
+    ``theta_hat_c`` and ``r`` are refused as in :func:`lti._theta`, first.
     """
-    point = np.array(theta_hat_c, dtype=float)
-    if point.ndim != 1 or point.size % 2:
-        raise ValueError("parameter vector must be 1-d of even length")
-    if not np.all(np.isfinite(point)):
-        raise ValueError("coefficients must be finite")
-    if not 1 <= r <= point.size // 2:
-        raise ValueError("relative degree must lie in [1, n]")
-    point[:r - 1] = 0.0  # the naive truncation
+    point = _theta(theta_hat_c, r)
+    point[:int(r) - 1] = 0.0  # the naive truncation
     map_point = zoh_map_point(point, h)
     info_c = ct_info_matrix(map_point.J, cov_d)
     return replace(project_rd(theta_hat_c, info_c, r), map_point=map_point)

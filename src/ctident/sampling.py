@@ -24,7 +24,7 @@ from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
 from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _period, _poly,
-                  companion, simulate_dt)
+                  _split, _theta, companion, simulate_dt)
 
 __all__ = [
     "NoiseSpec",
@@ -127,12 +127,10 @@ def naive_truncate(model: CtModel, r: int) -> CtModel:
 
     This is the crude way of enforcing relative degree ``r``; it ignores the
     correlation structure of the estimate and serves as the linearization
-    point for the statistically weighted projection.
+    point for the statistically weighted projection.  ``r`` is refused as in :func:`lti._theta`.
     """
-    if not 1 <= r <= model.n:
-        raise ValueError("relative degree must lie in [1, n]")
-    th = model.theta.copy()
-    th[: r - 1] = 0.0
+    th = _theta(model.theta, r)
+    th[: int(r) - 1] = 0.0
     return CtModel.from_theta(th, r=r)
 
 
@@ -155,20 +153,17 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     Raises
     ------
     ValueError
-        If ``theta_c`` is not a finite 1-d vector of even length or ``h`` is
-        not positive and finite.
+        If ``lti._theta`` refuses ``theta_c`` or ``h`` is not positive and
+        finite.
     DegenerateMap
         If the exponential or the Jacobian is not finite, as when the
         parameters are so large that the exponential overflows.
     """
-    theta_c = np.asarray(theta_c, dtype=float)
-    if theta_c.ndim != 1 or theta_c.size % 2 or theta_c.size < 2:
-        raise ValueError("parameter vector must be 1-d of even length")
-    if not np.all(np.isfinite(theta_c)):
-        raise ValueError("coefficients must be finite")
+    theta_c = _theta(theta_c)
     h = _period(h)
     n = theta_c.size // 2
-    A, B, C = _companion(np.concatenate([[1.0], theta_c[n:]]), theta_c[:n])
+    num_c, den_c = _split(theta_c)
+    A, B, C = _companion(den_c, num_c)
     p = n + 1
     with np.errstate(all="ignore"):
         E = _zoh_exponential(A, B, h, frechet=True)
@@ -194,7 +189,7 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     if not np.all(np.isfinite(J)):
         raise DegenerateMap("sampling-map Jacobian is not finite")
     theta_d = np.concatenate([(full - den)[1:], den[1:]])  # den is monic
-    return ZohMapPoint(theta_c=theta_c.copy(), h=h, theta_d=theta_d, J=J)
+    return ZohMapPoint(theta_c=theta_c, h=h, theta_d=theta_d, J=J)
 
 
 def _zoh_exponential(A, B, h, frechet=False) -> np.ndarray:

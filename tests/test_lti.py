@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -10,8 +11,11 @@ from scipy.signal import BadCoefficients, dlsim, lfilter, ss2tf
 from ctident import (
     CtModel,
     DtModel,
+    ExperimentConfig,
+    NoiseSetting,
     Polynomial,
     SampledDataset,
+    WhiteNoiseInput,
     c2d_zoh,
     companion,
     freq_response,
@@ -19,7 +23,11 @@ from ctident import (
     l2_norm_sq,
     model_from_dict,
     model_to_dict,
+    naive_truncate,
+    project_estimate,
+    project_rd,
     simulate_dt,
+    zoh_map_point,
 )
 from ctident import lti
 from ctident.errors import NotPositiveDefinite, UnstableSystem
@@ -121,6 +129,7 @@ class TestSampledDataset:
     (lambda: Polynomial([]), "coefficients must form a nonempty 1-d sequence"),
     (lambda: Polynomial([[1.0, 2.0], [3.0, 4.0]]),
      "coefficients must form a nonempty 1-d sequence"),
+    (lambda: Polynomial([1.0, np.nan]), "coefficients must be finite"),
     (lambda: CtModel([1.0], [2.0]), "denominator must have degree at least 1"),
     # the leading zero is stripped, leaving a constant
     (lambda: DtModel([0.0], [0.0, 3.0], h=0.1), "denominator must have degree at least 1"),
@@ -132,12 +141,65 @@ class TestSampledDataset:
     # an infinite period passed every check that it is positive
     (lambda: SampledDataset([1.0], [1.0], np.inf), "sampling period must be positive and finite"),
     (lambda: DtModel([1.0], [1.0, 0.5], h=np.inf), "sampling period must be positive and finite"),
-], ids=["empty_polynomial", "2d_polynomial", "constant_ct_denominator",
-        "stripped_dt_denominator", "odd_dt_theta", "empty_dataset", "zero_period",
-        "nan_period", "infinite_period", "infinite_dt_period"])
+], ids=["empty_polynomial", "2d_polynomial", "non_finite_polynomial",
+        "constant_ct_denominator", "stripped_dt_denominator", "odd_dt_theta", "empty_dataset",
+        "zero_period", "nan_period", "infinite_period", "infinite_dt_period"])
 def test_invalid_construction_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# every public function that takes a parameter vector, called as (theta, r);
+# r is ignored where it does not apply, and naive_truncate, which takes a
+# model, is reached through r alone
+VECTOR_ENTRY_POINTS = {
+    "CtModel.from_theta": lambda th, r: CtModel.from_theta(th, r=r),
+    "DtModel.from_theta": lambda th, r: DtModel.from_theta(th, h=0.1),
+    "naive_truncate": lambda th, r: naive_truncate(CtModel.from_theta(th), r),
+    "zoh_map_point": lambda th, r: zoh_map_point(th, 0.1),
+    "project_rd": lambda th, r: project_rd(th, np.eye(np.size(th)), r),
+    "project_estimate": lambda th, r: project_estimate(th, np.eye(np.size(th)), 0.1, r),
+}
+TAKES_R = {"CtModel.from_theta", "naive_truncate", "project_rd", "project_estimate"}
+BAD_VECTORS = {
+    "empty": ([], 1, "parameter vector must be 1-d of even length"),
+    "odd_length": ([1.0, 2.8, 4.0], 1, "parameter vector must be 1-d of even length"),
+    "2d": ([[1.0, 2.0], [2.8, 4.0]], 1, "parameter vector must be 1-d of even length"),
+    "nan": ([1.0, np.nan, 2.8, 4.0], 1, "coefficients must be finite"),
+    "r_zero": ([1.0, 2.0, 2.8, 4.0], 0, "relative degree must lie in [1, n]"),
+    "r_above_n": ([1.0, 2.0, 2.8, 4.0], 3, "relative degree must lie in [1, n]"),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    pytest.param(entry, case, id="%s-%s" % (entry, case))
+    for entry in VECTOR_ENTRY_POINTS for case in BAD_VECTORS
+    if case.startswith("r_") and entry in TAKES_R
+    or not case.startswith("r_") and entry != "naive_truncate"])
+def test_bad_vector_refused_alike_everywhere(entry, case):
+    # before, an empty vector got three different messages
+    theta, r, message = BAD_VECTORS[case]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        VECTOR_ENTRY_POINTS[entry](theta, r)
+
+
+@pytest.mark.parametrize("build", [
+    lambda g, r: CtModel(g.num, g.den, r=r),
+    lambda g, r: CtModel.from_theta(g.theta, r=r),
+    lambda g, r: naive_truncate(g, r),
+    lambda g, r: project_rd(g.theta, np.eye(8), r),
+    lambda g, r: project_estimate(g.theta, 1e-6 * np.eye(8), 0.05, r),
+    lambda g, r: ExperimentConfig(system=g, input=WhiteNoiseInput(), h=0.05, N=300,
+                                  noise=NoiseSetting(sigma=0.1), M=1, r=r, seed=1),
+], ids=["CtModel", "CtModel.from_theta", "naive_truncate", "project_rd", "project_estimate",
+        "ExperimentConfig"])
+def test_fractional_relative_degree_refused(rao_garnier, build):
+    # before, the models kept r = 2, the three functions raised a TypeError
+    # from a slice, and a study ran its fits before dying of that TypeError
+    with pytest.raises(ValueError, match=r"^r must be a whole number, got 2\.5$"):
+        build(rao_garnier, 2.5)
+    whole = build(rao_garnier, 2.0)
+    assert whole.r == 2 and type(whole.r) is int
 
 
 class TestRealization:

@@ -342,6 +342,18 @@ class TestOeFit:
         with pytest.raises(DivergedUnstable):
             oe_fit(data, init)
 
+    def test_stall_with_stable_candidates_converges(self):
+        # a noiseless record of amplitude 1e6 fitted from its own model: the
+        # residuals are rounding alone, so no damped step lowers the cost,
+        # while their gradient stays far above the tolerance
+        truth = DtModel([0.4, 0.1], np.poly([0.5, 0.3]), h=0.1)
+        u = 1e6 * np.random.default_rng(0).standard_normal(300)
+        res = oe_fit(SampledDataset(u, simulate_dt(truth, u), 0.1), truth)
+        assert res.converged and res.iterations == 1
+        assert res.cost_history.size == 1  # the one iteration accepted no step
+        g = prediction_jacobian(res.model, u).T @ res.residuals
+        assert 2.0 * np.abs(g).max() > 1e5 * pem._GRAD_TOL * (1.0 + res.cost)
+
 
 class TestInitArxIv:
     def test_zero_input_is_rank_deficient(self, rng):
@@ -377,6 +389,17 @@ class TestInitArxIv:
                     assert _schur_stable(reflected)
                     if _schur_stable(scaled):
                         assert reflected is scaled
+
+    @pytest.mark.parametrize("den, roots", [
+        ([1.0, -1.0], [1.0 - 1e-7]),
+        ([1.0, -1.5, 0.5], [0.5, 1.0 - 1e-7]),
+    ], ids=["root_one", "roots_one_and_half"])
+    def test_root_on_circle_nudged_inside(self, den, roots):
+        # the rim nudge moves a root on the circle, z = 1, to radius 1 - 1e-7
+        # and leaves the others; the radial contraction would move them all
+        out = pem._reflect_stable(np.array(den))
+        assert_allclose(np.sort(np.roots(out).real), roots, rtol=0.0, atol=1e-12)
+        assert _schur_stable(out)
 
     def test_matches_lstsq_chain_on_rg(self, rao_garnier):
         for seed in (1, 2, 3):
