@@ -23,6 +23,7 @@ from .lti import (
     SampledDataset,
     _h2_block,
     _period,
+    _reldeg,
     _whole,
     is_stable,
     l2_norm_sq,
@@ -167,6 +168,7 @@ class ExperimentConfig:
                     "N=%d does not equal the binary-sequence period %d" % (self.N, period))
         if isinstance(self.system, RandomSystemSpec):
             order = self.system.order
+            _reldeg(self.system.reldeg, order)
         else:
             if not isinstance(self.system, CtModel):
                 raise ValueError("the true system must be continuous time")
@@ -175,9 +177,7 @@ class ExperimentConfig:
             if not is_stable(self.system):
                 raise ValueError("the true system must be stable")
             order = self.system.n
-        object.__setattr__(self, "r", _whole(self.r, "r"))
-        if not 1 <= self.r <= order:
-            raise ValueError("relative degree must lie in [1, order]")
+        object.__setattr__(self, "r", _reldeg(self.r, order))
         if self.N < 3 * order:
             raise ValueError("N=%d is below 3 x order = %d, the initialiser's minimum"
                              % (self.N, 3 * order))

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefinite, SingularCovariance
-from .lti import CtModel, SampledDataset, _theta
+from .lti import CtModel, SampledDataset, _reldeg, _theta
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
@@ -157,14 +157,13 @@ def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``lti._reldeg`` refuses ``r`` for the size of ``cov_c``.
     SingularCovariance
         If either inversion fails.
     """
     cov = _sym(np.asarray(cov_c, dtype=float))
-    m = cov.shape[0]
-    if not 0 <= r - 1 < m:
-        raise ValueError("relative degree out of range for this covariance")
-    k = r - 1
+    k = _reldeg(r, cov.shape[0]) - 1
     if k == 0:
         return cov.copy()
     return _block_covariance(

@@ -5,7 +5,7 @@ by zero-order-hold (step-invariant) sampling is the backbone of the indirect
 identification route implemented by this package.  All three computations
 share the exponential ``expm([[A, B], [0, 0]] h)`` of the companion form:
 
-- forward: its blocks ``(Ad, Bd)``;
+- forward: its blocks ``(Ad, Bd)``, then the numerator ``K c``;
 - inverse: the poles ``log(z) / h``, then one linear solve for the numerator;
 - Jacobian: exact, from the Frechet derivative of the exponential.
 
@@ -77,9 +77,8 @@ def c2d_zoh(model: CtModel, h: float) -> DtModel:
     A, B, C = companion(model)
     n = model.n
     E = _zoh_exponential(A, B, h)
-    Ad = E[:n, :n]
-    den = _charpoly(Ad)
-    return DtModel((_charpoly(Ad - E[:n, n:] @ C) - den)[1:], den, h)
+    den, _, K = _faddeev_leverrier(E[:n, :n], E[:n, n:])
+    return DtModel(K @ C[0], den, h)
 
 
 def d2c_zoh(model: DtModel) -> CtModel:
@@ -111,10 +110,9 @@ def d2c_zoh(model: DtModel) -> CtModel:
         raise ValueError("coefficients must be finite")
     A, B, _ = _companion(den, [1.0])
     E = _zoh_exponential(A, B, model.h)
-    den_d, Bk = _faddeev_leverrier(E[:n, :n])
+    den_d, _, K = _faddeev_leverrier(E[:n, :n], E[:n, n:])
     if not np.abs(den_d - model.den.coeffs).max() <= 1e-8 * np.abs(model.den.coeffs).max():
         raise NonPrincipalLog("sampling the pole logarithms does not reproduce the denominator")
-    K = (Bk @ E[:n, n:])[:, :, 0]
     scale = np.linalg.norm(K, axis=0)  # unit columns: independent of the time unit
     if not (scale.min() > 0.0 and np.linalg.cond(K / scale) <= 1e12):
         raise SingularMap("zero-order-hold numerator map is singular at this sampling period")
@@ -145,10 +143,13 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     ``X = h [[A, B], [0, 0]]``, read off one exponential of a block upper
     triangular matrix with ``X`` on its diagonal and the ``E_i`` in its
     first block row (Al-Mohy & Higham, 2009); its diagonal block
-    ``expm(X)`` gives ``theta_d``.  The derivatives are chained through
-    ``num = poly(Ad - Bd C) - poly(Ad)`` with Jacobi's formula: the
-    characteristic coefficients ``c_k`` of ``M`` move by
-    ``-tr(B_{k-1} dM)``, with the ``B_k`` of :func:`_faddeev_leverrier`.
+    ``expm(X)`` gives ``theta_d``.  The sampled numerator is ``K c``, linear
+    in the ascending numerator ``c``, with the ``K`` and ``B_k`` of
+    :func:`_faddeev_leverrier`, so a numerator direction moves it by a
+    column of ``K``.  Along a denominator direction the characteristic
+    coefficients ``c_k`` of ``Ad`` move by ``-tr(B_{k-1} dAd)`` (Jacobi's
+    formula), the ``B_k`` by ``dB_k = dAd B_{k-1} + Ad dB_{k-1} + dc_k I``,
+    and row ``k`` of ``K`` by ``(dB_k Bd + B_k dBd)^T``.
 
     Raises
     ------
@@ -156,8 +157,8 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
         If ``lti._theta`` refuses ``theta_c`` or ``h`` is not positive and
         finite.
     DegenerateMap
-        If the exponential or the Jacobian is not finite, as when the
-        parameters are so large that the exponential overflows.
+        If the exponential, ``theta_d`` or the Jacobian is not finite, as
+        when the parameters are so large that the exponential overflows.
     """
     theta_c = _theta(theta_c)
     h = _period(h)
@@ -167,28 +168,23 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
     p = n + 1
     with np.errstate(all="ignore"):
         E = _zoh_exponential(A, B, h, frechet=True)
-    if not np.all(np.isfinite(E)):
-        raise DegenerateMap("matrix exponential of the sampling map is not finite")
-    Ad, Bd = E[:n, :n], E[:n, n:p]
-    # numerator i moves C[0, n - 1 - i]; denominator i moves (Ad, Bd) by E[:n]'s block i + 1
-    dC = np.eye(2 * n, n)[:, None, ::-1]
-    blocks = E[:n, p:].reshape(n, n, p).swapaxes(0, 1)
-    dAd = np.concatenate([np.zeros((n, n, n)), blocks[:, :, :n]])
-    dBd = np.concatenate([np.zeros((n, n, 1)), blocks[:, :, n:]])
-    with np.errstate(all="ignore"):
-        M = Ad - Bd @ C
-        dM = dAd - dBd @ C - Bd @ dC
-        try:
-            den, B_den = _faddeev_leverrier(Ad)
-            full, B_full = _faddeev_leverrier(M)
-        except np.linalg.LinAlgError as exc:  # eigenvalues of an overflowed M
-            raise DegenerateMap("sampling-map Jacobian is not finite") from exc
-        d_den = -np.einsum("kij,dji->kd", B_den, dAd)
-        d_full = -np.einsum("kij,dji->kd", B_full, dM)
-        J = np.vstack([d_full - d_den, d_den])
-    if not np.all(np.isfinite(J)):
+        if not np.all(np.isfinite(E)):
+            raise DegenerateMap("matrix exponential of the sampling map is not finite")
+        Ad, Bd = E[:n, :n], E[:n, n:p]
+        # denominator i moves (Ad, Bd) by E[:n]'s block i + 1
+        blocks = E[:n, p:].reshape(n, n, p).swapaxes(0, 1)
+        dAd, dBd = blocks[:, :, :n], blocks[:, :, n:]
+        den, Bk, K = _faddeev_leverrier(Ad, Bd)
+        d_den = -np.einsum("kij,dji->kd", Bk, dAd)
+        dBk = [np.zeros_like(dAd)]
+        for k in range(1, n):
+            dBk.append(dAd @ Bk[k - 1] + Ad @ dBk[-1] + d_den[k - 1, :, None, None] * np.eye(n))
+        d_num = (np.array(dBk) @ Bd + Bk[:, None] @ dBd)[..., 0] @ C[0]
+        theta_d = np.concatenate([K @ C[0], den[1:]])  # den is monic
+        # numerator i moves C[0, n - 1 - i], so its column of K is n - 1 - i
+        J = np.block([[K[:, ::-1], d_num], [np.zeros((n, n)), d_den]])
+    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(theta_d))):
         raise DegenerateMap("sampling-map Jacobian is not finite")
-    theta_d = np.concatenate([(full - den)[1:], den[1:]])  # den is monic
     return ZohMapPoint(theta_c=theta_c, h=h, theta_d=theta_d, J=J)
 
 
@@ -212,17 +208,21 @@ def _zoh_exponential(A, B, h, frechet=False) -> np.ndarray:
     return expm(big)[:p]
 
 
-def _faddeev_leverrier(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``c = np.poly(M)`` and the Faddeev-LeVerrier ``B_0 = I``, ``B_k = M B_{k-1} + c_k I``.
+def _faddeev_leverrier(Ad: np.ndarray, Bd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``c = np.poly(Ad)``, the Faddeev-LeVerrier ``B_k`` and the numerator map ``K``.
 
-    They are the coefficients of ``adj(x I - M) = sum_k B_k x**(n-1-k)``.
+    ``B_0 = I`` and ``B_k = Ad B_{k-1} + c_k I`` are the coefficients of
+    ``adj(x I - Ad) = sum_k B_k x**(n-1-k)``.  Row ``k`` of ``K`` is
+    ``(B_k Bd)^T``, so the sampled numerator ``C adj(x I - Ad) Bd`` of an
+    output row ``C`` is ``K C^T``, linear in ``C``.
     """
-    c = _charpoly(M)
-    eye = np.eye(len(M))
+    c = _charpoly(Ad)
+    eye = np.eye(len(Ad))
     Bk = [eye]
     for ck in c[1:-1]:
-        Bk.append(M @ Bk[-1] + ck * eye)
-    return c, np.array(Bk)
+        Bk.append(Ad @ Bk[-1] + ck * eye)
+    Bk = np.array(Bk)
+    return c, Bk, (Bk @ Bd)[:, :, 0]
 
 
 def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDataset:

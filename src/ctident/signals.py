@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AliasedFrequency, UnsupportedRegisterLength
-from .lti import CtModel
+from .lti import CtModel, _reldeg
 
 __all__ = ["lfsr_bits", "gen_prbs", "gen_multisine", "gen_random_system"]
 
@@ -104,8 +104,7 @@ def gen_random_system(
     0.05, and the numerator is rescaled so the DC gain magnitude lands in
     [0.5, 2].
     """
-    if not 1 <= reldeg <= order:
-        raise ValueError("relative degree must lie in [1, order]")
+    reldeg = _reldeg(reldeg, order)
     if not slowest_pole_bound < 0:
         raise ValueError("pole bound must be negative")
     rng = np.random.default_rng(rng)

@@ -9,9 +9,9 @@ they replaced are kept here, for tests to compare against:
   extended precision, a reference for the package's banded-solve filter;
 - :func:`difference_jacobian`: central differences of ``c2d_zoh``, second
   order with the package's former steps or fourth order;
-- :func:`high_precision_jacobian`: central differences of the sampling map
-  evaluated in 60-digit arithmetic, free of the rounding that limits the
-  double-precision differences at short sampling periods.
+- :func:`high_precision_jacobian`: forward differences of the sampling map
+  evaluated in multi-digit arithmetic, free of the rounding that limits
+  the double-precision differences at short sampling periods.
 
 It also keeps a frequency-domain reference for the Gramian-based quality
 metric: :func:`quadrature_mse_g` integrates ``|g_hat - g|^2`` and ``|g|^2``
@@ -105,13 +105,19 @@ def difference_jacobian(theta_c, h, order=2):
 
 
 def high_precision_jacobian(theta_c, h, digits=60):
-    """Sampling-map Jacobian from central differences in ``digits``-digit arithmetic.
+    """Sampling-map Jacobian from forward differences in ``digits``-digit arithmetic.
 
-    The map is evaluated as the package defines it, through the
-    controllable canonical realization, the augmented exponential and
-    ``num = poly(Ad - Bd C) - poly(Ad)``, with characteristic polynomials
-    from the Faddeev-LeVerrier recursion.  A step of ``10**(-digits/2)``
-    leaves truncation and rounding errors far below double precision.
+    The map is evaluated through the controllable canonical realization,
+    the augmented exponential and ``num = poly(Ad - Bd C) - poly(Ad)``, with
+    characteristic polynomials from the Faddeev-LeVerrier recursion: the
+    package's map ``K c`` by a different formula.  The step is
+    ``10**(-digits/2)``, so the truncation error is about that relative to
+    a column, and the rounding error about ``10**(-digits/2)`` times the
+    size of ``poly(Ad - Bd C)``, which grows like ``|Bd C|**n``.  At large
+    coefficients the difference cancels dozens of digits: on order-5 draws
+    of ``gen_random_system`` with coefficients near 1e8, 60 digits leave no
+    correct digit in some columns.  Check a result against a run at
+    ``digits + 30``.
     """
     import mpmath
 
@@ -121,29 +127,34 @@ def high_precision_jacobian(theta_c, h, digits=60):
         step = mpmath.mpf(10) ** (-(digits // 2))
         m = len(theta)
         J = np.empty((m, m))
+        exponentials = {}
+        base = _mp_sampling_map(theta, hp, exponentials)
         for i in range(m):
-            up, dn = list(theta), list(theta)
-            up[i] += step
-            dn[i] -= step
-            f_up, f_dn = _mp_sampling_map(up, hp), _mp_sampling_map(dn, hp)
-            J[:, i] = [float((a - b) / (2 * step)) for a, b in zip(f_up, f_dn)]
+            probe = list(theta)
+            probe[i] += step
+            moved = _mp_sampling_map(probe, hp, exponentials)
+            J[:, i] = [float((a - b) / step) for a, b in zip(moved, base)]
     return J
 
 
-def _mp_sampling_map(theta, h):
+def _mp_sampling_map(theta, h, exponentials):
+    """``theta_d``; ``exponentials`` caches the exponential, which only the denominator moves."""
     import mpmath
 
     n = len(theta) // 2
-    X = mpmath.zeros(n + 1, n + 1)
-    for i in range(n - 1):
-        X[i, i + 1] = 1
-    for k in range(n):
-        X[n - 1, k] = -theta[2 * n - 1 - k]
-    X[n - 1, n] = 1
+    key = tuple(theta[n:])
+    if key not in exponentials:
+        X = mpmath.zeros(n + 1, n + 1)
+        for i in range(n - 1):
+            X[i, i + 1] = 1
+        for k in range(n):
+            X[n - 1, k] = -theta[2 * n - 1 - k]
+        X[n - 1, n] = 1
+        exponentials[key] = mpmath.expm(X * h)
     C = mpmath.zeros(1, n)
     for k in range(n):
         C[0, k] = theta[n - 1 - k]
-    E = mpmath.expm(X * h)
+    E = exponentials[key]
     Ad, Bd = E[0:n, 0:n], E[0:n, n:n + 1]
     den = _mp_charpoly(Ad)
     full = _mp_charpoly(Ad - Bd * C)

@@ -75,6 +75,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(r=3)
 
+    @pytest.mark.parametrize("reldeg, message", [
+        (2.5, "r must be a whole number, got 2.5"),
+        (7, r"relative degree must lie in \[1, n\]"),
+    ], ids=["fractional", "above_order"])
+    def test_random_system_relative_degree_range(self, reldeg, message):
+        # unchecked, the study started and its first run failed, with
+        # numpy's TypeError for 2.5 and gen_random_system's ValueError for 7
+        with pytest.raises(ValueError, match=message):
+            quick_config(system=RandomSystemSpec(order=4, reldeg=reldeg), h=None, r=1)
+
     def test_unstable_system_rejected(self):
         # it has no L2 norm, so every run would fail scoring as an optimizer_error
         with pytest.raises(ValueError, match="the true system must be stable"):

@@ -239,6 +239,9 @@ class TestProjectedCovariance:
             projected_covariance(np.eye(4), 0)
         with pytest.raises(ValueError):
             projected_covariance(np.eye(4), 5)
+        # a fractional r raised an untyped TypeError from a slice
+        with pytest.raises(ValueError):
+            projected_covariance(np.eye(4), 2.5)
 
 
 class TestCtInfoMatrix:

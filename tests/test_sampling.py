@@ -15,6 +15,7 @@ from ctident import (
     companion,
     d2c_zoh,
     freq_response,
+    gen_random_system,
     naive_truncate,
     save_dataset,
     load_dataset,
@@ -24,6 +25,7 @@ from ctident import (
     zoh_map_point,
 )
 from ctident import sampling
+from ctident.montecarlo import _default_period
 from ctident.errors import (
     CtIdentError,
     DegenerateMap,
@@ -184,8 +186,10 @@ class TestD2C:
 
     # ten times the largest relative round-trip error over each cell's 50
     # systems; it grows about as h**-(order - 1), because the sampled
-    # numerator is a difference of characteristic coefficients near the
-    # binomial ones of (z - 1)**n
+    # denominator's coefficients lie near the binomial ones of (z - 1)**n.
+    # The numerator's form is not the cause: as a difference of
+    # characteristic coefficients or as K c, each cell's largest error is
+    # the same within a factor of two
     ROUNDTRIP_BOUND = {(2, 0.01): 2e-11, (2, 0.1): 2e-13, (2, 0.5): 1e-13,
                        (4, 0.01): 2e-7, (4, 0.1): 2e-11, (4, 0.5): 1e-13,
                        (6, 0.01): 4e-4, (6, 0.1): 6e-10, (6, 0.5): 3e-13}
@@ -249,7 +253,7 @@ class TestZohJacobian:
            h=st.sampled_from([0.01, 0.05, 0.2, 0.5]))
     def test_matches_fourth_order_differences(self, seed, order, h):
         # The difference oracle is limited by the rounding of c2d_zoh, whose
-        # numerator is a difference of characteristic coefficients of size
+        # numerator map K is built from characteristic coefficients of size
         # S = max |den_d|: its error is about eps S / step per column, which
         # at order 6 and h = 0.01 exceeds the numerator derivatives a
         # hundredfold.  Over 1000 draws of this grid the discrepancy stayed
@@ -271,6 +275,43 @@ class TestZohJacobian:
         J = zoh_map_point(g.theta, h).J
         ref = high_precision_jacobian(g.theta, h)
         assert np.all(np.abs(J - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_exact_against_high_precision_on_random_systems(self, order):
+        # random systems at a study's default period reach coefficients near
+        # 1e8, where a numerator formed as a difference of characteristic
+        # coefficients loses all its digits in double precision (1.1e2 of a
+        # column on the third order-5 draw here).  The oracle forms it that
+        # way, so it checks itself against 30 more digits: at 60 digits it
+        # missed by 2.6e7 of a column on one order-5 draw.  Over 8 draws per
+        # order the closed form stayed within 6.5e-14 of a column, and the
+        # two oracle runs within 2.4e-51
+        rng = np.random.default_rng(order)
+        for _ in range(3):
+            g = gen_random_system(order, int(rng.integers(1, order + 1)), rng=rng)
+            h = _default_period(g)
+            ref = high_precision_jacobian(g.theta, h, digits=120)
+            scale = np.abs(ref).max(axis=0)
+            finer = high_precision_jacobian(g.theta, h, digits=150)
+            assert np.all(np.abs(finer - ref) <= 1e-30 * scale)
+            assert np.all(np.abs(zoh_map_point(g.theta, h).J - ref) <= 1e-12 * scale)
+
+    def test_numerator_scaling_is_exact(self):
+        # the sampled numerator is linear in the continuous one, so doubling
+        # the numerator doubles it bit for bit, and J becomes S J S^-1 with S
+        # 2 on the numerator coordinates and 1 elsewhere
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            order = int(rng.integers(1, 7))
+            g = gen_random_system(order, int(rng.integers(1, order + 1)), rng=rng)
+            h = _default_period(g)
+            s = np.repeat([2.0, 1.0], order)
+            pt, doubled = zoh_map_point(g.theta, h), zoh_map_point(s * g.theta, h)
+            assert_same_bits(doubled.theta_d, s * pt.theta_d)
+            assert_same_bits(doubled.J, s[:, None] * pt.J / s)
+            gd, gd2 = c2d_zoh(g, h), c2d_zoh(CtModel(2.0 * g.num.coeffs, g.den.coeffs), h)
+            assert_same_bits(gd2.num.coeffs, 2.0 * gd.num.coeffs)
+            assert_same_bits(gd2.den.coeffs, gd.den.coeffs)
 
     def test_close_to_former_central_differences(self, rao_garnier):
         # the central differences this replaced were accurate to about 5e-7
@@ -314,15 +355,15 @@ class TestZohJacobian:
             zoh_map_point([1.0, 1e300, 1.0, 1e300], 0.1)
 
     def test_degenerate_jacobian_rejected(self):
-        # finite exponential, but Ad - Bd C overflows
+        # finite exponential, but the numerator K c overflows
         with pytest.raises(DegenerateMap):
             zoh_map_point([1e308, 1e308, 1e-3, 1e-3], 10.0)
 
     def test_overflowing_jacobian_rejected(self):
-        # a pole at s = 460 with h = 1: the exponential (about 1e200) and
-        # Ad - Bd C are finite, but the products of the Faddeev-LeVerrier
-        # B_1 with the Frechet derivatives overflow, so only the final check
-        # on J sees it (the earlier raise chains a LinAlgError as its cause)
+        # a pole at s = 460 with h = 1: the exponential (about 1e200) is
+        # finite, but the products of the Faddeev-LeVerrier B_1 with the
+        # Frechet derivatives overflow, so only the final check on J sees it,
+        # and it chains no cause
         with pytest.raises(DegenerateMap, match="Jacobian is not finite") as info:
             zoh_map_point([0.0, 1.0, -459.0, -460.0], 1.0)
         assert info.value.__cause__ is None

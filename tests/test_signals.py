@@ -127,6 +127,16 @@ class TestRandomSystem:
             assert 0.5 - 1e-12 <= abs(dc) <= 2.0 + 1e-12
             assert abs(g.num.coeffs[0] / g.den.coeffs[0]) > 0  # leading term kept
 
+    @pytest.mark.parametrize("reldeg, message", [
+        (2.5, "r must be a whole number, got 2.5"),
+        (0, r"relative degree must lie in \[1, n\]"),
+        (5, r"relative degree must lie in \[1, n\]"),
+    ], ids=["fractional", "zero", "above_order"])
+    def test_relative_degree_range(self, reldeg, message):
+        # a fractional reldeg got through to numpy, which raised a TypeError
+        with pytest.raises(ValueError, match=message):
+            gen_random_system(4, reldeg, rng=0)
+
     def test_order_eight_draws_finish(self):
         # at order 8 the constant denominator coefficient can exceed 1e12;
         # the draws run in a child process so that a hang fails the test
