@@ -120,9 +120,12 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-def _reldeg(r, n: int) -> int:
-    """``r`` as an int; ``ValueError`` unless it is whole and in ``[1, n]``."""
-    if not 1 <= (r := _whole(r, "r")) <= n:
+def _reldeg(r, n: int, name: str = "r") -> int:
+    """``r`` as an int; ``ValueError`` unless it is whole and in ``[1, n]``.
+
+    ``name`` is the field that the whole-number message names.
+    """
+    if not 1 <= (r := _whole(r, name)) <= n:
         raise ValueError("relative degree must lie in [1, n]")
     return r
 

@@ -167,8 +167,10 @@ class ExperimentConfig:
                 raise ValueError(
                     "N=%d does not equal the binary-sequence period %d" % (self.N, period))
         if isinstance(self.system, RandomSystemSpec):
-            order = self.system.order
-            _reldeg(self.system.reldeg, order)
+            order = _whole(self.system.order, "order")
+            if order < 1:
+                raise ValueError("a random system's order must be at least 1")
+            _reldeg(self.system.reldeg, order, "reldeg")
         else:
             if not isinstance(self.system, CtModel):
                 raise ValueError("the true system must be continuous time")

@@ -126,7 +126,11 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         indicating an information matrix too ill-conditioned to project
         reliably.
     """
-    theta = _theta(theta_hat_c, r)
+    return _project_rd(_theta(theta_hat_c, r), info_c, r)
+
+
+def _project_rd(theta: np.ndarray, info_c, r: int) -> PemrdResult:
+    """:func:`project_rd` of ``theta``, a copy that ``lti._theta`` has checked with ``r``."""
     if np.shape(info_c) != (theta.size,) * 2:
         raise ValueError("information matrix shape does not match the parameter vector")
     k = int(r) - 1
@@ -188,11 +192,12 @@ def project_estimate(theta_hat_c, cov_d, h: float, r: int) -> PemrdResult:
     is projected in that metric.  The result carries the ``map_point``.
     ``theta_hat_c`` and ``r`` are refused as in :func:`lti._theta`, first.
     """
-    point = _theta(theta_hat_c, r)
+    theta = _theta(theta_hat_c, r)
+    point = theta.copy()
     point[:int(r) - 1] = 0.0  # the naive truncation
     map_point = zoh_map_point(point, h)
     info_c = ct_info_matrix(map_point.J, cov_d)
-    return replace(project_rd(theta_hat_c, info_c, r), map_point=map_point)
+    return replace(_project_rd(theta, info_c, r), map_point=map_point)
 
 
 def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AliasedFrequency, UnsupportedRegisterLength
-from .lti import CtModel, _reldeg
+from .lti import CtModel, _reldeg, _whole
 
 __all__ = ["lfsr_bits", "gen_prbs", "gen_multisine", "gen_random_system"]
 
@@ -104,7 +104,8 @@ def gen_random_system(
     0.05, and the numerator is rescaled so the DC gain magnitude lands in
     [0.5, 2].
     """
-    reldeg = _reldeg(reldeg, order)
+    order = _whole(order, "order")
+    reldeg = _reldeg(reldeg, order, "reldeg")
     if not slowest_pole_bound < 0:
         raise ValueError("pole bound must be negative")
     rng = np.random.default_rng(rng)

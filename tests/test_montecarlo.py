@@ -76,7 +76,7 @@ class TestConfigValidation:
             quick_config(r=3)
 
     @pytest.mark.parametrize("reldeg, message", [
-        (2.5, "r must be a whole number, got 2.5"),
+        (2.5, "reldeg must be a whole number, got 2.5"),
         (7, r"relative degree must lie in \[1, n\]"),
     ], ids=["fractional", "above_order"])
     def test_random_system_relative_degree_range(self, reldeg, message):
@@ -84,6 +84,16 @@ class TestConfigValidation:
         # numpy's TypeError for 2.5 and gen_random_system's ValueError for 7
         with pytest.raises(ValueError, match=message):
             quick_config(system=RandomSystemSpec(order=4, reldeg=reldeg), h=None, r=1)
+
+    @pytest.mark.parametrize("order, message", [
+        (2.5, "order must be a whole number, got 2.5"),
+        (0, "a random system's order must be at least 1"),
+    ], ids=["fractional", "zero"])
+    def test_random_system_order_checked(self, order, message):
+        # unchecked, a fractional order started the study, whose first run
+        # died of numpy's TypeError inside gen_random_system
+        with pytest.raises(ValueError, match="^%s$" % message):
+            quick_config(system=RandomSystemSpec(order=order, reldeg=1), h=None, r=1)
 
     def test_unstable_system_rejected(self):
         # it has no L2 norm, so every run would fail scoring as an optimizer_error

@@ -326,6 +326,20 @@ class TestPemrdPipeline:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             project_estimate(theta, np.eye(size), 0.05, r)
 
+    def test_estimate_checks_its_vector_once(self, dataset, monkeypatch):
+        # project_estimate hands its checked copy to project_rd's core; the
+        # result is project_rd's at the same information matrix, bit for bit
+        est = pemrd(dataset, n=4, r=3).estimation
+        theta_hat_c = d2c_zoh(est.model).theta
+        calls = []
+        theta = rdproj._theta
+        monkeypatch.setattr(rdproj, "_theta", lambda *args: calls.append(1) or theta(*args))
+        got = project_estimate(theta_hat_c, est.covariance, dataset.h, 3)
+        assert len(calls) == 1
+        want = project_rd(theta_hat_c, ct_info_matrix(got.map_point.J, est.covariance), 3)
+        for field in ("theta_tilde_c", "cov_tilde", "lagrange_multiplier"):
+            assert_same_bits(getattr(got, field), getattr(want, field))
+
     def test_projection_never_raises_variance(self, dataset):
         res = pemrd(dataset, n=4, r=3)
         full_cov = np.linalg.inv(ct_info_matrix(res.map_point.J,

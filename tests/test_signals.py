@@ -128,7 +128,7 @@ class TestRandomSystem:
             assert abs(g.num.coeffs[0] / g.den.coeffs[0]) > 0  # leading term kept
 
     @pytest.mark.parametrize("reldeg, message", [
-        (2.5, "r must be a whole number, got 2.5"),
+        (2.5, "reldeg must be a whole number, got 2.5"),
         (0, r"relative degree must lie in \[1, n\]"),
         (5, r"relative degree must lie in \[1, n\]"),
     ], ids=["fractional", "zero", "above_order"])
@@ -136,6 +136,13 @@ class TestRandomSystem:
         # a fractional reldeg got through to numpy, which raised a TypeError
         with pytest.raises(ValueError, match=message):
             gen_random_system(4, reldeg, rng=0)
+
+    def test_order_checked(self):
+        with pytest.raises(ValueError, match="^order must be a whole number, got 2.5$"):
+            gen_random_system(2.5, 1, rng=0)
+        # a whole float is taken as the int
+        assert_array_equal(gen_random_system(4.0, 2.0, rng=0).theta,
+                           gen_random_system(4, 2, rng=0).theta)
 
     def test_order_eight_draws_finish(self):
         # at order 8 the constant denominator coefficient can exceed 1e12;
