@@ -14,12 +14,14 @@ convolution with the numerator.  Each denominator's band is built once, and
 Steiglitz-McBride prefilter), so no signal is filtered twice.
 
 The initialiser's regressions are solved from one Gram matrix, by Cholesky
-and one refinement step, when an a-priori rounding bound proves them well
-conditioned, and by Householder QR, which decides any rank, otherwise.
+and one or two refinement steps, when an a-priori rounding bound proves the
+column-scaled regressor well conditioned and its rank beyond doubt, and by
+Householder QR, which decides any rank, otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -59,7 +61,9 @@ _MAX_ITER = 200
 _MAX_DOUBLINGS = 30
 _COST_RTOL = 1e-9
 _GRAD_TOL = 1e-8
-_GRAM_TAU = 1e-5  # _gram_lstsq solves a regression only if it proves kappa < 1 / _GRAM_TAU
+# _gram_lstsq refines k times a regression it proves to have kappa(Phi D) < 1 / _GRAM_TAUS[k - 1]
+_GRAM_TAUS = (1e-5, 1e-6)
+_RANK_MARGIN = 1e-3  # and its bound on kappa(Phi) stays this far below Householder's rank rule
 
 # this thread's record-length fit buffers, by role and shape, while a study
 # holds them open (_study_buffers)
@@ -370,10 +374,12 @@ def _qr_lstsq(buf: np.ndarray):
     """Least-squares fit of the last column ``t`` of ``buf`` by the others, ``Phi``.
 
     Returns ``(theta, rank)``, with ``theta`` None below full rank ``p``.  A
-    regression that :func:`_gram_lstsq` certifies as well conditioned is
-    solved there from its Gram matrix, with rank ``p``, and ``buf`` is left
-    as it is.  Any other reaches :func:`_householder_lstsq` untouched, which
-    decides its rank and overwrites ``buf``.
+    regression that :func:`_gram_lstsq` certifies (its column-scaled
+    regressor's condition number below 1e6, and full rank by a margin of 1e3
+    under Householder's rule) is solved there from its Gram matrix, with
+    rank ``p``, and ``buf`` is left as it is.  Any other reaches
+    :func:`_householder_lstsq` untouched, which decides its rank and
+    overwrites ``buf``.
     """
     theta = _gram_lstsq(buf)
     if theta is None:
@@ -386,55 +392,71 @@ def _gram_lstsq(buf: np.ndarray):
 
     ``G = [Phi | t]^T [Phi | t]`` is one BLAS ``dgemm``, which leaves ``buf``
     as it is, and ``dpotrf`` factors ``G[:p, :p] = c^T c``.  The solution
-    ``x`` of ``c^T c x = G[:p, p]`` gets one refinement step from the
-    buffer, ``x += (c^T c)^{-1} Phi^T (t - Phi x)`` (Bjorck, *Numerical
+    ``x`` of ``c^T c x = G[:p, p]`` gets one or two refinement steps from
+    the buffer, ``x += (c^T c)^{-1} Phi^T (t - Phi x)`` (Bjorck, *Numerical
     Methods for Least Squares Problems*, 1996; Higham, *Accuracy and
     Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 20).
 
-    The certificate is a priori.  The computed block and factor satisfy
-    ``c^T c = Phi^T Phi + E`` with ``||E||_2 <= delta = (m + p + 1) eps T``,
-    ``T = tr(G[:p, :p])``: the product's error is at most ``gamma_m |Phi|^T
-    |Phi|`` (Higham sec. 3.5) and Cholesky's ``gamma_{p+1} |c|^T |c|`` (Thm
-    10.3), each at most ``gamma`` times a trace in norm, and ``gamma_k <= k
-    eps / 2`` to first order, so ``delta`` is twice that bound.  By Weyl's
-    theorem ``s_min(Phi)^2 >= s_min(c)^2 - delta >= 1 / ||c^{-1}||_F^2 -
-    delta``, and ``s_max(Phi)^2 <= ||Phi||_F^2 <= T + delta``.  So ``1 /
-    ||c^{-1}||_F^2 - delta > tau^2 (T + delta)``, with ``tau = 1e-5`` and
-    ``c^{-1}`` from ``dtrtri``, proves ``kappa(Phi) < 1 / tau``, and only
-    then is ``x`` returned; the rounding of ``c^{-1}`` and of the sums moves
-    that bound by about ``p eps kappa`` of itself.  In effect the test bounds
-    the Frobenius condition number ``||Phi||_F ||Phi^+||_F``, which is at
-    most ``p`` times ``kappa``, and within 5% of it on the lagged regressors
-    of a long binary-sequence record.  Hence:
+    The certificate is a priori and bounds the condition number of the
+    column-equilibrated regressor ``Phi D``, ``D = diag(G[:p, :p])^(-1/2)``,
+    which governs a Cholesky-based solve however the columns are scaled (van
+    der Sluis, *Numer. Math.* 14, 1969).  The computed block and factor
+    satisfy ``c^T c = Phi^T Phi + E``, and both backward errors are
+    componentwise: the product's is at most ``gamma_m |Phi|^T |Phi|``
+    (Higham sec. 3.5) and Cholesky's ``gamma_{p+1} |c|^T |c|`` (Thm 10.3).
+    So ``D E D`` is bounded by the same terms of ``Phi D``, whose Gram has
+    unit diagonal and trace ``p``, and ``||D E D||_2 <= delta = (m + p + 1)
+    eps p`` (``gamma_k <= k eps / 2`` to first order, and ``delta`` is twice
+    the bound).  The Cholesky factor of ``D G D`` is ``c D``, with inverse
+    ``D^-1 c^-1``.  By Weyl's theorem ``s_min(Phi D)^2 >= 1 / ||D^-1
+    c^-1||_F^2 - delta``, and ``s_max(Phi D)^2 <= ||Phi D||_F^2 <= p +
+    delta``.  So ``1 / ||D^-1 c^-1||_F^2 - delta > tau^2 (p + delta)``, with
+    ``c^-1`` from ``dtrtri``, proves ``kappa(Phi D) < 1 / tau``; the
+    rounding of ``c^-1`` and of the sums moves that bound by about ``p eps
+    kappa`` of itself.  In effect the test bounds the Frobenius condition
+    number ``||Phi D||_F ||(Phi D)^+||_F``, which is at most ``p`` times
+    ``kappa(Phi D)``.  Hence:
 
-    - Rank: Householder's triangle is exact for ``Phi + dPhi`` with
-      ``||dPhi||_F <= gamma~_{mp} ||Phi||_F`` (Thm 19.4), so it too calls
-      ``Phi`` full rank under ``eps max(m, p) s_max`` while ``eps max(m, p)
-      + gamma~_{mp} sqrt(p)`` stays below ``tau``: about 1e-10 at ``m =
-      7157``, ``p = 8``, and below ``tau`` for any ``m`` under 1e7 rows.
-    - Accuracy: the first solve errs by about ``eps kappa^2 <= 1e-6``
-      relative.  The step multiplies that error by ``eps kappa^2`` again and
-      adds the floor of Householder's own error, ``eps kappa (1 + kappa
-      ||t - Phi x|| / (||Phi|| ||x||))``; at ``kappa < 1e5 < eps^(-1/3)``
-      what is left of the first error is below that floor.
+    - Accuracy: the first solve errs by about ``eps kappa^2`` relative, in
+      the norm of ``D^-1 x``.  Each step multiplies that error by ``eps
+      kappa^2`` again and adds the floor of Householder's own error, ``eps
+      kappa (1 + kappa ||t - Phi x|| / (||Phi|| ||x||))``.  After ``k``
+      steps what is left of the first error, ``(eps kappa^2)^(k + 1)``, is
+      below that floor while ``kappa < eps^(-k / (2 k + 1))``: 1.6e5 for one
+      step and 1.9e6 for two.  So one step is taken at ``tau = 1e-5``, two
+      at ``tau = 1e-6``, and a regression above that is refused.
+    - Rank: ``kappa(Phi) <= kappa(Phi D) sqrt(max d / min d)``, ``d`` the
+      diagonal of ``G[:p, :p]``, and the certificate refuses unless that
+      bound is ``1e3`` below ``1 / (eps max(m, p))``.  Householder's
+      triangle is exact for ``Phi + dPhi`` with ``||dPhi||_F <=
+      gamma~_{mp} ||Phi||_F`` (Thm 19.4), so it too calls ``Phi`` full rank
+      under its rule ``s > eps max(m, p) s_max``, and every rank decision
+      stays with :func:`_householder_lstsq`.
 
     A non-finite ``Phi``, a failed factorization and a failed test all
     return None, at the cost of the Gram, ``dpotrf`` and ``dtrtri`` on the
     ``p x p`` factor.
     """
     m, p = buf.shape[0], buf.shape[1] - 1
+    eps = np.finfo(float).eps
     G = dgemm(1.0, buf, buf, trans_a=1)
-    trace = np.trace(G[:p, :p])
-    delta = np.finfo(float).eps * (m + p + 1) * trace
+    d = G.diagonal()[:p]
     c, info = dpotrf(G[:p, :p])
-    if info or not np.isfinite(delta):
+    diag = d.tolist()  # a few Python floats: their sum, min and max cost less than numpy's
+    if info or not math.isfinite(sum(diag)):
         return None
-    inv = dtrtri(c)[0]
-    if not 1.0 / np.vdot(inv, inv) - delta > _GRAM_TAU ** 2 * (trace + delta):
+    inv = dtrtri(c / np.sqrt(d))[0]  # D^-1 c^-1, from the factor c D of D G D
+    delta = eps * (m + p + 1) * p
+    # a lower bound on 1 / kappa(Phi D)^2
+    bound = (1.0 / np.vdot(inv, inv) - delta) / (p + delta)
+    if not bound > _GRAM_TAUS[-1] ** 2:
+        return None
+    if not max(diag) < min(diag) * bound * (_RANK_MARGIN / (eps * max(m, p))) ** 2:
         return None
     phi, t = buf[:, :p], buf[:, p]
     x = dpotrs(c, G[:p, p])[0]
-    x += dpotrs(c, phi.T @ (t - phi @ x))[0]
+    for _ in range(1 if bound > _GRAM_TAUS[0] ** 2 else 2):
+        x += dpotrs(c, phi.T @ (t - phi @ x))[0]
     return x
 
 
@@ -486,15 +508,16 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     Every least-squares stage writes the lagged regressor with its target
     appended into one Fortran-ordered buffer and solves it by
     :func:`_qr_lstsq`: from the buffer's Gram matrix (one ``dgemm``), by
-    Cholesky and one refinement step, when a bound on their rounding proves
-    the regressor's condition number below 1e5, and otherwise by one
-    Householder QR and a triangular solve (Bjorck, *Numerical Methods for
-    Least Squares Problems*, 1996, sec. 2.4), with the rank decided by the
-    rule of ``np.linalg.lstsq`` on the singular values of the triangle.  A
-    certified regression has full rank under that rule too, so only the QR
-    path decides a rank.  The regression, the instruments and the band are
-    one buffer each; inside a Monte Carlo study they are kept from one fit
-    to the next.
+    Cholesky and one refinement step, or two, when a bound on their rounding
+    proves the condition number of the regressor with its columns scaled to
+    unit norm below 1e5, or 1e6, and that of the regressor itself 1e3 below
+    the rank rule's limit; otherwise by one Householder QR and a triangular
+    solve (Bjorck, *Numerical Methods for Least Squares Problems*, 1996, sec.
+    2.4), with the rank decided by the rule of ``np.linalg.lstsq`` on the
+    singular values of the triangle.  A certified regression has full rank
+    under that rule too, so only the QR path decides a rank.  The
+    regression, the instruments and the band are one buffer each; inside a
+    Monte Carlo study they are kept from one fit to the next.
 
     Raises
     ------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
+from scipy.stats import random_correlation
 
 from ctident import (
     CtModel,
@@ -32,7 +33,8 @@ from ctident.lti import _schur_stable
 from ctident.pem import fit_report_dict
 from ctident.montecarlo import _default_period
 from conftest import assert_same_bits, random_stable_ct
-from oracles import filter_bank_sensitivities, lstsq_init_arx_iv, syrk_gram
+from oracles import (filter_bank_sensitivities, high_precision_lstsq, lstsq_init_arx_iv,
+                     syrk_gram)
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
 
@@ -538,12 +540,45 @@ class TestLeastSquaresPaths:
         init_arx_iv(rg_prbs_data(rao_garnier, 1), 4)
         assert paths == ["gram"] * 21
 
-    def test_ill_conditioned_regressor_takes_householder(self, rng, paths):
-        # order-3 lagged regression on an input with a double pole at 0.99:
-        # kappa about 6e5, and dpotrf still factors its Gram matrix
-        u = lfilter([1.0], [1.0, -1.98, 0.9801], rng.standard_normal(1000))
+    @staticmethod
+    def double_pole_regression(rng, pole):
+        # order-3 lagged regression on an input with a double pole at `pole`
+        u = lfilter([1.0], [1.0, -2.0 * pole, pole * pole], rng.standard_normal(1000))
         y = simulate_dt(TRUE_DT, u) + 1e-3 * rng.standard_normal(u.size)
-        buf = pem._fill_regressor(np.empty((997, 7), order="F"), u, y)
+        return pem._fill_regressor(np.empty((997, 7), order="F"), u, y)
+
+    def test_two_step_tier(self, rng, paths, monkeypatch):
+        # double pole at 0.99: kappa(Phi D) 5.8e5, above the one-step tier's
+        # 1e5, so the Gram path refines twice (three dpotrs solves).  Measured
+        # against a 40-digit solve of the same doubles, in the norm of D^-1 x:
+        # 5.0e-12, 0.017 of eps kappa (1 + kappa rho) (Householder 3.9e-13;
+        # the unrefined solve 5.9e-7)
+        buf = self.double_pole_regression(rng, 0.99)
+        phi, t = buf[:, :-1], buf[:, -1]
+        norms = np.linalg.norm(phi, axis=0)
+        kappa = np.linalg.cond(phi / norms)
+        assert 1e5 < kappa < 1e6
+        solves = []
+        dpotrs = pem.dpotrs
+
+        def counted_dpotrs(*args):
+            solves.append(1)
+            return dpotrs(*args)
+
+        monkeypatch.setattr(pem, "dpotrs", counted_dpotrs)
+        theta, rank = pem._qr_lstsq(buf)
+        assert paths == ["gram"] and rank == 6 and len(solves) == 3
+        exact = high_precision_lstsq(buf)
+        rho = np.linalg.norm(t - phi @ exact) / (np.linalg.norm(phi / norms, 2)
+                                                 * np.linalg.norm(norms * exact))
+        err = np.linalg.norm(norms * (theta - exact)) / np.linalg.norm(norms * exact)
+        assert err <= np.finfo(float).eps * kappa * (1.0 + kappa * rho)
+
+    def test_ill_conditioned_regressor_takes_householder(self, rng, paths):
+        # order-3 lagged regression on an input with a double pole at 0.999:
+        # kappa(Phi D) about 2.0e6, above the two-step tier's 1e6, and
+        # dpotrf still factors its Gram matrix
+        buf = self.double_pole_regression(rng, 0.999)
         p = 6
         assert 1e5 < np.linalg.cond(buf[:, :p]) < 1e8
         assert pem.dpotrf(pem.dgemm(1.0, buf, buf, trans_a=1)[:p, :p])[1] == 0
@@ -566,6 +601,20 @@ class TestLeastSquaresPaths:
             if theta is not None:
                 assert_same_bits(theta, want[0])
 
+    @pytest.mark.parametrize("scale", [1e-14, 1e-160])
+    def test_rank_guard(self, paths, scale):
+        # rank_cases()'s base with one column scaled down: Phi D is well
+        # conditioned (kappa 1.08), but kappa(Phi) is 1 / scale and
+        # Householder's rule drops that column, so the certificate must refuse
+        # it.  At 1e-160 the squares of c^-1's entries would overflow, and
+        # the certificate must refuse without a floating-point warning
+        buf = np.asfortranarray(np.random.default_rng(7).standard_normal((400, 5)))
+        buf[:, 1] *= scale
+        assert np.linalg.cond(buf[:, :4] / np.linalg.norm(buf[:, :4], axis=0)) < 2.0
+        theta, rank = pem._qr_lstsq(buf)
+        assert paths == ["householder"]
+        assert theta is None and rank == 3
+
     @pytest.mark.parametrize("row, col", [(0, 0), (5, 8)], ids=["regressor", "target"])
     def test_non_finite_buffer(self, rao_garnier, row, col):
         # an inf in Phi leaves the Gram path at once; one in t alone is
@@ -586,6 +635,46 @@ class TestLeastSquaresPaths:
         assert pem._gram_lstsq(buf) is not None
         assert_same_bits(buf, copy)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 8), m=st.sampled_from([40, 400, 4000]),
+           log_kappa=st.floats(2.0, 7.0), log_spread=st.floats(0.0, 10.0),
+           log_noise=st.floats(-12.0, 0.0))
+    def test_certificate_on_synthetic_regressors(self, seed, p, m, log_kappa, log_spread,
+                                                 log_noise):
+        # Phi = Q diag(s) V^T diag(norms), with V diag(s^2) V^T a random
+        # correlation matrix: Phi D has unit columns and kappa(Phi D) =
+        # 10^log_kappa, and the column norms spread over 10^log_spread.  The
+        # target is Phi x plus a residual 10^log_noise of ||Phi x|| outside
+        # the range.  Errors are measured in the norm of D^-1 x, where
+        # Householder's and the Gram path's are both column-scaling invariant
+        rng = np.random.default_rng(seed)
+        ends = np.concatenate(([0.0, 1.0], rng.random(p - 2)))
+        lam = 10.0 ** (-2.0 * log_kappa * ends)
+        lam, V = np.linalg.eigh(random_correlation.rvs(lam * p / lam.sum(), random_state=rng))
+        Q = np.linalg.qr(rng.standard_normal((m, p + 1)))[0]
+        norms = 10.0 ** (log_spread * np.concatenate(([0.0, 1.0], rng.random(p - 2))))
+        phi = (Q[:, :p] * np.sqrt(np.abs(lam))) @ V.T * norms
+        fit = phi @ (rng.standard_normal(p) / norms)
+        t = fit + 10.0 ** log_noise * np.linalg.norm(fit) * Q[:, p]
+        buf = np.asfortranarray(np.column_stack([phi, t]))
+        theta = pem._gram_lstsq(buf.copy(order="F"))
+        want, rank = pem._householder_lstsq(buf.copy(order="F"))
+        d = np.linalg.norm(phi, axis=0)
+        kappa = np.linalg.cond(phi / d)
+        spread = d.max() / d.min()
+        eps = np.finfo(float).eps
+        if theta is None:
+            # refused only near the tiers' end or the rank guard, by the
+            # slack of the Frobenius bound (p) and a factor 2
+            assert 2.0 * p * kappa >= 1e6 or 2e3 * p * kappa * spread >= 1.0 / (eps * m)
+            return
+        assert kappa < 1e6
+        assert rank == p
+        rho = np.linalg.norm(t - phi @ want) / (np.linalg.norm(phi / d, 2)
+                                                * np.linalg.norm(d * want))
+        gap = np.linalg.norm(d * (theta - want)) / np.linalg.norm(d * want)
+        assert gap <= 10.0 * eps * kappa * (1.0 + kappa * rho)
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
            period=st.sampled_from([0.5, 1.0, 2.0]), N=st.sampled_from([300, 1000, 3000]))
@@ -593,9 +682,8 @@ class TestLeastSquaresPaths:
         # every regression of the initialiser on a gen_random_system draw,
         # sampled at a multiple of montecarlo's default period.  Both solves
         # err by about eps kappa (1 + kappa rho), rho = ||r|| / (||Phi|| ||x||);
-        # over 5,996 regressions of 400 such draws (4,271 certified, kappa up
-        # to 9.1e4) the gap reached 3.6 of that, and 9.7e3 without the
-        # refinement step
+        # over 4,459 regressions of 300 such draws (4,177 certified, kappa of
+        # the column-scaled Phi up to 8.7e5) the gap reached 3.2 of that
         rng = np.random.default_rng(seed)
         g = gen_random_system(order, int(rng.integers(1, order + 1)), rng=rng)
         h = period * _default_period(g)
@@ -621,7 +709,7 @@ class TestLeastSquaresPaths:
             assert rank == buf.shape[1] - 1
             phi, t = buf[:, :-1], buf[:, -1]
             kappa = np.linalg.cond(phi)
-            assert kappa < 1e5
+            assert np.linalg.cond(phi / np.linalg.norm(phi, axis=0)) < 1e6
             rho = np.linalg.norm(t - phi @ want) / (np.linalg.norm(phi, 2) * np.linalg.norm(want))
             gap = np.linalg.norm(theta - want) / np.linalg.norm(want)
             assert gap <= 10.0 * eps * kappa * (1.0 + kappa * rho)
