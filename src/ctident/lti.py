@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgees, dtrsyl
+from scipy.linalg.lapack import dgees, dpotrf, dpotrs, dtrsyl
 
 from .errors import NotPositiveDefinite, UnstableSystem
 
@@ -283,23 +283,21 @@ def _companion(den, num) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def simulate_dt(model: DtModel, u) -> np.ndarray:
     """Output of a discrete-time model for input ``u``, zero initial conditions.
 
-    The numerator runs as a convolution, then the monic denominator as one
-    banded triangular solve (see :func:`_solve`); ``u`` is not modified.  The
-    first ``r`` output samples of a relative-degree ``r`` model are zero for
-    inputs starting at the first sample.  An empty input gives an empty output.
+    The fit's kernel: :func:`_solve` runs the monic denominator, then
+    :func:`_output` the numerator, so ``y - simulate_dt(fit.model, u)`` is
+    the fit's residuals to the bit; ``u`` is not modified.  The first ``r``
+    output samples of a relative-degree ``r`` model are zero for inputs
+    starting at the first sample.  An empty input gives an empty output.
     """
     u = np.asarray(u, dtype=float)
     if not u.size:
         return np.zeros(0)
-    n = model.n
-    b = np.zeros(n + 1)
-    b[n - model.num.degree:] = model.num.coeffs
-    return _solve(_band(model.den.coeffs, u.size), _fir(b, u), overwrite=True)
+    return _output(model.theta[:model.n], _solve(_band(model.den.coeffs, u.size), u))
 
 
-def _fir(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``x`` passed through the polynomial ``b`` in ``z**-1``, zero initial state."""
-    return np.convolve(x, b)[:x.size]
+def _output(num: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Output of ``num / F``, zero initial state, from ``w1 = u / F``; ``num`` has length ``n``."""
+    return np.convolve(w1, np.concatenate(([0.0], num)))[:w1.size]
 
 
 def _band(a: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -323,7 +321,7 @@ def _band(a: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
     return cols.T
 
 
-def _solve(band: np.ndarray, v: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _solve(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``v`` passed through ``1 / a(z**-1)``, zero initial state, ``band = _band(a, v.size)``.
 
     The recursion ``x[t] = v[t] - a_1 x[t-1] - ... - a_n x[t-n]`` is forward
@@ -331,11 +329,26 @@ def _solve(band: np.ndarray, v: np.ndarray, overwrite: bool = False) -> np.ndarr
     ``a``: one BLAS ``dtbsv``.  ``a`` must be monic, since the unit diagonal
     is implied.  Every caller's is: ``DtModel`` normalizes its denominator,
     the fitting loops take theirs from :func:`_split`, and ``pem._reflect_stable``
-    returns monic polynomials.
-    ``v`` is overwritten only with ``overwrite`` and then only if it is a
-    contiguous double array; otherwise the result is a new array.
+    returns monic polynomials.  ``v`` is not modified.
     """
-    return dtbsv(band.shape[0] - 1, band, v, lower=1, diag=1, overwrite_x=overwrite)
+    return dtbsv(band.shape[0] - 1, band, v, lower=1, diag=1)
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
+
+
+def _chol_inverse(M: np.ndarray, exc: Exception) -> np.ndarray:
+    """``M^{-1}`` by the LAPACK calls of ``cho_solve(cho_factor(M, lower=True), I)``.
+
+    Raises ``exc`` if the factorization fails, and ``ValueError`` for a non-finite ``M``.
+    """
+    if not np.all(np.isfinite(M)):
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise exc
+    return dpotrs(factor, np.eye(M.shape[0]), lower=1)[0]
 
 
 def l2_norm_sq(model: CtModel) -> float:

@@ -85,6 +85,8 @@ class PrbsInput:
     high: float = 2.0
 
     def __post_init__(self):
+        for name in ("n_stages", "p"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if not np.isfinite([self.low, self.high]).all() or self.low == self.high:
             raise ValueError("binary-sequence levels must be finite and distinct")
 
@@ -138,7 +140,12 @@ class NoiseSetting:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete, serializable description of one Monte Carlo study."""
+    """Complete, serializable description of one Monte Carlo study.
+
+    ``N``, ``M`` and ``seed`` are stored as ints.  A fractional one, an
+    input or noise setting not of its field's classes and a repeated
+    estimator are configuration errors.
+    """
 
     system: CtModel | RandomSystemSpec
     input: PrbsInput | MultisineInput | WhiteNoiseInput
@@ -151,12 +158,22 @@ class ExperimentConfig:
     estimators: tuple = (PEM, PEMRD)
 
     def __post_init__(self):
+        for name in ("N", "M", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         for est in self.estimators:
             if est not in (PEM, PEMRD):
                 raise ValueError("unknown estimator %r" % (est,))
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError("an estimator is listed twice in %r" % (self.estimators,))
+        if not isinstance(self.input, (PrbsInput, MultisineInput, WhiteNoiseInput)):
+            raise ValueError("the input must be a PrbsInput, MultisineInput or "
+                             "WhiteNoiseInput, got %r" % type(self.input).__name__)
+        if not isinstance(self.noise, NoiseSetting):
+            raise ValueError("the noise must be a NoiseSetting, got %r"
+                             % type(self.noise).__name__)
         if self.h is not None:
             _period(self.h)
         if self.M < 1 or self.N < 1:
@@ -421,11 +438,11 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         system=system,
         input=input_from_dict(d["input"]),
         h=None if d.get("h") is None else float(d["h"]),
-        N=_whole(d["N"], "N"),
+        N=d["N"],
         noise=noise_from_dict(d["noise"]),
-        M=_whole(d["M"], "M"),
+        M=d["M"],
         r=d["r"],
-        seed=_whole(d["seed"], "seed"),
+        seed=d["seed"],
         **({"estimators": d["estimators"]} if "estimators" in d else {}),
     )
 

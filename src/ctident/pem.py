@@ -40,10 +40,14 @@ from .lti import (
     DtModel,
     SampledDataset,
     _band,
-    _fir,
+    _chol_inverse,
+    _output,
+    _poly,
+    _roots,
     _schur_stable,
     _solve,
     _split,
+    _sym,
     is_stable,
     simulate_dt,
 )
@@ -87,18 +91,18 @@ def _study_buffers():
         _pool.arrays = None
 
 
-def _buffer(role: str, shape: tuple, zero: bool = False) -> np.ndarray:
-    """A Fortran-ordered ``shape`` array of doubles for ``role``, zeroed when made if ``zero``.
+def _buffer(role: str, shape: tuple) -> np.ndarray:
+    """A Fortran-ordered ``shape`` array of doubles for ``role``, zeroed when made.
 
-    Outside :func:`_study_buffers` the array is new.  Inside, the first call
-    for ``(role, shape)`` makes it and later calls return the same array as
-    its last user left it, so a user of a zeroed buffer writes the same
-    entries every time, and no returned result may be a view of one.
+    Outside :func:`_study_buffers` the array is new (made once per fit).
+    Inside, the first call for ``(role, shape)`` makes it and later calls
+    return the same array as its last user left it, so a user writes the
+    same entries every time, and no returned result may be a view of one.
     """
     arrays = getattr(_pool, "arrays", None)
     if arrays is not None and (role, shape) in arrays:
         return arrays[role, shape]
-    buf = (np.zeros if zero else np.empty)(shape, order="F")
+    buf = np.zeros(shape, order="F")
     if arrays is not None:
         arrays[role, shape] = buf
     return buf
@@ -158,26 +162,22 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     return _sensitivities(psi, band, w1, _output(model.theta[:n], w1))
 
 
-def _output(num: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """Prediction of ``num / F`` from ``w1 = u / F``, ``num`` of length ``n``."""
-    return _fir(np.concatenate(([0.0], num)), w1)
-
-
 def _sensitivities(psi: np.ndarray, band: np.ndarray, w1: np.ndarray,
                    yhat: np.ndarray) -> np.ndarray:
     """:func:`prediction_jacobian` written into ``psi`` and returned.
 
     ``band`` is the band of the stable monic denominator, ``w1 = u / F`` and
-    ``yhat`` the prediction; ``-yhat / F`` is the one recursion made here.
-    Only the entries below the zero triangle of ``psi`` (shape
-    ``(N, 2 n)``) are written, so a buffer reused across calls keeps it.
+    ``yhat`` the prediction; ``yhat / F`` is the one recursion made here,
+    written negated (exactly ``-yhat / F``).  Only the entries below the
+    zero triangle of ``psi`` (shape ``(N, 2 n)``) are written, so a buffer
+    reused across calls keeps it.
     """
     n = psi.shape[1] // 2
     N = w1.size
-    w2 = _solve(band, np.negative(yhat), overwrite=True)
+    w2 = _solve(band, yhat)
     for j in range(min(n, N - 1)):
         psi[j + 1:, j] = w1[: N - j - 1]
-        psi[j + 1:, n + j] = w2[: N - j - 1]
+        np.negative(w2[: N - j - 1], out=psi[j + 1:, n + j])
     return psi
 
 
@@ -216,13 +216,12 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     accepted point one more recursion, ``yhat / F``.  The sensitivity
     matrix is one buffer per fit, and the bands of the current point and of
     the candidates are two more; inside a Monte Carlo study all three are
-    kept from one fit to the next.  The loop's Gram matrix ``psi^T psi`` is
-    one BLAS ``dgemm``: on this tall, thin shape it is two to three times as
-    fast as the ``dsyrk`` that ``psi.T @ psi`` calls, and ``dposv`` reads
-    only its upper triangle.
+    kept from one fit to the next.  Each Gram matrix ``psi^T psi`` is one
+    BLAS ``dgemm``: on this tall, thin shape it is two to three times as
+    fast as ``dsyrk``, and ``dposv`` reads only its upper triangle.
 
     The covariance is ``sigma2_hat`` times the inverse of the Gauss-Newton
-    information matrix at the estimate, symmetrized.
+    information matrix at the estimate by ``lti._chol_inverse``, symmetrized.
 
     Raises
     ------
@@ -251,7 +250,7 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     mu = None
     converged = False
     iterations = 0
-    psi = _buffer("sensitivities", (data.N, 2 * n), zero=True)
+    psi = _buffer("sensitivities", (data.N, 2 * n))
     eye = np.eye(2 * n)
 
     for iterations in range(1, _MAX_ITER + 1):
@@ -302,15 +301,14 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     sigma2 = cost / (data.N - 2 * n)
     if accepted:  # psi belongs to the model before the last step
         psi = _sensitivities(psi, band, w1, yhat)
-    info = psi.T @ psi
+    info = dgemm(1.0, psi, psi, trans_a=1)
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
-    cov = sigma2 * np.linalg.inv(info)
-    cov = 0.5 * (cov + cov.T)
     return EstimationResult(
         model=DtModel.from_theta(theta, data.h),
         sigma2_hat=sigma2,
-        covariance=cov,
+        covariance=sigma2 * _sym(_chol_inverse(
+            info, SingularInformation("information matrix is not positive definite"))),
         cost=cost,
         iterations=iterations,
         converged=converged,
@@ -335,7 +333,7 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
     den = np.asarray(den, dtype=float)
     if _schur_stable(den):
         return den
-    rts = np.roots(den)
+    rts = _roots(den)
     mags = np.abs(rts)
     if np.any(mags > 1.0 - 1e-7):
         outside = mags >= 1.0
@@ -345,7 +343,7 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
         rim = mags > 1.0 - 1e-7
         if rim.any():
             rts[rim] *= (1.0 - 1e-7) / mags[rim]
-        den = np.atleast_1d(np.poly(rts)).real
+        den = _poly(rts)
     out, delta = den, 1e-7
     while not _schur_stable(out) and delta < 1.0:
         out = den * (1.0 - delta) ** np.arange(den.size)

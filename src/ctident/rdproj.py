@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NotPositiveDefinite, SingularCovariance
-from .lti import CtModel, SampledDataset, _reldeg, _theta
+from .lti import CtModel, SampledDataset, _chol_inverse, _reldeg, _sym, _theta
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
@@ -36,23 +35,6 @@ __all__ = [
     "pemrd",
     "pemrd_report_dict",
 ]
-
-
-def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
-
-
-def _chol_inverse(M: np.ndarray, exc: Exception) -> np.ndarray:
-    """``M^{-1}`` by the LAPACK calls of ``cho_solve(cho_factor(M, lower=True), I)``.
-
-    Raises ``exc`` if the factorization fails, and ``ValueError`` for a non-finite ``M``.
-    """
-    if not np.all(np.isfinite(M)):
-        raise ValueError("array must not contain infs or NaNs")
-    factor, info = dpotrf(M, lower=1, clean=0)
-    if info > 0:
-        raise exc
-    return dpotrs(factor, np.eye(M.shape[0]), lower=1)[0]
 
 
 def ct_info_matrix(J: np.ndarray, cov_d: np.ndarray) -> np.ndarray:

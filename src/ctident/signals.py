@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AliasedFrequency, UnsupportedRegisterLength
-from .lti import CtModel, _reldeg, _whole
+from .lti import CtModel, _poly, _reldeg, _whole
 
 __all__ = ["lfsr_bits", "gen_prbs", "gen_multisine", "gen_random_system"]
 
@@ -121,7 +121,7 @@ def gen_random_system(
         else:
             pole_list.append(complex(rng.uniform(-50.0, slowest_pole_bound), 0.0))
             remaining -= 1
-    den = np.atleast_1d(np.poly(np.asarray(pole_list))).real
+    den = _poly(np.asarray(pole_list))
 
     deg = order - reldeg
     num = rng.standard_normal(deg + 1)

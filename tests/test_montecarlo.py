@@ -95,6 +95,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^%s$" % message):
             quick_config(system=RandomSystemSpec(order=order, reldeg=1), h=None, r=1)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"N": 300.5}, "^N must be a whole number, got 300.5$"),
+        ({"M": 2.5}, "^M must be a whole number, got 2.5$"),
+        ({"seed": 1.5}, "^seed must be a whole number, got 1.5$"),
+        ({"input": "white"}, "^the input must be a PrbsInput, MultisineInput or "
+                             "WhiteNoiseInput, got 'str'$"),
+        ({"noise": {"sigma": 0.1}}, "^the noise must be a NoiseSetting, got 'dict'$"),
+        ({"estimators": (PEM, PEM)}, "^an estimator is listed twice"),
+    ], ids=["N", "M", "seed", "input_kind", "noise_kind", "repeated_estimator"])
+    def test_python_built_settings_checked(self, change, message):
+        # only config_from_dict checked these: a study built in Python took
+        # them, and its run failed with a TypeError or an AttributeError, or
+        # (a repeated estimator) gave two records per run for one estimator
+        with pytest.raises(ValueError, match=message):
+            quick_config(**change)
+
+    def test_whole_numbers_stored_as_ints(self):
+        cfg = quick_config(input=PrbsInput(9.0, 3.0), N=1533.0, M=3.0, seed=99.0)
+        settings = (cfg.N, cfg.M, cfg.seed, cfg.input.n_stages, cfg.input.p)
+        assert settings == (1533, 3, 99, 9, 3)
+        assert all(type(v) is int for v in settings)
+
     def test_unstable_system_rejected(self):
         # it has no L2 norm, so every run would fail scoring as an optimizer_error
         with pytest.raises(ValueError, match="the true system must be stable"):
@@ -224,8 +246,11 @@ class TestRunMonteCarlo:
         (WhiteNoiseInput, {"variance": 0.0}, "white-noise variance must be finite and positive"),
         (MultisineInput, {"freqs": (1.0,), "amplitude": 0.0}, "finite and nonzero"),
         (PrbsInput, {"n_stages": 2, "p": 100, "low": 1.0, "high": 1.0}, "finite and distinct"),
+        (PrbsInput, {"n_stages": 9.5, "p": 3}, "^n_stages must be a whole number, got 9.5$"),
+        (PrbsInput, {"n_stages": 9, "p": 2.5}, "^p must be a whole number, got 2.5$"),
     ], ids=["negative_variance", "nan_variance", "nan_amplitude", "infinite_amplitude",
-            "infinite_prbs_level", "zero_variance", "zero_amplitude", "equal_prbs_levels"])
+            "infinite_prbs_level", "zero_variance", "zero_amplitude", "equal_prbs_levels",
+            "fractional_n_stages", "fractional_p"])
     def test_bad_excitation_rejected(self, kind, params, message, random_system):
         # unchecked, each would warn or turn every record into an
         # optimizer_error (a constant input leaves the initialiser's

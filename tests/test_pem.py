@@ -33,8 +33,8 @@ from ctident.lti import _schur_stable
 from ctident.pem import fit_report_dict
 from ctident.montecarlo import _default_period
 from conftest import assert_same_bits, random_stable_ct
-from oracles import (filter_bank_sensitivities, high_precision_lstsq, lstsq_init_arx_iv,
-                     syrk_gram)
+from oracles import (filter_bank_sensitivities, high_precision_lstsq, long_double_filter,
+                     lstsq_init_arx_iv, syrk_gram)
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
 
@@ -182,8 +182,9 @@ class TestOeFit:
             w1 = pem._solve(band, data.u)
             psi = sensitivities(np.zeros((data.N, 4), order="F"), band, w1,
                                 pem._output(res.model.theta[:2], w1))
-            cov = res.sigma2_hat * np.linalg.inv(psi.T @ psi)
-            np.testing.assert_array_equal(res.covariance, 0.5 * (cov + cov.T))
+            info = pem.dgemm(1.0, psi, psi, trans_a=1)
+            assert_same_bits(res.covariance, res.sigma2_hat * lti._sym(
+                lti._chol_inverse(info, AssertionError())))
         assert ended_on_step == {False, True}
 
     def test_input_validation(self, rng):
@@ -271,7 +272,9 @@ class TestOeFit:
     def test_loop_makes_no_lu_solve_and_one_identity(self, rao_garnier, monkeypatch):
         # each damped step is one Cholesky solve of H + mu I, with I built
         # once per fit; the loop that LU-solved H + mu eye(2n) made one
-        # np.linalg.solve and one np.eye per damped step on this record
+        # np.linalg.solve and one np.eye per damped step on this record.
+        # The second identity is the covariance's, the right-hand side of
+        # the Cholesky inverse of the information matrix
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
         calls = {"solve": 0, "eye": 0}
@@ -286,18 +289,19 @@ class TestOeFit:
         monkeypatch.setattr(np, "eye", counting("eye", np.eye))
         res = oe_fit(data, init)
         assert res.iterations > 1
-        assert calls == {"solve": 0, "eye": 1}
+        assert calls == {"solve": 0, "eye": 2}
 
     def test_gemm_gram_matches_syrk(self, rao_garnier, monkeypatch):
-        # the loop builds psi^T psi by dgemm; with the dsyrk Gram that
-        # psi.T @ psi gives, the fit takes the same steps to within rounding
+        # the loop and the information matrix at the estimate build psi^T psi
+        # by dgemm; with the dsyrk Gram that psi.T @ psi gives, the fit takes
+        # the same steps to within rounding
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
         gemm = oe_fit(data, init)
         calls = []
         monkeypatch.setattr(pem, "dgemm", lambda *a, **k: calls.append(1) or syrk_gram(*a, **k))
         syrk = oe_fit(data, init)
-        assert len(calls) in (syrk.iterations - 1, syrk.iterations)
+        assert len(calls) in (syrk.iterations, syrk.iterations + 1)
         assert (syrk.iterations, syrk.converged) == (gemm.iterations, gemm.converged)
         theta = syrk.model.theta
         assert np.abs(gemm.model.theta - theta).max() <= 1e-12 * np.abs(theta).max()
@@ -336,6 +340,16 @@ class TestOeFit:
         with pytest.raises(SingularInformation, match="condition number exceeds 1e12"):
             oe_fit(data, init)
 
+    def test_information_not_positive_definite(self, rng, monkeypatch):
+        # past the condition-number test, a Cholesky factorization that
+        # fails on the information matrix is refused by the fit as singular
+        data = make_data(rng, sigma=0.1)
+        init = init_arx_iv(data, 2)
+        monkeypatch.setattr(lti, "dpotrf", lambda M, **kwargs: (M, 1))
+        with pytest.raises(SingularInformation,
+                           match="^information matrix is not positive definite$"):
+            oe_fit(data, init)
+
     def test_descent_only_through_instability_raises(self, rng):
         # data from a pole at 1.05, start just inside the unit circle: every
         # step that lowers the cost leaves the stability region
@@ -347,12 +361,15 @@ class TestOeFit:
             oe_fit(data, init)
 
     def test_stall_with_stable_candidates_converges(self):
-        # a noiseless record of amplitude 1e6 fitted from its own model: the
-        # residuals are rounding alone, so no damped step lowers the cost,
-        # while their gradient stays far above the tolerance
+        # a noiseless record of amplitude 1e6, filtered in long double and
+        # rounded, fitted from its own model: the residuals are rounding
+        # alone, so no damped step lowers the cost, while their gradient
+        # stays far above the tolerance.  (simulate_dt is the fit's own
+        # kernel, so its record would leave residuals of exactly 0.)
         truth = DtModel([0.4, 0.1], np.poly([0.5, 0.3]), h=0.1)
         u = 1e6 * np.random.default_rng(0).standard_normal(300)
-        res = oe_fit(SampledDataset(u, simulate_dt(truth, u), 0.1), truth)
+        y = long_double_filter([0.0, 0.4, 0.1], truth.den.coeffs, u).astype(float)
+        res = oe_fit(SampledDataset(u, y, 0.1), truth)
         assert res.converged and res.iterations == 1
         assert res.cost_history.size == 1  # the one iteration accepted no step
         g = prediction_jacobian(res.model, u).T @ res.residuals
@@ -757,6 +774,22 @@ class TestFilterKernel:
         assert passes > 5
         assert counts["band"] == 2 + passes
         assert counts["solve"] == 2 + 2 * passes
+
+    def test_simulation_is_the_fit_prediction(self, rao_garnier):
+        # simulate_dt runs the fit's kernel, 1 / F and then the numerator:
+        # with the numerator first, the two differed by up to 2.6e-13 on RG
+        records = [(rg_prbs_data(rao_garnier, seed), 4) for seed in (1, 2)]
+        for seed, order in enumerate((2, 3, 4, 4)):
+            rng = np.random.default_rng(seed)
+            g = gen_random_system(order, order // 2, rng=rng)
+            h = _default_period(g)
+            u = rng.standard_normal(1000)
+            y0 = simulate_dt(c2d_zoh(g, h), u)
+            y = y0 + 0.1 * y0.std() * rng.standard_normal(u.size)
+            records.append((SampledDataset(u, y, h), order))
+        for data, order in records:
+            res = oe_fit(data, init_arx_iv(data, order))
+            assert_same_bits(res.residuals, data.y - simulate_dt(res.model, data.u))
 
     def test_strided_record_unmodified(self, rng):
         # load_dataset's u and y are strided columns of one table; the fit

@@ -21,7 +21,7 @@ from ctident import (
 )
 from ctident.errors import NegativeRealPole, NotPositiveDefinite, SingularCovariance
 from ctident.lti import DtModel, SampledDataset, simulate_dt
-from ctident import rdproj
+from ctident import lti, rdproj
 from ctident.rdproj import pemrd_report_dict
 from conftest import assert_same_bits
 from oracles import high_precision_projection
@@ -150,14 +150,14 @@ class TestProjectRd:
     def test_projected_block_factorization_failure(self, rng, monkeypatch):
         # a block of a positive definite matrix is positive definite, so only
         # a failing factorization of the surviving block gets here
-        factor = rdproj.dpotrf
+        factor = lti.dpotrf
 
         def fail_on_block(M, **kwargs):
             if M.shape[0] < 4:
                 return M, 1  # LAPACK's "leading minor 1 is not positive definite"
             return factor(M, **kwargs)
 
-        monkeypatch.setattr(rdproj, "dpotrf", fail_on_block)
+        monkeypatch.setattr(lti, "dpotrf", fail_on_block)
         with pytest.raises(SingularCovariance,
                            match="projected information block is not invertible"):
             project_rd(rng.standard_normal(4), random_spd(rng, 4), r=2)
