@@ -37,7 +37,6 @@ from .pem import (
     EstimationResult,
     init_arx_iv,
     oe_fit,
-    predict,
     prediction_jacobian,
 )
 from .rdproj import (

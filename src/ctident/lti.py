@@ -283,16 +283,31 @@ def _companion(den, num) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def simulate_dt(model: DtModel, u) -> np.ndarray:
     """Output of a discrete-time model for input ``u``, zero initial conditions.
 
-    The fit's kernel: :func:`_solve` runs the monic denominator, then
-    :func:`_output` the numerator, so ``y - simulate_dt(fit.model, u)`` is
-    the fit's residuals to the bit; ``u`` is not modified.  The first ``r``
-    output samples of a relative-degree ``r`` model are zero for inputs
-    starting at the first sample.  An empty input gives an empty output.
+    The fit's kernel, :func:`_predict`: :func:`_solve` runs the monic
+    denominator, then :func:`_output` the numerator, so ``y -
+    simulate_dt(fit.model, u)`` is the fit's residuals to the bit; ``u`` is
+    not modified.  The first ``r`` output samples of a relative-degree ``r``
+    model are zero for inputs starting at the first sample.  An empty input
+    gives an empty output.
     """
     u = np.asarray(u, dtype=float)
     if not u.size:
         return np.zeros(0)
-    return _output(model.theta[:model.n], _solve(_band(model.den.coeffs, u.size), u))
+    return _predict(model.theta[:model.n], model.den.coeffs, u)[2]
+
+
+def _predict(num: np.ndarray, den: np.ndarray, u: np.ndarray,
+             out: np.ndarray | None = None) -> tuple:
+    """``(band, u / F, prediction)`` of ``num / den`` for a nonempty input ``u``, zero state.
+
+    The one kernel that runs a model on a record, for :func:`simulate_dt`,
+    the fit's points and its sensitivities: ``den`` is monic and its band
+    goes into ``out`` (:func:`_band`), ``num`` has length ``n``, and the
+    prediction is :func:`_output` of ``u / F``.
+    """
+    band = _band(den, u.size, out)
+    w1 = _solve(band, u)
+    return band, w1, _output(num, w1)
 
 
 def _output(num: np.ndarray, w1: np.ndarray) -> np.ndarray:

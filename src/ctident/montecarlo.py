@@ -22,11 +22,11 @@ from .lti import (
     CtModel,
     SampledDataset,
     _h2_block,
+    _h2_norm_sq,
     _period,
     _reldeg,
     _whole,
     is_stable,
-    l2_norm_sq,
     model_from_dict,
     model_to_dict,
     simulate_dt,
@@ -36,8 +36,8 @@ from .pem import _study_buffers, init_arx_iv, oe_fit
 from .rdproj import project_estimate
 from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
 # not called here; bench/spans.py traces these names on this module
+from .lti import simulate_dt as predict  # noqa: F401
 from .metrics import mse_g  # noqa: F401
-from .pem import predict  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
 from .sampling import zoh_map_point  # noqa: F401
 from .signals import gen_multisine, gen_prbs, gen_random_system
@@ -258,10 +258,8 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
         u = gen_prbs(input_spec.n_stages, input_spec.p, input_spec.low, input_spec.high)
     elif isinstance(input_spec, MultisineInput):
         u = gen_multisine(input_spec.freqs, input_spec.amplitude, N, h)
-    elif isinstance(input_spec, WhiteNoiseInput):
+    else:  # a WhiteNoiseInput: ExperimentConfig refuses any other kind
         u = np.sqrt(input_spec.variance) * rng.standard_normal(N)
-    else:
-        raise TypeError("unsupported input kind %r" % type(input_spec).__name__)
     if u.size != N:
         raise ValueError("input length %d does not match N=%d" % (u.size, N))
     y0 = simulate_dt(c2d_zoh(g0, h), u)
@@ -288,7 +286,8 @@ def _true_experiment(config: ExperimentConfig, rng):
         g0 = gen_random_system(g0.order, g0.reldeg, g0.slowest_pole_bound, rng)
     h = config.h if config.h is not None else _default_period(g0)
     u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
-    return g0, h, u, y0, sigma, (_h2_block(-1.0, g0), l2_norm_sq(g0))
+    block = _h2_block(-1.0, g0)  # -g0: C negated, exactly, so its norm is g0's
+    return g0, h, u, y0, sigma, (block, _h2_norm_sq(block))
 
 
 def _failed(run, estimators, exc, iterations=None, converged=None):

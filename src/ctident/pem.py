@@ -9,9 +9,11 @@ Steiglitz-McBride chain that needs no user-supplied guess.
 
 Every filter here (prefilters, predictor, sensitivities) is the recursion
 ``1 / F`` of a monic denominator, run as one banded triangular solve, plus a
-convolution with the numerator.  Each denominator's band is built once, and
-``u / F`` serves both its prediction and its sensitivities (or its
-Steiglitz-McBride prefilter), so no signal is filtered twice.
+convolution with the numerator (``lti._predict``).  Each denominator's band
+is built once, into the fit's one band buffer, and ``u / F`` serves both its
+prediction and its sensitivities (or its Steiglitz-McBride prefilter), so no
+signal is filtered twice.  The regressors, the instruments and the
+sensitivities are lags of two signals, written by :func:`_lags`.
 
 The initialiser's regressions are solved from one Gram matrix, by Cholesky
 and one or two refinement steps, when an a-priori rounding bound proves the
@@ -39,22 +41,19 @@ from .errors import (
 from .lti import (
     DtModel,
     SampledDataset,
-    _band,
     _chol_inverse,
-    _output,
     _poly,
+    _predict,
     _roots,
     _schur_stable,
     _solve,
     _split,
     _sym,
     is_stable,
-    simulate_dt,
 )
 
 __all__ = [
     "EstimationResult",
-    "predict",
     "prediction_jacobian",
     "oe_fit",
     "init_arx_iv",
@@ -80,9 +79,9 @@ def _study_buffers():
 
     A Monte Carlo study fits many records of one length.  Inside the block,
     :func:`init_arx_iv` and :func:`oe_fit` take their regression, instrument,
-    band and sensitivity arrays from :func:`_buffer`, so each is made once
-    per study instead of mapped afresh (and unmapped) by every fit.  They
-    are all released when the block ends, also by an exception.
+    band and sensitivity arrays, four roles, from :func:`_buffer`, so each
+    is made once per study instead of mapped afresh (and unmapped) by every
+    fit.  They are all released when the block ends, also by an exception.
     """
     _pool.arrays = {}
     try:
@@ -127,11 +126,6 @@ class EstimationResult:
     cost_history: np.ndarray
 
 
-def predict(model: DtModel, u) -> np.ndarray:
-    """Noise-free one-shot prediction of the output-error model (zero initial state)."""
-    return simulate_dt(model, u)
-
-
 def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     """Sensitivities of the prediction with respect to the parameter vector.
 
@@ -156,41 +150,41 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     n = model.n
     if not u.size:
         return np.zeros((0, 2 * n), order="F")
-    band = _band(model.den.coeffs, u.size)
-    w1 = _solve(band, u)
-    psi = np.zeros((u.size, 2 * n), order="F")
-    return _sensitivities(psi, band, w1, _output(model.theta[:n], w1))
+    band, w1, yhat = _predict(model.theta[:n], model.den.coeffs, u)
+    return _lags(np.zeros((u.size, 2 * n), order="F"), w1, _solve(band, yhat), 0)
 
 
-def _sensitivities(psi: np.ndarray, band: np.ndarray, w1: np.ndarray,
-                   yhat: np.ndarray) -> np.ndarray:
-    """:func:`prediction_jacobian` written into ``psi`` and returned.
+def _lags(out: np.ndarray, a: np.ndarray, b: np.ndarray, first: int) -> np.ndarray:
+    """Lags ``1..n`` of ``a``, then of ``-b``, from sample ``first`` on, written into ``out``.
 
-    ``band`` is the band of the stable monic denominator, ``w1 = u / F`` and
-    ``yhat`` the prediction; ``yhat / F`` is the one recursion made here,
-    written negated (exactly ``-yhat / F``).  Only the entries below the
-    zero triangle of ``psi`` (shape ``(N, 2 n)``) are written, so a buffer
-    reused across calls keeps it.
+    ``n = out.shape[1] // 2``, and row ``i`` of ``out`` is sample ``first + i``
+    of ``a`` and ``b`` (of equal length): column ``d - 1`` gets ``a`` delayed
+    by ``d`` and column ``n + d - 1`` exactly ``-b`` delayed by ``d``, the
+    parameter vector's layout.  Three buffers are written this way: the
+    initialiser's regressor (``first = n``, its target in a last column that
+    the caller writes), its instruments (``first = n``) and the
+    sensitivities (``first = 0``).  Entries before a signal's first sample
+    are not written, so a buffer reused across calls keeps its zero
+    triangle.  Returns ``out``.
     """
-    n = psi.shape[1] // 2
-    N = w1.size
-    w2 = _solve(band, yhat)
-    for j in range(min(n, N - 1)):
-        psi[j + 1:, j] = w1[: N - j - 1]
-        np.negative(w2[: N - j - 1], out=psi[j + 1:, n + j])
-    return psi
+    n = out.shape[1] // 2
+    N = a.size
+    for d in range(1, min(n, N) + 1):  # a lag of N or more samples has no entry
+        s = max(d - first, 0)
+        out[s:, d - 1] = a[first + s - d: N - d]
+        np.negative(b[first + s - d: N - d], out=out[s:, n + d - 1])
+    return out
 
 
-def _evaluate(num, den, u, y, out) -> tuple:
-    """``(band, u / F, prediction, residuals, cost)`` of ``num / den`` on the record ``(u, y)``.
+def _evaluate(num, den, u, y, band) -> tuple:
+    """``(u / F, prediction, residuals, cost)`` of ``num / den`` on the record ``(u, y)``.
 
-    ``den`` is monic, ``num`` of length ``n``; the band is written into ``out`` (:func:`_band`).
+    ``den`` is monic, ``num`` of length ``n``; ``den``'s band is written into
+    the buffer ``band`` (``lti._predict``).
     """
-    band = _band(den, u.size, out)
-    w1 = _solve(band, u)
-    yhat = _output(num, w1)
+    _, w1, yhat = _predict(num, den, u, band)
     resid = y - yhat
-    return band, w1, yhat, resid, float(resid @ resid)
+    return w1, yhat, resid, float(resid @ resid)
 
 
 def _check_finite(data: SampledDataset):
@@ -210,13 +204,14 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     ``1e-8 (1 + cost)``.  Hitting the 200-iteration cap leaves ``converged``
     False without raising.
 
-    Each point carries the band of its denominator and ``w1 = u / F``: a
-    candidate costs one band and one recursion (its prediction is the
-    numerator's convolution with ``w1``), and the sensitivities of an
-    accepted point one more recursion, ``yhat / F``.  The sensitivity
-    matrix is one buffer per fit, and the bands of the current point and of
-    the candidates are two more; inside a Monte Carlo study all three are
-    kept from one fit to the next.  Each Gram matrix ``psi^T psi`` is one
+    A point is ``(theta, w1 = u / F, w2 = yhat / F, residuals, cost)``.  A
+    candidate costs one band, written into the fit's one band buffer, and
+    one recursion, ``w1`` (its prediction is the numerator's convolution
+    with ``w1``); an accepted candidate one more, ``w2``, solved while its
+    band is still in the buffer, so the loop carries no band.  The
+    sensitivities are lags of ``w1`` and ``-w2`` (:func:`_lags`) in one
+    buffer per fit; inside a Monte Carlo study both buffers are kept from
+    one fit to the next.  Each Gram matrix ``psi^T psi`` is one
     BLAS ``dgemm``: on this tall, thin shape it is two to three times as
     fast as ``dsyrk``, and ``dposv`` reads only its upper triangle.
 
@@ -242,10 +237,10 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     _check_finite(data)
     u, y = data.u, data.y
 
+    band = _buffer("band", (n + 1, data.N))  # each point's band in turn
     theta = init.theta
-    band, w1, yhat, resid, cost = _evaluate(*_split(theta), u, y,
-                                            _buffer("band", (n + 1, data.N)))
-    spare = _buffer("spare band", band.shape)  # the candidates' band buffer
+    w1, yhat, resid, cost = _evaluate(*_split(theta), u, y, band)
+    w2 = _solve(band, yhat)
     history = [cost]
     mu = None
     converged = False
@@ -254,7 +249,7 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     eye = np.eye(2 * n)
 
     for iterations in range(1, _MAX_ITER + 1):
-        psi = _sensitivities(psi, band, w1, yhat)
+        psi = _lags(psi, w1, w2, 0)
         accepted = False
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
@@ -277,10 +272,11 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
                 saw_unstable = True
                 mu *= 2.0
                 continue
-            point = _evaluate(cand_num, cand_den, u, y, spare)
+            point = _evaluate(cand_num, cand_den, u, y, band)
             if point[-1] < cost:
                 rel_drop = (cost - point[-1]) / max(cost, np.finfo(float).tiny)
-                theta, spare, (band, w1, yhat, resid, cost) = cand, band, point
+                theta, (w1, yhat, resid, cost) = cand, point
+                w2 = _solve(band, yhat)  # while the point's band is in the buffer
                 history.append(cost)
                 mu *= 0.5
                 accepted = True
@@ -300,7 +296,7 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
 
     sigma2 = cost / (data.N - 2 * n)
     if accepted:  # psi belongs to the model before the last step
-        psi = _sensitivities(psi, band, w1, yhat)
+        psi = _lags(psi, w1, w2, 0)
     info = dgemm(1.0, psi, psi, trans_a=1)
     if np.linalg.cond(info) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
@@ -349,23 +345,6 @@ def _reflect_stable(den: np.ndarray) -> np.ndarray:
         out = den * (1.0 - delta) ** np.arange(den.size)
         delta *= 2.0
     return out
-
-
-def _fill_regressor(buf: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
-    """Write the lagged regression of ``w_out`` on ``w_in`` into ``buf`` and return it.
-
-    For order ``n`` the ``N - n`` rows of ``buf`` (shape ``(N - n, 2 n + 1)``)
-    get ``w_in`` at delays ``1..n``, then ``-w_out`` at delays ``1..n``
-    (the parameter vector's layout, numerator block first), and the target
-    ``w_out[n:]`` as the last column.
-    """
-    n = buf.shape[1] // 2
-    N = w_in.size
-    for d in range(1, n + 1):
-        buf[:, d - 1] = w_in[n - d: N - d]
-        np.negative(w_out[n - d: N - d], out=buf[:, n + d - 1])
-    buf[:, -1] = w_out[n:]
-    return buf
 
 
 def _qr_lstsq(buf: np.ndarray):
@@ -497,14 +476,15 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     ``(numerator, denominator)`` coefficient arrays and makes a model of the
     best pair only.
 
-    Each stabilized pair carries its denominator's band and ``u / F``; its
-    output is the numerator's convolution with ``u / F`` and gives both its
-    cost and, for the ARX model, the instruments.  A Steiglitz-McBride pass
-    reuses that ``u / F`` and solves ``y / F`` on the same band, so it makes
-    two recursions: ``y / F`` and the new model's ``u / F``.
+    Each stabilized pair leaves its denominator's band in the band buffer
+    and carries ``u / F``; its output is the numerator's convolution with
+    ``u / F`` and gives both its cost and, for the ARX model, the
+    instruments.  A Steiglitz-McBride pass reuses that ``u / F`` and solves
+    ``y / F`` on the same band, so it makes two recursions: ``y / F`` and
+    the new model's ``u / F``.
 
-    Every least-squares stage writes the lagged regressor with its target
-    appended into one Fortran-ordered buffer and solves it by
+    Every least-squares stage writes the lagged regressor (:func:`_lags`)
+    with its target appended into one Fortran-ordered buffer and solves it by
     :func:`_qr_lstsq`: from the buffer's Gram matrix (one ``dgemm``), by
     Cholesky and one refinement step, or two, when a bound on their rounding
     proves the condition number of the regressor with its columns scaled to
@@ -538,41 +518,46 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
         # (num, den) with den reflected to stability, then _evaluate's tuple of the pair
         num, den = _split(th)
         den = _reflect_stable(den)
-        return (num, den), *_evaluate(num, den, u, y, band_buf)
+        return (num, den), *_evaluate(num, den, u, y, band)
 
-    # one regression buffer [Phi | target] for every stage, and one band
-    # buffer: a model's band is dropped once the next model is built
+    def regression(a, b):
+        # [Phi | target] of b regressed on a
+        _lags(buf, a, b, n)[:, -1] = b[n:]
+        return buf
+
+    # one regression buffer for every stage, and one band buffer: a model's
+    # band is dropped once the next model is built
     buf = _buffer("regression", (N - n, npar + 1))
-    band_buf = _buffer("band", (n + 1, N))
+    band = _buffer("band", (n + 1, N))
 
     # stage 1: ARX least squares
-    theta, rank = _qr_lstsq(_fill_regressor(buf, u, y))
+    theta, rank = _qr_lstsq(regression(u, y))
     if rank < npar:
         raise RankDeficientRegression("ARX regressor rank %d < %d" % (rank, npar))
-    model, band, uf, x, _, best_cost = stabilized(theta)
+    model, uf, x, _, best_cost = stabilized(theta)
     best = model
 
     # stage 2: instrumental variables, instruments from the ARX model output x
-    zmat = _fill_regressor(_buffer("instruments", buf.shape), u, x)[:, :npar]
-    normal = zmat.T @ _fill_regressor(buf, u, y)
+    zmat = _lags(_buffer("instruments", (N - n, npar)), u, x, n)
+    normal = zmat.T @ regression(u, y)
     lhs = normal[:, :npar]
     if np.linalg.cond(lhs) < 1e12:
         theta_iv = np.linalg.solve(lhs, normal[:, npar])
         if np.all(np.isfinite(theta_iv)):
             theta = theta_iv
-            model, band, uf, _, _, cost = stabilized(theta)
+            model, uf, _, _, cost = stabilized(theta)
             if cost < best_cost:
                 best, best_cost = model, cost
 
     # stage 3: Steiglitz-McBride refinements on prefiltered data
     for _ in range(20):
         yf = _solve(band, y)
-        theta_new, _ = _qr_lstsq(_fill_regressor(buf, uf, yf))
+        theta_new, _ = _qr_lstsq(regression(uf, yf))
         if theta_new is None or not np.all(np.isfinite(theta_new)):
             break
         step = np.linalg.norm(theta_new - theta) / max(1.0, np.linalg.norm(theta))
         theta = theta_new
-        model, band, uf, _, _, cost = stabilized(theta)
+        model, uf, _, _, cost = stabilized(theta)
         if cost < best_cost:
             best, best_cost = model, cost
         if step < 1e-8:

@@ -27,11 +27,11 @@ from ctident import (
     gen_prbs,
     l2_norm_sq,
     lfsr_bits,
-    predict,
     prediction_jacobian,
     project_rd,
     projected_covariance,
     run_monte_carlo,
+    simulate_dt,
     zoh_map_point,
 )
 from conftest import random_stable_ct
@@ -370,8 +370,8 @@ class TestCriterion6:
             up, dn = model.theta.copy(), model.theta.copy()
             up[i] += eps
             dn[i] -= eps
-            fd = (predict(DtModel.from_theta(up, 0.1), u)
-                  - predict(DtModel.from_theta(dn, 0.1), u)) / (2 * eps)
+            fd = (simulate_dt(DtModel.from_theta(up, 0.1), u)
+                  - simulate_dt(DtModel.from_theta(dn, 0.1), u)) / (2 * eps)
             err = np.abs(psi[:, i] - fd).max()
             jac_ok = jac_ok and err <= 1e-4 * max(1.0, np.abs(fd).max())
         checks["prediction jacobian"] = jac_ok

@@ -4,6 +4,12 @@ No linter runs on this repository, and moving a helper from one module to
 another easily leaves its old import behind.  A name imported on purpose
 without being used (a re-export that ``bench/spans.py`` traces) carries
 ``# noqa: F401`` on its import statement.
+
+The same parse keeps each numerical job with its one owner: no module uses
+``np.roots``, ``np.poly`` or ``np.linalg.inv`` (``lti._roots``, ``_poly``
+and ``_chol_inverse`` serve them) or imports ``scipy.signal``, and only
+``lti`` refers to the filter band ``_band``, which its prediction kernel
+``lti._predict`` builds for every other module.
 """
 
 import ast
@@ -13,6 +19,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ctident"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# np.<name> (or numpy.<name>) that no module of the package uses
+SHUNNED = {"roots", "poly", "linalg.inv"}
 
 
 def unused_imports(source: str) -> list:
@@ -49,3 +57,58 @@ def test_checker_finds_unused_and_honours_marker():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dotted(node) -> str:
+    """``a.b.c`` of an attribute chain on a name, or "" for any other expression."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def owner_breaches(source: str, module: str) -> list:
+    """``(line, what)`` of each use in ``source`` (the file ``module``) of a job owned elsewhere."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            head, _, rest = dotted(node).partition(".")
+            if head in ("np", "numpy") and rest in SHUNNED:
+                breaches.append((node.lineno, dotted(node)))
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = ["%s.%s" % (node.module, alias.name) for alias in node.names]
+        else:
+            imported = []
+        if any((name + ".").startswith("scipy.signal.") for name in imported):
+            breaches.append((node.lineno, "scipy.signal"))
+        named = {getattr(node, "id", None), getattr(node, "attr", None),
+                 *(name.rpartition(".")[2] for name in imported)}
+        if module != "lti.py" and "_band" in named:
+            breaches.append((node.lineno, "_band"))
+    return breaches
+
+
+def test_owner_checker_finds_each_rule():
+    source = ("import numpy as np\n"
+              "import scipy.signal\n"
+              "from scipy import signal\n"
+              "from scipy.signal import lfilter\n"
+              "from .lti import _band, _bands\n"
+              "from scipy.linalg import inv\n"
+              "r = np.roots([1.0, 2.0]) + np.polyval([1.0], 0.0)\n"
+              "p = numpy.poly(r)\n"
+              "q = np.linalg.inv(np.eye(2)) @ np.linalg.pinv(np.eye(2))\n"
+              "b = lti._band(p, 3)\n"
+              "roots = inv(q)\n")
+    breaches = [(2, "scipy.signal"), (3, "scipy.signal"), (4, "scipy.signal"), (5, "_band"),
+                (7, "np.roots"), (8, "numpy.poly"), (9, "np.linalg.inv"), (10, "_band")]
+    assert sorted(owner_breaches(source, "pem.py")) == breaches
+    assert sorted(owner_breaches(source, "lti.py")) == [b for b in breaches if b[1] != "_band"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_job_has_one_owner(path):
+    assert owner_breaches(path.read_text(), path.name) == []

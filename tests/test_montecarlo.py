@@ -18,8 +18,8 @@ from ctident import (
     RandomSystemSpec,
     WhiteNoiseInput,
     fit,
-    predict,
     run_monte_carlo,
+    simulate_dt,
 )
 from ctident import d2c_zoh, lti, montecarlo, pem
 from ctident.errors import RankDeficientRegression
@@ -266,8 +266,9 @@ class TestRunMonteCarlo:
         # mse_g's denominator: once per fixed-system study, once per drawn
         # system when every run draws its own
         calls = []
-        norm = montecarlo.l2_norm_sq
-        monkeypatch.setattr(montecarlo, "l2_norm_sq", lambda g: calls.append(g) or norm(g))
+        norm = montecarlo._h2_norm_sq
+        monkeypatch.setattr(montecarlo, "_h2_norm_sq",
+                            lambda *blocks: calls.append(blocks) or norm(*blocks))
         rep = run_monte_carlo(quick_config(M=4))
         assert sum(rec.metrics is not None for rec in rep.records) == 8
         assert len(calls) == 1
@@ -278,8 +279,8 @@ class TestRunMonteCarlo:
         assert len(calls) == len({rec.run for rec in rep.records if rec.metrics is not None}) > 1
 
     def test_true_system_block_built_once(self, monkeypatch):
-        # a fixed true system's poles are found twice per study, for its
-        # norm and for its block of the H2 stack, which scores both
+        # a fixed true system's poles are found once per study, for its
+        # block of the H2 stack, which gives its norm and scores both
         # estimators of every run
         config = quick_config(M=4)
         calls = []
@@ -287,7 +288,19 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(lti, "_roots", lambda c: calls.append(c) or roots(c))
         rep = run_monte_carlo(config)
         assert sum(rec.metrics is not None for rec in rep.records) == 8
-        assert sum(c is config.system.den.coeffs for c in calls) == 2
+        assert sum(c is config.system.den.coeffs for c in calls) == 1
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    def test_true_norm_from_the_negated_block(self, order):
+        # the truth's squared norm comes from its block of -g0: negating C is
+        # exact, so it is l2_norm_sq(g0) to the bit
+        cfg = ExperimentConfig(system=RandomSystemSpec(order=order, reldeg=1 + order // 2),
+                               input=WhiteNoiseInput(), h=None, N=200,
+                               noise=NoiseSetting(snr_db=20.0), M=1, r=1, seed=0)
+        rng = np.random.default_rng(order)
+        for _ in range(10):
+            g0, *_, truth = montecarlo._true_experiment(cfg, rng)
+            assert_same_bits(truth[1], lti.l2_norm_sq(g0))
 
     def test_pem_scored_on_the_fit_prediction(self, monkeypatch):
         # the PEM estimate is scored on the prediction its fit already holds,
@@ -306,7 +319,7 @@ class TestRunMonteCarlo:
         pem_records = [rec for rec in rep.records if rec.estimator == PEM]
         assert len(pem_records) == len(runs) == len(fits) == 5
         for rec, (_, data, _, y0, _, _), est in zip(pem_records, runs, fits):
-            expected = fit(predict(est.model, data.u), y0)
+            expected = fit(simulate_dt(est.model, data.u), y0)
             assert rec.metrics.fit == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_fit_diagnostics_recorded(self, monkeypatch, tmp_path):
@@ -371,6 +384,12 @@ def pooled():
     return list((getattr(pem._pool, "arrays", None) or {}).values())
 
 
+def roles(N, n):
+    """``(role, shape)`` of each buffer a study's fits of order ``n`` on ``N`` samples hold."""
+    return {("band", (n + 1, N)), ("sensitivities", (N, 2 * n)),
+            ("regression", (N - n, 2 * n + 1)), ("instruments", (N - n, 2 * n))}
+
+
 class TestStudyBuffers:
     def test_fits_match_standalone_fits(self, rao_garnier, monkeypatch):
         # a long-record study, then one at another N in the same thread: each
@@ -382,6 +401,7 @@ class TestStudyBuffers:
         def fitting(data, init):
             est = oe_fit(data, init)
             fits.append((data, init, est, pooled()))
+            assert set(pem._pool.arrays) == roles(data.N, 4)
             return est
 
         monkeypatch.setattr(montecarlo, "oe_fit", fitting)
@@ -393,8 +413,9 @@ class TestStudyBuffers:
             records = [rec for rec in rep.records if rec.estimator == PEM]
             assert len(fits) == len(records) == 3
             for rec, (data, init, est, buffers) in zip(records, fits):
-                assert len(buffers) == 5
-                assert all(N in b.shape or N - 4 in b.shape for b in buffers)
+                assert len(buffers) == 4
+                if N == 7161:
+                    assert sum(b.nbytes for b in buffers) == 1_718_096
                 alone = pem.oe_fit(data, pem.init_arx_iv(data, 4))
                 assert (rec.iterations, rec.converged) == (alone.iterations, alone.converged)
                 assert_same_bits(rec.theta_c, d2c_zoh(alone.model).theta)
@@ -424,7 +445,7 @@ class TestStudyBuffers:
         monkeypatch.setattr(montecarlo, "init_arx_iv", breaking)
         with pytest.raises(RuntimeError, match="broken fit"):
             run_monte_carlo(quick_config(M=3))
-        assert seen == [0, 5]
+        assert seen == [0, 4]
         assert not pooled()
 
     def test_threads_keep_their_own_buffers(self):
@@ -533,11 +554,6 @@ class TestSerialization:
                  system={"num": [0.5], "den": [1.0, -0.5], "h": 0.1})
         with pytest.raises(ValueError, match="the true system must be continuous time"):
             config_from_dict(d)
-
-    def test_experiment_rejects_unknown_input_kind(self):
-        with pytest.raises(TypeError, match="unsupported input kind 'object'"):
-            montecarlo._experiment(G2, 0.1, object(), 300, NoiseSetting(sigma=0.1),
-                                   np.random.default_rng(0))
 
     def test_report_dict_shape(self):
         rep = run_monte_carlo(quick_config(M=2))

@@ -16,7 +16,6 @@ from ctident import (
     gen_random_system,
     init_arx_iv,
     oe_fit,
-    predict,
     prediction_jacobian,
     sigma_for_snr_db,
     simulate_ct_zoh,
@@ -58,6 +57,13 @@ def oe_cost(model, data):
     return float(e @ e)
 
 
+def regression(u, y, n):
+    """``init_arx_iv``'s order-``n`` buffer ``[Phi | y[n:]]``: ``y`` regressed on ``u``."""
+    buf = pem._lags(np.empty((u.size - n, 2 * n + 1), order="F"), u, y, n)
+    buf[:, -1] = y[n:]
+    return buf
+
+
 class TestOrders:
     def test_validation(self, rng):
         data = make_data(rng, sigma=0.1, N=100)
@@ -83,8 +89,8 @@ class TestPredictionJacobian:
             up, dn = theta.copy(), theta.copy()
             up[i] += eps
             dn[i] -= eps
-            fd = (predict(DtModel.from_theta(up, 0.1), u)
-                  - predict(DtModel.from_theta(dn, 0.1), u)) / (2.0 * eps)
+            fd = (simulate_dt(DtModel.from_theta(up, 0.1), u)
+                  - simulate_dt(DtModel.from_theta(dn, 0.1), u)) / (2.0 * eps)
             assert_allclose(psi[:, i], fd, rtol=1e-4, atol=1e-7)
 
     def test_numerator_columns_are_filtered_input(self, rng):
@@ -164,11 +170,10 @@ class TestOeFit:
     def test_covariance_from_sensitivities_at_estimate(self, rng, monkeypatch):
         # the loop's last sensitivities serve the covariance unless its last
         # iteration moved the model: a fit that ends on the gradient test
-        # filters once per iteration, one that ends on a step once more
+        # writes them once per iteration, one that ends on a step once more
         calls = []
-        sensitivities = pem._sensitivities
-        monkeypatch.setattr(pem, "_sensitivities",
-                            lambda *args: calls.append(1) or sensitivities(*args))
+        lags = pem._lags
+        monkeypatch.setattr(pem, "_lags", lambda *args: calls.append(1) or lags(*args))
         init = DtModel([0.3, -0.1], [1.0, -1.0, 0.4], h=0.1)
         ended_on_step = set()
         for sigma in (0.0, 0.1):
@@ -178,10 +183,7 @@ class TestOeFit:
             stepped_last = res.cost_history.size == res.iterations + 1
             ended_on_step.add(stepped_last)
             assert len(calls) == res.iterations + stepped_last
-            band = pem._band(res.model.den.coeffs, data.N)
-            w1 = pem._solve(band, data.u)
-            psi = sensitivities(np.zeros((data.N, 4), order="F"), band, w1,
-                                pem._output(res.model.theta[:2], w1))
+            psi = prediction_jacobian(res.model, data.u)
             info = pem.dgemm(1.0, psi, psi, trans_a=1)
             assert_same_bits(res.covariance, res.sigma2_hat * lti._sym(
                 lti._chol_inverse(info, AssertionError())))
@@ -239,10 +241,20 @@ class TestOeFit:
         data = simulate_ct_zoh(rg, rng.standard_normal(1500), 0.05, NoiseSpec(sigma=0.3, seed=2))
         init = init_arx_iv(data, 4)
         fast = oe_fit(data, init)
-        # column 0 of the band holds the denominator's coefficients
-        monkeypatch.setattr(pem, "_sensitivities",
-                            lambda psi, band, w1, yhat: filter_bank_sensitivities(
-                                DtModel([0.0], band[:, 0], data.h), data.u, yhat))
+        # each point's u / F names its denominator and prediction
+        evaluate, points = pem._evaluate, {}
+
+        def evaluating(num, den, u, y, band):
+            point = evaluate(num, den, u, y, band)
+            points[id(point[0])] = point[0], den, point[1]  # u / F kept, so its id stays its own
+            return point
+
+        def oracle(psi, w1, w2, first):
+            _, den, yhat = points[id(w1)]
+            return filter_bank_sensitivities(DtModel([0.0], den, data.h), data.u, yhat)
+
+        monkeypatch.setattr(pem, "_evaluate", evaluating)
+        monkeypatch.setattr(pem, "_lags", oracle)
         slow = oe_fit(data, init)
         assert fast.iterations == slow.iterations > 1
         assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
@@ -562,7 +574,7 @@ class TestLeastSquaresPaths:
         # order-3 lagged regression on an input with a double pole at `pole`
         u = lfilter([1.0], [1.0, -2.0 * pole, pole * pole], rng.standard_normal(1000))
         y = simulate_dt(TRUE_DT, u) + 1e-3 * rng.standard_normal(u.size)
-        return pem._fill_regressor(np.empty((997, 7), order="F"), u, y)
+        return regression(u, y, 3)
 
     def test_two_step_tier(self, rng, paths, monkeypatch):
         # double pole at 0.99: kappa(Phi D) 5.8e5, above the one-step tier's
@@ -637,7 +649,7 @@ class TestLeastSquaresPaths:
         # an inf in Phi leaves the Gram path at once; one in t alone is
         # certified, and both paths then return non-finite estimates
         data = rg_prbs_data(rao_garnier, 1)
-        buf = pem._fill_regressor(np.empty((7157, 9), order="F"), data.u, data.y)
+        buf = regression(data.u, data.y, 4)
         buf[row, col] = np.inf
         if col < 8:
             assert pem._gram_lstsq(buf) is None
@@ -647,7 +659,7 @@ class TestLeastSquaresPaths:
 
     def test_buffer_left_intact(self, rao_garnier):
         data = rg_prbs_data(rao_garnier, 1)
-        buf = pem._fill_regressor(np.empty((7157, 9), order="F"), data.u, data.y)
+        buf = regression(data.u, data.y, 4)
         copy = buf.copy(order="F")
         assert pem._gram_lstsq(buf) is not None
         assert_same_bits(buf, copy)
@@ -745,10 +757,10 @@ class TestFilterKernel:
                 return fn(*args, **kwargs)
             return counted
 
-        band, solve = counting("band", lti._band), counting("solve", lti._solve)
-        for module in (lti, pem):
-            monkeypatch.setattr(module, "_band", band)
-            monkeypatch.setattr(module, "_solve", solve)
+        solve = counting("solve", lti._solve)
+        monkeypatch.setattr(lti, "_band", counting("band", lti._band))
+        monkeypatch.setattr(lti, "_solve", solve)
+        monkeypatch.setattr(pem, "_solve", solve)
         monkeypatch.setattr(pem, "_qr_lstsq", counting("qr", pem._qr_lstsq))
         return calls
 
@@ -763,6 +775,34 @@ class TestFilterKernel:
         points = res.cost_history.size
         assert points > 10
         assert counts == {"band": points, "solve": 2 * points, "qr": counts["qr"]}
+
+    def test_one_band_buffer_and_one_more_solve_per_point(self, rng, counts, monkeypatch):
+        # this fit rejects some candidates: each candidate costs a band and
+        # u / F, each point visited one more recursion, yhat / F, and every
+        # band goes into the fit's one buffer
+        data = make_data(rng, sigma=0.1)
+        counts.update(band=0, solve=0)
+        outs = []
+        band = lti._band
+        monkeypatch.setattr(lti, "_band", lambda a, N, out=None: outs.append(out) or band(a, N, out))
+        res = oe_fit(data, DtModel([0.0, 1.0], [1.0, 0.0, 0.0], h=0.1))
+        points = res.cost_history.size
+        assert counts["band"] > points > 5
+        assert counts["solve"] == counts["band"] + points
+        assert outs[0] is not None and all(out is outs[0] for out in outs)
+
+    def test_lags_write_only_samples_of_the_record(self, rng):
+        # from sample 0 a lag's first entries precede the record and keep
+        # what the buffer held; from sample n every entry is written
+        a, b = rng.standard_normal(6), rng.standard_normal(6)
+        want = np.full((6, 4), np.nan)
+        for d in (1, 2):
+            want[d:, d - 1], want[d:, d + 1] = a[:6 - d], -b[:6 - d]
+        assert_same_bits(pem._lags(np.full((6, 4), np.nan, order="F"), a, b, 0), want)
+        assert_same_bits(pem._lags(np.full((4, 4), np.nan, order="F"), a, b, 2),
+                         np.column_stack([a[1:5], a[:4], -b[1:5], -b[:4]]))
+        assert_same_bits(pem._lags(np.full((1, 4), np.nan, order="F"), a[:1], b[:1], 0),
+                         np.full((1, 4), np.nan))
 
     def test_two_recursions_per_steiglitz_mcbride_pass(self, rao_garnier, counts):
         # ARX and IV models: one band and u / F each; a pass then solves
