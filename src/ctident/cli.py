@@ -22,6 +22,7 @@ from .errors import CtIdentError
 from .lti import (CtModel, DtModel, SampledDataset, _whole, freq_response, model_from_dict,
                   model_to_dict)
 from .montecarlo import (
+    _check_keys,
     _experiment,
     config_from_dict,
     input_from_dict,
@@ -54,6 +55,7 @@ def _emit(text: str, out):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
+    _check_keys(cfg, ("system", "input", "h", "N", "noise", "seed"), "a simulate config")
     system = model_from_dict(cfg["system"])
     if not isinstance(system, CtModel):
         raise ValueError("the simulated system must be continuous time")

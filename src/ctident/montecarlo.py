@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,12 @@ _STATUS_ERROR = "optimizer_error"
 _FAILURES = (CtIdentError, ValueError)
 
 
+def _store(spec, **values):
+    """Set the converted ``values`` on the frozen settings object ``spec``."""
+    for name, value in values.items():
+        object.__setattr__(spec, name, value)
+
+
 @dataclass(frozen=True)
 class PrbsInput:
     """Binary excitation from a maximal-length register, chips held ``p`` samples."""
@@ -85,8 +91,8 @@ class PrbsInput:
     high: float = 2.0
 
     def __post_init__(self):
-        for name in ("n_stages", "p"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        _store(self, n_stages=_whole(self.n_stages, "n_stages"), p=_whole(self.p, "p"),
+               low=float(self.low), high=float(self.high))
         if not np.isfinite([self.low, self.high]).all() or self.low == self.high:
             raise ValueError("binary-sequence levels must be finite and distinct")
 
@@ -97,6 +103,7 @@ class MultisineInput:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        _store(self, freqs=tuple(map(float, self.freqs)), amplitude=float(self.amplitude))
         if not np.isfinite(self.amplitude) or self.amplitude == 0:
             raise ValueError("multisine amplitude must be finite and nonzero")
 
@@ -106,6 +113,7 @@ class WhiteNoiseInput:
     variance: float = 1.0
 
     def __post_init__(self):
+        _store(self, variance=float(self.variance))
         if not 0.0 < self.variance < np.inf:
             raise ValueError("white-noise variance must be finite and positive")
 
@@ -117,6 +125,13 @@ class RandomSystemSpec:
     order: int
     reldeg: int
     slowest_pole_bound: float = -0.1
+
+    def __post_init__(self):
+        _store(self, order=_whole(self.order, "order"))
+        if self.order < 1:
+            raise ValueError("a random system's order must be at least 1")
+        _store(self, reldeg=_reldeg(self.reldeg, self.order, "reldeg"),
+               slowest_pole_bound=float(self.slowest_pole_bound))
 
 
 @dataclass(frozen=True)
@@ -133,18 +148,20 @@ class NoiseSetting:
     peak_fraction: float | None = None
 
     def __post_init__(self):
-        given = [v for v in (self.snr_db, self.sigma, self.peak_fraction) if v is not None]
+        given = {f.name: float(v) for f in fields(self)
+                 if (v := getattr(self, f.name)) is not None}
         if len(given) != 1:
             raise ValueError("set exactly one of snr_db, sigma, peak_fraction")
+        _store(self, **given)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete, serializable description of one Monte Carlo study.
 
-    ``N``, ``M`` and ``seed`` are stored as ints.  A fractional one, an
-    input or noise setting not of its field's classes and a repeated
-    estimator are configuration errors.
+    ``N``, ``M``, ``r`` and ``seed`` are stored as ints and ``h`` as a
+    float.  A fractional one, an input or noise setting not of its field's
+    classes and a repeated estimator are configuration errors.
     """
 
     system: CtModel | RandomSystemSpec
@@ -158,9 +175,8 @@ class ExperimentConfig:
     estimators: tuple = (PEM, PEMRD)
 
     def __post_init__(self):
-        for name in ("N", "M", "seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        _store(self, **{name: _whole(getattr(self, name), name) for name in ("N", "M", "seed")},
+               estimators=tuple(self.estimators))
         for est in self.estimators:
             if est not in (PEM, PEMRD):
                 raise ValueError("unknown estimator %r" % (est,))
@@ -175,7 +191,7 @@ class ExperimentConfig:
             raise ValueError("the noise must be a NoiseSetting, got %r"
                              % type(self.noise).__name__)
         if self.h is not None:
-            _period(self.h)
+            _store(self, h=_period(self.h))
         if self.M < 1 or self.N < 1:
             raise ValueError("M and N must be positive")
         if isinstance(self.input, PrbsInput):
@@ -184,10 +200,7 @@ class ExperimentConfig:
                 raise ValueError(
                     "N=%d does not equal the binary-sequence period %d" % (self.N, period))
         if isinstance(self.system, RandomSystemSpec):
-            order = _whole(self.system.order, "order")
-            if order < 1:
-                raise ValueError("a random system's order must be at least 1")
-            _reldeg(self.system.reldeg, order, "reldeg")
+            order = self.system.order
         else:
             if not isinstance(self.system, CtModel):
                 raise ValueError("the true system must be continuous time")
@@ -196,7 +209,7 @@ class ExperimentConfig:
             if not is_stable(self.system):
                 raise ValueError("the true system must be stable")
             order = self.system.n
-        object.__setattr__(self, "r", _reldeg(self.r, order))
+        _store(self, r=_reldeg(self.r, order))
         if self.N < 3 * order:
             raise ValueError("N=%d is below 3 x order = %d, the initialiser's minimum"
                              % (self.N, 3 * order))
@@ -264,11 +277,11 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
         raise ValueError("input length %d does not match N=%d" % (u.size, N))
     y0 = simulate_dt(c2d_zoh(g0, h), u)
     if noise.sigma is not None:
-        sigma = float(noise.sigma)
+        sigma = noise.sigma
     elif noise.snr_db is not None:
         sigma = sigma_for_snr_db(y0, noise.snr_db)
     else:
-        sigma = float(noise.peak_fraction) * float(np.abs(y0).max())
+        sigma = noise.peak_fraction * float(np.abs(y0).max())
     if not 0.0 <= sigma < np.inf:
         raise ValueError("noise deviation must be finite and nonnegative, got %r" % sigma)
     return u, y0, sigma
@@ -371,79 +384,68 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _real(value, name: str) -> float:
-    return float(value)
+# each input kind's JSON "type" name; the fields, their conversion and
+# their defaults live only in the dataclasses
+_INPUT_KINDS = {"prbs": PrbsInput, "multisine": MultisineInput, "white": WhiteNoiseInput}
 
 
-# JSON settings: each input kind's "type" name -> its class and the
-# converter of every field; the defaults live only in the dataclasses
-_INPUT_KINDS = {
-    "prbs": (PrbsInput, {"n_stages": _whole, "p": _whole, "low": _real, "high": _real}),
-    "multisine": (MultisineInput, {"freqs": lambda ws, name: tuple(map(float, ws)),
-                                   "amplitude": _real}),
-    "white": (WhiteNoiseInput, {"variance": _real}),
-}
-_RANDOM_SYSTEM = (RandomSystemSpec,
-                  {"order": _whole, "reldeg": _whole, "slowest_pole_bound": _real})
+def _check_keys(d: dict, names, what: str):
+    """``ValueError`` naming the first key of ``d`` that is not in ``names``."""
+    for key in d:
+        if key not in names:
+            raise ValueError("%s has no setting %r" % (what, key))
 
 
-def _settings_to_dict(spec, converters: dict) -> dict:
-    return {name: list(v) if isinstance(v := getattr(spec, name), tuple) else v
-            for name in converters}
+def _settings_to_dict(spec) -> dict:
+    """``spec``'s fields in order; a None left at its default of None is left out."""
+    return {f.name: list(v) if isinstance(v, tuple) else v for f in fields(spec)
+            if (v := getattr(spec, f.name)) is not None or f.default is not None}
 
 
-def _settings_from_dict(d: dict, cls, converters: dict):
-    return cls(**{name: conv(d[name], name) for name, conv in converters.items() if name in d})
+def _settings_from_dict(d: dict, cls, **nested):
+    """``cls`` built from the JSON object ``d``; ``nested`` reads the settings objects in it.
+
+    A key that is not a field of ``cls``, or a missing field that has no
+    default, is a ``ValueError`` that names it.
+    """
+    _check_keys(d, [f.name for f in fields(cls)], cls.__name__)
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in d:
+            raise ValueError("%s needs the setting %r" % (cls.__name__, f.name))
+    return cls(**{name: nested[name](v) if name in nested else v for name, v in d.items()})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    if isinstance(config.system, RandomSystemSpec):
-        system = {"random": _settings_to_dict(config.system, _RANDOM_SYSTEM[1])}
-    else:
-        system = model_to_dict(config.system)
-    kind = next(k for k, (cls, _) in _INPUT_KINDS.items() if isinstance(config.input, cls))
-    noise = {k: v for k, v in vars(config.noise).items() if v is not None}
-    return {
-        "system": system,
-        "input": {"type": kind, **_settings_to_dict(config.input, _INPUT_KINDS[kind][1])},
-        "h": config.h,
-        "N": config.N,
-        "noise": noise,
-        "M": config.M,
-        "r": config.r,
-        "seed": config.seed,
-        "estimators": list(config.estimators),
-    }
+    kind = next(k for k, cls in _INPUT_KINDS.items() if isinstance(config.input, cls))
+    return dict(_settings_to_dict(config),
+                system=({"random": _settings_to_dict(config.system)}
+                        if isinstance(config.system, RandomSystemSpec)
+                        else model_to_dict(config.system)),
+                input={"type": kind, **_settings_to_dict(config.input)},
+                noise=_settings_to_dict(config.noise))
 
 
 def input_from_dict(ind: dict):
     kind = ind.get("type")
     if kind not in _INPUT_KINDS:
         raise ValueError("unknown input type %r" % (kind,))
-    return _settings_from_dict(ind, *_INPUT_KINDS[kind])
+    return _settings_from_dict({k: v for k, v in ind.items() if k != "type"}, _INPUT_KINDS[kind])
 
 
 def noise_from_dict(noise_d: dict) -> NoiseSetting:
-    return NoiseSetting(**{f.name: noise_d.get(f.name) for f in fields(NoiseSetting)})
+    return _settings_from_dict(noise_d, NoiseSetting)
+
+
+def _system_from_dict(sysd: dict):
+    if "random" in sysd:
+        return _settings_from_dict(sysd["random"], RandomSystemSpec)
+    return model_from_dict(sysd)
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    sysd = d["system"]
-    if "random" in sysd:
-        system = _settings_from_dict(sysd["random"], *_RANDOM_SYSTEM)
-    else:
-        system = model_from_dict(sysd)
-    return ExperimentConfig(
-        system=system,
-        input=input_from_dict(d["input"]),
-        h=None if d.get("h") is None else float(d["h"]),
-        N=d["N"],
-        noise=noise_from_dict(d["noise"]),
-        M=d["M"],
-        r=d["r"],
-        seed=d["seed"],
-        **({"estimators": d["estimators"]} if "estimators" in d else {}),
-    )
+    # a study may leave out "h": each random system then takes its default period
+    return _settings_from_dict({"h": None, **d}, ExperimentConfig, system=_system_from_dict,
+                               input=input_from_dict, noise=noise_from_dict)
 
 
 def report_to_dict(report: McReport) -> dict:

@@ -144,6 +144,21 @@ class TestSimulate:
         assert capsys.readouterr().err == "configuration error: %s\n" % message
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"sead": 3}, "a simulate config has no setting 'sead'"),
+        ({"noise": {"sigma": 0.1, "snr": 10.0}}, "NoiseSetting has no setting 'snr'"),
+        ({"input": {"type": "white", "varaince": 2.0}},
+         "WhiteNoiseInput has no setting 'varaince'"),
+    ], ids=["top_level", "noise", "input"])
+    def test_misspelt_key_rejected(self, change, message, sim_config, tmp_path, capsys):
+        # a misspelt key was ignored, and its setting took its default
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, **change)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert not out.exists()
+
     def test_input_length_must_match(self, sim_config, tmp_path, capsys):
         cfg = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))
@@ -396,7 +411,9 @@ class TestMonteCarloCommand:
         ({"input": {"type": "square"}}, "unknown input type 'square'"),
         ({"r": 2.5}, "r must be a whole number, got 2.5"),
         ({"M": 2.7}, "M must be a whole number, got 2.7"),
-    ], ids=["unstable", "discrete", "unknown_input", "fractional_r", "fractional_M"])
+        ({"estimator": ["pemrd"]}, "ExperimentConfig has no setting 'estimator'"),
+    ], ids=["unstable", "discrete", "unknown_input", "fractional_r", "fractional_M",
+            "misspelt_key"])
     def test_bad_study_rejected(self, change, message, tmp_path, capsys):
         # unchecked, the unstable plant ran all its fits, recorded every one
         # an optimizer_error and exited 2; a fractional r or M was truncated

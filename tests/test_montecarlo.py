@@ -81,9 +81,10 @@ class TestConfigValidation:
     ], ids=["fractional", "above_order"])
     def test_random_system_relative_degree_range(self, reldeg, message):
         # unchecked, the study started and its first run failed, with
-        # numpy's TypeError for 2.5 and gen_random_system's ValueError for 7
+        # numpy's TypeError for 2.5 and gen_random_system's ValueError for 7;
+        # the spec refuses it when built
         with pytest.raises(ValueError, match=message):
-            quick_config(system=RandomSystemSpec(order=4, reldeg=reldeg), h=None, r=1)
+            RandomSystemSpec(order=4, reldeg=reldeg)
 
     @pytest.mark.parametrize("order, message", [
         (2.5, "order must be a whole number, got 2.5"),
@@ -91,9 +92,10 @@ class TestConfigValidation:
     ], ids=["fractional", "zero"])
     def test_random_system_order_checked(self, order, message):
         # unchecked, a fractional order started the study, whose first run
-        # died of numpy's TypeError inside gen_random_system
+        # died of numpy's TypeError inside gen_random_system; the spec
+        # refuses it when built
         with pytest.raises(ValueError, match="^%s$" % message):
-            quick_config(system=RandomSystemSpec(order=order, reldeg=1), h=None, r=1)
+            RandomSystemSpec(order=order, reldeg=1)
 
     @pytest.mark.parametrize("change, message", [
         ({"N": 300.5}, "^N must be a whole number, got 300.5$"),
@@ -142,6 +144,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"N=11 is below 3 x order = 12"):
             quick_config(system=RandomSystemSpec(order=4, reldeg=2), h=None, N=11)
         quick_config(system=RandomSystemSpec(order=4, reldeg=2), h=None, N=12)
+
+    def test_multisine_frequencies_stored_as_a_float_tuple(self):
+        # a list was stored as given, so the input could not be hashed
+        spec = MultisineInput(freqs=[1, 2])
+        assert spec == MultisineInput((1.0, 2.0))
+        assert hash(spec) == hash(MultisineInput((1.0, 2.0)))
 
     def test_noise_requires_exactly_one_field(self):
         with pytest.raises(ValueError):
@@ -519,6 +527,54 @@ class TestSerialization:
             # as report.json writes them: "1.0", not "1"
             assert json.dumps([flat[name] for name in expected]) == json.dumps(
                 list(expected.values()))
+
+    @pytest.mark.parametrize("python, floats", [
+        ({"input": PrbsInput(9, 3, low=0, high=2), "N": 1533},
+         {"input": PrbsInput(9, 3, low=0.0, high=2.0), "N": 1533}),
+        ({"input": MultisineInput([1, 3], amplitude=2)},
+         {"input": MultisineInput((1.0, 3.0), amplitude=2.0)}),
+        ({"input": WhiteNoiseInput(variance=1)}, {"input": WhiteNoiseInput(variance=1.0)}),
+        ({"system": RandomSystemSpec(3, 2, slowest_pole_bound=-1), "h": None},
+         {"system": RandomSystemSpec(3, 2, slowest_pole_bound=-1.0), "h": None}),
+        ({"noise": NoiseSetting(sigma=1)}, {"noise": NoiseSetting(sigma=1.0)}),
+        ({"h": 1, "estimators": [PEMRD]}, {"h": 1.0, "estimators": (PEMRD,)}),
+    ], ids=["prbs", "multisine", "white", "random_system", "noise", "study"])
+    def test_python_built_settings_stored_as_read(self, python, floats):
+        # the JSON reader converted these and a study built in Python kept
+        # them as given, so one study wrote "low": 0 or "low": 0.0
+        cfg = quick_config(**python)
+        written = json.dumps(config_to_dict(cfg))
+        assert written == json.dumps(config_to_dict(config_from_dict(json.loads(written))))
+        assert written == json.dumps(config_to_dict(quick_config(**floats)))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"estimator": [PEMRD]}, "ExperimentConfig has no setting 'estimator'"),
+        ({"input": {"type": "white", "varaince": 2.0}},
+         "WhiteNoiseInput has no setting 'varaince'"),
+        ({"noise": {"snr": 10.0}}, "NoiseSetting has no setting 'snr'"),
+        ({"system": {"random": {"order": 2, "reldeg": 1, "slowest": -1.0}}, "h": None},
+         "RandomSystemSpec has no setting 'slowest'"),
+        ({"input": {"type": "prbs", "n_stages": 5}}, "PrbsInput needs the setting 'p'"),
+        ({"system": {"random": {"order": 2}}, "h": None},
+         "RandomSystemSpec needs the setting 'reldeg'"),
+    ], ids=["study", "input", "noise", "random_system", "missing_p", "missing_reldeg"])
+    def test_unknown_or_missing_key_named(self, change, message):
+        # a misspelt key was ignored: "estimator" ran both estimators, and a
+        # misspelt setting took its default; a missing one was a bare KeyError
+        d = dict(config_to_dict(quick_config()), **change)
+        with pytest.raises(ValueError, match="^%s$" % message):
+            config_from_dict(d)
+
+    def test_period_may_be_left_out(self):
+        d = dict(config_to_dict(quick_config()), system={"random": {"order": 2, "reldeg": 1}})
+        del d["h"]
+        assert config_from_dict(d).h is None
+
+    def test_missing_study_setting_named(self):
+        d = config_to_dict(quick_config())
+        del d["N"]
+        with pytest.raises(ValueError, match="^ExperimentConfig needs the setting 'N'$"):
+            config_from_dict(d)
 
     @pytest.mark.parametrize("input_d", [{"type": "square"}, {"variance": 1.0}],
                              ids=["unknown", "missing"])
