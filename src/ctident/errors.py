@@ -6,7 +6,11 @@ class CtIdentError(Exception):
 
 
 class UnstableSystem(CtIdentError):
-    """An operation that requires asymptotic stability received an unstable model."""
+    """An operation that requires asymptotic stability received or produced an unstable model.
+
+    Raised for an unstable model given to an L2 norm, and for a
+    relative-degree projection whose model is unstable.
+    """
 
 
 class NonPrincipalLog(CtIdentError):

@@ -56,8 +56,7 @@ class Polynomial:
         c = np.array(coeffs, dtype=float, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must form a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
+        _finite(c)
         if c[0] == 0.0:
             c = c[np.flatnonzero(c)[0]:] if c.any() else c[-1:]
         c.flags.writeable = False
@@ -101,6 +100,12 @@ def _charpoly(M: np.ndarray) -> np.ndarray:
     return _poly(np.linalg.eigvals(M))
 
 
+def _finite(c: np.ndarray) -> None:
+    """``ValueError`` unless every coefficient in ``c`` is finite."""
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
+
+
 def _as_poly(p) -> Polynomial:
     return p if isinstance(p, Polynomial) else Polynomial(p)
 
@@ -135,8 +140,7 @@ def _theta(theta, r=1) -> np.ndarray:
     theta = np.array(theta, dtype=float)
     if theta.ndim != 1 or not theta.size or theta.size % 2:
         raise ValueError("parameter vector must be 1-d of even length")
-    if not np.isfinite(theta).all():
-        raise ValueError("coefficients must be finite")
+    _finite(theta)
     _reldeg(r, theta.size // 2)
     return theta
 
@@ -356,11 +360,10 @@ def _sym(M: np.ndarray) -> np.ndarray:
 def _chol_inverse(M: np.ndarray, exc: Exception) -> np.ndarray:
     """``M^{-1}`` by the LAPACK calls of ``cho_solve(cho_factor(M, lower=True), I)``.
 
-    Raises ``exc`` if the factorization fails, and ``ValueError`` for a non-finite ``M``.
+    Raises ``exc`` if the factorization fails, and ``np.asarray_chkfinite``'s
+    ``ValueError`` for a non-finite ``M``.
     """
-    if not np.all(np.isfinite(M)):
-        raise ValueError("array must not contain infs or NaNs")
-    factor, info = dpotrf(M, lower=1, clean=0)
+    factor, info = dpotrf(np.asarray_chkfinite(M), lower=1, clean=0)
     if info > 0:
         raise exc
     return dpotrs(factor, np.eye(M.shape[0]), lower=1)[0]
@@ -412,9 +415,8 @@ def _h2_norm_sq(*blocks) -> float:
         s = slice(k, k + Ag.shape[0])
         A[s, s], B[s], C[:, s] = Ag, Bg, Cg
         k += Ag.shape[0]
-    Q = -B @ B.T
-    if not (np.isfinite(A).all() and np.isfinite(Q).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    np.asarray_chkfinite(A)
+    Q = np.asarray_chkfinite(-B @ B.T)
     lwork = dgees(_unsorted, A, lwork=-1)[-2][0].real.astype(np.int_)
     R, _, _, _, U, _, info = dgees(_unsorted, A, lwork=lwork)
     if info > 0:

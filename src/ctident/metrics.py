@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import CtModel, _h2_block, _h2_norm_sq, l2_norm_sq
+from .lti import CtModel, _h2_block, _h2_norm_sq
 
 __all__ = ["mse_g", "mse_theta", "fit"]
 
@@ -25,11 +25,20 @@ def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
         If a Gramian quadratic form is negative beyond rounding, or a
         Gramian's Lyapunov equation is singular to working precision.
     """
-    return _mse_g(g_hat, _h2_block(-1.0, g_true), l2_norm_sq(g_true))
+    return _mse_g(g_hat, *_truth(g_true))
+
+
+def _truth(g: CtModel) -> tuple:
+    """``(_h2_block(-1.0, g), ||g||_2^2)``: what scoring an estimate against ``g`` reuses.
+
+    Negating ``C`` is exact, so the block's norm is ``l2_norm_sq(g)`` to the bit.
+    """
+    block = _h2_block(-1.0, g)
+    return block, _h2_norm_sq(block)
 
 
 def _mse_g(g_hat: CtModel, minus_true, true_norm_sq: float) -> float:
-    """:func:`mse_g` given ``minus_true = _h2_block(-1.0, g_true)`` and ``l2_norm_sq(g_true)``.
+    """:func:`mse_g` given ``(minus_true, true_norm_sq) = _truth(g_true)``.
 
     For callers that score several estimates against one true system.
     """

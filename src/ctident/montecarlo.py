@@ -21,8 +21,6 @@ from .errors import CtIdentError, NonPrincipalLog
 from .lti import (
     CtModel,
     SampledDataset,
-    _h2_block,
-    _h2_norm_sq,
     _period,
     _reldeg,
     _whole,
@@ -31,7 +29,7 @@ from .lti import (
     model_to_dict,
     simulate_dt,
 )
-from .metrics import _mse_g, fit, mse_theta
+from .metrics import _mse_g, _truth, fit, mse_theta
 from .pem import _study_buffers, init_arx_iv, oe_fit
 from .rdproj import project_estimate
 from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
@@ -161,7 +159,9 @@ class ExperimentConfig:
 
     ``N``, ``M``, ``r`` and ``seed`` are stored as ints and ``h`` as a
     float.  A fractional one, an input or noise setting not of its field's
-    classes and a repeated estimator are configuration errors.
+    classes and a repeated estimator are configuration errors.  ``h`` may be
+    None only for a random system driven by a binary sequence or white noise:
+    each run then samples its system at that system's default period.
     """
 
     system: CtModel | RandomSystemSpec
@@ -200,6 +200,10 @@ class ExperimentConfig:
                 raise ValueError(
                     "N=%d does not equal the binary-sequence period %d" % (self.N, period))
         if isinstance(self.system, RandomSystemSpec):
+            # each drawn system's default period moves the Nyquist frequency,
+            # so fixed tones could alias partway through the study
+            if self.h is None and isinstance(self.input, MultisineInput):
+                raise ValueError("a random-system multisine study needs a sampling period")
             order = self.system.order
         else:
             if not isinstance(self.system, CtModel):
@@ -291,16 +295,15 @@ def _true_experiment(config: ExperimentConfig, rng):
     """``(g0, h, u, y0, sigma, truth)`` for a study's true system.
 
     A random system is drawn from ``rng``, then sampled at ``config.h`` or,
-    if that is None, at its default period.  ``truth`` is what scoring an
-    estimate against ``g0`` reuses, ``metrics._mse_g``'s last two arguments.
+    if that is None, at its default period.  ``truth`` is
+    ``metrics._truth(g0)``, what scoring an estimate against ``g0`` reuses.
     """
     g0 = config.system
     if isinstance(g0, RandomSystemSpec):
         g0 = gen_random_system(g0.order, g0.reldeg, g0.slowest_pole_bound, rng)
     h = config.h if config.h is not None else _default_period(g0)
     u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
-    block = _h2_block(-1.0, g0)  # -g0: C negated, exactly, so its norm is g0's
-    return g0, h, u, y0, sigma, (block, _h2_norm_sq(block))
+    return g0, h, u, y0, sigma, _truth(g0)
 
 
 def _failed(run, estimators, exc, iterations=None, converged=None):
@@ -311,13 +314,16 @@ def _failed(run, estimators, exc, iterations=None, converged=None):
 
 
 def _run_once(run, data, g0, y0, truth, config):
-    """Fit once, then build the record of every requested estimator on that fit."""
+    """Fit once, then build the record of every requested estimator on that fit.
+
+    A failure of the shared fit (the initialiser, the output-error fit or the
+    inverse sampling map) fails every estimator, with the fit's iterations
+    and convergence flag if the output-error fit returned.
+    """
+    diagnostics = {}
     try:
         est = oe_fit(data, init_arx_iv(data, g0.n))
-    except _FAILURES as exc:
-        return _failed(run, config.estimators, exc)
-    diagnostics = {"iterations": est.iterations, "converged": est.converged}
-    try:
+        diagnostics = {"iterations": est.iterations, "converged": est.converged}
         g_full = d2c_zoh(est.model)
     except _FAILURES as exc:
         return _failed(run, config.estimators, exc, **diagnostics)

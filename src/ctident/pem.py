@@ -78,10 +78,11 @@ def _study_buffers():
     """Keep this thread's record-length fit buffers from one fit to the next.
 
     A Monte Carlo study fits many records of one length.  Inside the block,
-    :func:`init_arx_iv` and :func:`oe_fit` take their regression, instrument,
-    band and sensitivity arrays, four roles, from :func:`_buffer`, so each
-    is made once per study instead of mapped afresh (and unmapped) by every
-    fit.  They are all released when the block ends, also by an exception.
+    :func:`init_arx_iv` and :func:`oe_fit` take their regression, band and
+    sensitivity arrays, three roles, from :func:`_buffer`, so each is made
+    once per study instead of mapped afresh (and unmapped) by every fit; the
+    initialiser's instruments borrow the sensitivity buffer's rows ``n..``.
+    They are all released when the block ends, also by an exception.
     """
     _pool.arrays = {}
     try:
@@ -160,12 +161,13 @@ def _lags(out: np.ndarray, a: np.ndarray, b: np.ndarray, first: int) -> np.ndarr
     ``n = out.shape[1] // 2``, and row ``i`` of ``out`` is sample ``first + i``
     of ``a`` and ``b`` (of equal length): column ``d - 1`` gets ``a`` delayed
     by ``d`` and column ``n + d - 1`` exactly ``-b`` delayed by ``d``, the
-    parameter vector's layout.  Three buffers are written this way: the
+    parameter vector's layout.  Three arrays are written this way: the
     initialiser's regressor (``first = n``, its target in a last column that
-    the caller writes), its instruments (``first = n``) and the
-    sensitivities (``first = 0``).  Entries before a signal's first sample
-    are not written, so a buffer reused across calls keeps its zero
-    triangle.  Returns ``out``.
+    the caller writes), its instruments (``first = n``, into rows ``n..`` of
+    the sensitivity buffer) and the sensitivities (``first = 0``).  Entries
+    before a signal's first sample are not written, so a buffer reused
+    across calls keeps its zero triangle, which lies in rows ``< n``.
+    Returns ``out``.
     """
     n = out.shape[1] // 2
     N = a.size
@@ -494,8 +496,10 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     2.4), with the rank decided by the rule of ``np.linalg.lstsq`` on the
     singular values of the triangle.  A certified regression has full rank
     under that rule too, so only the QR path decides a rank.  The
-    regression, the instruments and the band are one buffer each; inside a
-    Monte Carlo study they are kept from one fit to the next.
+    regression and the band are one buffer each, and the instruments fill
+    rows ``n..`` of :func:`oe_fit`'s sensitivity buffer, which that fit
+    rewrites from row ``n`` on; inside a Monte Carlo study all three are
+    kept from one fit to the next.
 
     Raises
     ------
@@ -538,7 +542,7 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     best = model
 
     # stage 2: instrumental variables, instruments from the ARX model output x
-    zmat = _lags(_buffer("instruments", (N - n, npar)), u, x, n)
+    zmat = _lags(_buffer("sensitivities", (N, npar))[n:], u, x, n)
     normal = zmat.T @ regression(u, y)
     lhs = normal[:, :npar]
     if np.linalg.cond(lhs) < 1e12:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, SingularCovariance
-from .lti import CtModel, SampledDataset, _chol_inverse, _reldeg, _sym, _theta
+from .errors import NotPositiveDefinite, SingularCovariance, UnstableSystem
+from .lti import CtModel, SampledDataset, _chol_inverse, _reldeg, _sym, _theta, is_stable
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
@@ -117,8 +117,8 @@ def _project_rd(theta: np.ndarray, info_c, r: int) -> PemrdResult:
         raise ValueError("information matrix shape does not match the parameter vector")
     k = int(r) - 1
     info = _sym(np.asarray(info_c, dtype=float))
-    cov = _sym(_chol_inverse(
-        info, NotPositiveDefinite("information matrix is not positive definite")))
+    cov = _sym(_chol_inverse(info, NotPositiveDefinite(
+        "continuous-time information matrix is not positive definite")))
     cov_tilde = _block_covariance(info, k)
     theta_tilde = theta.copy()
     theta_tilde[k:] += cov_tilde[k:, k:] @ (info[k:, :k] @ theta[:k])
@@ -173,13 +173,21 @@ def project_estimate(theta_hat_c, cov_d, h: float, r: int) -> PemrdResult:
     Jacobian into a continuous-domain information matrix, and the estimate
     is projected in that metric.  The result carries the ``map_point``.
     ``theta_hat_c`` and ``r`` are refused as in :func:`lti._theta`, first.
+
+    Raises
+    ------
+    UnstableSystem
+        If the projected model is not stable.
     """
     theta = _theta(theta_hat_c, r)
     point = theta.copy()
     point[:int(r) - 1] = 0.0  # the naive truncation
     map_point = zoh_map_point(point, h)
     info_c = ct_info_matrix(map_point.J, cov_d)
-    return replace(_project_rd(theta, info_c, r), map_point=map_point)
+    result = _project_rd(theta, info_c, r)
+    if not is_stable(result.model):
+        raise UnstableSystem("the relative-degree projection gives an unstable model")
+    return replace(result, map_point=map_point)
 
 
 def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:

@@ -105,10 +105,8 @@ def d2c_zoh(model: DtModel) -> CtModel:
         raise NegativeRealPole(
             "discrete-time pole %s lies on the closed negative real axis" % zp[bad.argmax()])
     n = model.n
-    den = _poly(np.log(zp) / model.h)
-    if not np.all(np.isfinite(den)):
-        raise ValueError("coefficients must be finite")
-    A, B, _ = _companion(den, [1.0])
+    poles = CtModel([1.0], _poly(np.log(zp) / model.h))  # refuses a non-finite denominator
+    A, B, _ = companion(poles)
     E = _zoh_exponential(A, B, model.h)
     den_d, _, K = _faddeev_leverrier(E[:n, :n], E[:n, n:])
     if not np.abs(den_d - model.den.coeffs).max() <= 1e-8 * np.abs(model.den.coeffs).max():
@@ -117,7 +115,7 @@ def d2c_zoh(model: DtModel) -> CtModel:
     if not (scale.min() > 0.0 and np.linalg.cond(K / scale) <= 1e12):
         raise SingularMap("zero-order-hold numerator map is singular at this sampling period")
     num = np.linalg.solve(K, model.theta[:n])
-    return CtModel(num[::-1], den, r=1)
+    return CtModel(num[::-1], poles.den, r=1)
 
 
 def naive_truncate(model: CtModel, r: int) -> CtModel:

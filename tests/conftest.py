@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ctident import CtModel
+from ctident import (CtModel, SampledDataset, c2d_zoh, gen_random_system, sigma_for_snr_db,
+                     simulate_dt)
+from ctident.montecarlo import _default_period
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +37,22 @@ def random_stable_ct(rng, order, reldeg=1):
     while abs(num[0]) < 0.1:
         num[0] = rng.standard_normal()
     return CtModel(num, den)
+
+
+def envelope_record(order, r, draw, factor, snr_db, N=1000):
+    """``(g0, data)``: one record of ``tests/test_envelope.py``'s sweep.
+
+    The system, the unit white input and the noise come from
+    ``default_rng([order, r, draw])``; the period is ``factor`` times the
+    system's default, and the output noise is ``snr_db`` below it.
+    """
+    rng = np.random.default_rng([order, r, draw])
+    g0 = gen_random_system(order, r, rng=rng)
+    h = factor * _default_period(g0)
+    u = rng.standard_normal(N)
+    y0 = simulate_dt(c2d_zoh(g0, h), u)
+    y = y0 + sigma_for_snr_db(y0, snr_db) * rng.standard_normal(N)
+    return g0, SampledDataset(u=u, y=y, h=h)
 
 
 def assert_same_bits(got, want):

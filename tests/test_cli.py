@@ -23,6 +23,7 @@ from ctident import (
     simulate_dt,
 )
 from ctident.cli import build_parser, main
+from conftest import envelope_record
 
 G2 = CtModel([3.0], [1.0, 2.8, 4.0], r=2)
 
@@ -322,6 +323,21 @@ class TestFitProjectChain:
         assert main(["project", "--report", str(rep), "--r", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: discrete-time pole -0.5 lies on the closed negative real axis\n")
+        assert not out.exists()
+
+    def test_project_refuses_unstable_projection(self, tmp_path, capsys):
+        # an envelope record (order 6, r = 4, draw 3, default period, 20 dB)
+        # whose fit projects to an unstable model; project once wrote it
+        _, data = envelope_record(6, 4, 3, 1.0, 20.0)
+        save_dataset(data, tmp_path / "dataset.csv")
+        fit_path = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(tmp_path / "dataset.csv"), "--order", "6",
+                     "--out", str(fit_path)]) == 0
+        out = tmp_path / "proj.json"
+        capsys.readouterr()
+        assert main(["project", "--report", str(fit_path), "--r", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: the relative-degree projection gives an unstable model\n")
         assert not out.exists()
 
 

@@ -10,12 +10,21 @@ The same parse keeps each numerical job with its one owner: no module uses
 and ``_chol_inverse`` serve them) or imports ``scipy.signal``, and only
 ``lti`` refers to the filter band ``_band``, which its prediction kernel
 ``lti._predict`` builds for every other module.
+
+Each refusal has one owner too: every message that the package passes to an
+exception has one literal site in ``src/``, so the code that finds a
+refusal is the one place that words it.
 """
 
 import ast
+import builtins
+from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ctident import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ctident"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -112,3 +121,50 @@ def test_owner_checker_finds_each_rule():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_job_has_one_owner(path):
     assert owner_breaches(path.read_text(), path.name) == []
+
+
+# every exception class the package raises: the builtins', its own and numpy's
+EXCEPTIONS = {name for module in (builtins, errors, np.linalg) for name, obj in vars(module).items()
+              if isinstance(obj, type) and issubclass(obj, BaseException)}
+
+
+def message_sites(sources: dict) -> dict:
+    """Each literal exception message in ``sources`` (name -> text) -> its ``(name, line)`` sites.
+
+    A message is the string constant passed first to a call of an exception
+    class, whether the call is raised at once or handed on to be raised
+    later; a %-formatted message counts by its format string.
+    """
+    sites = defaultdict(list)
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            callee = dotted(node.func).rpartition(".")[2]
+            text = node.args[0]
+            if isinstance(text, ast.BinOp) and isinstance(text.op, ast.Mod):
+                text = text.left
+            if (callee in EXCEPTIONS and isinstance(text, ast.Constant)
+                    and isinstance(text.value, str)):
+                sites[text.value].append((name, node.lineno))
+    return dict(sites)
+
+
+def test_every_refusal_message_has_one_site():
+    # the checker first, on a sample with two messages of two sites each
+    sources = {
+        "a.py": ("def f(x):\n"
+                 "    if x:\n"
+                 "        raise ValueError('x must be %d' % x)\n"
+                 "    g(x, errors.SingularMap('map is singular'))\n"
+                 "    raise TypeError(str(x))\n"),
+        "b.py": ("import numpy as np\n"
+                 "raise np.linalg.LinAlgError('map is singular')\n"
+                 "log('x must be %d' % 1)\n"
+                 "raise UnstableSystem('x must be %d' % 2)\n"),
+    }
+    assert message_sites(sources) == {"x must be %d": [("a.py", 3), ("b.py", 4)],
+                                      "map is singular": [("a.py", 4), ("b.py", 2)]}
+    sites = message_sites({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert len(sites) > 60  # the parse sees the package's messages
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}

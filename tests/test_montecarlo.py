@@ -71,6 +71,22 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="sampling period must be positive and finite"):
                 quick_config(system=system, h=np.inf, r=1)
 
+    def test_random_multisine_study_needs_period(self):
+        # each drawn system's default period moves the Nyquist frequency: this
+        # study once built, then aborted in run 26, whose tones alias
+        message = "a random-system multisine study needs a sampling period"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(RandomSystemSpec(1, 1), MultisineInput((5.0, 20.0)), None, 600,
+                             NoiseSetting(snr_db=20.0), 40, 1, 1)
+        study = {"system": {"random": {"order": 1, "reldeg": 1}},
+                 "input": {"type": "multisine", "freqs": [5.0, 20.0]}, "h": None, "N": 600,
+                 "noise": {"snr_db": 20.0}, "M": 40, "r": 1, "seed": 1}
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(json.loads(json.dumps(study)))
+        # with a period the tones are checked against one Nyquist frequency
+        rep = run_monte_carlo(config_from_dict(dict(study, h=0.05, M=2)))
+        assert len(rep.records) == 4
+
     def test_relative_degree_range(self):
         with pytest.raises(ValueError):
             quick_config(r=3)
@@ -271,12 +287,11 @@ class TestRunMonteCarlo:
             run_monte_carlo(quick_config(input=kind(**params), **kw))
 
     def test_true_system_normed_once(self, monkeypatch):
-        # mse_g's denominator: once per fixed-system study, once per drawn
-        # system when every run draws its own
+        # the truth's block and squared norm (metrics._truth): once per
+        # fixed-system study, once per drawn system when every run draws its own
         calls = []
-        norm = montecarlo._h2_norm_sq
-        monkeypatch.setattr(montecarlo, "_h2_norm_sq",
-                            lambda *blocks: calls.append(blocks) or norm(*blocks))
+        truth = montecarlo._truth
+        monkeypatch.setattr(montecarlo, "_truth", lambda g: calls.append(g) or truth(g))
         rep = run_monte_carlo(quick_config(M=4))
         assert sum(rec.metrics is not None for rec in rep.records) == 8
         assert len(calls) == 1
@@ -395,7 +410,7 @@ def pooled():
 def roles(N, n):
     """``(role, shape)`` of each buffer a study's fits of order ``n`` on ``N`` samples hold."""
     return {("band", (n + 1, N)), ("sensitivities", (N, 2 * n)),
-            ("regression", (N - n, 2 * n + 1)), ("instruments", (N - n, 2 * n))}
+            ("regression", (N - n, 2 * n + 1))}
 
 
 class TestStudyBuffers:
@@ -421,9 +436,9 @@ class TestStudyBuffers:
             records = [rec for rec in rep.records if rec.estimator == PEM]
             assert len(fits) == len(records) == 3
             for rec, (data, init, est, buffers) in zip(records, fits):
-                assert len(buffers) == 4
+                assert len(buffers) == 3
                 if N == 7161:
-                    assert sum(b.nbytes for b in buffers) == 1_718_096
+                    assert sum(b.nbytes for b in buffers) == 1_260_048
                 alone = pem.oe_fit(data, pem.init_arx_iv(data, 4))
                 assert (rec.iterations, rec.converged) == (alone.iterations, alone.converged)
                 assert_same_bits(rec.theta_c, d2c_zoh(alone.model).theta)
@@ -453,7 +468,7 @@ class TestStudyBuffers:
         monkeypatch.setattr(montecarlo, "init_arx_iv", breaking)
         with pytest.raises(RuntimeError, match="broken fit"):
             run_monte_carlo(quick_config(M=3))
-        assert seen == [0, 4]
+        assert seen == [0, 3]
         assert not pooled()
 
     def test_threads_keep_their_own_buffers(self):

@@ -12,18 +12,22 @@ from ctident import (
     ct_info_matrix,
     d2c_zoh,
     fit,
+    init_arx_iv,
+    is_stable,
     mse_g,
+    oe_fit,
     pemrd,
     project_estimate,
     project_rd,
     projected_covariance,
     simulate_ct_zoh,
 )
-from ctident.errors import NegativeRealPole, NotPositiveDefinite, SingularCovariance
+from ctident.errors import (NegativeRealPole, NotPositiveDefinite, SingularCovariance,
+                            UnstableSystem)
 from ctident.lti import DtModel, SampledDataset, simulate_dt
 from ctident import lti, rdproj
 from ctident.rdproj import pemrd_report_dict
-from conftest import assert_same_bits
+from conftest import assert_same_bits, envelope_record
 from oracles import high_precision_projection
 
 
@@ -132,8 +136,10 @@ class TestProjectRd:
         assert err <= 5e-9 * max(1.0, np.abs(theta).max())
 
     def test_indefinite_info_rejected(self, rng):
+        # named apart from oe_fit's discrete-time information matrix
         info = np.diag([1.0, -1.0, 1.0, 1.0])
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite,
+                           match="^continuous-time information matrix is not positive definite$"):
             project_rd(rng.standard_normal(4), info, r=2)
 
     def test_disagreeing_routes_rejected(self, rng, monkeypatch):
@@ -355,6 +361,20 @@ class TestPemrdPipeline:
         data = SampledDataset(u, simulate_dt(truth, u), 0.1)
         with pytest.raises(NegativeRealPole):
             pemrd(data, n=2, r=1)
+
+    def test_unstable_projection_refused(self):
+        # an envelope record (order 6, r = 4, draw 3, default period, 20 dB)
+        # whose stable fit projects to an unstable model, which
+        # project_estimate once returned
+        _, data = envelope_record(6, 4, 3, 1.0, 20.0)
+        est = oe_fit(data, init_arx_iv(data, 6))
+        theta_hat_c = d2c_zoh(est.model).theta
+        assert is_stable(CtModel.from_theta(theta_hat_c))
+        message = "^the relative-degree projection gives an unstable model$"
+        with pytest.raises(UnstableSystem, match=message):
+            project_estimate(theta_hat_c, est.covariance, data.h, 4)
+        with pytest.raises(UnstableSystem, match=message):
+            pemrd(data, 6, 4)
 
     def test_report_dict(self, dataset):
         res = pemrd(dataset, n=4, r=3)
