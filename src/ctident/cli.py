@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CtIdentError
-from .lti import (CtModel, DtModel, SampledDataset, _whole, freq_response, model_from_dict,
-                  model_to_dict)
+from .lti import (CtModel, DtModel, SampledDataset, _period, _whole, freq_response,
+                  model_from_dict, model_to_dict)
 from .montecarlo import (
     _check_keys,
     _experiment,
@@ -55,11 +55,12 @@ def _emit(text: str, out):
 
 def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
-    _check_keys(cfg, ("system", "input", "h", "N", "noise", "seed"), "a simulate config")
+    keys = ("system", "input", "h", "N", "noise", "seed")
+    _check_keys(cfg, keys, "a simulate config", required=keys[:-1])
     system = model_from_dict(cfg["system"])
     if not isinstance(system, CtModel):
         raise ValueError("the simulated system must be continuous time")
-    h = float(cfg["h"])
+    h = _period(cfg["h"])
     N = _whole(cfg["N"], "N")
     seed = _whole(args.seed if args.seed is not None else cfg.get("seed", 0), "seed")
     u, y0, sigma = _experiment(system, h, input_from_dict(cfg["input"]), N,

@@ -70,8 +70,6 @@ class Polynomial:
         return np.polyval(self.coeffs, x)
 
     def roots(self) -> np.ndarray:
-        if self.degree == 0:
-            return np.array([], dtype=complex)
         return _roots(self.coeffs)
 
     def __repr__(self):
@@ -104,6 +102,12 @@ def _finite(c: np.ndarray) -> None:
     """``ValueError`` unless every coefficient in ``c`` is finite."""
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
+
+
+def _store(spec, **values):
+    """Set the converted ``values`` on the frozen dataclass instance ``spec``."""
+    for name, value in values.items():
+        object.__setattr__(spec, name, value)
 
 
 def _as_poly(p) -> Polynomial:
@@ -239,22 +243,27 @@ class DtModel(_RationalModel):
 
 @dataclass(frozen=True)
 class SampledDataset:
-    """Input/output record sampled at a fixed period."""
+    """Input/output record sampled at a fixed period.
+
+    ``u`` and ``y`` are stored as float arrays and ``h`` as a float
+    (:func:`_period`); a record that is not 1-d, is empty or holds a
+    non-finite sample is a ``ValueError``, so every consumer of a record
+    may take its samples as finite.
+    """
 
     u: np.ndarray
     y: np.ndarray
     h: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "h", _period(self.h))
-        if u.ndim != 1 or y.ndim != 1 or u.size != y.size:
+        _store(self, u=np.asarray(self.u, dtype=float), y=np.asarray(self.y, dtype=float),
+               h=_period(self.h))
+        if self.u.ndim != 1 or self.y.ndim != 1 or self.u.size != self.y.size:
             raise ValueError("u and y must be 1-d arrays of equal length")
-        if u.size < 1:
+        if self.u.size < 1:
             raise ValueError("dataset must contain at least one sample")
+        if not (np.isfinite(self.u).all() and np.isfinite(self.y).all()):
+            raise ValueError("u and y must be finite")
 
     @property
     def N(self) -> int:

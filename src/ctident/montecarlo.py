@@ -23,6 +23,7 @@ from .lti import (
     SampledDataset,
     _period,
     _reldeg,
+    _store,
     _whole,
     is_stable,
     model_from_dict,
@@ -38,7 +39,7 @@ from .lti import simulate_dt as predict  # noqa: F401
 from .metrics import mse_g  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
 from .sampling import zoh_map_point  # noqa: F401
-from .signals import gen_multisine, gen_prbs, gen_random_system
+from .signals import RandomSystemSpec, gen_multisine, gen_prbs, gen_random_system
 
 __all__ = [
     "PEM",
@@ -71,12 +72,6 @@ _STATUS_ERROR = "optimizer_error"
 # what a run may raise (np.linalg.LinAlgError is a ValueError); anything
 # else is a bug and propagates
 _FAILURES = (CtIdentError, ValueError)
-
-
-def _store(spec, **values):
-    """Set the converted ``values`` on the frozen settings object ``spec``."""
-    for name, value in values.items():
-        object.__setattr__(spec, name, value)
 
 
 @dataclass(frozen=True)
@@ -117,28 +112,14 @@ class WhiteNoiseInput:
 
 
 @dataclass(frozen=True)
-class RandomSystemSpec:
-    """Draw a fresh random true system every run; see :func:`gen_random_system`."""
-
-    order: int
-    reldeg: int
-    slowest_pole_bound: float = -0.1
-
-    def __post_init__(self):
-        _store(self, order=_whole(self.order, "order"))
-        if self.order < 1:
-            raise ValueError("a random system's order must be at least 1")
-        _store(self, reldeg=_reldeg(self.reldeg, self.order, "reldeg"),
-               slowest_pole_bound=float(self.slowest_pole_bound))
-
-
-@dataclass(frozen=True)
 class NoiseSetting:
-    """Measurement noise level; exactly one field may be set.
+    """Measurement noise level; exactly one field may be set, and is stored as a float.
 
     ``snr_db`` fixes the ratio of noiseless output variance to noise
-    variance; ``sigma`` gives the deviation directly; ``peak_fraction``
-    scales with the largest absolute noiseless output value.
+    variance, and may be +inf (no noise) but not NaN or -inf; ``sigma``
+    gives the deviation directly; ``peak_fraction`` scales with the largest
+    absolute noiseless output value.  ``sigma`` and ``peak_fraction`` must
+    be finite and nonnegative.
     """
 
     snr_db: float | None = None
@@ -151,6 +132,11 @@ class NoiseSetting:
         if len(given) != 1:
             raise ValueError("set exactly one of snr_db, sigma, peak_fraction")
         _store(self, **given)
+        [(name, level)] = given.items()
+        if name == "snr_db" and not level > -np.inf:
+            raise ValueError("snr_db must not be NaN or -inf, got %r" % level)
+        if name != "snr_db" and not 0.0 <= level < np.inf:
+            raise ValueError("%s must be finite and nonnegative, got %r" % (name, level))
 
 
 @dataclass(frozen=True)
@@ -268,8 +254,8 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
     ``u`` is the length-``N`` excitation (``rng`` is drawn from only for
     white noise), ``y0`` the noiseless sampled output and ``sigma`` the
     noise deviation that ``noise`` resolves to on ``y0``.  The caller draws
-    the noise itself.  Raises ``ValueError`` when ``u`` is not ``N`` long
-    or ``sigma`` is not finite and nonnegative.
+    the noise itself, and the ``SampledDataset`` it builds refuses a
+    non-finite record.  Raises ``ValueError`` when ``u`` is not ``N`` long.
     """
     if isinstance(input_spec, PrbsInput):
         u = gen_prbs(input_spec.n_stages, input_spec.p, input_spec.low, input_spec.high)
@@ -286,8 +272,6 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
         sigma = sigma_for_snr_db(y0, noise.snr_db)
     else:
         sigma = noise.peak_fraction * float(np.abs(y0).max())
-    if not 0.0 <= sigma < np.inf:
-        raise ValueError("noise deviation must be finite and nonnegative, got %r" % sigma)
     return u, y0, sigma
 
 
@@ -395,11 +379,18 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 _INPUT_KINDS = {"prbs": PrbsInput, "multisine": MultisineInput, "white": WhiteNoiseInput}
 
 
-def _check_keys(d: dict, names, what: str):
-    """``ValueError`` naming the first key of ``d`` that is not in ``names``."""
+def _check_keys(d: dict, names, what: str, required=()):
+    """``ValueError`` naming the first key of ``d`` that is not in ``names``.
+
+    Then, if every key is known, one naming the first of ``required`` that
+    ``d`` lacks.
+    """
     for key in d:
         if key not in names:
             raise ValueError("%s has no setting %r" % (what, key))
+    for key in required:
+        if key not in d:
+            raise ValueError("%s needs the setting %r" % (what, key))
 
 
 def _settings_to_dict(spec) -> dict:
@@ -414,10 +405,8 @@ def _settings_from_dict(d: dict, cls, **nested):
     A key that is not a field of ``cls``, or a missing field that has no
     default, is a ``ValueError`` that names it.
     """
-    _check_keys(d, [f.name for f in fields(cls)], cls.__name__)
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in d:
-            raise ValueError("%s needs the setting %r" % (cls.__name__, f.name))
+    _check_keys(d, [f.name for f in fields(cls)], cls.__name__,
+                [f.name for f in fields(cls) if f.default is MISSING])
     return cls(**{name: nested[name](v) if name in nested else v for name, v in d.items()})
 
 

@@ -189,11 +189,6 @@ def _evaluate(num, den, u, y, band) -> tuple:
     return w1, yhat, resid, float(resid @ resid)
 
 
-def _check_finite(data: SampledDataset):
-    if not (np.isfinite(data.u).all() and np.isfinite(data.y).all()):
-        raise ValueError("u and y must be finite")
-
-
 def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     """Fit a model of ``init``'s order by a damped Gauss-Newton iteration from ``init``.
 
@@ -223,8 +218,8 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     Raises
     ------
     ValueError
-        If ``init`` is not stable, the record has no more samples than
-        parameters, or ``u`` or ``y`` is not finite.
+        If ``init`` is not stable, or the record has no more samples than
+        parameters (a ``SampledDataset`` holds finite samples only).
     DivergedUnstable
         If an iterate can only move by leaving the stability region and
         damping cannot restore descent.
@@ -236,7 +231,6 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
         raise ValueError("initial model must be stable")
     if data.N <= 2 * n:
         raise ValueError("need more samples than parameters")
-    _check_finite(data)
     u, y = data.u, data.y
 
     band = _buffer("band", (n + 1, data.N))  # each point's band in turn
@@ -504,8 +498,7 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     Raises
     ------
     ValueError
-        If ``n < 1``, the record is too short for ``2 n`` parameters, or
-        ``u`` or ``y`` is not finite.
+        If ``n < 1`` or the record is too short for ``2 n`` parameters.
     RankDeficientRegression
         If the ARX regressor does not have full column rank.
     """
@@ -516,7 +509,6 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
     npar = 2 * n
     if N - n < npar:
         raise ValueError("not enough samples for the requested order")
-    _check_finite(data)
 
     def stabilized(th):
         # (num, den) with den reflected to stability, then _evaluate's tuple of the pair

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple, dataclass
+
 import numpy as np
 
 from .errors import AliasedFrequency, UnsupportedRegisterLength
-from .lti import CtModel, _poly, _reldeg, _whole
+from .lti import CtModel, _period, _poly, _reldeg, _store, _whole
 
-__all__ = ["lfsr_bits", "gen_prbs", "gen_multisine", "gen_random_system"]
+__all__ = ["lfsr_bits", "gen_prbs", "gen_multisine", "RandomSystemSpec", "gen_random_system"]
 
 # Maximal-length feedback taps (primitive polynomial exponents) per register
 # length.  x^2+x+1, x^3+x^2+1, ... following the standard Fibonacci tables.
@@ -75,19 +77,44 @@ def gen_multisine(freqs, amplitude: float, N: int, h: float) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If there is no frequency, or ``h`` is not positive and finite.
     AliasedFrequency
         If any requested frequency reaches the Nyquist rate ``pi / h``.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if freqs.size == 0:
         raise ValueError("need at least one frequency")
-    nyquist = np.pi / h
+    nyquist = np.pi / _period(h)
     for w in freqs:
         if not 0 < w < nyquist:
             raise AliasedFrequency(
                 "frequency %g rad/s is not inside (0, %g)" % (w, nyquist))
     t = np.arange(N) * h
     return amplitude * np.sin(np.outer(t, freqs)).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class RandomSystemSpec:
+    """Arguments of :func:`gen_random_system`, checked and stored when built.
+
+    ``order`` is a whole number of at least 1, ``reldeg`` a whole number in
+    ``[1, order]`` and ``slowest_pole_bound`` a negative float.  A Monte
+    Carlo study with this as its system draws a fresh one every run.
+    """
+
+    order: int
+    reldeg: int
+    slowest_pole_bound: float = -0.1
+
+    def __post_init__(self):
+        _store(self, order=_whole(self.order, "order"))
+        if self.order < 1:
+            raise ValueError("a random system's order must be at least 1")
+        _store(self, reldeg=_reldeg(self.reldeg, self.order, "reldeg"),
+               slowest_pole_bound=float(self.slowest_pole_bound))
+        if not self.slowest_pole_bound < 0:
+            raise ValueError("pole bound must be negative")
 
 
 def gen_random_system(
@@ -102,12 +129,10 @@ def gen_random_system(
     uniform in ``[-50, slowest_pole_bound]``; numerator coefficients are
     unit normal with the leading one redrawn while its magnitude is below
     0.05, and the numerator is rescaled so the DC gain magnitude lands in
-    [0.5, 2].
+    [0.5, 2].  The first three arguments are checked as
+    :class:`RandomSystemSpec` checks them.
     """
-    order = _whole(order, "order")
-    reldeg = _reldeg(reldeg, order, "reldeg")
-    if not slowest_pole_bound < 0:
-        raise ValueError("pole bound must be negative")
+    order, reldeg, slowest_pole_bound = astuple(RandomSystemSpec(order, reldeg, slowest_pole_bound))
     rng = np.random.default_rng(rng)
 
     pole_list = []

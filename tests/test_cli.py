@@ -160,6 +160,43 @@ class TestSimulate:
         assert capsys.readouterr().err == "configuration error: %s\n" % message
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["system", "input", "h", "N", "noise"])
+    def test_missing_key_named(self, key, sim_config, tmp_path, capsys):
+        # a missing key was a bare KeyError: "configuration error: 'N'"
+        cfg = json.loads(sim_config.read_text())
+        del cfg[key]
+        sim_config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: a simulate config needs the setting %r\n" % key)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h", [0, -0.1], ids=["zero", "negative"])
+    def test_multisine_period_checked(self, h, sim_config, tmp_path, capsys):
+        # unchecked, h = 0 ended in a ZeroDivisionError traceback, and
+        # h = -0.1 printed "error: frequency 1 rad/s is not inside (0, -31.4159)"
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, h=h, input={"type": "multisine",
+                                                                "freqs": [1.0]})))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: sampling period must be positive and finite\n")
+        assert not out.exists()
+
+    def test_overflowing_record_rejected(self, tmp_path, capsys):
+        # unchecked, this unstable plant wrote a dataset with 5,865 rows of
+        # inf or nan; with "snr_db" in place of "sigma" it was refused
+        cfg = {"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}, "input": {"type": "white"},
+               "h": 0.1, "N": 20000, "noise": {"sigma": 0.1}, "seed": 7}
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: u and y must be finite\n"
+        assert not out.exists()
+
     def test_input_length_must_match(self, sim_config, tmp_path, capsys):
         cfg = json.loads(sim_config.read_text())
         sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))

@@ -124,6 +124,15 @@ class TestSampledDataset:
         with pytest.raises(ValueError):
             SampledDataset([1.0], [1.0, 2.0], 0.5)
 
+    @pytest.mark.parametrize("column", ["u", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_sample_rejected(self, column, value):
+        # unchecked, the record was built and each fit scanned it again
+        record = {"u": [1.0, 2.0, 3.0], "y": [0.0, 0.5, 1.0]}
+        record[column][1] = value
+        with pytest.raises(ValueError, match="^u and y must be finite$"):
+            SampledDataset(record["u"], record["y"], 0.1)
+
 
 @pytest.mark.parametrize("build, message", [
     (lambda: Polynomial([]), "coefficients must form a nonempty 1-d sequence"),
@@ -415,6 +424,8 @@ class TestSameBitsAsNumpyAndScipy:
         c = lead * np.poly(roots_of(kinds, seed)).real
         assert_same_bits(lti._roots(c), np.roots(c))
         assert_same_bits(Polynomial(c).roots(), np.roots(c))
+        # a constant has no roots: np.roots's empty float64 array
+        assert_same_bits(Polynomial([lead]).roots(), np.roots([lead]))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(kinds=st.lists(st.sampled_from(["real", "pair", "double"]), min_size=1, max_size=3),

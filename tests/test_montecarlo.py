@@ -173,6 +173,44 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             NoiseSetting(snr_db=10.0, sigma=0.1)
 
+    @pytest.mark.parametrize("level, message", [
+        ({"sigma": -0.1}, "sigma must be finite and nonnegative, got -0.1"),
+        ({"peak_fraction": -0.1}, "peak_fraction must be finite and nonnegative, got -0.1"),
+        ({"sigma": np.inf}, "sigma must be finite and nonnegative, got inf"),
+        ({"peak_fraction": np.nan}, "peak_fraction must be finite and nonnegative, got nan"),
+        ({"snr_db": np.nan}, "snr_db must not be NaN or -inf, got nan"),
+        ({"snr_db": -np.inf}, "snr_db must not be NaN or -inf, got -inf"),
+    ], ids=["negative_sigma", "negative_peak_fraction", "infinite_sigma", "nan_peak_fraction",
+            "nan_snr_db", "minus_infinite_snr_db"])
+    def test_noise_level_checked_when_built(self, level, message):
+        # unchecked, the setting was built and only a run's resolved
+        # deviation was checked, in the middle of a study or a simulation
+        with pytest.raises(ValueError, match="^%s$" % message):
+            NoiseSetting(**level)
+
+    def test_noise_free_snr_accepted(self):
+        # +inf dB is a noise-free record: the deviation resolves to zero
+        noise = NoiseSetting(snr_db=np.inf)
+        assert noise.snr_db == np.inf
+        *_, sigma = montecarlo._experiment(G2, 0.1, WhiteNoiseInput(), 300, noise,
+                                           np.random.default_rng(0))
+        assert sigma == 0.0
+
+    @pytest.mark.parametrize("bound", [0.5, 0.0, np.nan], ids=["positive", "zero", "nan"])
+    def test_random_system_pole_bound_checked(self, bound):
+        # unchecked, a study with a bound of 0.5 was built and then aborted
+        # in run 0, when gen_random_system refused the bound
+        with pytest.raises(ValueError, match="^pole bound must be negative$"):
+            RandomSystemSpec(2, 1, slowest_pole_bound=bound)
+        d = dict(config_to_dict(quick_config()), h=None, r=1,
+                 system={"random": {"order": 2, "reldeg": 1, "slowest_pole_bound": bound}})
+        with pytest.raises(ValueError, match="^pole bound must be negative$"):
+            config_from_dict(d)
+
+    def test_random_system_spec_lives_with_its_generator(self):
+        from ctident import signals
+        assert RandomSystemSpec is signals.RandomSystemSpec is montecarlo.RandomSystemSpec
+
 
 class TestRunMonteCarlo:
     def test_deterministic(self):
@@ -250,15 +288,15 @@ class TestRunMonteCarlo:
 
     @pytest.mark.parametrize("random_system", [False, True], ids=["fixed", "random"])
     @pytest.mark.parametrize("noise", [
-        NoiseSetting(sigma=-0.1), NoiseSetting(peak_fraction=-0.1),
-        NoiseSetting(snr_db=np.nan), NoiseSetting(sigma=np.inf),
+        {"sigma": -0.1}, {"peak_fraction": -0.1}, {"snr_db": np.nan}, {"sigma": np.inf},
     ], ids=["negative_sigma", "negative_peak_fraction", "nan_snr_db", "infinite_sigma"])
     def test_bad_noise_level_rejected(self, noise, random_system):
         # unchecked, a negative deviation would run as "ok" and a non-finite
-        # one would turn every record into an optimizer_error
+        # one would turn every record into an optimizer_error; the setting
+        # refuses the level when it is built, before any study is
         kw = dict(system=RandomSystemSpec(order=2, reldeg=1), h=None, r=1) if random_system else {}
-        with pytest.raises(ValueError, match="noise deviation must be finite and nonnegative"):
-            run_monte_carlo(quick_config(noise=noise, **kw))
+        with pytest.raises(ValueError, match="must be finite and nonnegative|must not be NaN"):
+            run_monte_carlo(quick_config(noise=NoiseSetting(**noise), **kw))
 
     @pytest.mark.parametrize("random_system", [False, True], ids=["fixed", "random"])
     @pytest.mark.parametrize("kind, params, message", [

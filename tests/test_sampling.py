@@ -395,6 +395,13 @@ class TestSimulateCtZoh:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-1.0, seed=0)
 
+    def test_overflowing_record_rejected(self):
+        # an unstable plant's output overflows; unchecked, the record held
+        # inf and nan samples
+        unstable = CtModel([1.0], [1.0, -1.0, 2.0])
+        with pytest.raises(ValueError, match="^u and y must be finite$"):
+            simulate_ct_zoh(unstable, np.ones(20000), 0.1, NoiseSpec(sigma=0.1, seed=0))
+
 
 class TestSnr:
     def test_frozen_value(self):
@@ -447,7 +454,8 @@ class TestDatasetIo:
             y = rng.standard_normal(N) * 10.0 ** rng.uniform(-300, 300, N)
         else:
             N, h = 508, 0.013
-            special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e300, np.inf, -np.inf, np.nan]
+            # a record holds finite samples only (test_non_finite_sample_refused)
+            special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300]
             u = np.resize(special, N)
             y = np.where(rng.random(N) < 0.5, rng.permutation(u), rng.standard_normal(N))
         ds = SampledDataset(u, y, h)
@@ -458,3 +466,18 @@ class TestDatasetIo:
         assert back.u.tobytes() == ds.u.tobytes()
         assert back.y.tobytes() == ds.y.tobytes()
         assert back.h == h
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "minus_inf", "nan"])
+    def test_non_finite_sample_refused(self, value, rng, tmp_path):
+        # the record refuses the sample, and so does loading a CSV that holds one
+        u, y = rng.standard_normal(20), rng.standard_normal(20)
+        path = tmp_path / "run.csv"
+        save_dataset(SampledDataset(u, y, 0.1), path)
+        y[7] = value
+        with pytest.raises(ValueError, match="^u and y must be finite$"):
+            SampledDataset(u, y, 0.1)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[8] = ",".join(lines[8].split(",")[:3] + [repr(value) + "\r\n"])
+        path.write_text("".join(lines), newline="")
+        with pytest.raises(ValueError, match="^u and y must be finite$"):
+            load_dataset(path)

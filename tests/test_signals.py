@@ -110,6 +110,13 @@ class TestMultisine:
         with pytest.raises(ValueError):
             gen_multisine([], 1.0, 100, 0.1)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1], ids=["zero", "negative"])
+    def test_period_checked(self, h):
+        # unchecked, h = 0 ended in a ZeroDivisionError, and h = -0.1 in an
+        # AliasedFrequency naming the interval (0, -31.4159)
+        with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
+            gen_multisine([1.0], 1.0, 10, h)
+
 
 class TestRandomSystem:
     def test_contract_over_many_draws(self):
@@ -140,6 +147,9 @@ class TestRandomSystem:
     def test_order_checked(self):
         with pytest.raises(ValueError, match="^order must be a whole number, got 2.5$"):
             gen_random_system(2.5, 1, rng=0)
+        # the order is named, where the relative degree's range was
+        with pytest.raises(ValueError, match="^a random system's order must be at least 1$"):
+            gen_random_system(0, 1)
         # a whole float is taken as the int
         assert_array_equal(gen_random_system(4.0, 2.0, rng=0).theta,
                            gen_random_system(4, 2, rng=0).theta)
