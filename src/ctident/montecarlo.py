@@ -33,13 +33,14 @@ from .lti import (
 from .metrics import _mse_g, _truth, fit, mse_theta
 from .pem import _study_buffers, init_arx_iv, oe_fit
 from .rdproj import project_estimate
-from .sampling import c2d_zoh, d2c_zoh, sigma_for_snr_db
+from .sampling import NoiseSetting, c2d_zoh, d2c_zoh
 # not called here; bench/spans.py traces these names on this module
 from .lti import simulate_dt as predict  # noqa: F401
 from .metrics import mse_g  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
 from .sampling import zoh_map_point  # noqa: F401
-from .signals import RandomSystemSpec, gen_multisine, gen_prbs, gen_random_system
+from .signals import (MultisineInput, PrbsInput, RandomSystemSpec, WhiteNoiseInput,
+                      gen_multisine, gen_prbs, gen_random_system)
 
 __all__ = [
     "PEM",
@@ -72,71 +73,6 @@ _STATUS_ERROR = "optimizer_error"
 # what a run may raise (np.linalg.LinAlgError is a ValueError); anything
 # else is a bug and propagates
 _FAILURES = (CtIdentError, ValueError)
-
-
-@dataclass(frozen=True)
-class PrbsInput:
-    """Binary excitation from a maximal-length register, chips held ``p`` samples."""
-
-    n_stages: int
-    p: int
-    low: float = 0.0
-    high: float = 2.0
-
-    def __post_init__(self):
-        _store(self, n_stages=_whole(self.n_stages, "n_stages"), p=_whole(self.p, "p"),
-               low=float(self.low), high=float(self.high))
-        if not np.isfinite([self.low, self.high]).all() or self.low == self.high:
-            raise ValueError("binary-sequence levels must be finite and distinct")
-
-
-@dataclass(frozen=True)
-class MultisineInput:
-    freqs: tuple
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        _store(self, freqs=tuple(map(float, self.freqs)), amplitude=float(self.amplitude))
-        if not np.isfinite(self.amplitude) or self.amplitude == 0:
-            raise ValueError("multisine amplitude must be finite and nonzero")
-
-
-@dataclass(frozen=True)
-class WhiteNoiseInput:
-    variance: float = 1.0
-
-    def __post_init__(self):
-        _store(self, variance=float(self.variance))
-        if not 0.0 < self.variance < np.inf:
-            raise ValueError("white-noise variance must be finite and positive")
-
-
-@dataclass(frozen=True)
-class NoiseSetting:
-    """Measurement noise level; exactly one field may be set, and is stored as a float.
-
-    ``snr_db`` fixes the ratio of noiseless output variance to noise
-    variance, and may be +inf (no noise) but not NaN or -inf; ``sigma``
-    gives the deviation directly; ``peak_fraction`` scales with the largest
-    absolute noiseless output value.  ``sigma`` and ``peak_fraction`` must
-    be finite and nonnegative.
-    """
-
-    snr_db: float | None = None
-    sigma: float | None = None
-    peak_fraction: float | None = None
-
-    def __post_init__(self):
-        given = {f.name: float(v) for f in fields(self)
-                 if (v := getattr(self, f.name)) is not None}
-        if len(given) != 1:
-            raise ValueError("set exactly one of snr_db, sigma, peak_fraction")
-        _store(self, **given)
-        [(name, level)] = given.items()
-        if name == "snr_db" and not level > -np.inf:
-            raise ValueError("snr_db must not be NaN or -inf, got %r" % level)
-        if name != "snr_db" and not 0.0 <= level < np.inf:
-            raise ValueError("%s must be finite and nonnegative, got %r" % (name, level))
 
 
 @dataclass(frozen=True)
@@ -266,13 +202,7 @@ def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, 
     if u.size != N:
         raise ValueError("input length %d does not match N=%d" % (u.size, N))
     y0 = simulate_dt(c2d_zoh(g0, h), u)
-    if noise.sigma is not None:
-        sigma = noise.sigma
-    elif noise.snr_db is not None:
-        sigma = sigma_for_snr_db(y0, noise.snr_db)
-    else:
-        sigma = noise.peak_fraction * float(np.abs(y0).max())
-    return u, y0, sigma
+    return u, y0, noise.deviation(y0)
 
 
 def _true_experiment(config: ExperimentConfig, rng):

@@ -244,19 +244,21 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     psi = _buffer("sensitivities", (data.N, 2 * n))
     eye = np.eye(2 * n)
 
-    for iterations in range(1, _MAX_ITER + 1):
+    # each pass starts at the current point, so the last H is the information there
+    while True:
         psi = _lags(psi, w1, w2, 0)
-        accepted = False
+        H = dgemm(1.0, psi, psi, trans_a=1)
+        if converged or iterations == _MAX_ITER:
+            break
+        iterations += 1
         g = psi.T @ resid
         if 2.0 * np.abs(g).max() < _GRAD_TOL * (1.0 + cost):
             converged = True
             break
-        H = dgemm(1.0, psi, psi, trans_a=1)
         if mu is None:
             mu = 1e-3 * np.trace(H) / H.shape[0]
 
         saw_unstable = False
-        rel_drop = 0.0
         for _ in range(_MAX_DOUBLINGS + 1):
             _, delta, info = dposv(H + mu * eye, g, overwrite_a=1)  # H + mu I is positive definite
             if info:
@@ -270,37 +272,29 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
                 continue
             point = _evaluate(cand_num, cand_den, u, y, band)
             if point[-1] < cost:
-                rel_drop = (cost - point[-1]) / max(cost, np.finfo(float).tiny)
+                converged = (cost - point[-1]) / max(cost, np.finfo(float).tiny) < _COST_RTOL
                 theta, (w1, yhat, resid, cost) = cand, point
                 w2 = _solve(band, yhat)  # while the point's band is in the buffer
                 history.append(cost)
                 mu *= 0.5
-                accepted = True
                 break
             mu *= 2.0
-
-        if not accepted:
+        else:
             if saw_unstable:
                 raise DivergedUnstable(
                     "no stable descent step found after %d damping doublings" % _MAX_DOUBLINGS)
             # stalled with stable candidates only: numerically at a minimum
             converged = True
             break
-        if rel_drop < _COST_RTOL:
-            converged = True
-            break
 
     sigma2 = cost / (data.N - 2 * n)
-    if accepted:  # psi belongs to the model before the last step
-        psi = _lags(psi, w1, w2, 0)
-    info = dgemm(1.0, psi, psi, trans_a=1)
-    if np.linalg.cond(info) > 1e12:
+    if np.linalg.cond(H) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
     return EstimationResult(
         model=DtModel.from_theta(theta, data.h),
         sigma2_hat=sigma2,
         covariance=sigma2 * _sym(_chol_inverse(
-            info, SingularInformation("information matrix is not positive definite"))),
+            H, SingularInformation("information matrix is not positive definite"))),
         cost=cost,
         iterations=iterations,
         converged=converged,

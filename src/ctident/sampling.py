@@ -16,7 +16,8 @@ closed negative real axis; offending models raise :class:`NegativeRealPole`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,10 @@ from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
 from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _period, _poly,
-                  _split, _theta, companion, simulate_dt)
+                  _split, _store, _theta, companion, simulate_dt)
 
 __all__ = [
+    "NoiseSetting",
     "NoiseSpec",
     "ZohMapPoint",
     "c2d_zoh",
@@ -41,15 +43,58 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class NoiseSetting:
+    """Measurement noise level; exactly one field may be set, and is stored as a float.
+
+    ``snr_db`` fixes the ratio of noiseless output variance to noise
+    variance; it is +inf (no noise) or lies in [-3000, 3000] dB, so that
+    its power ratio is a finite, nonzero double (that ratio overflows above
+    about +3083 dB).  ``sigma`` gives the deviation directly;
+    ``peak_fraction`` scales with the largest absolute noiseless output
+    value.  ``sigma`` and ``peak_fraction`` must be finite and nonnegative.
+    """
+
+    snr_db: float | None = None
+    sigma: float | None = None
+    peak_fraction: float | None = None
+
+    def __post_init__(self):
+        given = {f.name: float(v) for f in fields(self)
+                 if (v := getattr(self, f.name)) is not None}
+        if len(given) != 1:
+            raise ValueError("set exactly one of snr_db, sigma, peak_fraction")
+        _store(self, **given)
+        [(name, level)] = given.items()
+        if name == "snr_db" and not (level == np.inf or -3000.0 <= level <= 3000.0):
+            raise ValueError("snr_db must be +inf or lie in [-3000, 3000] dB, got %r" % level)
+        if name != "snr_db" and not 0.0 <= level < np.inf:
+            raise ValueError("%s must be finite and nonnegative, got %r" % (name, level))
+
+    def deviation(self, y0) -> float:
+        """The noise deviation this level gives on the noiseless output record ``y0``.
+
+        For ``snr_db`` the convention is ``SNR = 10 log10(var(y0) / sigma^2)``
+        with the population variance of ``y0``, computed in Python floats.
+        """
+        if self.sigma is not None:
+            return self.sigma
+        if self.snr_db is not None:
+            return math.sqrt(float(np.var(y0)) / 10.0 ** (self.snr_db / 10.0))
+        return self.peak_fraction * float(np.abs(y0).max())
+
+
+@dataclass(frozen=True)
 class NoiseSpec:
-    """Additive output noise: iid zero-mean Gaussian with given deviation."""
+    """Additive output noise: iid zero-mean Gaussian with given deviation.
+
+    ``sigma`` is checked as :class:`NoiseSetting` checks it.
+    """
 
     sigma: float
     seed: int
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        _store(self, sigma=NoiseSetting(sigma=self.sigma).sigma)
 
 
 @dataclass(frozen=True)
@@ -239,11 +284,11 @@ def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDat
 def sigma_for_snr_db(y, snr_db: float) -> float:
     """Noise deviation giving the requested signal-to-noise ratio.
 
-    The convention is ``SNR = 10 log10(var(y) / sigma^2)`` with the
+    ``NoiseSetting(snr_db=snr_db).deviation(y)``, whose level rule and
+    convention apply: ``SNR = 10 log10(var(y) / sigma^2)`` with the
     population variance of the noiseless output record ``y``.
     """
-    y = np.asarray(y, dtype=float)
-    return float(np.sqrt(np.var(y) / 10.0 ** (snr_db / 10.0)))
+    return NoiseSetting(snr_db=snr_db).deviation(y)
 
 
 def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):

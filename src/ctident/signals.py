@@ -9,7 +9,8 @@ import numpy as np
 from .errors import AliasedFrequency, UnsupportedRegisterLength
 from .lti import CtModel, _period, _poly, _reldeg, _store, _whole
 
-__all__ = ["lfsr_bits", "gen_prbs", "gen_multisine", "RandomSystemSpec", "gen_random_system"]
+__all__ = ["PrbsInput", "MultisineInput", "WhiteNoiseInput", "lfsr_bits", "gen_prbs",
+           "gen_multisine", "RandomSystemSpec", "gen_random_system"]
 
 # Maximal-length feedback taps (primitive polynomial exponents) per register
 # length.  x^2+x+1, x^3+x^2+1, ... following the standard Fibonacci tables.
@@ -32,15 +33,67 @@ _TAPS = {
 }
 
 
+@dataclass(frozen=True)
+class PrbsInput:
+    """Binary excitation from a maximal-length register, chips held ``p`` samples.
+
+    ``n_stages`` is a register length that :data:`_TAPS` has taps for
+    (2..16), else :class:`UnsupportedRegisterLength`; ``p`` a whole number of
+    at least 1; ``low`` and ``high`` finite, distinct floats.
+    """
+
+    n_stages: int
+    p: int
+    low: float = 0.0
+    high: float = 2.0
+
+    def __post_init__(self):
+        _store(self, n_stages=_whole(self.n_stages, "n_stages"), p=_whole(self.p, "p"),
+               low=float(self.low), high=float(self.high))
+        if self.n_stages not in _TAPS:
+            raise UnsupportedRegisterLength(
+                "no feedback taps for register length %r (have 2..16)" % (self.n_stages,))
+        if self.p < 1:
+            raise ValueError("chip hold count must be at least 1")
+        if not np.isfinite([self.low, self.high]).all() or self.low == self.high:
+            raise ValueError("binary-sequence levels must be finite and distinct")
+
+
+@dataclass(frozen=True)
+class MultisineInput:
+    """Sum of sines: at least one frequency (rad/s), a finite, nonzero amplitude."""
+
+    freqs: tuple
+    amplitude: float = 1.0
+
+    def __post_init__(self):
+        _store(self, freqs=tuple(map(float, self.freqs)), amplitude=float(self.amplitude))
+        if not self.freqs:
+            raise ValueError("need at least one frequency")
+        if not np.isfinite(self.amplitude) or self.amplitude == 0:
+            raise ValueError("multisine amplitude must be finite and nonzero")
+
+
+@dataclass(frozen=True)
+class WhiteNoiseInput:
+    """Gaussian white excitation of finite, positive variance."""
+
+    variance: float = 1.0
+
+    def __post_init__(self):
+        _store(self, variance=float(self.variance))
+        if not 0.0 < self.variance < np.inf:
+            raise ValueError("white-noise variance must be finite and positive")
+
+
 def lfsr_bits(n_stages: int) -> np.ndarray:
     """One full period of the maximal-length shift-register bit sequence.
 
     Fibonacci register seeded with all ones; returns ``2**n - 1`` bits in
-    {0, 1}.  The sequence is fully determined by ``n_stages``.
+    {0, 1}.  The sequence is fully determined by ``n_stages``, which is
+    checked as :class:`PrbsInput` checks it.
     """
-    if n_stages not in _TAPS:
-        raise UnsupportedRegisterLength(
-            "no feedback taps for register length %r (have 2..16)" % (n_stages,))
+    n_stages = PrbsInput(n_stages, 1).n_stages
     taps = _TAPS[n_stages]
     period = (1 << n_stages) - 1
     state = period  # all ones
@@ -61,13 +114,13 @@ def gen_prbs(n_stages: int, p: int, low: float = 0.0, high: float = 2.0) -> np.n
     """Pseudo-random binary sequence, each register chip held for ``p`` samples.
 
     Emits exactly one period, ``p * (2**n_stages - 1)`` samples, switching
-    between ``low`` and ``high``.  Deterministic in its arguments.
+    between ``low`` and ``high``.  Deterministic in its arguments, which are
+    checked as :class:`PrbsInput` checks them.
     """
-    if p < 1:
-        raise ValueError("chip hold count must be at least 1")
-    bits = lfsr_bits(n_stages)
-    chips = np.where(bits == 1, float(high), float(low))
-    return np.repeat(chips, p)
+    spec = PrbsInput(n_stages, p, low, high)
+    bits = lfsr_bits(spec.n_stages)
+    chips = np.where(bits == 1, spec.high, spec.low)
+    return np.repeat(chips, spec.p)
 
 
 def gen_multisine(freqs, amplitude: float, N: int, h: float) -> np.ndarray:
@@ -78,20 +131,19 @@ def gen_multisine(freqs, amplitude: float, N: int, h: float) -> np.ndarray:
     Raises
     ------
     ValueError
-        If there is no frequency, or ``h`` is not positive and finite.
+        If :class:`MultisineInput` refuses ``freqs`` or ``amplitude``, or
+        ``h`` is not positive and finite.
     AliasedFrequency
         If any requested frequency reaches the Nyquist rate ``pi / h``.
     """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if freqs.size == 0:
-        raise ValueError("need at least one frequency")
+    spec = MultisineInput(freqs, amplitude)
     nyquist = np.pi / _period(h)
-    for w in freqs:
+    for w in spec.freqs:
         if not 0 < w < nyquist:
             raise AliasedFrequency(
                 "frequency %g rad/s is not inside (0, %g)" % (w, nyquist))
     t = np.arange(N) * h
-    return amplitude * np.sin(np.outer(t, freqs)).sum(axis=1)
+    return spec.amplitude * np.sin(np.outer(t, spec.freqs)).sum(axis=1)
 
 
 @dataclass(frozen=True)

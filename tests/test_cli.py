@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,21 @@ class TestSimulate:
         assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not (out / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0], ids=["overflowing", "underflowing"])
+    def test_out_of_range_snr_refused(self, snr_db, sim_config, tmp_path, capsys):
+        # 4000 dB ended in an OverflowError traceback; -4000 dB warned of a
+        # division by zero, then blamed the record for the infinite deviation
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, noise={"snr_db": snr_db})))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got %r\n"
+            % snr_db)
+        assert not out.exists()
 
     @pytest.mark.parametrize("excitation", [
         {"type": "white", "variance": -1.0},
@@ -478,6 +494,36 @@ class TestMonteCarloCommand:
         out = tmp_path / "o"
         assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"noise": {"snr_db": 4000.0}},
+         "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got 4000.0"),
+        ({"noise": {"snr_db": -4000.0}},
+         "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got -4000.0"),
+        ({"input": {"type": "prbs", "n_stages": -1, "p": 3}},
+         "error: no feedback taps for register length -1 (have 2..16)"),
+        ({"input": {"type": "prbs", "n_stages": 20000, "p": 3}},
+         "error: no feedback taps for register length 20000 (have 2..16)"),
+        ({"input": {"type": "prbs", "n_stages": 9, "p": 0}},
+         "configuration error: chip hold count must be at least 1"),
+    ], ids=["overflowing_snr", "underflowing_snr", "negative_register", "long_register",
+            "zero_hold"])
+    def test_setting_refused_by_its_type(self, change, message, tmp_path, capsys):
+        # the noise levels ended in an OverflowError traceback or a warning;
+        # the register lengths and hold count reached ExperimentConfig's
+        # period, and were refused as "negative shift count", Python's
+        # 4300-digit conversion limit and "binary-sequence period 0"
+        cfg = dict({"system": model_to_dict(G2), "input": {"type": "white"},
+                    "noise": {"sigma": 0.1}, "h": 0.1, "N": 1533, "M": 4, "r": 1, "seed": 1},
+                   **change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
     def test_record_too_short_for_order(self, tmp_path, capsys, rao_garnier):

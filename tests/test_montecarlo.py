@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ctident
 from ctident import (
     CtModel,
     DtModel,
@@ -22,7 +24,7 @@ from ctident import (
     simulate_dt,
 )
 from ctident import d2c_zoh, lti, montecarlo, pem
-from ctident.errors import RankDeficientRegression
+from ctident.errors import RankDeficientRegression, UnsupportedRegisterLength
 from ctident.montecarlo import (
     PEM,
     PEMRD,
@@ -178,15 +180,41 @@ class TestConfigValidation:
         ({"peak_fraction": -0.1}, "peak_fraction must be finite and nonnegative, got -0.1"),
         ({"sigma": np.inf}, "sigma must be finite and nonnegative, got inf"),
         ({"peak_fraction": np.nan}, "peak_fraction must be finite and nonnegative, got nan"),
-        ({"snr_db": np.nan}, "snr_db must not be NaN or -inf, got nan"),
-        ({"snr_db": -np.inf}, "snr_db must not be NaN or -inf, got -inf"),
+        ({"snr_db": np.nan}, "snr_db must be +inf or lie in [-3000, 3000] dB, got nan"),
+        ({"snr_db": -np.inf}, "snr_db must be +inf or lie in [-3000, 3000] dB, got -inf"),
+        ({"snr_db": 4000}, "snr_db must be +inf or lie in [-3000, 3000] dB, got 4000.0"),
+        ({"snr_db": -4000}, "snr_db must be +inf or lie in [-3000, 3000] dB, got -4000.0"),
     ], ids=["negative_sigma", "negative_peak_fraction", "infinite_sigma", "nan_peak_fraction",
-            "nan_snr_db", "minus_infinite_snr_db"])
+            "nan_snr_db", "minus_infinite_snr_db", "overflowing_snr_db", "underflowing_snr_db"])
     def test_noise_level_checked_when_built(self, level, message):
         # unchecked, the setting was built and only a run's resolved
-        # deviation was checked, in the middle of a study or a simulation
-        with pytest.raises(ValueError, match="^%s$" % message):
+        # deviation was checked, in the middle of a study or a simulation;
+        # 4000 dB overflowed 10 ** (snr_db / 10) and -4000 dB divided by zero
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             NoiseSetting(**level)
+
+    @pytest.mark.parametrize("n_stages, p, error, message", [
+        (-1, 3, UnsupportedRegisterLength, "no feedback taps for register length -1 (have 2..16)"),
+        (20000, 3, UnsupportedRegisterLength,
+         "no feedback taps for register length 20000 (have 2..16)"),
+        (9, 0, ValueError, "chip hold count must be at least 1"),
+    ], ids=["negative_length", "long_register", "zero_hold"])
+    def test_prbs_register_and_hold_checked_when_built(self, n_stages, p, error, message):
+        # unchecked, ExperimentConfig computed p * ((1 << n_stages) - 1) and
+        # refused the study as "negative shift count", as Python's 4300-digit
+        # integer conversion limit, or as "binary-sequence period 0"
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            PrbsInput(n_stages, p)
+        d = dict(config_to_dict(quick_config()), N=1533,
+                 input={"type": "prbs", "n_stages": n_stages, "p": p})
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            config_from_dict(d)
+
+    def test_settings_live_with_their_code(self):
+        from ctident import sampling, signals
+        for name in ("PrbsInput", "MultisineInput", "WhiteNoiseInput"):
+            assert getattr(montecarlo, name) is getattr(signals, name) is getattr(ctident, name)
+        assert montecarlo.NoiseSetting is sampling.NoiseSetting is ctident.NoiseSetting
 
     def test_noise_free_snr_accepted(self):
         # +inf dB is a noise-free record: the deviation resolves to zero
@@ -295,7 +323,7 @@ class TestRunMonteCarlo:
         # one would turn every record into an optimizer_error; the setting
         # refuses the level when it is built, before any study is
         kw = dict(system=RandomSystemSpec(order=2, reldeg=1), h=None, r=1) if random_system else {}
-        with pytest.raises(ValueError, match="must be finite and nonnegative|must not be NaN"):
+        with pytest.raises(ValueError, match=r"must be finite and nonnegative|must be \+inf or lie"):
             run_monte_carlo(quick_config(noise=NoiseSetting(**noise), **kw))
 
     @pytest.mark.parametrize("random_system", [False, True], ids=["fixed", "random"])

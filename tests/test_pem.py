@@ -370,7 +370,7 @@ class TestOeFit:
         with pytest.raises(DivergedUnstable):
             oe_fit(data, init)
 
-    def test_stall_with_stable_candidates_converges(self):
+    def test_stall_with_stable_candidates_converges(self, monkeypatch):
         # a noiseless record of amplitude 1e6, filtered in long double and
         # rounded, fitted from its own model: the residuals are rounding
         # alone, so no damped step lowers the cost, while their gradient
@@ -379,9 +379,13 @@ class TestOeFit:
         truth = DtModel([0.4, 0.1], np.poly([0.5, 0.3]), h=0.1)
         u = 1e6 * np.random.default_rng(0).standard_normal(300)
         y = long_double_filter([0.0, 0.4, 0.1], truth.den.coeffs, u).astype(float)
+        dgemm, calls = pem.dgemm, []
+        monkeypatch.setattr(pem, "dgemm", lambda *a, **k: calls.append(1) or dgemm(*a, **k))
         res = oe_fit(SampledDataset(u, y, 0.1), truth)
         assert res.converged and res.iterations == 1
         assert res.cost_history.size == 1  # the one iteration accepted no step
+        # one Gram per visited point: the stalled pass's H is the information
+        assert len(calls) == res.cost_history.size
         g = prediction_jacobian(res.model, u).T @ res.residuals
         assert 2.0 * np.abs(g).max() > 1e5 * pem._GRAD_TOL * (1.0 + res.cost)
 

@@ -395,6 +395,12 @@ class TestSimulateCtZoh:
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-1.0, seed=0)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan], ids=["infinite", "nan"])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # checked as NoiseSetting checks it; its own rule let inf through
+        with pytest.raises(ValueError, match="^sigma must be finite and nonnegative, got %r$" % sigma):
+            NoiseSpec(sigma=sigma, seed=0)
+
     def test_overflowing_record_rejected(self):
         # an unstable plant's output overflows; unchecked, the record held
         # inf and nan samples
@@ -412,6 +418,20 @@ class TestSnr:
     def test_zero_db(self):
         y = np.array([2.0, -2.0, 2.0, -2.0])
         assert_allclose(sigma_for_snr_db(y, 0.0), 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("snr_db", [-3000.0, -20.0, 0.0, 20.0, 3000.0, np.inf])
+    def test_same_bits_as_numpy_formula(self, rng, snr_db):
+        # Python floats do the same IEEE operations as the numpy expression
+        # this replaced, without its warnings
+        y = 10.0 * rng.standard_normal(500)
+        assert sigma_for_snr_db(y, snr_db) == float(np.sqrt(np.var(y) / 10.0 ** (snr_db / 10.0)))
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, np.nan, -np.inf])
+    def test_level_out_of_range_rejected(self, snr_db):
+        # 4000 dB raised OverflowError; -4000 dB warned of a division by zero
+        # and returned an infinite deviation
+        with pytest.raises(ValueError, match=r"^snr_db must be \+inf or lie in \[-3000, 3000\] dB"):
+            sigma_for_snr_db(np.array([2.0, -2.0]), snr_db)
 
 
 class TestDatasetIo:

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import ctident
-from ctident import gen_multisine, gen_prbs, gen_random_system, lfsr_bits
+from ctident import MultisineInput, PrbsInput, gen_multisine, gen_prbs, gen_random_system, lfsr_bits
 from ctident.errors import AliasedFrequency, UnsupportedRegisterLength
 
 
@@ -47,6 +47,10 @@ class TestLfsr:
         with pytest.raises(UnsupportedRegisterLength):
             lfsr_bits(1)
 
+    def test_whole_float_length(self):
+        # the length is read as PrbsInput reads it; 9.0 was a TypeError
+        assert_array_equal(lfsr_bits(9.0), lfsr_bits(9))
+
 
 class TestPrbs:
     def test_benchmark_lengths(self):
@@ -66,8 +70,15 @@ class TestPrbs:
         assert set(np.unique(u)) == {-1.0, 1.0}
 
     def test_hold_count_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^chip hold count must be at least 1$"):
             gen_prbs(3, 0)
+
+    def test_arguments_checked_as_settings(self):
+        # gen_prbs builds a PrbsInput: equal levels gave a constant input
+        with pytest.raises(ValueError, match="^binary-sequence levels must be finite and distinct$"):
+            gen_prbs(9, 3, 1.0, 1.0)
+        with pytest.raises(UnsupportedRegisterLength):
+            PrbsInput(-1, 3)
 
 
 class TestMultisine:
@@ -107,8 +118,15 @@ class TestMultisine:
             gen_multisine([1.0, -2.0], 1.0, 100, 0.1)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        # refused when the setting is built, not only when the signal is
+        with pytest.raises(ValueError, match="^need at least one frequency$"):
+            MultisineInput(())
+        with pytest.raises(ValueError, match="^need at least one frequency$"):
             gen_multisine([], 1.0, 100, 0.1)
+
+    def test_zero_amplitude_rejected(self):
+        with pytest.raises(ValueError, match="^multisine amplitude must be finite and nonzero$"):
+            gen_multisine([1.0], 0.0, 100, 0.1)
 
     @pytest.mark.parametrize("h", [0.0, -0.1], ids=["zero", "negative"])
     def test_period_checked(self, h):
