@@ -11,7 +11,6 @@ from . import errors
 from .lti import (
     CtModel,
     DtModel,
-    Polynomial,
     SampledDataset,
     companion,
     freq_response,
@@ -55,7 +54,6 @@ from .sampling import (
     load_dataset,
     naive_truncate,
     save_dataset,
-    sigma_for_snr_db,
     simulate_ct_zoh,
     zoh_map_point,
 )

@@ -2,8 +2,10 @@
 
 Conventions used throughout the package:
 
-- Polynomial coefficients are stored in descending powers, leading
-  coefficient first.
+- A model holds its numerator ``num`` and denominator ``den`` as
+  read-only float64 arrays of coefficients in descending powers, leading
+  coefficient first (:func:`_coeffs`): exact leading zeros are stripped,
+  so ``num.size - 1`` and ``den.size - 1`` are the degrees.
 - Denominators are normalized to monic form on construction.
 - The parameter vector of an order ``n`` model stacks the numerator
   coefficients, zero-padded at the high-order end to length ``n``, on top of
@@ -29,7 +31,6 @@ from scipy.linalg.lapack import dgees, dpotrf, dpotrs, dtrsyl
 from .errors import NotPositiveDefinite, UnstableSystem
 
 __all__ = [
-    "Polynomial",
     "CtModel",
     "DtModel",
     "SampledDataset",
@@ -41,39 +42,6 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
 ]
-
-
-class Polynomial:
-    """Real polynomial with coefficients in descending powers.
-
-    Exact leading zeros are stripped on construction so that ``degree``
-    always reflects the stored data.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = np.array(coeffs, dtype=float, ndmin=1)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must form a nonempty 1-d sequence")
-        _finite(c)
-        if c[0] == 0.0:
-            c = c[np.flatnonzero(c)[0]:] if c.any() else c[-1:]
-        c.flags.writeable = False
-        self.coeffs = c
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-    def __call__(self, x):
-        return np.polyval(self.coeffs, x)
-
-    def roots(self) -> np.ndarray:
-        return _roots(self.coeffs)
-
-    def __repr__(self):
-        return "Polynomial(%s)" % self.coeffs.tolist()
 
 
 def _roots(c: np.ndarray) -> np.ndarray:
@@ -104,14 +72,25 @@ def _finite(c: np.ndarray) -> None:
         raise ValueError("coefficients must be finite")
 
 
+def _coeffs(c) -> np.ndarray:
+    """``c`` as a read-only float array: 1-d, nonempty, finite, exact leading zeros stripped.
+
+    A zero polynomial keeps its last coefficient, so its degree is 0.
+    """
+    c = np.array(c, dtype=float, ndmin=1)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must form a nonempty 1-d sequence")
+    _finite(c)
+    c.flags.writeable = False  # before stripping, so the stripped view's base is read-only too
+    if c[0] == 0.0:
+        c = c[np.flatnonzero(c)[0]:] if c.any() else c[-1:]
+    return c
+
+
 def _store(spec, **values):
     """Set the converted ``values`` on the frozen dataclass instance ``spec``."""
     for name, value in values.items():
         object.__setattr__(spec, name, value)
-
-
-def _as_poly(p) -> Polynomial:
-    return p if isinstance(p, Polynomial) else Polynomial(p)
 
 
 def _period(h) -> float:
@@ -161,15 +140,13 @@ class _RationalModel:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        num = _as_poly(num)
-        den = _as_poly(den)
-        if den.degree < 1:
+        num, den = _coeffs(num), _coeffs(den)
+        if den.size < 2:
             raise ValueError("denominator must have degree at least 1")
-        lead = den.coeffs[0]
+        lead = den[0]
         if lead != 1.0:
-            den = Polynomial(den.coeffs / lead)
-            num = Polynomial(num.coeffs / lead)
-        if num.degree > den.degree - 1:
+            den, num = _coeffs(den / lead), _coeffs(num / lead)
+        if num.size >= den.size:
             raise ValueError("model must be strictly proper")
         self.num = num
         self.den = den
@@ -177,13 +154,12 @@ class _RationalModel:
     @property
     def n(self) -> int:
         """Model order (denominator degree)."""
-        return self.den.degree
+        return self.den.size - 1
 
     @property
     def theta(self) -> np.ndarray:
         """Parameter vector, length ``2n``; see module docstring for layout."""
-        pad = np.zeros(self.n - 1 - self.num.degree)
-        return np.concatenate([pad, self.num.coeffs, self.den.coeffs[1:]])
+        return np.concatenate([np.zeros(self.n - self.num.size), self.num, self.den[1:]])
 
 
 class CtModel(_RationalModel):
@@ -191,9 +167,10 @@ class CtModel(_RationalModel):
 
     Parameters
     ----------
-    num, den : array_like or Polynomial
-        Coefficients in descending powers of s.  The denominator is
-        normalized to monic form, scaling the numerator accordingly.
+    num, den : array_like
+        Coefficients in descending powers of s, stored as :func:`_coeffs`
+        arrays.  The denominator is normalized to monic form, scaling the
+        numerator accordingly.
     r : int, optional
         Declared relative degree (whole).  When ``r > 1`` the first ``r - 1``
         entries of the padded numerator must be exactly zero; models produced
@@ -205,7 +182,7 @@ class CtModel(_RationalModel):
 
     def __init__(self, num, den, r: int | None = None):
         super().__init__(num, den)
-        actual = self.n - self.num.degree
+        actual = self.den.size - self.num.size
         r = _reldeg(actual if r is None else r, self.n)
         if r > actual:
             raise ValueError(
@@ -220,7 +197,7 @@ class CtModel(_RationalModel):
 
     def __repr__(self):
         return "CtModel(num=%s, den=%s, r=%d)" % (
-            self.num.coeffs.tolist(), self.den.coeffs.tolist(), self.r)
+            self.num.tolist(), self.den.tolist(), self.r)
 
 
 class DtModel(_RationalModel):
@@ -238,7 +215,7 @@ class DtModel(_RationalModel):
 
     def __repr__(self):
         return "DtModel(num=%s, den=%s, h=%g)" % (
-            self.num.coeffs.tolist(), self.den.coeffs.tolist(), self.h)
+            self.num.tolist(), self.den.tolist(), self.h)
 
 
 @dataclass(frozen=True)
@@ -278,7 +255,7 @@ def companion(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ascending numerator coefficients.  The same form serves continuous- and
     discrete-time models.
     """
-    return _companion(model.den.coeffs, model.num.coeffs)
+    return _companion(model.den, model.num)
 
 
 def _companion(den, num) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,7 +283,7 @@ def simulate_dt(model: DtModel, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if not u.size:
         return np.zeros(0)
-    return _predict(model.theta[:model.n], model.den.coeffs, u)[2]
+    return _predict(model.theta[:model.n], model.den, u)[2]
 
 
 def _predict(num: np.ndarray, den: np.ndarray, u: np.ndarray,
@@ -398,7 +375,7 @@ def _h2_block(c: float, g: CtModel):
     ``g``'s companion form scaled by ``diag(rho**k)``, ``rho`` its largest
     pole modulus; UnstableSystem if a pole has nonnegative real part.
     """
-    p = g.den.roots()
+    p = _roots(g.den)
     if not np.all(p.real < 0.0):
         raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
     A, B, C = companion(g)
@@ -455,11 +432,11 @@ def freq_response(model, omega) -> np.ndarray:
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if isinstance(model, CtModel):
         pts = 1j * omega
-        return model.num(pts) / model.den(pts)
-    if isinstance(model, DtModel):
+    elif isinstance(model, DtModel):
         pts = np.exp(1j * omega * model.h)
-        return model.num(pts) / model.den(pts)
-    raise TypeError("unsupported model type: %r" % type(model).__name__)
+    else:
+        raise TypeError("unsupported model type: %r" % type(model).__name__)
+    return np.polyval(model.num, pts) / np.polyval(model.den, pts)
 
 
 def is_stable(model) -> bool:
@@ -470,9 +447,8 @@ def is_stable(model) -> bool:
     where rounding could flip the answer (:func:`_schur_stable`).
     """
     if isinstance(model, DtModel):
-        return _schur_stable(model.den.coeffs)
-    p = model.den.roots()
-    return bool(np.all(p.real < 0.0))
+        return _schur_stable(model.den)
+    return bool(np.all(_roots(model.den).real < 0.0))
 
 
 def _schur_stable(coeffs) -> bool:
@@ -553,7 +529,7 @@ def model_to_dict(model) -> dict:
     ``"h"``; continuous-time models their declared relative degree under
     ``"r"``.
     """
-    d = {"num": model.num.coeffs.tolist(), "den": model.den.coeffs.tolist()}
+    d = {"num": model.num.tolist(), "den": model.den.tolist()}
     if isinstance(model, DtModel):
         d["h"] = model.h
     else:

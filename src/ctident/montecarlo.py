@@ -23,6 +23,7 @@ from .lti import (
     SampledDataset,
     _period,
     _reldeg,
+    _roots,
     _store,
     _whole,
     is_stable,
@@ -178,9 +179,9 @@ class McReport:
 
 def _default_period(g0: CtModel) -> float:
     # sample ten times faster than the fastest pole or zero
-    speeds = [np.abs(g0.den.roots()).max()]
-    if g0.num.degree > 0:
-        speeds.append(np.abs(g0.num.roots()).max())
+    speeds = [np.abs(_roots(g0.den)).max()]
+    if g0.num.size > 1:
+        speeds.append(np.abs(_roots(g0.num)).max())
     return 2.0 * np.pi / (10.0 * max(speeds))
 
 

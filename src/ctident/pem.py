@@ -151,7 +151,7 @@ def prediction_jacobian(model: DtModel, u) -> np.ndarray:
     n = model.n
     if not u.size:
         return np.zeros((0, 2 * n), order="F")
-    band, w1, yhat = _predict(model.theta[:n], model.den.coeffs, u)
+    band, w1, yhat = _predict(model.theta[:n], model.den, u)
     return _lags(np.zeros((u.size, 2 * n), order="F"), w1, _solve(band, yhat), 0)
 
 

@@ -25,7 +25,7 @@ from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
 from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _period, _poly,
-                  _split, _store, _theta, companion, simulate_dt)
+                  _roots, _split, _store, _theta, companion, simulate_dt)
 
 __all__ = [
     "NoiseSetting",
@@ -36,7 +36,6 @@ __all__ = [
     "naive_truncate",
     "zoh_map_point",
     "simulate_ct_zoh",
-    "sigma_for_snr_db",
     "save_dataset",
     "load_dataset",
 ]
@@ -75,12 +74,24 @@ class NoiseSetting:
 
         For ``snr_db`` the convention is ``SNR = 10 log10(var(y0) / sigma^2)``
         with the population variance of ``y0``, computed in Python floats.
+        A level that resolves to a non-finite deviation although the
+        record's variance (or peak) is finite is a ``ValueError`` naming the
+        level: at -3000 dB any record whose variance exceeds about 1.8e8
+        overflows.  When the record's own statistic is not finite, the
+        record is at fault, and ``SampledDataset`` refuses the noisy record.
         """
         if self.sigma is not None:
             return self.sigma
         if self.snr_db is not None:
-            return math.sqrt(float(np.var(y0)) / 10.0 ** (self.snr_db / 10.0))
-        return self.peak_fraction * float(np.abs(y0).max())
+            name, level, scale = "snr_db", self.snr_db, float(np.var(y0))
+            sigma = math.sqrt(scale / 10.0 ** (self.snr_db / 10.0))
+        else:
+            name, level, scale = "peak_fraction", self.peak_fraction, float(np.abs(y0).max())
+            sigma = self.peak_fraction * scale
+        if not sigma < math.inf and scale < math.inf:
+            raise ValueError("%s=%r gives a non-finite noise deviation on this record"
+                             % (name, level))
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ def d2c_zoh(model: DtModel) -> CtModel:
     SingularMap
         If ``K`` with unit columns has a condition number above 1e12.
     """
-    zp = model.den.roots()
+    zp = _roots(model.den)
     bad = (zp.real <= 0.0) & (abs(zp.imag) <= 1e-9 * np.maximum(1.0, abs(zp))) | (abs(zp) <= 1e-12)
     if bad.any():
         raise NegativeRealPole(
@@ -154,7 +165,7 @@ def d2c_zoh(model: DtModel) -> CtModel:
     A, B, _ = companion(poles)
     E = _zoh_exponential(A, B, model.h)
     den_d, _, K = _faddeev_leverrier(E[:n, :n], E[:n, n:])
-    if not np.abs(den_d - model.den.coeffs).max() <= 1e-8 * np.abs(model.den.coeffs).max():
+    if not np.abs(den_d - model.den).max() <= 1e-8 * np.abs(model.den).max():
         raise NonPrincipalLog("sampling the pole logarithms does not reproduce the denominator")
     scale = np.linalg.norm(K, axis=0)  # unit columns: independent of the time unit
     if not (scale.min() > 0.0 and np.linalg.cond(K / scale) <= 1e12):
@@ -279,16 +290,6 @@ def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDat
     rng = np.random.default_rng(noise.seed)
     y_m = y + noise.sigma * rng.standard_normal(y.size)
     return SampledDataset(u=np.asarray(u, dtype=float), y=y_m, h=h)
-
-
-def sigma_for_snr_db(y, snr_db: float) -> float:
-    """Noise deviation giving the requested signal-to-noise ratio.
-
-    ``NoiseSetting(snr_db=snr_db).deviation(y)``, whose level rule and
-    convention apply: ``SNR = 10 log10(var(y) / sigma^2)`` with the
-    population variance of the noiseless output record ``y``.
-    """
-    return NoiseSetting(snr_db=snr_db).deviation(y)
 
 
 def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):

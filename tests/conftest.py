@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctident import (CtModel, SampledDataset, c2d_zoh, gen_random_system, sigma_for_snr_db,
+from ctident import (CtModel, NoiseSetting, SampledDataset, c2d_zoh, gen_random_system,
                      simulate_dt)
 from ctident.montecarlo import _default_period
 
@@ -51,7 +51,7 @@ def envelope_record(order, r, draw, factor, snr_db, N=1000):
     h = factor * _default_period(g0)
     u = rng.standard_normal(N)
     y0 = simulate_dt(c2d_zoh(g0, h), u)
-    y = y0 + sigma_for_snr_db(y0, snr_db) * rng.standard_normal(N)
+    y = y0 + NoiseSetting(snr_db=snr_db).deviation(y0) * rng.standard_normal(N)
     return g0, SampledDataset(u=u, y=y, h=h)
 
 

@@ -48,7 +48,7 @@ def filter_bank_sensitivities(model, u, yhat=None):
     """
     u = np.asarray(u, dtype=float)
     n = model.n
-    a = model.den.coeffs
+    a = model.den
     if yhat is None:
         yhat = simulate_dt(model, u)
     psi = np.empty((u.size, 2 * n))
@@ -187,7 +187,7 @@ def quadrature_mse_g(g_hat, g_true):
         g = freq_response(g_true, w)[0]
         return np.array([abs(freq_response(g_hat, w)[0] - g) ** 2, abs(g) ** 2])
 
-    poles = np.concatenate([g_hat.den.roots(), g_true.den.roots()])
+    poles = np.concatenate([np.roots(g_hat.den), np.roots(g_true.den)])
     ends = np.concatenate([[0.0], np.unique(np.abs(poles)), [np.inf]])
     total = sum(quad_vec(integrand, a, b, epsrel=1e-11, epsabs=0.0, limit=500)[0]
                 for a, b in zip(ends, ends[1:]) if b > a)
@@ -237,7 +237,7 @@ def lstsq_init_arx_iv(data, n):
                 best, best_cost = model, cost
 
     for _ in range(20):
-        den = model.den.coeffs
+        den = model.den
         uf = lfilter([1.0], den, u)
         yf = lfilter([1.0], den, y)
         theta_new, _, rank, _ = np.linalg.lstsq(regressor(uf, yf), yf[n:], rcond=None)

@@ -198,7 +198,7 @@ def mse_g_weight(g):
 
     def integrand(w):
         s = 1j * w
-        num, den = g.num(s), g.den(s)
+        num, den = np.polyval(g.num, s), np.polyval(g.den, s)
         grad = np.concatenate([s ** powers / den, -num * s ** powers / den ** 2])
         return np.append(np.real(np.outer(grad.conj(), grad)).ravel(),
                          abs(num / den) ** 2)
@@ -301,7 +301,7 @@ class TestCriterion6:
         for _ in range(200):
             order = int(rng.integers(1, 6))
             g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
-            lam = g.den.roots()
+            lam = np.roots(g.den)
             h = min(0.5 / np.abs(lam.real).max(),
                     0.5 * np.pi / max(np.abs(lam.imag).max(), 1e-6))
             back = d2c_zoh(c2d_zoh(g, h))

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 import ctident
 from ctident import (
     CtModel,
+    NoiseSetting,
     SampledDataset,
     c2d_zoh,
     gen_multisine,
@@ -20,7 +21,6 @@ from ctident import (
     load_dataset,
     model_to_dict,
     save_dataset,
-    sigma_for_snr_db,
     simulate_dt,
 )
 from ctident.cli import build_parser, main
@@ -90,7 +90,7 @@ class TestSimulate:
              "prbs": gen_prbs(6, 2, -1.0, 1.0),
              "multisine": gen_multisine([0.5, 2.0, 7.0], 0.3, N, h)}[kind]
         y0 = simulate_dt(c2d_zoh(G2, h), u)
-        sigma = {"snr_db": sigma_for_snr_db(y0, 15.0), "sigma": 0.05,
+        sigma = {"snr_db": NoiseSetting(snr_db=15.0).deviation(y0), "sigma": 0.05,
                  "peak_fraction": 0.02 * float(np.abs(y0).max())}[noise]
         y = y0 + sigma * np.random.default_rng(seed).standard_normal(N)
         save_dataset(SampledDataset(u=u, y=y, h=h), tmp_path / "dataset.csv", sigma=sigma,
@@ -124,6 +124,20 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got %r\n"
             % snr_db)
+        assert not out.exists()
+
+    def test_overflowing_deviation_refused(self, sim_config, tmp_path, capsys):
+        # at -3000 dB a record whose variance is above about 1.8e8 gives an
+        # infinite deviation, and the record was blamed: "u and y must be finite"
+        cfg = json.loads(sim_config.read_text())
+        sim_config.write_text(json.dumps(dict(cfg, noise={"snr_db": -3000.0},
+                                              input={"type": "white", "variance": 1e12})))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("configuration error: snr_db=-3000.0 gives a "
+                                           "non-finite noise deviation on this record\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("excitation", [

@@ -13,12 +13,12 @@ from ctident import (
     DtModel,
     ExperimentConfig,
     NoiseSetting,
-    Polynomial,
     SampledDataset,
     WhiteNoiseInput,
     c2d_zoh,
     companion,
     freq_response,
+    gen_random_system,
     is_stable,
     l2_norm_sq,
     model_from_dict,
@@ -38,37 +38,61 @@ from oracles import fraction_schur_stable, long_double_filter, max_root_modulus
 def padded_numerator(model):
     """The numerator as a filter in ``z**-1``: length ``n + 1``, leading zeros kept."""
     b = np.zeros(model.n + 1)
-    b[model.n - model.num.degree:] = model.num.coeffs
+    b[model.n + 1 - model.num.size:] = model.num
     return b
 
 
-class TestPolynomial:
+class TestCoefficients:
+    # a model holds num and den as read-only float64 arrays, exact leading
+    # zeros stripped, so that size - 1 is each one's degree
     def test_degree_and_eval(self):
-        p = Polynomial([2.0, -3.0, 1.0])
-        assert p.degree == 2
-        assert p(0.0) == 1.0
-        assert p(1.0) == 0.0
-        assert_allclose(p.roots(), [1.0, 0.5])
+        g = CtModel([1.0], [2.0, -3.0, 1.0])
+        assert g.den.size - 1 == g.n == 2
+        assert_array_equal(g.den, [1.0, -1.5, 0.5])
+        assert np.polyval(g.den, 1.0) == 0.0
+        assert_array_equal(freq_response(g, 0.0), [1.0])
+        assert_allclose(lti._roots(g.den), [1.0, 0.5])
 
     def test_leading_zeros_stripped(self):
-        p = Polynomial([0.0, 0.0, 4.0, 1.0])
-        assert p.degree == 1
-        assert_array_equal(p.coeffs, [4.0, 1.0])
+        g = CtModel([0.0, 0.0, 4.0, 1.0], [1.0, 0.0, 0.0, 0.0])
+        assert g.num.size - 1 == 1
+        assert_array_equal(g.num, [4.0, 1.0])
+        assert_array_equal(DtModel([1.0], [0.0, 2.0, 1.0], h=0.1).den, [1.0, 0.5])
 
     def test_constant_zero(self):
-        assert Polynomial([0.0]).degree == 0
+        g = CtModel([0.0, 0.0], [1.0, 2.0, 3.0])
+        assert_array_equal(g.num, [0.0])
+        assert_array_equal(g.theta, [0.0, 0.0, 2.0, 3.0])
+        assert g.r == 2
 
     def test_coeffs_immutable(self):
-        p = Polynomial([1.0, 2.0])
-        with pytest.raises((ValueError, RuntimeError)):
-            p.coeffs[0] = 5.0
+        # the stripped numerator is a view: its base is read-only as well
+        g = DtModel([0.0, 1.0, 2.0], [1.0, 0.5, 0.25, 0.125], h=0.1)
+        for c in (g.num, g.num.base, g.den):
+            assert c.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                c[0] = 5.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 8), data=st.data(),
+           h=st.sampled_from([1e-3, 0.01, 0.1, 0.5]))
+    def test_theta_round_trip(self, seed, order, data, h):
+        g = gen_random_system(order, data.draw(st.integers(1, order)), rng=seed)
+        gd = c2d_zoh(g, h)
+        for m, back in ((g, CtModel.from_theta(g.theta, r=g.r)),
+                        (gd, DtModel.from_theta(gd.theta, h=h))):
+            for got, want in ((back.num, m.num), (back.den, m.den), (back.theta, m.theta)):
+                assert_same_bits(got, want)
+            for c in (m.num, m.den):
+                with pytest.raises(ValueError, match="read-only"):
+                    c[-1] = 0.0
 
 
 class TestCtModel:
     def test_monic_normalization_scales_numerator(self):
         g = CtModel([2.0], [2.0, 4.0])
-        assert_array_equal(g.num.coeffs, [1.0])
-        assert_array_equal(g.den.coeffs, [1.0, 2.0])
+        assert_array_equal(g.num, [1.0])
+        assert_array_equal(g.den, [1.0, 2.0])
 
     def test_theta_layout(self, rao_garnier):
         # numerator padded to length n, then the denominator tail
@@ -110,8 +134,8 @@ class TestDtModel:
 
     def test_from_theta(self):
         g = DtModel.from_theta([0.5, 0.2, -0.9, 0.3], h=0.1)
-        assert_array_equal(g.num.coeffs, [0.5, 0.2])
-        assert_array_equal(g.den.coeffs, [1.0, -0.9, 0.3])
+        assert_array_equal(g.num, [0.5, 0.2])
+        assert_array_equal(g.den, [1.0, -0.9, 0.3])
         assert g.h == 0.1
 
 
@@ -135,10 +159,10 @@ class TestSampledDataset:
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: Polynomial([]), "coefficients must form a nonempty 1-d sequence"),
-    (lambda: Polynomial([[1.0, 2.0], [3.0, 4.0]]),
+    (lambda: CtModel([], [1.0, 2.0]), "coefficients must form a nonempty 1-d sequence"),
+    (lambda: DtModel([1.0], [[1.0, 2.0], [3.0, 4.0]], h=0.1),
      "coefficients must form a nonempty 1-d sequence"),
-    (lambda: Polynomial([1.0, np.nan]), "coefficients must be finite"),
+    (lambda: CtModel([1.0], [1.0, np.nan]), "coefficients must be finite"),
     (lambda: CtModel([1.0], [2.0]), "denominator must have degree at least 1"),
     # the leading zero is stripped, leaving a constant
     (lambda: DtModel([0.0], [0.0, 3.0], h=0.1), "denominator must have degree at least 1"),
@@ -225,10 +249,10 @@ class TestRealization:
             g = random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1)))
             A, B, C = companion(g)
             num, den = ss2tf(A, B, C, np.zeros((1, 1)))
-            pad = np.zeros(order - g.num.degree)
-            assert_allclose(num[0], np.concatenate([pad, g.num.coeffs]),
-                            rtol=1e-9, atol=1e-9 * np.max(np.abs(g.num.coeffs)))
-            assert_allclose(den, g.den.coeffs, rtol=1e-9)
+            pad = np.zeros(order + 1 - g.num.size)
+            assert_allclose(num[0], np.concatenate([pad, g.num]),
+                            rtol=1e-9, atol=1e-9 * np.max(np.abs(g.num)))
+            assert_allclose(den, g.den, rtol=1e-9)
 
 
 class TestSimulateDt:
@@ -248,10 +272,10 @@ class TestSimulateDt:
     def test_against_dlsim(self, rng):
         g = DtModel([0.3, -0.1], [1.0, -1.1, 0.3], h=0.5)
         u = rng.standard_normal(64)
-        num = np.concatenate([[0.0], g.num.coeffs])
+        num = np.concatenate([[0.0], g.num])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BadCoefficients)
-            _, y_ref = dlsim((num, g.den.coeffs, g.h), u)
+            _, y_ref = dlsim((num, g.den, g.h), u)
         assert_allclose(simulate_dt(g, u), y_ref.ravel(), rtol=1e-12, atol=1e-12)
 
     def test_leading_zeros_relative_degree(self):
@@ -272,11 +296,11 @@ class TestSimulateDt:
         # of this grid it used at most 0.15 of that bound.
         rng = np.random.default_rng(seed)
         gd = c2d_zoh(random_stable_ct(rng, order, reldeg=int(rng.integers(1, order + 1))), h)
-        rho = radius / np.abs(gd.den.roots()).max()
-        model = DtModel(gd.num.coeffs, gd.den.coeffs * rho ** np.arange(order + 1), h)
+        rho = radius / np.abs(np.roots(gd.den)).max()
+        model = DtModel(gd.num, gd.den * rho ** np.arange(order + 1), h)
         assume(is_stable(model))
         u = rng.standard_normal(400)
-        b, a = padded_numerator(model), model.den.coeffs
+        b, a = padded_numerator(model), model.den
         ref = long_double_filter(b, a, u)
         impulse = np.zeros(u.size)
         impulse[0] = 1.0
@@ -293,7 +317,7 @@ class TestSimulateDt:
         u = np.arange(1.0, N + 1.0)
         y = simulate_dt(g, u)
         assert y.shape == (N,) and y[0] == 0.0
-        ref = long_double_filter(padded_numerator(g), g.den.coeffs, u)
+        ref = long_double_filter(padded_numerator(g), g.den, u)
         assert_allclose(y, ref.astype(float), rtol=1e-15, atol=1e-16)
 
     def test_numerator_leading_zeros(self, rng):
@@ -301,11 +325,11 @@ class TestSimulateDt:
         # starts with three zeros
         g = DtModel([0.0, 0.0, 0.7, -0.2], np.poly([0.95, 0.6 + 0.3j, 0.6 - 0.3j, 0.1]).real,
                     h=0.1)
-        assert g.num.degree == 1
+        assert g.num.size == 2
         u = rng.standard_normal(50)
         y = simulate_dt(g, u)
         assert_array_equal(y[:3], 0.0)
-        ref = long_double_filter([0.0, 0.0, 0.0, 0.7, -0.2], g.den.coeffs, u).astype(float)
+        ref = long_double_filter([0.0, 0.0, 0.0, 0.7, -0.2], g.den, u).astype(float)
         assert_allclose(y, ref, rtol=0.0, atol=1e-14 * np.abs(ref).max())
 
     def test_strided_input_unmodified(self, rng):
@@ -423,9 +447,11 @@ class TestSameBitsAsNumpyAndScipy:
         # a zero root is an exact trailing zero of the coefficients
         c = lead * np.poly(roots_of(kinds, seed)).real
         assert_same_bits(lti._roots(c), np.roots(c))
-        assert_same_bits(Polynomial(c).roots(), np.roots(c))
+        # a model over x ** c.size holds c itself as its numerator
+        g = CtModel(c, np.r_[1.0, np.zeros(c.size)])
+        assert_same_bits(lti._roots(g.num), np.roots(c))
         # a constant has no roots: np.roots's empty float64 array
-        assert_same_bits(Polynomial([lead]).roots(), np.roots([lead]))
+        assert_same_bits(lti._roots(CtModel([lead], [1.0, 2.0]).num), np.roots([lead]))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(kinds=st.lists(st.sampled_from(["real", "pair", "double"]), min_size=1, max_size=3),
@@ -442,7 +468,7 @@ class TestSameBitsAsNumpyAndScipy:
         k = 0
         for c, m in terms:
             Am, Bm, Cm = companion(m)
-            t = np.abs(m.den.roots()).max() ** np.arange(m.n)
+            t = np.abs(np.roots(m.den)).max() ** np.arange(m.n)
             s = slice(k, k + m.n)
             A[s, s], B[s], C[:, s] = Am * t / t[:, None], Bm / t[:, None], c * Cm * t
             k += m.n
@@ -542,7 +568,7 @@ class TestStability:
         # moduli from 80-digit arithmetic
         for k, h in enumerate((1e-3, 0.01, 0.1, 0.5)):
             rng = np.random.default_rng([order, k])
-            den = c2d_zoh(random_stable_ct(rng, order), h).den.coeffs
+            den = c2d_zoh(random_stable_ct(rng, order), h).den
             for scale in (1.0, 1 - 1e-6, 1 + 1e-6, 1 - 1e-3, 1 + 1e-3):
                 scaled = den * scale ** np.arange(den.size)
                 modulus, err = max_root_modulus(scaled)
@@ -565,7 +591,7 @@ class TestStability:
             assert lti._schur_exact(den) is want
 
     @pytest.mark.parametrize("den, stable, exact", [
-        (c2d_zoh(CtModel([-6400.0, 1600.0], [1.0, 5.0, 408.0, 416.0, 1600.0]), 0.01).den.coeffs,
+        (c2d_zoh(CtModel([-6400.0, 1600.0], [1.0, 5.0, 408.0, 416.0, 1600.0]), 0.01).den,
          True, False),  # certified stable
         ([1.0, 0.0, 0.0, 2.0], False, False),  # certified unstable
         ([1.0, 0.0, 1.0], False, True),  # |c_n| = c_0: undecided, unstable
@@ -584,11 +610,11 @@ class TestStability:
     @pytest.mark.parametrize("den", [
         [1.0, np.inf], [1.0, -np.inf, 0.5], [1.0, np.nan], [1.0, 0.5, np.nan]])
     def test_dt_non_finite_not_stable(self, den):
-        # Polynomial refuses these, so only the raw coefficients reach it
+        # model construction refuses these, so only the raw coefficients reach it
         assert lti._schur_stable(den) is False
 
     def test_poles_values(self):
-        p = CtModel([1.0], [1.0, 3.0, 2.0]).den.roots()
+        p = np.roots(CtModel([1.0], [1.0, 3.0, 2.0]).den)
         assert_allclose(np.sort(p.real), [-2.0, -1.0], atol=1e-12)
 
 

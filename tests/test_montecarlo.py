@@ -377,7 +377,7 @@ class TestRunMonteCarlo:
         monkeypatch.setattr(lti, "_roots", lambda c: calls.append(c) or roots(c))
         rep = run_monte_carlo(config)
         assert sum(rec.metrics is not None for rec in rep.records) == 8
-        assert sum(c is config.system.den.coeffs for c in calls) == 1
+        assert sum(c is config.system.den for c in calls) == 1
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_true_norm_from_the_negated_block(self, order):
@@ -509,13 +509,13 @@ class TestStudyBuffers:
                 assert (rec.iterations, rec.converged) == (alone.iterations, alone.converged)
                 assert_same_bits(rec.theta_c, d2c_zoh(alone.model).theta)
                 assert (est.cost, est.sigma2_hat) == (alone.cost, alone.sigma2_hat)
-                fitted = (est.model.num.coeffs, est.model.den.coeffs, est.residuals,
+                fitted = (est.model.num, est.model.den, est.residuals,
                           est.covariance, est.cost_history)
-                for got, want in zip(fitted, (alone.model.num.coeffs, alone.model.den.coeffs,
+                for got, want in zip(fitted, (alone.model.num, alone.model.den,
                                               alone.residuals, alone.covariance,
                                               alone.cost_history)):
                     assert_same_bits(got, want)
-                returned = (*fitted, init.num.coeffs, init.den.coeffs, rec.theta_c)
+                returned = (*fitted, init.num, init.den, rec.theta_c)
                 assert not any(np.shares_memory(a, b) for a in returned for b in buffers)
 
     def test_released_when_study_ends(self, monkeypatch):
