@@ -88,7 +88,7 @@ def _cmd_project(args) -> int:
     rep = _load_json(args.report)
     h = float(rep["h"])
     full_ct = d2c_zoh(DtModel.from_theta(rep["theta_d"], h))
-    result = project_estimate(full_ct.theta, rep["covariance"], h, args.r)
+    result = project_estimate(full_ct.theta, rep["information"], rep["sigma2_hat"], h, args.r)
     out = pemrd_report_dict(result, diagnostics={"theta_hat_c": full_ct.theta.tolist()})
     _emit(json.dumps(out, indent=1) + "\n", args.out)
     return 0

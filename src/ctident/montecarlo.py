@@ -249,7 +249,8 @@ def _run_once(run, data, g0, y0, truth, config):
             if estimator == PEM:
                 model, theta, y_hat = g_full, g_full.theta, data.y - est.residuals
             else:
-                proj = project_estimate(g_full.theta, est.covariance, data.h, config.r)
+                proj = project_estimate(g_full.theta, est.information, est.sigma2_hat,
+                                        data.h, config.r)
                 model, theta = proj.model, proj.theta_tilde_c
                 y_hat = simulate_dt(c2d_zoh(model, data.h), data.u)
             fit_val = fit(y_hat, y0)

@@ -112,19 +112,34 @@ def _buffer(role: str, shape: tuple) -> np.ndarray:
 class EstimationResult:
     """Estimate plus optimizer diagnostics.
 
-    ``covariance`` is the asymptotic parameter covariance in the full
-    length ``2 n`` layout; ``cost_history`` records the cost after each
-    accepted step, starting at the initial point.
+    ``information`` is the Gauss-Newton information matrix ``psi^T psi`` at
+    the estimate, symmetrized, in the full length ``2 n`` layout, and
+    ``sigma2_hat`` the residual variance; the two are kept apart, so an
+    exact fit (``sigma2_hat = 0``) keeps a definite metric.
+    ``cost_history`` records the cost after each accepted step, starting at
+    the initial point.
     """
 
     model: DtModel
     sigma2_hat: float
-    covariance: np.ndarray
+    information: np.ndarray
     cost: float
     iterations: int
     converged: bool
     residuals: np.ndarray
     cost_history: np.ndarray
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Asymptotic parameter covariance ``sigma2_hat information^{-1}``, formed on each access.
+
+        Raises
+        ------
+        SingularInformation
+            If ``information`` is not positive definite.
+        """
+        return self.sigma2_hat * _sym(_chol_inverse(
+            self.information, SingularInformation("information matrix is not positive definite")))
 
 
 def prediction_jacobian(model: DtModel, u) -> np.ndarray:
@@ -212,8 +227,8 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     BLAS ``dgemm``: on this tall, thin shape it is two to three times as
     fast as ``dsyrk``, and ``dposv`` reads only its upper triangle.
 
-    The covariance is ``sigma2_hat`` times the inverse of the Gauss-Newton
-    information matrix at the estimate by ``lti._chol_inverse``, symmetrized.
+    The result carries the Gauss-Newton information matrix at the estimate,
+    ``psi^T psi`` of the last pass, and ``sigma2_hat``; nothing here inverts it.
 
     Raises
     ------
@@ -224,7 +239,8 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
         If an iterate can only move by leaving the stability region and
         damping cannot restore descent.
     SingularInformation
-        If the information matrix at the estimate is numerically singular.
+        If the information matrix at the estimate has a condition number
+        above 1e12.
     """
     n = init.n
     if not is_stable(init):
@@ -287,14 +303,12 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
             converged = True
             break
 
-    sigma2 = cost / (data.N - 2 * n)
     if np.linalg.cond(H) > 1e12:
         raise SingularInformation("information matrix condition number exceeds 1e12")
     return EstimationResult(
         model=DtModel.from_theta(theta, data.h),
-        sigma2_hat=sigma2,
-        covariance=sigma2 * _sym(_chol_inverse(
-            H, SingularInformation("information matrix is not positive definite"))),
+        sigma2_hat=cost / (data.N - 2 * n),
+        information=_sym(H),
         cost=cost,
         iterations=iterations,
         converged=converged,
@@ -557,11 +571,16 @@ def init_arx_iv(data: SampledDataset, n: int) -> DtModel:
 
 
 def fit_report_dict(result: EstimationResult) -> dict:
-    """JSON-ready summary of an estimation result (row-major covariance)."""
+    """JSON-ready summary of an estimation result (row-major matrices).
+
+    ``"information"`` and ``"sigma2_hat"`` are what ``ctident project``
+    reads; ``"covariance"`` is formed from them, for the reader.
+    """
     return {
         "theta_d": result.model.theta.tolist(),
         "h": result.model.h,
         "sigma2_hat": result.sigma2_hat,
+        "information": result.information.tolist(),
         "covariance": result.covariance.tolist(),
         "cost": result.cost,
         "iterations": result.iterations,

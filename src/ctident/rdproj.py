@@ -10,9 +10,12 @@ metric of its inverse asymptotic covariance, which is the minimum-variance
 way of imposing the linear constraints and never hurts the asymptotic
 accuracy of the remaining parameters.
 
-The covariance of the continuous-time parameters is obtained from the
-discrete-domain one through the Jacobian of the sampling map (first-order
-uncertainty propagation).
+The metric is the discrete fit's information matrix ``H`` carried through
+the Jacobian ``J`` of the sampling map, ``J^T H J`` (first-order uncertainty
+propagation).  The projected estimate does not depend on the metric's scale,
+so the residual variance stays out of it and only scales the projected
+covariance: an exact fit, whose residual variance is 0, projects like any
+other.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ def ct_info_matrix(J: np.ndarray, cov_d: np.ndarray) -> np.ndarray:
     ``cov_d`` the discrete-domain parameter covariance; to first order the
     continuous estimate has covariance ``J^{-1} cov_d J^{-T}``, hence this
     information matrix.  ``cov_d`` is symmetrized before factorization.
+    No pipeline code calls it: :func:`project_estimate` carries the fit's
+    information matrix itself, so a zero covariance is never inverted.
 
     Raises
     ------
@@ -66,6 +71,11 @@ class PemrdResult:
 
     The first ``r - 1`` entries of ``theta_tilde_c`` are exactly zero and
     the corresponding rows and columns of ``cov_tilde`` vanish.
+    ``lagrange_multiplier`` is the constraints' multiplier in the metric of
+    the projection.  From :func:`project_estimate` that metric is ``J^T H
+    J``, without the residual variance, so the multiplier stays finite on
+    an exact fit, and ``cov_tilde`` is the residual variance times the
+    inverse of the metric's free block.
     :func:`project_estimate` sets ``map_point``, the sampling-map
     linearization, and :func:`pemrd` also sets ``estimation``, the
     underlying discrete fit.
@@ -113,10 +123,8 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
 
 def _project_rd(theta: np.ndarray, info_c, r: int) -> PemrdResult:
     """:func:`project_rd` of ``theta``, a copy that ``lti._theta`` has checked with ``r``."""
-    if np.shape(info_c) != (theta.size,) * 2:
-        raise ValueError("information matrix shape does not match the parameter vector")
     k = int(r) - 1
-    info = _sym(np.asarray(info_c, dtype=float))
+    info = _metric(info_c, theta.size)
     cov = _sym(_chol_inverse(info, NotPositiveDefinite(
         "continuous-time information matrix is not positive definite")))
     cov_tilde = _block_covariance(info, k)
@@ -131,6 +139,13 @@ def _project_rd(theta: np.ndarray, info_c, r: int) -> PemrdResult:
             "free-block and multiplier projections disagree beyond %.1e" % tol)
     return PemrdResult(theta_tilde_c=theta_tilde, cov_tilde=cov_tilde,
                        lagrange_multiplier=lam, r=k + 1)
+
+
+def _metric(M, m: int) -> np.ndarray:
+    """``M`` as a symmetrized float matrix, refused unless it is ``m`` by ``m``."""
+    if np.shape(M) != (m, m):
+        raise ValueError("information matrix shape does not match the parameter vector")
+    return _sym(np.asarray(M, dtype=float))
 
 
 def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
@@ -164,30 +179,41 @@ def _block_covariance(info: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def project_estimate(theta_hat_c, cov_d, h: float, r: int) -> PemrdResult:
+def project_estimate(theta_hat_c, information, sigma2: float, h: float, r: int) -> PemrdResult:
     """Relative-degree projection of the continuous-time image of a discrete fit.
 
-    ``theta_hat_c`` is the inverse sampling map of a discrete estimate with
-    covariance ``cov_d`` at period ``h``.  The sampling map is linearized at
-    the naively truncated estimate, ``cov_d`` is carried through that
-    Jacobian into a continuous-domain information matrix, and the estimate
-    is projected in that metric.  The result carries the ``map_point``.
-    ``theta_hat_c`` and ``r`` are refused as in :func:`lti._theta`, first.
+    ``theta_hat_c`` is the inverse sampling map of a discrete estimate at
+    period ``h`` whose fit has the information matrix ``information`` and
+    the residual variance ``sigma2`` (its covariance is ``sigma2
+    information^{-1}``).  The sampling map is linearized at the naively
+    truncated estimate, and the estimate is projected in the metric
+    ``J^T information J`` of that Jacobian ``J``; ``cov_tilde`` is then
+    ``sigma2`` times the inverse of the metric's free block.  The result
+    carries the ``map_point``.  ``theta_hat_c`` and ``r`` are refused as in
+    :func:`lti._theta`, first.
 
     Raises
     ------
+    ValueError
+        If ``sigma2`` is negative or not finite, or ``information`` is not a
+        finite square matrix of the vector's size.
+    NotPositiveDefinite, SingularCovariance
+        As :func:`project_rd` raises them, for the metric.
     UnstableSystem
         If the projected model is not stable.
     """
     theta = _theta(theta_hat_c, r)
+    H = _metric(information, theta.size)
+    sigma2 = float(sigma2)
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError("residual variance must be finite and nonnegative, got %r" % sigma2)
     point = theta.copy()
     point[:int(r) - 1] = 0.0  # the naive truncation
     map_point = zoh_map_point(point, h)
-    info_c = ct_info_matrix(map_point.J, cov_d)
-    result = _project_rd(theta, info_c, r)
+    result = _project_rd(theta, map_point.J.T @ H @ map_point.J, r)
     if not is_stable(result.model):
         raise UnstableSystem("the relative-degree projection gives an unstable model")
-    return replace(result, map_point=map_point)
+    return replace(result, cov_tilde=sigma2 * result.cov_tilde, map_point=map_point)
 
 
 def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:
@@ -207,7 +233,7 @@ def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:
         fitted denominator.
     """
     est = oe_fit(data, init_arx_iv(data, n))
-    result = project_estimate(d2c_zoh(est.model).theta, est.covariance, data.h, r)
+    result = project_estimate(d2c_zoh(est.model).theta, est.information, est.sigma2_hat, data.h, r)
     return replace(result, estimation=est)
 
 

@@ -73,20 +73,32 @@ class NoiseSetting:
         """The noise deviation this level gives on the noiseless output record ``y0``.
 
         For ``snr_db`` the convention is ``SNR = 10 log10(var(y0) / sigma^2)``
-        with the population variance of ``y0``, computed in Python floats.
-        A level that resolves to a non-finite deviation although the
-        record's variance (or peak) is finite is a ``ValueError`` naming the
-        level: at -3000 dB any record whose variance exceeds about 1.8e8
-        overflows.  When the record's own statistic is not finite, the
-        record is at fault, and ``SampledDataset`` refuses the noisy record.
+        with the population variance of ``y0``.  It is taken of ``y0 / 2**m``,
+        ``m`` the binary exponent of the record's peak, so it cannot
+        overflow on a finite record, and the rest is Python floats.  Scaling
+        by powers of two commutes with every rounding, so the deviation is
+        the one computed from ``var(y0)`` itself, bit for bit, wherever that
+        variance and the noise variance are normal doubles.  A level whose
+        noise variance ``sigma^2`` (for ``snr_db``) or deviation (for
+        ``peak_fraction``) is not a finite double on a finite record is a
+        ``ValueError`` naming the level: at -3000 dB any record whose
+        variance exceeds about 1.8e8 overflows.  When the record itself is
+        not finite, or empty, the record is at fault, and ``SampledDataset``
+        refuses the noisy record.
         """
         if self.sigma is not None:
             return self.sigma
+        peak = float(np.abs(y0).max(initial=0.0))
         if self.snr_db is not None:
-            name, level, scale = "snr_db", self.snr_db, float(np.var(y0))
-            sigma = math.sqrt(scale / 10.0 ** (self.snr_db / 10.0))
+            # scale is the noise variance over 4**m, m the peak's binary
+            # exponent; that variance is a double if it is below 2**1024
+            m = math.frexp(peak)[1]
+            name, level = "snr_db", self.snr_db
+            scale = float(np.var(np.ldexp(y0, -m))) / 10.0 ** (self.snr_db / 10.0)
+            finite = scale == 0.0 or math.frexp(scale)[1] + 2 * m <= 1024
+            sigma = math.ldexp(math.sqrt(scale), m) if finite else math.inf
         else:
-            name, level, scale = "peak_fraction", self.peak_fraction, float(np.abs(y0).max())
+            name, level, scale = "peak_fraction", self.peak_fraction, peak
             sigma = self.peak_fraction * scale
         if not sigma < math.inf and scale < math.inf:
             raise ValueError("%s=%r gives a non-finite noise deviation on this record"

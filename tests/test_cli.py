@@ -299,18 +299,54 @@ class TestFitProjectChain:
                      "--out", str(fit_path)]) == 0
         return data_dir, fit_path
 
-    def test_project_rejects_semidefinite_covariance(self, sim_config, tmp_path, capsys):
-        # a jitter once made this exit 0 with cov_tilde entries up to 2.9e4
+    def test_project_rejects_semidefinite_information(self, sim_config, tmp_path, capsys):
+        # a jitter once made a semidefinite covariance exit 0 with cov_tilde
+        # entries up to 2.9e4; project reads the information matrix now
         _, fit_path = self._fit_report(sim_config, tmp_path)
         rep = json.loads(fit_path.read_text())
-        rep["covariance"] = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
+        rep["information"] = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
         fit_path.write_text(json.dumps(rep))
         out = tmp_path / "proj.json"
         capsys.readouterr()
         assert main(["project", "--report", str(fit_path), "--r", "2", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: discrete-domain covariance is not positive definite\n")
+            "error: continuous-time information matrix is not positive definite\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["information", "sigma2_hat"])
+    def test_project_needs_information_and_variance(self, key, sim_config, tmp_path, capsys):
+        # project reads the information matrix and the residual variance, and
+        # no longer the covariance; a report without either is refused by name
+        _, fit_path = self._fit_report(sim_config, tmp_path)
+        rep = json.loads(fit_path.read_text())
+        del rep[key]
+        fit_path.write_text(json.dumps(rep))
+        out = tmp_path / "proj.json"
+        capsys.readouterr()
+        assert main(["project", "--report", str(fit_path), "--r", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: '%s'\n" % key
+        assert not out.exists()
+
+    def test_exact_fit_chain(self, sim_config, tmp_path):
+        # a noise-free order-1 record is fitted to the bit, so the residual
+        # variance is 0; project once refused that fit's zero covariance
+        sim_config.write_text(json.dumps(dict(
+            json.loads(sim_config.read_text()),
+            system={"num": [2.0], "den": [1.0, 1.5]}, noise={"sigma": 0.0})))
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(data_dir)]) == 0
+        fit_path = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(data_dir / "dataset.csv"), "--order", "1",
+                     "--out", str(fit_path)]) == 0
+        rep = json.loads(fit_path.read_text())
+        assert rep["sigma2_hat"] == 0.0
+        assert np.all(np.asarray(rep["covariance"]) == 0.0)
+        proj_path = tmp_path / "proj.json"
+        assert main(["project", "--report", str(fit_path), "--r", "1",
+                     "--out", str(proj_path)]) == 0
+        out = json.loads(proj_path.read_text())
+        assert np.all(np.asarray(out["cov_tilde"]) == 0.0)
+        assert_allclose(out["theta_tilde_c"], [2.0, 1.5], rtol=1e-12)
 
     def test_fit_rejects_non_finite_data(self, sim_config, tmp_path, capsys):
         # unchecked, a nan in y ended as "configuration error: SVD did not converge"
@@ -370,7 +406,7 @@ class TestFitProjectChain:
             cfg = dict(json.loads(sim_config.read_text()), h=float("inf"))
         else:
             cfg = {"theta_d": [0.3, -0.1, -1.0, 0.4], "h": float("inf"),
-                   "covariance": np.eye(4).tolist()}
+                   "information": np.eye(4).tolist(), "sigma2_hat": 1.0}
         config = tmp_path / "h_inf.json"
         config.write_text(json.dumps(cfg))
         out = tmp_path / "o"
@@ -385,7 +421,8 @@ class TestFitProjectChain:
         # the discrete pole -0.5 has no real continuous-time preimage
         rep = tmp_path / "fit.json"
         rep.write_text(json.dumps({"theta_d": [1.0, 0.5], "h": 0.1,
-                                   "covariance": [[1.0, 0.0], [0.0, 1.0]]}))
+                                   "information": [[1.0, 0.0], [0.0, 1.0]],
+                                   "sigma2_hat": 1.0}))
         out = tmp_path / "proj.json"
         assert main(["project", "--report", str(rep), "--r", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (

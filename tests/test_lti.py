@@ -191,7 +191,7 @@ VECTOR_ENTRY_POINTS = {
     "naive_truncate": lambda th, r: naive_truncate(CtModel.from_theta(th), r),
     "zoh_map_point": lambda th, r: zoh_map_point(th, 0.1),
     "project_rd": lambda th, r: project_rd(th, np.eye(np.size(th)), r),
-    "project_estimate": lambda th, r: project_estimate(th, np.eye(np.size(th)), 0.1, r),
+    "project_estimate": lambda th, r: project_estimate(th, np.eye(np.size(th)), 1.0, 0.1, r),
 }
 TAKES_R = {"CtModel.from_theta", "naive_truncate", "project_rd", "project_estimate"}
 BAD_VECTORS = {
@@ -221,7 +221,7 @@ def test_bad_vector_refused_alike_everywhere(entry, case):
     lambda g, r: CtModel.from_theta(g.theta, r=r),
     lambda g, r: naive_truncate(g, r),
     lambda g, r: project_rd(g.theta, np.eye(8), r),
-    lambda g, r: project_estimate(g.theta, 1e-6 * np.eye(8), 0.05, r),
+    lambda g, r: project_estimate(g.theta, np.eye(8), 1e-6, 0.05, r),
     lambda g, r: ExperimentConfig(system=g, input=WhiteNoiseInput(), h=0.05, N=300,
                                   noise=NoiseSetting(sigma=0.1), M=1, r=r, seed=1),
 ], ids=["CtModel", "CtModel.from_theta", "naive_truncate", "project_rd", "project_estimate",

@@ -185,6 +185,7 @@ class TestOeFit:
             assert len(calls) == res.iterations + stepped_last
             psi = prediction_jacobian(res.model, data.u)
             info = pem.dgemm(1.0, psi, psi, trans_a=1)
+            assert_same_bits(res.information, lti._sym(info))
             assert_same_bits(res.covariance, res.sigma2_hat * lti._sym(
                 lti._chol_inverse(info, AssertionError())))
         assert ended_on_step == {False, True}
@@ -283,8 +284,9 @@ class TestOeFit:
         # each damped step is one Cholesky solve of H + mu I, with I built
         # once per fit; the loop that LU-solved H + mu eye(2n) made one
         # np.linalg.solve and one np.eye per damped step on this record.
-        # The second identity is the covariance's, the right-hand side of
-        # the Cholesky inverse of the information matrix
+        # The fit no longer inverts the information matrix, so the second
+        # identity, the right-hand side of that Cholesky inverse, is made
+        # only when the covariance is asked for
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
         calls = {"solve": 0, "eye": 0}
@@ -299,6 +301,8 @@ class TestOeFit:
         monkeypatch.setattr(np, "eye", counting("eye", np.eye))
         res = oe_fit(data, init)
         assert res.iterations > 1
+        assert calls == {"solve": 0, "eye": 1}
+        assert res.covariance.shape == (8, 8)
         assert calls == {"solve": 0, "eye": 2}
 
     def test_gemm_gram_matches_syrk(self, rao_garnier, monkeypatch):
@@ -351,14 +355,18 @@ class TestOeFit:
             oe_fit(data, init)
 
     def test_information_not_positive_definite(self, rng, monkeypatch):
-        # past the condition-number test, a Cholesky factorization that
-        # fails on the information matrix is refused by the fit as singular
+        # past the fit's condition-number test, a Cholesky factorization
+        # that fails on the information matrix is refused as singular by
+        # the covariance, which is formed when it is asked for
         data = make_data(rng, sigma=0.1)
-        init = init_arx_iv(data, 2)
+        res = oe_fit(data, init_arx_iv(data, 2))
         monkeypatch.setattr(lti, "dpotrf", lambda M, **kwargs: (M, 1))
         with pytest.raises(SingularInformation,
                            match="^information matrix is not positive definite$"):
-            oe_fit(data, init)
+            res.covariance
+        with pytest.raises(SingularInformation,
+                           match="^information matrix is not positive definite$"):
+            fit_report_dict(res)
 
     def test_descent_only_through_instability_raises(self, rng):
         # data from a pole at 1.05, start just inside the unit circle: every
@@ -854,8 +862,10 @@ class TestReport:
         data = make_data(rng, sigma=0.1, N=300)
         res = oe_fit(data, init_arx_iv(data, 2))
         d = fit_report_dict(res)
-        assert set(d) == {"theta_d", "h", "sigma2_hat", "covariance",
+        assert set(d) == {"theta_d", "h", "sigma2_hat", "information", "covariance",
                           "cost", "iterations", "converged"}
+        assert d["information"] == res.information.tolist()
+        assert d["covariance"] == res.covariance.tolist()
         assert d["h"] == 0.1
         assert d["converged"] is True
         assert_allclose(d["theta_d"], res.model.theta)

@@ -135,6 +135,27 @@ class TestProjectRd:
         err = np.abs(res.theta_tilde_c - high_precision_projection(theta, info, r)).max()
         assert err <= 5e-9 * max(1.0, np.abs(theta).max())
 
+    @pytest.mark.parametrize("scale, exact", [
+        (4.0 ** -20, True), (0.25, True), (4.0, True), (4.0 ** 15, True),
+        (2.0, False), (3.7, False)])
+    def test_estimate_independent_of_metric_scale(self, rng, scale, exact):
+        # a power of four scales every Cholesky pivot's square root exactly,
+        # so the estimate keeps its bits, the multiplier scales with the
+        # metric and cov_tilde against it; any other scale rounds apart
+        for _ in range(50):
+            m = 2 * int(rng.integers(1, 5))
+            info = random_spd(rng, m, spread=6.0)
+            theta = rng.standard_normal(m) * 10.0 ** rng.uniform(-2.0, 2.0)
+            r = int(rng.integers(1, m // 2 + 1))
+            plain, scaled = project_rd(theta, info, r), project_rd(theta, scale * info, r)
+            if exact:
+                assert_same_bits(scaled.theta_tilde_c, plain.theta_tilde_c)
+                assert_same_bits(scaled.lagrange_multiplier, scale * plain.lagrange_multiplier)
+                assert_same_bits(scaled.cov_tilde, plain.cov_tilde / scale)
+            else:
+                assert np.abs(scaled.theta_tilde_c - plain.theta_tilde_c).max() <= (
+                    1e-12 * max(1.0, np.abs(theta).max()))
+
     def test_indefinite_info_rejected(self, rng):
         # named apart from oe_fit's discrete-time information matrix
         info = np.diag([1.0, -1.0, 1.0, 1.0])
@@ -313,7 +334,8 @@ class TestPemrdPipeline:
         point = theta_hat_c.copy()
         point[:2] = 0.0
         assert_array_equal(res.map_point.theta_c, point)
-        again = project_estimate(theta_hat_c, res.estimation.covariance, dataset.h, 3)
+        again = project_estimate(theta_hat_c, res.estimation.information,
+                                 res.estimation.sigma2_hat, dataset.h, 3)
         assert_array_equal(again.theta_tilde_c, res.theta_tilde_c)
         assert_array_equal(again.cov_tilde, res.cov_tilde)
         assert again.estimation is None
@@ -330,21 +352,72 @@ class TestPemrdPipeline:
         monkeypatch.setattr(rdproj, "zoh_map_point", None)
         theta = np.r_[first, rao_garnier.theta[1:]][:size]
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-            project_estimate(theta, np.eye(size), 0.05, r)
+            project_estimate(theta, np.eye(size), 1.0, 0.05, r)
+
+    @pytest.mark.parametrize("information, sigma2, message", [
+        (np.eye(8), -1.0, "residual variance must be finite and nonnegative, got -1.0"),
+        (np.eye(8), np.nan, "residual variance must be finite and nonnegative, got nan"),
+        (np.eye(8), np.inf, "residual variance must be finite and nonnegative, got inf"),
+        (np.eye(6), 1.0, "information matrix shape does not match the parameter vector"),
+        (np.ones(8), 1.0, "information matrix shape does not match the parameter vector"),
+    ], ids=["negative", "nan", "inf", "too_small", "1d"])
+    def test_estimate_refuses_its_fit(self, rao_garnier, monkeypatch, information, sigma2,
+                                      message):
+        # a fit report is read from a file; a covariance read from one was
+        # refused unless positive definite, so a negative residual variance
+        # would otherwise pass into cov_tilde.  Both are refused before the
+        # sampling map is evaluated
+        monkeypatch.setattr(rdproj, "zoh_map_point", None)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            project_estimate(rao_garnier.theta, information, sigma2, 0.05, 3)
+
+    @pytest.mark.parametrize("g, r", [
+        (CtModel([2.0], [1.0, 1.5]), 1),
+        (CtModel([3.0], [1.0, 2.8, 4.0]), 2),
+    ], ids=["order1_r1", "order2_r2"])
+    def test_exact_fit_projects(self, g, r):
+        # simulate_dt is the fit's own kernel, so the fit reproduces this
+        # noise-free record to the bit: the residual variance is exactly 0,
+        # and the covariance it scales was refused as singular
+        u = np.random.default_rng(0).standard_normal(500)
+        data = SampledDataset(u, simulate_dt(c2d_zoh(g, 0.1), u), 0.1)
+        res = pemrd(data, g.n, r)
+        assert res.estimation.sigma2_hat == 0.0
+        assert np.abs(res.theta_tilde_c - g.theta).max() <= 1e-12 * np.abs(g.theta).max()
+        assert np.all(res.cov_tilde == 0.0)
+        assert res.lagrange_multiplier.size == r - 1
+        assert np.all(np.isfinite(res.lagrange_multiplier))
+
+    def test_two_factorizations_per_estimate(self, dataset, monkeypatch):
+        # the metric J^T H J and its free block are factored once each; the
+        # fit's covariance and its inverse are no longer formed on the way
+        factor, calls = lti.dpotrf, []
+        monkeypatch.setattr(lti, "dpotrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        pemrd(dataset, n=4, r=3)
+        assert len(calls) == 2
 
     def test_estimate_checks_its_vector_once(self, dataset, monkeypatch):
         # project_estimate hands its checked copy to project_rd's core; the
-        # result is project_rd's at the same information matrix, bit for bit
+        # result is project_rd's in the metric J^T H J, bit for bit, with
+        # cov_tilde scaled by the residual variance
         est = pemrd(dataset, n=4, r=3).estimation
         theta_hat_c = d2c_zoh(est.model).theta
         calls = []
         theta = rdproj._theta
         monkeypatch.setattr(rdproj, "_theta", lambda *args: calls.append(1) or theta(*args))
-        got = project_estimate(theta_hat_c, est.covariance, dataset.h, 3)
+        got = project_estimate(theta_hat_c, est.information, est.sigma2_hat, dataset.h, 3)
         assert len(calls) == 1
-        want = project_rd(theta_hat_c, ct_info_matrix(got.map_point.J, est.covariance), 3)
-        for field in ("theta_tilde_c", "cov_tilde", "lagrange_multiplier"):
+        J = got.map_point.J
+        want = project_rd(theta_hat_c, J.T @ est.information @ J, 3)
+        for field in ("theta_tilde_c", "lagrange_multiplier"):
             assert_same_bits(getattr(got, field), getattr(want, field))
+        assert_same_bits(got.cov_tilde, est.sigma2_hat * want.cov_tilde)
+        # the covariance route of ct_info_matrix gives the same estimate to rounding
+        old = project_rd(theta_hat_c, ct_info_matrix(J, est.covariance), 3)
+        assert_allclose(old.theta_tilde_c, got.theta_tilde_c, rtol=0, atol=1e-12 * np.abs(
+            theta_hat_c).max())
+        assert_allclose(old.cov_tilde, got.cov_tilde, rtol=1e-8, atol=1e-12 * np.abs(
+            got.cov_tilde).max())
 
     def test_projection_never_raises_variance(self, dataset):
         res = pemrd(dataset, n=4, r=3)
@@ -372,7 +445,7 @@ class TestPemrdPipeline:
         assert is_stable(CtModel.from_theta(theta_hat_c))
         message = "^the relative-degree projection gives an unstable model$"
         with pytest.raises(UnstableSystem, match=message):
-            project_estimate(theta_hat_c, est.covariance, data.h, 4)
+            project_estimate(theta_hat_c, est.information, est.sigma2_hat, data.h, 4)
         with pytest.raises(UnstableSystem, match=message):
             pemrd(data, 6, 4)
 

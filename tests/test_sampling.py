@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -422,10 +424,17 @@ class TestSnr:
     @pytest.mark.parametrize("snr_db", [-3000.0, -20.0, 0.0, 20.0, 3000.0, np.inf])
     def test_same_bits_as_numpy_formula(self, rng, snr_db):
         # Python floats do the same IEEE operations as the numpy expression
-        # this replaced, without its warnings
-        y = 10.0 * rng.standard_normal(500)
-        assert NoiseSetting(snr_db=snr_db).deviation(y) == float(
-            np.sqrt(np.var(y) / 10.0 ** (snr_db / 10.0)))
+        # this replaced, without its warnings.  The variance is taken of the
+        # record over 2**m, m the binary exponent of its peak; that scaling
+        # is exact, so the bits agree at every scale where the record's
+        # variance and the noise variance are normal doubles
+        records = [10.0 * rng.standard_normal(500)] + [
+            rng.standard_normal(int(rng.integers(1, 50))) * 10.0 ** rng.uniform(-100, 100)
+            for _ in range(200)]
+        for y in records:
+            noise = float(np.var(y)) / 10.0 ** (snr_db / 10.0)
+            if 2.3e-308 < noise < np.inf or snr_db == np.inf:
+                assert NoiseSetting(snr_db=snr_db).deviation(y) == math.sqrt(noise)
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, np.nan, -np.inf])
     def test_level_out_of_range_rejected(self, snr_db):
@@ -445,11 +454,26 @@ class TestSnr:
             NoiseSetting(**level).deviation([1e5, -1e5])
 
     def test_non_finite_record_left_to_dataset(self):
-        # a record whose peak or variance is not finite is the record's
-        # fault, not the level's: even no noise at all resolves to nan here
+        # a record that is not finite is the record's fault, not the
+        # level's: even no noise at all resolves to nan here
         assert NoiseSetting(peak_fraction=0.1).deviation([np.inf, 1.0]) == np.inf
-        with np.errstate(over="ignore"):
-            assert np.isnan(NoiseSetting(snr_db=np.inf).deviation([1e200, -1e200]))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(NoiseSetting(snr_db=np.inf).deviation([np.inf, 1.0]))
+        # so is an empty one, which SampledDataset refuses by name
+        assert NoiseSetting(peak_fraction=0.1).deviation([]) == 0.0
+
+    def test_variance_of_huge_record(self):
+        # np.var overflowed on finite records above about 1.3e154: a
+        # RuntimeWarning, then nan, and the record was blamed for it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert NoiseSetting(snr_db=np.inf).deviation([1e200, -1e200]) == 0.0
+            assert_allclose(NoiseSetting(snr_db=1000.0).deviation([1e200, -1e200]), 1e150,
+                            rtol=1e-15)
+            assert NoiseSetting(snr_db=3000.0).deviation(np.full(3, 1e300)) == 0.0
+            # the noise variance itself, 1e400 here, must be a double
+            with pytest.raises(ValueError, match="^snr_db=20.0 gives a non-finite"):
+                NoiseSetting(snr_db=20.0).deviation([1e200, -1e200])
 
 
 class TestDatasetIo:
