@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CtIdentError
-from .lti import (CtModel, DtModel, SampledDataset, _period, _whole, freq_response,
-                  model_from_dict, model_to_dict)
+from .lti import DtModel, SampledDataset, freq_response, model_from_dict, model_to_dict
 from .montecarlo import (
+    ExperimentConfig,
     _check_keys,
     _experiment,
     config_from_dict,
@@ -57,20 +57,17 @@ def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     keys = ("system", "input", "h", "N", "noise", "seed")
     _check_keys(cfg, keys, "a simulate config", required=keys[:-1])
-    system = model_from_dict(cfg["system"])
-    if not isinstance(system, CtModel):
-        raise ValueError("the simulated system must be continuous time")
-    h = _period(cfg["h"])
-    N = _whole(cfg["N"], "N")
-    seed = _whole(args.seed if args.seed is not None else cfg.get("seed", 0), "seed")
-    u, y0, sigma = _experiment(system, h, input_from_dict(cfg["input"]), N,
-                               noise_from_dict(cfg["noise"]),
-                               np.random.default_rng(np.random.SeedSequence([seed, 0])))
-    y = y0 + sigma * np.random.default_rng(seed).standard_normal(N)
+    # checked as a one-run study, so simulate refuses what a study refuses
+    config = ExperimentConfig(model_from_dict(cfg["system"]), input_from_dict(cfg["input"]),
+                              cfg["h"], cfg["N"], noise_from_dict(cfg["noise"]), M=1, r=1,
+                              seed=args.seed if args.seed is not None else cfg.get("seed", 0))
+    system, h, u, y0, sigma = _experiment(
+        config, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
+    y = y0 + sigma * np.random.default_rng(config.seed).standard_normal(config.N)
     data = SampledDataset(u=u, y=y, h=h)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_dataset(data, out_dir / "dataset.csv", sigma=sigma, seed=seed,
+    save_dataset(data, out_dir / "dataset.csv", sigma=sigma, seed=config.seed,
                  system=model_to_dict(system))
     print("wrote %s (N=%d, sigma=%.6g)" % (out_dir / "dataset.csv", data.N, sigma))
     return 0

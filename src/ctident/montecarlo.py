@@ -85,6 +85,11 @@ class ExperimentConfig:
     classes and a repeated estimator are configuration errors.  ``h`` may be
     None only for a random system driven by a binary sequence or white noise:
     each run then samples its system at that system's default period.
+    ``M`` and ``N`` must be at least 1, ``N`` at least three times the order
+    and, for a binary sequence, its period; a fixed system must be
+    continuous time and stable.  ``ctident simulate`` builds its experiment
+    as a one-run study (``M = 1``, ``r = 1``), so it refuses what a study
+    refuses, in the same words.
     """
 
     system: CtModel | RandomSystemSpec
@@ -115,8 +120,9 @@ class ExperimentConfig:
                              % type(self.noise).__name__)
         if self.h is not None:
             _store(self, h=_period(self.h))
-        if self.M < 1 or self.N < 1:
-            raise ValueError("M and N must be positive")
+        for name, size in (("M", self.M), ("N", self.N)):
+            if size < 1:
+                raise ValueError("%s must be at least 1, got %d" % (name, size))
         if isinstance(self.input, PrbsInput):
             period = self.input.p * ((1 << self.input.n_stages) - 1)
             if self.N != period:
@@ -185,40 +191,29 @@ def _default_period(g0: CtModel) -> float:
     return 2.0 * np.pi / (10.0 * max(speeds))
 
 
-def _experiment(g0: CtModel, h: float, input_spec, N: int, noise: NoiseSetting, rng):
-    """One ZOH-sampled experiment on ``g0``: ``(u, y0, sigma)``.
-
-    ``u`` is the length-``N`` excitation (``rng`` is drawn from only for
-    white noise), ``y0`` the noiseless sampled output and ``sigma`` the
-    noise deviation that ``noise`` resolves to on ``y0``.  The caller draws
-    the noise itself, and the ``SampledDataset`` it builds refuses a
-    non-finite record.  Raises ``ValueError`` when ``u`` is not ``N`` long.
-    """
-    if isinstance(input_spec, PrbsInput):
-        u = gen_prbs(input_spec.n_stages, input_spec.p, input_spec.low, input_spec.high)
-    elif isinstance(input_spec, MultisineInput):
-        u = gen_multisine(input_spec.freqs, input_spec.amplitude, N, h)
-    else:  # a WhiteNoiseInput: ExperimentConfig refuses any other kind
-        u = np.sqrt(input_spec.variance) * rng.standard_normal(N)
-    if u.size != N:
-        raise ValueError("input length %d does not match N=%d" % (u.size, N))
-    y0 = simulate_dt(c2d_zoh(g0, h), u)
-    return u, y0, noise.deviation(y0)
-
-
-def _true_experiment(config: ExperimentConfig, rng):
-    """``(g0, h, u, y0, sigma, truth)`` for a study's true system.
+def _experiment(config: ExperimentConfig, rng):
+    """One ZOH-sampled experiment of ``config``: ``(g0, h, u, y0, sigma)``.
 
     A random system is drawn from ``rng``, then sampled at ``config.h`` or,
-    if that is None, at its default period.  ``truth`` is
-    ``metrics._truth(g0)``, what scoring an estimate against ``g0`` reuses.
+    if that is None, at its default period.  ``u`` is the length-``N``
+    excitation (``rng`` is drawn from again only for white noise), ``y0`` the
+    noiseless sampled output and ``sigma`` the noise deviation that
+    ``config.noise`` resolves to on ``y0``.  Every study run and every
+    ``ctident simulate`` dataset is built here.  The caller draws the noise
+    itself, and the ``SampledDataset`` it builds refuses a non-finite record.
     """
-    g0 = config.system
+    g0, spec, N = config.system, config.input, config.N
     if isinstance(g0, RandomSystemSpec):
         g0 = gen_random_system(g0.order, g0.reldeg, g0.slowest_pole_bound, rng)
     h = config.h if config.h is not None else _default_period(g0)
-    u, y0, sigma = _experiment(g0, h, config.input, config.N, config.noise, rng)
-    return g0, h, u, y0, sigma, _truth(g0)
+    if isinstance(spec, PrbsInput):  # one period, which ExperimentConfig holds N to
+        u = gen_prbs(spec.n_stages, spec.p, spec.low, spec.high)
+    elif isinstance(spec, MultisineInput):
+        u = gen_multisine(spec.freqs, spec.amplitude, N, h)
+    else:  # a WhiteNoiseInput: ExperimentConfig refuses any other kind
+        u = np.sqrt(spec.variance) * rng.standard_normal(N)
+    y0 = simulate_dt(c2d_zoh(g0, h), u)
+    return g0, h, u, y0, config.noise.deviation(y0)
 
 
 def _failed(run, estimators, exc, iterations=None, converged=None):
@@ -289,12 +284,15 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
     """
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
     fixed = (None if isinstance(config.system, RandomSystemSpec)
-             else _true_experiment(config, np.random.default_rng(run_seeds[0])))
+             else _experiment(config, np.random.default_rng(run_seeds[0])))
+    # what scoring against a true system reuses: once per study for a fixed one
+    fixed_truth = fixed and _truth(config.system)
     records = []
     with _study_buffers():
         for run in range(config.M):
             rng = np.random.default_rng(run_seeds[run + 1])
-            g0, h, u, y0, sigma, truth = fixed or _true_experiment(config, rng)
+            g0, h, u, y0, sigma = fixed or _experiment(config, rng)
+            truth = fixed_truth or _truth(g0)
             data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
             records.extend(_run_once(run, data, g0, y0, truth, config))
 

@@ -432,7 +432,10 @@ def _gram_lstsq(buf: np.ndarray):
     bound = (1.0 / np.vdot(inv, inv) - delta) / (p + delta)
     if not bound > _GRAM_TAUS[-1] ** 2:
         return None
-    if not max(diag) < min(diag) * bound * (_RANK_MARGIN / (eps * max(m, p))) ** 2:
+    # the diagonal's extremes over 2**e, e the peak's binary exponent, so the
+    # product cannot overflow; a power of two changes no rounding of normal doubles
+    lo, hi = (math.ldexp(v, -math.frexp(max(diag))[1]) for v in (min(diag), max(diag)))
+    if not hi < lo * bound * (_RANK_MARGIN / (eps * max(m, p))) ** 2:
         return None
     phi, t = buf[:, :p], buf[:, p]
     x = dpotrs(c, G[:p, p])[0]

@@ -180,7 +180,11 @@ class TestSimulate:
         ({"noise": {"sigma": 0.1, "snr": 10.0}}, "NoiseSetting has no setting 'snr'"),
         ({"input": {"type": "white", "varaince": 2.0}},
          "WhiteNoiseInput has no setting 'varaince'"),
-    ], ids=["top_level", "noise", "input"])
+        # a study's own settings, which simulate fixes at one run of r = 1
+        ({"M": 1}, "a simulate config has no setting 'M'"),
+        ({"r": 1}, "a simulate config has no setting 'r'"),
+        ({"estimators": ["pem"]}, "a simulate config has no setting 'estimators'"),
+    ], ids=["top_level", "noise", "input", "study_M", "study_r", "study_estimators"])
     def test_misspelt_key_rejected(self, change, message, sim_config, tmp_path, capsys):
         # a misspelt key was ignored, and its setting took its default
         cfg = json.loads(sim_config.read_text())
@@ -217,14 +221,16 @@ class TestSimulate:
 
     def test_overflowing_record_rejected(self, tmp_path, capsys):
         # unchecked, this unstable plant wrote a dataset with 5,865 rows of
-        # inf or nan; with "snr_db" in place of "sigma" it was refused
+        # inf or nan; then it was refused only once its output overflowed
+        # ("u and y must be finite"), and a shorter record of it was written.
+        # Checked as a study, it is refused before it is simulated
         cfg = {"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}, "input": {"type": "white"},
                "h": 0.1, "N": 20000, "noise": {"sigma": 0.1}, "seed": 7}
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: u and y must be finite\n"
+        assert capsys.readouterr().err == "configuration error: the true system must be stable\n"
         assert not out.exists()
 
     def test_input_length_must_match(self, sim_config, tmp_path, capsys):
@@ -232,7 +238,46 @@ class TestSimulate:
         sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))
         rc = main(["simulate", "--config", str(sim_config), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "input length 31 does not match N=400" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "configuration error: N=400 does not equal the binary-sequence period 31\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"system": {"num": [0.5], "den": [1.0, -0.5], "h": 0.1}},
+         "the true system must be continuous time"),
+        ({"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}}, "the true system must be stable"),
+        ({"input": {"type": "prbs", "n_stages": 5, "p": 1}},
+         "N=400 does not equal the binary-sequence period 31"),
+        ({"N": 0}, "N must be at least 1, got 0"),
+        ({"N": 5}, "N=5 is below 3 x order = 6, the initialiser's minimum"),
+    ], ids=["discrete", "unstable", "prbs_length", "no_samples", "short_record"])
+    def test_refused_as_a_study_refuses(self, change, message, sim_config, tmp_path, capsys):
+        # a simulate config is checked as a one-run study.  Checked by hand,
+        # simulate worded the discrete system its own way and the binary
+        # sequence by its length, wrote this unstable plant's and the short
+        # record, and warned three times before refusing "N": 0
+        cfg = dict(json.loads(sim_config.read_text()), **change)
+        sim_config.write_text(json.dumps(cfg))
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(dict(cfg, M=1, r=1)))
+        refusals = []
+        for argv in (["simulate", "--config", str(sim_config), "--out", str(tmp_path / "o")],
+                     ["montecarlo", "--config", str(study), "--out", str(tmp_path / "s")]):
+            assert main(argv) == 1
+            refusals.append(capsys.readouterr().err)
+        assert refusals == ["configuration error: %s\n" % message] * 2
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+    def test_empty_record_refused_without_warning(self, sim_config, tmp_path, capsys):
+        # "N": 0 reached the noise level, whose variance of the empty record
+        # printed three RuntimeWarnings before the dataset refused it
+        sim_config.write_text(json.dumps(dict(json.loads(sim_config.read_text()), N=0)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == "configuration error: N must be at least 1, got 0\n"
+        assert not out.exists()
 
     def test_discrete_system_rejected(self, tmp_path):
         cfg = {

@@ -61,10 +61,14 @@ class TestConfigValidation:
             quick_config(estimators=())
 
     def test_positive_sizes(self):
-        with pytest.raises(ValueError):
+        # each size is refused in its own words, so a simulate config, whose
+        # M is always 1, is told that its N is at fault
+        with pytest.raises(ValueError, match="^M must be at least 1, got 0$"):
             quick_config(M=0)
-        with pytest.raises(ValueError):
-            quick_config(N=0)
+        with pytest.raises(ValueError, match="^N must be at least 1, got -3$"):
+            quick_config(N=-3)
+        with pytest.raises(ValueError, match="^M must be at least 1, got 0$"):
+            quick_config(M=0, N=0)
 
     def test_fixed_system_needs_period(self):
         with pytest.raises(ValueError):
@@ -220,8 +224,7 @@ class TestConfigValidation:
         # +inf dB is a noise-free record: the deviation resolves to zero
         noise = NoiseSetting(snr_db=np.inf)
         assert noise.snr_db == np.inf
-        *_, sigma = montecarlo._experiment(G2, 0.1, WhiteNoiseInput(), 300, noise,
-                                           np.random.default_rng(0))
+        *_, sigma = montecarlo._experiment(quick_config(noise=noise), np.random.default_rng(0))
         assert sigma == 0.0
 
     @pytest.mark.parametrize("bound", [0.5, 0.0, np.nan], ids=["positive", "zero", "nan"])
@@ -388,8 +391,8 @@ class TestRunMonteCarlo:
                                noise=NoiseSetting(snr_db=20.0), M=1, r=1, seed=0)
         rng = np.random.default_rng(order)
         for _ in range(10):
-            g0, *_, truth = montecarlo._true_experiment(cfg, rng)
-            assert_same_bits(truth[1], lti.l2_norm_sq(g0))
+            g0, *_ = montecarlo._experiment(cfg, rng)
+            assert_same_bits(montecarlo._truth(g0)[1], lti.l2_norm_sq(g0))
 
     def test_pem_scored_on_the_fit_prediction(self, monkeypatch):
         # the PEM estimate is scored on the prediction its fit already holds,

@@ -654,6 +654,17 @@ class TestLeastSquaresPaths:
         assert paths == ["householder"]
         assert theta is None and rank == 3
 
+    def test_certificate_of_huge_regression(self):
+        # rank_cases()'s base scaled by 2**480, whose Gram diagonal is near
+        # 2**969: the rank test's product of that diagonal, the certificate's
+        # bound and 1.3e20 once overflowed with a RuntimeWarning (an error
+        # under this suite's filterwarnings).  A power of two changes no rounding, so the
+        # certified solution is the unscaled one to the bit
+        buf = np.asfortranarray(np.random.default_rng(7).standard_normal((400, 5)))
+        want = pem._gram_lstsq(buf.copy(order="F"))
+        assert want is not None
+        assert_same_bits(pem._gram_lstsq(np.ldexp(buf, 480)), want)
+
     @pytest.mark.parametrize("row, col", [(0, 0), (5, 8)], ids=["regressor", "target"])
     def test_non_finite_buffer(self, rao_garnier, row, col):
         # an inf in Phi leaves the Gram path at once; one in t alone is
