@@ -19,17 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CtIdentError
-from .lti import DtModel, SampledDataset, freq_response, model_from_dict, model_to_dict
-from .montecarlo import (
-    ExperimentConfig,
-    _check_keys,
-    _experiment,
-    config_from_dict,
-    input_from_dict,
-    noise_from_dict,
-    run_monte_carlo,
-    save_report,
-)
+from .lti import DtModel, SampledDataset, _check_keys, freq_response, model_from_dict, model_to_dict
+from .montecarlo import _experiment, config_from_dict, run_monte_carlo, save_report
 from .pem import fit_report_dict, init_arx_iv, oe_fit
 from .rdproj import pemrd_report_dict, project_estimate
 from .sampling import d2c_zoh, load_dataset, save_dataset
@@ -57,10 +48,9 @@ def _cmd_simulate(args) -> int:
     cfg = _load_json(args.config)
     keys = ("system", "input", "h", "N", "noise", "seed")
     _check_keys(cfg, keys, "a simulate config", required=keys[:-1])
-    # checked as a one-run study, so simulate refuses what a study refuses
-    config = ExperimentConfig(model_from_dict(cfg["system"]), input_from_dict(cfg["input"]),
-                              cfg["h"], cfg["N"], noise_from_dict(cfg["noise"]), M=1, r=1,
-                              seed=args.seed if args.seed is not None else cfg.get("seed", 0))
+    # read as a one-run study, so simulate refuses what a study refuses
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    config = config_from_dict(dict(cfg, M=1, r=1, seed=seed))
     system, h, u, y0, sigma = _experiment(
         config, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
     y = y0 + sigma * np.random.default_rng(config.seed).standard_normal(config.N)
@@ -83,6 +73,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_project(args) -> int:
     rep = _load_json(args.report)
+    _check_keys(rep, None, "a fit report", required=("theta_d", "h", "information", "sigma2_hat"))
     h = float(rep["h"])
     full_ct = d2c_zoh(DtModel.from_theta(rep["theta_d"], h))
     result = project_estimate(full_ct.theta, rep["information"], rep["sigma2_hat"], h, args.r)
@@ -175,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
     except CtIdentError as exc:

@@ -93,6 +93,24 @@ def _store(spec, **values):
         object.__setattr__(spec, name, value)
 
 
+def _check_keys(d: dict, names, what: str, required=()):
+    """``ValueError`` naming the first key of ``d`` that is not in ``names``.
+
+    Then, if every key is known, one naming the first of ``required`` that
+    ``d`` lacks.  ``names`` None leaves every key free.  Every JSON document
+    that the command line reads goes through here, at each level: a study or
+    ``simulate`` config and its settings objects, a model block, a fit
+    report and a dataset sidecar.  So every key read from one is a checked
+    key, and a bad one is refused by name.
+    """
+    for key in d:
+        if names is not None and key not in names:
+            raise ValueError("%s has no setting %r" % (what, key))
+    for key in required:
+        if key not in d:
+            raise ValueError("%s needs the setting %r" % (what, key))
+
+
 def _period(h) -> float:
     """``h`` as a float; ``ValueError`` unless it is positive and finite."""
     h = float(h)
@@ -538,7 +556,14 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(d: dict):
-    """Inverse of :func:`model_to_dict`."""
-    if "h" in d and d["h"] is not None:
+    """Inverse of :func:`model_to_dict`.
+
+    ``"num"`` and ``"den"`` are required and ``"h"`` and ``"r"`` optional; any
+    other key is a ``ValueError`` that names it (:func:`_check_keys`), so a
+    misspelt ``"H"`` is not read as a continuous-time model.  A non-null
+    ``"h"`` makes a ``DtModel``, else a ``CtModel`` of relative degree ``"r"``.
+    """
+    _check_keys(d, ("num", "den", "h", "r"), "a model", required=("num", "den"))
+    if d.get("h") is not None:
         return DtModel(d["num"], d["den"], h=d["h"])
     return CtModel(d["num"], d["den"], r=d.get("r"))

@@ -21,6 +21,7 @@ from .errors import CtIdentError, NonPrincipalLog
 from .lti import (
     CtModel,
     SampledDataset,
+    _check_keys,
     _period,
     _reldeg,
     _roots,
@@ -85,11 +86,11 @@ class ExperimentConfig:
     classes and a repeated estimator are configuration errors.  ``h`` may be
     None only for a random system driven by a binary sequence or white noise:
     each run then samples its system at that system's default period.
-    ``M`` and ``N`` must be at least 1, ``N`` at least three times the order
-    and, for a binary sequence, its period; a fixed system must be
-    continuous time and stable.  ``ctident simulate`` builds its experiment
-    as a one-run study (``M = 1``, ``r = 1``), so it refuses what a study
-    refuses, in the same words.
+    ``M`` and ``N`` must be at least 1 and ``seed`` at least 0, ``N`` at
+    least three times the order and, for a binary sequence, its period; a
+    fixed system must be continuous time and stable.  ``ctident simulate``
+    reads its config as a one-run study (``M = 1``, ``r = 1``), so it
+    refuses what a study refuses, in the same words.
     """
 
     system: CtModel | RandomSystemSpec
@@ -120,9 +121,9 @@ class ExperimentConfig:
                              % type(self.noise).__name__)
         if self.h is not None:
             _store(self, h=_period(self.h))
-        for name, size in (("M", self.M), ("N", self.N)):
-            if size < 1:
-                raise ValueError("%s must be at least 1, got %d" % (name, size))
+        for name, least in (("M", 1), ("N", 1), ("seed", 0)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError("%s must be at least %d, got %d" % (name, least, value))
         if isinstance(self.input, PrbsInput):
             period = self.input.p * ((1 << self.input.n_stages) - 1)
             if self.N != period:
@@ -309,20 +310,6 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
 _INPUT_KINDS = {"prbs": PrbsInput, "multisine": MultisineInput, "white": WhiteNoiseInput}
 
 
-def _check_keys(d: dict, names, what: str, required=()):
-    """``ValueError`` naming the first key of ``d`` that is not in ``names``.
-
-    Then, if every key is known, one naming the first of ``required`` that
-    ``d`` lacks.
-    """
-    for key in d:
-        if key not in names:
-            raise ValueError("%s has no setting %r" % (what, key))
-    for key in required:
-        if key not in d:
-            raise ValueError("%s needs the setting %r" % (what, key))
-
-
 def _settings_to_dict(spec) -> dict:
     """``spec``'s fields in order; a None left at its default of None is left out."""
     return {f.name: list(v) if isinstance(v, tuple) else v for f in fields(spec)
@@ -363,6 +350,7 @@ def noise_from_dict(noise_d: dict) -> NoiseSetting:
 
 def _system_from_dict(sysd: dict):
     if "random" in sysd:
+        _check_keys(sysd, ("random",), "a random system")
         return _settings_from_dict(sysd["random"], RandomSystemSpec)
     return model_from_dict(sysd)
 

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
-from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _period, _poly,
-                  _roots, _split, _store, _theta, companion, simulate_dt)
+from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _check_keys, _companion, _period,
+                  _poly, _roots, _split, _store, _theta, companion, simulate_dt)
 
 __all__ = [
     "NoiseSetting",
@@ -328,12 +328,14 @@ def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):
 def load_dataset(path):
     """Inverse of :func:`save_dataset`; returns ``(dataset, metadata)``.
 
-    Raises ``ValueError`` if the CSV does not hold the sidecar's ``N`` rows.
+    Raises ``ValueError`` if the sidecar lacks ``h`` or ``N``, naming it (its
+    other keys are free), or if the CSV does not hold the sidecar's ``N`` rows.
     """
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
     with open(path.with_suffix(".json")) as f:
         meta = json.load(f)
+    _check_keys(meta, None, "a dataset sidecar", required=("h", "N"))
     if len(data) != meta["N"]:
         raise ValueError("%s holds %d rows, its sidecar says N=%d" % (path, len(data), meta["N"]))
     ds = SampledDataset(u=data[:, 0], y=data[:, 1], h=float(meta["h"]))

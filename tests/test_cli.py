@@ -18,12 +18,15 @@ from ctident import (
     c2d_zoh,
     gen_multisine,
     gen_prbs,
+    is_stable,
     load_dataset,
+    model_from_dict,
     model_to_dict,
     save_dataset,
     simulate_dt,
 )
 from ctident.cli import build_parser, main
+from ctident.montecarlo import _experiment, config_from_dict
 from conftest import envelope_record
 
 G2 = CtModel([3.0], [1.0, 2.8, 4.0], r=2)
@@ -249,12 +252,15 @@ class TestSimulate:
          "N=400 does not equal the binary-sequence period 31"),
         ({"N": 0}, "N must be at least 1, got 0"),
         ({"N": 5}, "N=5 is below 3 x order = 6, the initialiser's minimum"),
-    ], ids=["discrete", "unstable", "prbs_length", "no_samples", "short_record"])
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+    ], ids=["discrete", "unstable", "prbs_length", "no_samples", "short_record",
+            "negative_seed"])
     def test_refused_as_a_study_refuses(self, change, message, sim_config, tmp_path, capsys):
         # a simulate config is checked as a one-run study.  Checked by hand,
         # simulate worded the discrete system its own way and the binary
         # sequence by its length, wrote this unstable plant's and the short
-        # record, and warned three times before refusing "N": 0
+        # record, and warned three times before refusing "N": 0; a negative
+        # seed reached numpy's "expected non-negative integer"
         cfg = dict(json.loads(sim_config.read_text()), **change)
         sim_config.write_text(json.dumps(cfg))
         study = tmp_path / "study.json"
@@ -266,6 +272,39 @@ class TestSimulate:
             refusals.append(capsys.readouterr().err)
         assert refusals == ["configuration error: %s\n" % message] * 2
         assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_negative_seed_override_refused(self, command, sim_config, tmp_path, capsys):
+        # --seed replaces the config's seed, and is checked as the config's is
+        cfg = json.loads(sim_config.read_text())
+        if command == "montecarlo":
+            sim_config.write_text(json.dumps(dict(cfg, M=1, r=1)))
+        out = tmp_path / "o"
+        assert main([command, "--config", str(sim_config), "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "configuration error: seed must be at least 0, got -1\n"
+        assert not out.exists()
+
+    def test_random_system_drawn_as_a_study_draws_it(self, sim_config, tmp_path):
+        # a study's random-system block was refused as "configuration error:
+        # 'num'"; read as a one-run study's, the system is drawn by the
+        # study's experiment helper from SeedSequence([seed, 0]), and sampled
+        # at its default period when "h" is null
+        cfg = dict(json.loads(sim_config.read_text()), h=None,
+                   system={"random": {"order": 2, "reldeg": 2}})
+        sim_config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 0
+        data, meta = load_dataset(out / "dataset.csv")
+        system = model_from_dict(meta["system"])
+        assert isinstance(system, CtModel) and system.n == 2 and is_stable(system)
+        assert meta["system"]["r"] == 2
+        g0, h, u, y0, sigma = _experiment(config_from_dict(dict(cfg, M=1, r=1)),
+                                          np.random.default_rng(np.random.SeedSequence([31, 0])))
+        y = y0 + sigma * np.random.default_rng(31).standard_normal(400)
+        assert meta["system"] == model_to_dict(g0)
+        assert (data.h, meta["sigma"]) == (h, sigma)
+        assert data.u.tobytes() == u.tobytes() and data.y.tobytes() == y.tobytes()
 
     def test_empty_record_refused_without_warning(self, sim_config, tmp_path, capsys):
         # "N": 0 reached the noise level, whose variance of the empty record
@@ -361,7 +400,8 @@ class TestFitProjectChain:
     @pytest.mark.parametrize("key", ["information", "sigma2_hat"])
     def test_project_needs_information_and_variance(self, key, sim_config, tmp_path, capsys):
         # project reads the information matrix and the residual variance, and
-        # no longer the covariance; a report without either is refused by name
+        # no longer the covariance; a report without either is refused by
+        # name (it was a bare KeyError: "configuration error: 'information'")
         _, fit_path = self._fit_report(sim_config, tmp_path)
         rep = json.loads(fit_path.read_text())
         del rep[key]
@@ -369,7 +409,8 @@ class TestFitProjectChain:
         out = tmp_path / "proj.json"
         capsys.readouterr()
         assert main(["project", "--report", str(fit_path), "--r", "2", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: '%s'\n" % key
+        assert capsys.readouterr().err == (
+            "configuration error: a fit report needs the setting %r\n" % key)
         assert not out.exists()
 
     def test_exact_fit_chain(self, sim_config, tmp_path):
@@ -674,6 +715,68 @@ class TestBode:
         assert capsys.readouterr().err.startswith(
             "configuration error: --wmin and --wmax must be positive and finite")
         assert not out.exists()
+
+
+FIT_REPORT = {"theta_d": [0.3, -0.1, -1.0, 0.4], "h": 0.1,
+              "information": np.eye(4).tolist(), "sigma2_hat": 1.0}
+# a config's "system": a key missing, a key unknown, a key beside "random"
+SYSTEMS = [
+    ({"num": [3.0]}, "a model needs the setting 'den'", "missing"),
+    ({"num": [3.0], "den": [1.0, 2.8, 4.0], "H": 0.1}, "a model has no setting 'H'", "unknown"),
+    ({"random": {"order": 2, "reldeg": 1}, "num": [3.0]},
+     "a random system has no setting 'num'", "random_unknown"),
+]
+
+
+class TestDocumentKeys:
+    """Each JSON document a command reads refuses a missing key by name, and
+    each model block an unknown one.
+
+    Before these checks a missing key was a bare KeyError ("configuration
+    error: 'den'"), and an unknown key was ignored: bode read ``{"num": [1],
+    "den": [1, 0.5], "H": 0.1}`` as a continuous-time model and exited 0, as
+    simulate and a study did with such a system.
+    """
+
+    @staticmethod
+    def _argv(reader, doc, tmp_path):
+        """The command that reads ``doc`` as ``reader``, writing into ``tmp_path / "o"``."""
+        path, out = tmp_path / "doc.json", str(tmp_path / "o")
+        if reader == "fit":  # doc is the sidecar of a 300-sample dataset
+            data = tmp_path / "doc.csv"
+            rng = np.random.default_rng(0)
+            save_dataset(SampledDataset(rng.standard_normal(300), rng.standard_normal(300), 0.1),
+                         data)
+            path.write_text(json.dumps(doc))
+            return ["fit", "--data", str(data), "--order", "1", "--out", out]
+        if reader in ("simulate", "montecarlo"):  # doc is the config's system
+            study = {"M": 1, "r": 1} if reader == "montecarlo" else {}
+            doc = {"system": doc, "input": {"type": "white"}, "noise": {"sigma": 0.1},
+                   "h": 0.1, "N": 300, "seed": 1, **study}
+        path.write_text(json.dumps(doc))
+        option = {"simulate": ["--config"], "montecarlo": ["--config"], "bode": ["--model"],
+                  "project": ["--r", "1", "--report"]}[reader]
+        return [reader, *option, str(path), "--out", out]
+
+    @pytest.mark.parametrize("reader, doc, message", [
+        *(pytest.param(reader, doc, message, id="%s_%s" % (reader, name))
+          for reader in ("simulate", "montecarlo") for doc, message, name in SYSTEMS),
+        pytest.param("bode", {"den": [1.0, 0.5]}, "a model needs the setting 'num'",
+                     id="bode_missing"),
+        pytest.param("bode", {"num": [1], "den": [1, 0.5], "H": 0.1},
+                     "a model has no setting 'H'", id="bode_misspelt_period"),
+        *(pytest.param("project", {k: v for k, v in FIT_REPORT.items() if k != key},
+                       "a fit report needs the setting %r" % key, id="report_missing_" + key)
+          for key in ("theta_d", "h")),
+        pytest.param("fit", {"N": 300}, "a dataset sidecar needs the setting 'h'",
+                     id="sidecar_missing_h"),
+        pytest.param("fit", {"h": 0.1, "sigma": None}, "a dataset sidecar needs the setting 'N'",
+                     id="sidecar_missing_N"),
+    ])
+    def test_key_refused_by_name(self, reader, doc, message, tmp_path, capsys):
+        assert main(self._argv(reader, doc, tmp_path)) == 1
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert not (tmp_path / "o").exists()
 
 
 STARTUP_SCRIPT = """
