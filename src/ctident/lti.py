@@ -94,15 +94,19 @@ def _store(spec, **values):
 
 
 def _check_keys(d: dict, names, what: str, required=()):
-    """``ValueError`` naming the first key of ``d`` that is not in ``names``.
+    """``ValueError`` naming ``what`` unless ``d`` is a JSON object (a ``dict``).
 
-    Then, if every key is known, one naming the first of ``required`` that
-    ``d`` lacks.  ``names`` None leaves every key free.  Every JSON document
-    that the command line reads goes through here, at each level: a study or
-    ``simulate`` config and its settings objects, a model block, a fit
-    report and a dataset sidecar.  So every key read from one is a checked
-    key, and a bad one is refused by name.
+    Then one naming the first key of ``d`` that is not in ``names`` and, if
+    every key is known, one naming the first of ``required`` that ``d``
+    lacks.  ``names`` None leaves every key free.  Every JSON document that
+    the command line reads goes through here, at each level and before
+    anything is read from it: a study or ``simulate`` config and its
+    settings objects, a model block, a fit report and a dataset sidecar.
+    So a ``null`` or a list in place of one, and every bad key, is refused
+    by name.
     """
+    if not isinstance(d, dict):
+        raise ValueError("%s must be a JSON object" % what)
     for key in d:
         if names is not None and key not in names:
             raise ValueError("%s has no setting %r" % (what, key))
@@ -558,12 +562,16 @@ def model_to_dict(model) -> dict:
 def model_from_dict(d: dict):
     """Inverse of :func:`model_to_dict`.
 
-    ``"num"`` and ``"den"`` are required and ``"h"`` and ``"r"`` optional; any
-    other key is a ``ValueError`` that names it (:func:`_check_keys`), so a
-    misspelt ``"H"`` is not read as a continuous-time model.  A non-null
-    ``"h"`` makes a ``DtModel``, else a ``CtModel`` of relative degree ``"r"``.
+    A non-null ``"h"`` makes a ``DtModel``, else a ``CtModel`` of relative
+    degree ``"r"``.  ``"num"`` and ``"den"`` are required, and ``"h"`` and,
+    for a continuous-time model only, ``"r"`` optional; any other key is a
+    ``ValueError`` that names it (:func:`_check_keys`).  So a misspelt
+    ``"H"`` is not read as a continuous-time model, nor is an ``"r"`` beside
+    a period dropped unread.
     """
-    _check_keys(d, ("num", "den", "h", "r"), "a model", required=("num", "den"))
-    if d.get("h") is not None:
+    discrete = isinstance(d, dict) and d.get("h") is not None
+    _check_keys(d, ("num", "den", "h") + ("r",) * (not discrete), "a model",
+                required=("num", "den"))
+    if discrete:
         return DtModel(d["num"], d["den"], h=d["h"])
     return CtModel(d["num"], d["den"], r=d.get("r"))

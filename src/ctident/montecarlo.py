@@ -338,6 +338,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def input_from_dict(ind: dict):
+    _check_keys(ind, None, "an input")
     kind = ind.get("type")
     if kind not in _INPUT_KINDS:
         raise ValueError("unknown input type %r" % (kind,))
@@ -349,6 +350,7 @@ def noise_from_dict(noise_d: dict) -> NoiseSetting:
 
 
 def _system_from_dict(sysd: dict):
+    _check_keys(sysd, None, "a system")
     if "random" in sysd:
         _check_keys(sysd, ("random",), "a random system")
         return _settings_from_dict(sysd["random"], RandomSystemSpec)
@@ -356,6 +358,7 @@ def _system_from_dict(sysd: dict):
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    _check_keys(d, None, ExperimentConfig.__name__)
     # a study may leave out "h": each random system then takes its default period
     return _settings_from_dict({"h": None, **d}, ExperimentConfig, system=_system_from_dict,
                                input=input_from_dict, noise=noise_from_dict)

@@ -22,9 +22,11 @@ reference for the discrete stability test, :func:`max_root_modulus`, and
 an exact one in rational arithmetic, :func:`fraction_schur_stable`; the
 relative-degree projection solved in 50-digit arithmetic,
 :func:`high_precision_projection`; the row-by-row ``csv.writer``
-version of the dataset CSV, :func:`csv_writer_dataset`; and the
+version of the dataset CSV, :func:`csv_writer_dataset`; the
 Gauss-Newton Gram matrix as numpy's ``psi.T @ psi`` builds it,
-:func:`syrk_gram`.
+:func:`syrk_gram`; and an output-error refit with a stopping rule of its
+own, :func:`tight_refit`, which finds the minimizer that a fit stopped
+short of.
 """
 
 import csv
@@ -34,7 +36,8 @@ import numpy as np
 from scipy.integrate import quad_vec
 from scipy.signal import lfilter
 
-from ctident import CtModel, DtModel, c2d_zoh, freq_response, simulate_dt
+from ctident import (CtModel, DtModel, c2d_zoh, freq_response, is_stable, prediction_jacobian,
+                     simulate_dt)
 from ctident.errors import RankDeficientRegression
 from ctident.pem import _reflect_stable
 
@@ -350,3 +353,41 @@ def syrk_gram(alpha, a, b, trans_a=0):
     """
     assert a is b and trans_a
     return alpha * (a.T @ a)
+
+
+def tight_refit(model, u, y, tau=1e-12, max_iter=500):
+    """The output-error minimizer near ``model``, by Gauss-Newton with Marquardt damping.
+
+    Starts from the discrete-time ``model`` fitted to the record ``(u, y)``
+    and stops where the Gauss-Newton decrement ``g^T H^-1 g`` falls below
+    ``tau`` times the residual variance ``cost / (N - 2 n)``: there a full
+    step would move the estimate by ``sqrt(tau)`` standard errors.  The
+    damping ``mu diag(H)`` starts at ``mu = 1e-9``, near a full step: close
+    to a minimum a heavily damped step lowers the cost by less than the
+    cost's own rounding.  It grows tenfold on a rejected step and shrinks
+    tenfold on an accepted one.  Built only from the package's public
+    ``prediction_jacobian``, ``simulate_dt``, ``DtModel.from_theta`` and
+    ``is_stable``, so it shares no stopping rule with ``oe_fit``.  Returns
+    the refitted ``DtModel``; ``AssertionError`` if no step lowers the cost
+    or ``max_iter`` iterations do not reach the decrement.
+    """
+    n, N = model.n, len(u)
+    theta, resid = model.theta, y - simulate_dt(model, u)
+    cost, mu = resid @ resid, 1e-9
+    for _ in range(max_iter):
+        psi = prediction_jacobian(model, u)
+        H, g = psi.T @ psi, psi.T @ resid
+        if g @ np.linalg.solve(H, g) < tau * cost / (N - 2 * n):
+            return model
+        while True:
+            assert mu < 1e20, "no damped step lowers the cost"
+            cand = DtModel.from_theta(theta + np.linalg.solve(H + mu * np.diag(np.diag(H)), g),
+                                      model.h)
+            if is_stable(cand):
+                cand_resid = y - simulate_dt(cand, u)
+                if cand_resid @ cand_resid < cost:
+                    break
+            mu *= 10.0
+        model, theta, resid = cand, cand.theta, cand_resid
+        cost, mu = resid @ resid, mu / 10.0
+    raise AssertionError("no decrement below %g after %d iterations" % (tau, max_iter))

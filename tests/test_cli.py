@@ -618,11 +618,16 @@ class TestMonteCarloCommand:
         ({"r": 2.5}, "r must be a whole number, got 2.5"),
         ({"M": 2.7}, "M must be a whole number, got 2.7"),
         ({"estimator": ["pemrd"]}, "ExperimentConfig has no setting 'estimator'"),
+        ({"system": {"random": {"order": 1, "reldeg": 1}}, "h": None,
+          "input": {"type": "multisine", "freqs": [5.0, 20.0]}},
+         "a random-system multisine study needs a sampling period"),
     ], ids=["unstable", "discrete", "unknown_input", "fractional_r", "fractional_M",
-            "misspelt_key"])
+            "misspelt_key", "random_multisine_without_period"])
     def test_bad_study_rejected(self, change, message, tmp_path, capsys):
         # unchecked, the unstable plant ran all its fits, recorded every one
-        # an optimizer_error and exited 2; a fractional r or M was truncated
+        # an optimizer_error and exited 2; a fractional r or M was truncated;
+        # the random-system multisine study ran 26 runs, then aborted on an
+        # aliased tone
         cfg = dict({"system": model_to_dict(G2), "input": {"type": "white"},
                     "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "M": 4, "r": 1, "seed": 1},
                    **change)
@@ -728,14 +733,27 @@ SYSTEMS = [
 ]
 
 
+def read_config(reader, **blocks):
+    """A ``simulate`` config, or for ``montecarlo`` a one-run study, with ``blocks`` replaced."""
+    study = {"M": 1, "r": 1} if reader == "montecarlo" else {}
+    return {"system": {"num": [3.0], "den": [1.0, 2.8, 4.0]}, "input": {"type": "white"},
+            "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "seed": 1, **study, **blocks}
+
+
 class TestDocumentKeys:
-    """Each JSON document a command reads refuses a missing key by name, and
-    each model block an unknown one.
+    """Each JSON document a command reads, and each block in it, is refused
+    by name when it is not a JSON object; each refuses a missing key by name,
+    and each model block an unknown one.  A fit report's ``theta_d`` must be
+    a parameter vector.
 
     Before these checks a missing key was a bare KeyError ("configuration
     error: 'den'"), and an unknown key was ignored: bode read ``{"num": [1],
     "den": [1, 0.5], "H": 0.1}`` as a continuous-time model and exited 0, as
-    simulate and a study did with such a system.
+    simulate and a study did with such a system, and it read a discrete-time
+    model beside an ``"r"`` that no model of its order can have.  A null
+    ``"input"`` ended in an AttributeError traceback, a null ``"noise"`` or
+    ``"system"`` in "'NoneType' object is not iterable", and a study file
+    holding a list in "'list' object is not a mapping".
     """
 
     @staticmethod
@@ -749,25 +767,28 @@ class TestDocumentKeys:
                          data)
             path.write_text(json.dumps(doc))
             return ["fit", "--data", str(data), "--order", "1", "--out", out]
-        if reader in ("simulate", "montecarlo"):  # doc is the config's system
-            study = {"M": 1, "r": 1} if reader == "montecarlo" else {}
-            doc = {"system": doc, "input": {"type": "white"}, "noise": {"sigma": 0.1},
-                   "h": 0.1, "N": 300, "seed": 1, **study}
-        path.write_text(json.dumps(doc))
         option = {"simulate": ["--config"], "montecarlo": ["--config"], "bode": ["--model"],
                   "project": ["--r", "1", "--report"]}[reader]
+        path.write_text(json.dumps(doc))
         return [reader, *option, str(path), "--out", out]
 
     @pytest.mark.parametrize("reader, doc, message", [
-        *(pytest.param(reader, doc, message, id="%s_%s" % (reader, name))
+        *(pytest.param(reader, read_config(reader, system=doc), message,
+                       id="%s_%s" % (reader, name))
           for reader in ("simulate", "montecarlo") for doc, message, name in SYSTEMS),
         pytest.param("bode", {"den": [1.0, 0.5]}, "a model needs the setting 'num'",
                      id="bode_missing"),
         pytest.param("bode", {"num": [1], "den": [1, 0.5], "H": 0.1},
                      "a model has no setting 'H'", id="bode_misspelt_period"),
+        # a relative degree belongs to a continuous-time model only
+        pytest.param("bode", {"num": [1], "den": [1, -0.5], "h": 0.1, "r": 5},
+                     "a model has no setting 'r'", id="bode_discrete_r"),
         *(pytest.param("project", {k: v for k, v in FIT_REPORT.items() if k != key},
                        "a fit report needs the setting %r" % key, id="report_missing_" + key)
           for key in ("theta_d", "h")),
+        *(pytest.param("project", dict(FIT_REPORT, theta_d=theta),
+                       "parameter vector must be 1-d of even length", id="report_theta_d_" + name)
+          for theta, name in (([], "empty"), ([1.0, 0.5, 0.2], "odd"))),
         pytest.param("fit", {"N": 300}, "a dataset sidecar needs the setting 'h'",
                      id="sidecar_missing_h"),
         pytest.param("fit", {"h": 0.1, "sigma": None}, "a dataset sidecar needs the setting 'N'",
@@ -776,6 +797,28 @@ class TestDocumentKeys:
     def test_key_refused_by_name(self, reader, doc, message, tmp_path, capsys):
         assert main(self._argv(reader, doc, tmp_path)) == 1
         assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", [None, [1, 2]], ids=["null", "list"])
+    @pytest.mark.parametrize("reader, block, what", [
+        pytest.param("simulate", None, "a simulate config", id="simulate"),
+        pytest.param("montecarlo", None, "ExperimentConfig", id="montecarlo"),
+        *(pytest.param(reader, block, what, id="%s_%s" % (reader, block))
+          for reader in ("simulate", "montecarlo")
+          for block, what in (("system", "a system"), ("random", "RandomSystemSpec"),
+                              ("input", "an input"), ("noise", "NoiseSetting"))),
+        pytest.param("project", None, "a fit report", id="report"),
+        pytest.param("fit", None, "a dataset sidecar", id="sidecar"),
+        pytest.param("bode", None, "a model", id="bode"),
+    ])
+    def test_non_object_refused_by_name(self, reader, block, what, value, tmp_path, capsys):
+        doc = value
+        if block == "random":
+            doc = read_config(reader, system={"random": value})
+        elif block is not None:
+            doc = read_config(reader, **{block: value})
+        assert main(self._argv(reader, doc, tmp_path)) == 1
+        assert capsys.readouterr().err == "configuration error: %s must be a JSON object\n" % what
         assert not (tmp_path / "o").exists()
 
 

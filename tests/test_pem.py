@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from ctident import (
     NoiseSpec,
     SampledDataset,
     c2d_zoh,
+    d2c_zoh,
     gen_prbs,
     gen_random_system,
     init_arx_iv,
@@ -30,10 +34,10 @@ from ctident.errors import (
 from ctident import lti, pem
 from ctident.lti import _schur_stable
 from ctident.pem import fit_report_dict
-from ctident.montecarlo import _default_period
+from ctident.montecarlo import _default_period, _experiment, config_from_dict, run_monte_carlo
 from conftest import assert_same_bits, random_stable_ct
 from oracles import (filter_bank_sensitivities, high_precision_lstsq, long_double_filter,
-                     lstsq_init_arx_iv, syrk_gram)
+                     lstsq_init_arx_iv, syrk_gram, tight_refit)
 
 TRUE_DT = DtModel([0.4, -0.25], [1.0, -1.2, 0.52], h=0.1)
 
@@ -880,3 +884,65 @@ class TestReport:
         assert d["h"] == 0.1
         assert d["converged"] is True
         assert_allclose(d["theta_d"], res.model.theta)
+
+
+def load_check():
+    """``bench/check.py``, whose frequency-response distance scales the benchmark's check."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("bench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's rg_multisine check block: bench/work.py's study at the
+# acceptance seed, of which runs 0 to 33 are rebuilt here
+RG_MULTISINE = {
+    "system": {"num": [-6400.0, 1600.0], "den": [1.0, 5.0, 408.0, 416.0, 1600.0]},
+    "input": {"type": "multisine", "amplitude": 0.15,
+              "freqs": [0.5, 1.0, 5.0, 8.0, 10.0, 12.0, 15.0, 20.0, 25.0, 30.0]},
+    "h": 0.01, "N": 2000, "noise": {"sigma": 0.1}, "M": 34, "r": 3, "seed": 20260816}
+LOOSE_STOP = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 18: the relative-cost test stops this fit short of its minimizer")
+
+
+class TestStopAtMinimizer:
+    """Check-block fits end at the minimizer that a tight refit reaches.
+
+    Each fit is rebuilt as ``run_monte_carlo`` builds it, refitted by
+    :func:`oracles.tight_refit`, and measured in ``bench/check.py``'s
+    distance relative to the refit's own error against the true system,
+    the scale of the check's 1e-4 tolerance.  Runs 0 and 1 end within
+    about 1e-9 of it.  ``oe_fit``'s relative-cost test stops runs 28 and 33
+    after a heavily damped step, at Gauss-Newton iterations 4 and 7, and
+    3.5e-3 and 6.9e-4 of their own error short of the minimizer; so the
+    benchmark's reference holds estimates that are not minimizers.  Their
+    marks go when ``oe_fit`` stops by a decrement (ROADMAP item 18).
+    """
+
+    @pytest.fixture(scope="class")
+    def check_block(self):
+        config = config_from_dict(RG_MULTISINE)
+        report = run_monte_carlo(config)
+        run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
+        g0, h, u, y0, sigma = _experiment(config, np.random.default_rng(run_seeds[0]))
+        pem_estimates = {rec.run: rec.theta_c for rec in report.records if rec.estimator == "pem"}
+
+        def fit(run):
+            rng = np.random.default_rng(run_seeds[run + 1])
+            data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
+            est = oe_fit(data, init_arx_iv(data, g0.n))
+            assert_same_bits(d2c_zoh(est.model).theta, pem_estimates[run])  # the study's fit
+            return g0, data, est
+        return fit
+
+    @pytest.mark.parametrize("run", [0, 1, pytest.param(28, marks=LOOSE_STOP),
+                                     pytest.param(33, marks=LOOSE_STOP)])
+    def test_fit_ends_at_its_minimizer(self, check_block, run):
+        check = load_check()
+        g0, data, est = check_block(run)
+        theta = d2c_zoh(est.model).theta
+        minimizer = d2c_zoh(tight_refit(est.model, data.u, data.y)).theta
+        own_error = check.distance(minimizer, g0.theta)
+        assert check.distance(theta, minimizer) <= 1e-6 * own_error
