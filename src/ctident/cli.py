@@ -74,7 +74,7 @@ def _cmd_fit(args) -> int:
 def _cmd_project(args) -> int:
     rep = _load_json(args.report)
     _check_keys(rep, None, "a fit report", required=("theta_d", "h", "information", "sigma2_hat"))
-    h = float(rep["h"])
+    h = rep["h"]  # read, as every period is, by lti._period
     full_ct = d2c_zoh(DtModel.from_theta(rep["theta_d"], h))
     result = project_estimate(full_ct.theta, rep["information"], rep["sigma2_hat"], h, args.r)
     out = pemrd_report_dict(result, diagnostics={"theta_hat_c": full_ct.theta.tolist()})
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
     except CtIdentError as exc:

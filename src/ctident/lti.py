@@ -22,6 +22,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,18 +117,34 @@ def _check_keys(d: dict, names, what: str, required=()):
 
 
 def _period(h) -> float:
-    """``h`` as a float; ``ValueError`` unless it is positive and finite."""
-    h = float(h)
+    """``h`` as a float (:func:`_number`); ``ValueError`` unless it is positive and finite."""
+    h = _number(h, "h")
     if not 0.0 < h < np.inf:
         raise ValueError("sampling period must be positive and finite")
     return h
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)``, or a ``ValueError`` naming the field ``name`` unless ``value`` is a number.
+
+    A number is a real one, numpy's scalars included, and not a ``bool``:
+    so a JSON string, ``null`` or ``true`` in place of a setting is refused
+    by name, where ``int`` and ``float`` read ``"300"`` as 300 and ``true``
+    as 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a number, got %r" % (name, value))
+    return kind(value)
+
+
 def _whole(value, name: str) -> int:
-    """``int(value)``, or a ``ValueError`` naming the field ``name`` if ``value`` is not whole."""
+    """``int(value)``, or a ``ValueError`` naming the field ``name`` if ``value`` is not whole.
+
+    A value that is not a number is refused as :func:`_number` refuses it.
+    """
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("%s must be a whole number, got %r" % (name, value))
-    return int(value)
+    return _number(value, name, int)
 
 
 def _reldeg(r, n: int, name: str = "r") -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularCovariance, UnstableSystem
-from .lti import CtModel, SampledDataset, _chol_inverse, _reldeg, _sym, _theta, is_stable
+from .lti import CtModel, SampledDataset, _chol_inverse, _number, _reldeg, _sym, _theta, is_stable
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
@@ -118,11 +118,7 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         indicating an information matrix too ill-conditioned to project
         reliably.
     """
-    return _project_rd(_theta(theta_hat_c, r), info_c, r)
-
-
-def _project_rd(theta: np.ndarray, info_c, r: int) -> PemrdResult:
-    """:func:`project_rd` of ``theta``, a copy that ``lti._theta`` has checked with ``r``."""
+    theta = _theta(theta_hat_c, r)
     k = int(r) - 1
     info = _metric(info_c, theta.size)
     cov = _sym(_chol_inverse(info, NotPositiveDefinite(
@@ -195,8 +191,8 @@ def project_estimate(theta_hat_c, information, sigma2: float, h: float, r: int) 
     Raises
     ------
     ValueError
-        If ``sigma2`` is negative or not finite, or ``information`` is not a
-        finite square matrix of the vector's size.
+        If ``sigma2`` is not a number, is negative or is not finite, or
+        ``information`` is not a finite square matrix of the vector's size.
     NotPositiveDefinite, SingularCovariance
         As :func:`project_rd` raises them, for the metric.
     UnstableSystem
@@ -204,13 +200,13 @@ def project_estimate(theta_hat_c, information, sigma2: float, h: float, r: int) 
     """
     theta = _theta(theta_hat_c, r)
     H = _metric(information, theta.size)
-    sigma2 = float(sigma2)
+    sigma2 = _number(sigma2, "sigma2_hat")
     if not 0.0 <= sigma2 < np.inf:
         raise ValueError("residual variance must be finite and nonnegative, got %r" % sigma2)
     point = theta.copy()
     point[:int(r) - 1] = 0.0  # the naive truncation
     map_point = zoh_map_point(point, h)
-    result = _project_rd(theta, map_point.J.T @ H @ map_point.J, r)
+    result = project_rd(theta, map_point.J.T @ H @ map_point.J, r)
     if not is_stable(result.model):
         raise UnstableSystem("the relative-degree projection gives an unstable model")
     return replace(result, cov_tilde=sigma2 * result.cov_tilde, map_point=map_point)

@@ -24,8 +24,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
-from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _check_keys, _companion, _period,
-                  _poly, _roots, _split, _store, _theta, companion, simulate_dt)
+from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _check_keys, _companion, _number,
+                  _period, _poly, _roots, _split, _store, _theta, _whole, companion, simulate_dt)
 
 __all__ = [
     "NoiseSetting",
@@ -58,7 +58,7 @@ class NoiseSetting:
     peak_fraction: float | None = None
 
     def __post_init__(self):
-        given = {f.name: float(v) for f in fields(self)
+        given = {f.name: _number(v, f.name) for f in fields(self)
                  if (v := getattr(self, f.name)) is not None}
         if len(given) != 1:
             raise ValueError("set exactly one of snr_db, sigma, peak_fraction")
@@ -328,15 +328,16 @@ def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):
 def load_dataset(path):
     """Inverse of :func:`save_dataset`; returns ``(dataset, metadata)``.
 
-    Raises ``ValueError`` if the sidecar lacks ``h`` or ``N``, naming it (its
-    other keys are free), or if the CSV does not hold the sidecar's ``N`` rows.
+    Raises ``ValueError`` if the sidecar lacks ``h`` or ``N`` or either is not
+    a number, naming it (its other keys are free), or if the CSV does not
+    hold the sidecar's ``N`` rows.
     """
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
     with open(path.with_suffix(".json")) as f:
         meta = json.load(f)
     _check_keys(meta, None, "a dataset sidecar", required=("h", "N"))
-    if len(data) != meta["N"]:
-        raise ValueError("%s holds %d rows, its sidecar says N=%d" % (path, len(data), meta["N"]))
-    ds = SampledDataset(u=data[:, 0], y=data[:, 1], h=float(meta["h"]))
+    if len(data) != (N := _whole(meta["N"], "N")):
+        raise ValueError("%s holds %d rows, its sidecar says N=%d" % (path, len(data), N))
+    ds = SampledDataset(u=data[:, 0], y=data[:, 1], h=meta["h"])
     return ds, meta

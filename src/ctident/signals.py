@@ -7,7 +7,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import AliasedFrequency, UnsupportedRegisterLength
-from .lti import CtModel, _period, _poly, _reldeg, _store, _whole
+from .lti import CtModel, _number, _period, _poly, _reldeg, _store, _whole
 
 __all__ = ["PrbsInput", "MultisineInput", "WhiteNoiseInput", "lfsr_bits", "gen_prbs",
            "gen_multisine", "RandomSystemSpec", "gen_random_system"]
@@ -49,7 +49,7 @@ class PrbsInput:
 
     def __post_init__(self):
         _store(self, n_stages=_whole(self.n_stages, "n_stages"), p=_whole(self.p, "p"),
-               low=float(self.low), high=float(self.high))
+               low=_number(self.low, "low"), high=_number(self.high, "high"))
         if self.n_stages not in _TAPS:
             raise UnsupportedRegisterLength(
                 "no feedback taps for register length %r (have 2..16)" % (self.n_stages,))
@@ -67,7 +67,8 @@ class MultisineInput:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _store(self, freqs=tuple(map(float, self.freqs)), amplitude=float(self.amplitude))
+        _store(self, freqs=tuple(_number(w, "freqs") for w in self.freqs),
+               amplitude=_number(self.amplitude, "amplitude"))
         if not self.freqs:
             raise ValueError("need at least one frequency")
         if not np.isfinite(self.amplitude) or self.amplitude == 0:
@@ -81,7 +82,7 @@ class WhiteNoiseInput:
     variance: float = 1.0
 
     def __post_init__(self):
-        _store(self, variance=float(self.variance))
+        _store(self, variance=_number(self.variance, "variance"))
         if not 0.0 < self.variance < np.inf:
             raise ValueError("white-noise variance must be finite and positive")
 
@@ -164,7 +165,7 @@ class RandomSystemSpec:
         if self.order < 1:
             raise ValueError("a random system's order must be at least 1")
         _store(self, reldeg=_reldeg(self.reldeg, self.order, "reldeg"),
-               slowest_pole_bound=float(self.slowest_pole_bound))
+               slowest_pole_bound=_number(self.slowest_pole_bound, "slowest_pole_bound"))
         if not self.slowest_pole_bound < 0:
             raise ValueError("pole bound must be negative")
 

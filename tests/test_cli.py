@@ -717,8 +717,8 @@ class TestBode:
         out = tmp_path / "bode.csv"
         rc = main(["bode", "--model", str(model_path), *grid, "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "configuration error: --wmin and --wmax must be positive and finite")
+        assert capsys.readouterr().err == ("configuration error: --wmin and --wmax must be "
+                                           "positive and finite, --points at least 1\n")
         assert not out.exists()
 
 
@@ -753,7 +753,8 @@ class TestDocumentKeys:
     model beside an ``"r"`` that no model of its order can have.  A null
     ``"input"`` ended in an AttributeError traceback, a null ``"noise"`` or
     ``"system"`` in "'NoneType' object is not iterable", and a study file
-    holding a list in "'list' object is not a mapping".
+    holding a list in "'list' object is not a mapping".  A setting that
+    is not a number is refused by name too.
     """
 
     @staticmethod
@@ -819,6 +820,40 @@ class TestDocumentKeys:
             doc = read_config(reader, **{block: value})
         assert main(self._argv(reader, doc, tmp_path)) == 1
         assert capsys.readouterr().err == "configuration error: %s must be a JSON object\n" % what
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("reader, doc, message", [
+        *(pytest.param("simulate", read_config("simulate", **{key: value}),
+                       "%s must be a number, got %r" % (key, value), id="%s_%s" % (key, name))
+          for key, value, name in (("N", "abc", "string"), ("N", None, "null"),
+                                   ("N", "300", "numeric_string"), ("N", True, "true"),
+                                   ("h", "x", "string"))),
+        pytest.param("simulate",
+                     read_config("simulate", input={"type": "white", "variance": None}),
+                     "variance must be a number, got None", id="variance_null"),
+        pytest.param("montecarlo",
+                     read_config("montecarlo", input={"type": "multisine", "freqs": [1.0, "2"]}),
+                     "freqs must be a number, got '2'", id="freqs_string"),
+        pytest.param("montecarlo", read_config("montecarlo", noise={"sigma": "0.1"}),
+                     "sigma must be a number, got '0.1'", id="sigma_string"),
+        pytest.param("montecarlo",
+                     read_config("montecarlo", system={"random": {
+                         "order": 2, "reldeg": 1, "slowest_pole_bound": None}}),
+                     "slowest_pole_bound must be a number, got None", id="pole_bound_null"),
+        pytest.param("fit", {"h": 0.1, "N": "300"}, "N must be a number, got '300'",
+                     id="sidecar_string_N"),
+        pytest.param("fit", {"h": None, "N": 300}, "h must be a number, got None",
+                     id="sidecar_null_h"),
+        pytest.param("project", dict(FIT_REPORT, sigma2_hat=None),
+                     "sigma2_hat must be a number, got None", id="report_null_sigma2_hat"),
+        pytest.param("project", dict(FIT_REPORT, h="0.1"), "h must be a number, got '0.1'",
+                     id="report_string_h"),
+    ])
+    def test_value_refused_unless_a_number(self, reader, doc, message, tmp_path, capsys):
+        # each was read by int() or float(): "abc" and null were refused in
+        # their words, "300" and "0.1" accepted, and true read as 1
+        assert main(self._argv(reader, doc, tmp_path)) == 1
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
         assert not (tmp_path / "o").exists()
 
 

@@ -13,11 +13,14 @@ and ``_chol_inverse`` serve them) or imports ``scipy.signal``, and only
 
 Each refusal has one owner too: every message that the package passes to an
 exception has one literal site in ``src/``, so the code that finds a
-refusal is the one place that words it.
+refusal is the one place that words it.  And each message is pinned: some
+string in a test module holds it, so a test can tell it from the message
+of a check that fired first.
 """
 
 import ast
 import builtins
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -168,3 +171,41 @@ def test_every_refusal_message_has_one_site():
     sites = message_sites({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
     assert len(sites) > 60  # the parse sees the package's messages
     assert {text: where for text, where in sites.items() if len(where) > 1} == {}
+
+
+# a %-directive of a message's format string
+DIRECTIVE = re.compile(r"%[-#0 +]*(?:\d+|\*)?(?:\.\d+)?[a-zA-Z%]")
+
+
+def unpinned(messages, sources: dict) -> list:
+    """Each of ``messages`` whose longest fixed part no string constant in ``sources`` holds.
+
+    A fixed part is the text between a message's %-directives.  A constant
+    holds it as written or as a pattern escapes it (by ``re.escape`` or by
+    hand, as ``\\[1, n\\]``).  ``ast`` joins implicitly concatenated literals.
+    """
+    texts = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                texts.update((node.value, re.sub(r"\\(.)", r"\1", node.value)))
+    return [m for m in messages
+            if not any(max(DIRECTIVE.split(m), key=len) in text for text in texts)]
+
+
+def test_every_refusal_message_is_pinned():
+    # the checker first: two messages pinned by joined literals and a
+    # pattern, one by its fixed part, and two that no string holds
+    tests = {"t.py": ('match = ("^the map is "\n'
+                      '         "singular$")\n'
+                      'pattern = r"^r must lie in \\[1, n\\], got 2$"\n'
+                      'check("h must be a number, got %r" % "x")\n')}
+    messages = ["the map is singular", "r must lie in [1, n], got %r",
+                "%s must be a number, got %r", "N=%d is below %d", "the map is not invertible"]
+    assert unpinned(messages, tests) == ["N=%d is below %d", "the map is not invertible"]
+    # then the package's messages, against every test module but this one,
+    # whose samples pin nothing
+    tests = {path.name: path.read_text() for path in sorted(Path(__file__).parent.glob("*.py"))
+             if path.name != Path(__file__).name}
+    sites = message_sites({path.name: path.read_text() for path in sorted(SRC.glob("*.py"))})
+    assert unpinned(sorted(sites), tests) == []

@@ -109,27 +109,24 @@ class TestCtModel:
         assert g.r == 3
 
     def test_not_strictly_proper(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^model must be strictly proper$"):
             CtModel([1.0, 0.0], [1.0, 2.0])
 
     def test_declared_relative_degree_needs_zeros(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^declared relative degree 2 requires the 1 "
+                                             "leading numerator coefficients to be zero$"):
             CtModel([1.0, 0.0], [1.0, 2.0, 3.0], r=2)
         g = CtModel([0.0, 1.0], [1.0, 2.0, 3.0], r=2)
         assert g.r == 2
 
     def test_relative_degree_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^relative degree must lie in \[1, n\]$"):
             CtModel([1.0], [1.0, 2.0], r=2)
-
-    def test_from_theta_odd_length(self):
-        with pytest.raises(ValueError):
-            CtModel.from_theta([1.0, 2.0, 3.0])
 
 
 class TestDtModel:
     def test_period_required_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
             DtModel([1.0], [1.0, -0.5], h=0.0)
 
     def test_from_theta(self):
@@ -145,7 +142,7 @@ class TestSampledDataset:
         assert d.N == 2
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^u and y must be 1-d arrays of equal length$"):
             SampledDataset([1.0], [1.0, 2.0], 0.5)
 
     @pytest.mark.parametrize("column", ["u", "y"])
@@ -169,8 +166,8 @@ class TestSampledDataset:
     (lambda: DtModel.from_theta([0.5, 0.2, -0.9], h=0.1),
      "parameter vector must be 1-d of even length"),
     (lambda: SampledDataset([], [], 0.1), "dataset must contain at least one sample"),
-    (lambda: SampledDataset([1.0], [1.0], 0.0), "sampling period must be positive"),
-    (lambda: SampledDataset([1.0], [1.0], np.nan), "sampling period must be positive"),
+    (lambda: SampledDataset([1.0], [1.0], 0.0), "sampling period must be positive and finite"),
+    (lambda: SampledDataset([1.0], [1.0], np.nan), "sampling period must be positive and finite"),
     # an infinite period passed every check that it is positive
     (lambda: SampledDataset([1.0], [1.0], np.inf), "sampling period must be positive and finite"),
     (lambda: DtModel([1.0], [1.0, 0.5], h=np.inf), "sampling period must be positive and finite"),
@@ -178,7 +175,7 @@ class TestSampledDataset:
         "constant_ct_denominator", "stripped_dt_denominator", "odd_dt_theta", "empty_dataset",
         "zero_period", "nan_period", "infinite_period", "infinite_dt_period"])
 def test_invalid_construction_rejected(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build()
 
 
@@ -363,7 +360,8 @@ class TestL2Norm:
             assert_allclose(l2_norm_sq(g), ref, rtol=1e-5)
 
     def test_unstable_rejected(self):
-        with pytest.raises(UnstableSystem):
+        message = "^L2 norm requires all poles strictly in the left half-plane$"
+        with pytest.raises(UnstableSystem, match=message):
             l2_norm_sq(CtModel([1.0], [1.0, -1.0]))
 
     def test_indefinite_gramian_rejected(self):
@@ -371,7 +369,8 @@ class TestL2Norm:
         # working precision; scipy's warning that it would perturb the
         # equation reaches the caller as the typed error, not as a warning
         g = CtModel([1.0], np.poly([-1e-7, -1.0, -1e7]))
-        with pytest.raises(NotPositiveDefinite, match="eigenvalue pair"):
+        with pytest.raises(NotPositiveDefinite, match="^Lyapunov equation singular to working "
+                           "precision: A has an eigenvalue pair summing to about zero$"):
             l2_norm_sq(g)
 
     def test_negative_quadratic_form_rejected(self, monkeypatch):
@@ -398,7 +397,8 @@ class TestL2Norm:
             return (*out, 1 if lwork != -1 else info)
 
         monkeypatch.setattr(lti, "dgees", failing)
-        with pytest.raises(np.linalg.LinAlgError, match="^Schur form not found"):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^Schur form not found\. Possibly ill-conditioned\.$"):
             l2_norm_sq(CtModel([1.0], [1.0, 1.0]))
 
     def test_non_finite_stack_rejected(self):
@@ -494,7 +494,7 @@ class TestFreqResponse:
         assert_allclose(ss, freq_response(rao_garnier, w), rtol=1e-9)
 
     def test_unsupported_type(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="^unsupported model type: 'object'$"):
             freq_response(object(), 1.0)
 
 

@@ -61,7 +61,8 @@ class TestMseG:
 
     def test_unstable_estimate_rejected(self, rao_garnier):
         bad = CtModel([1.0], [1.0, -2.0])
-        with pytest.raises(UnstableSystem):
+        message = "^L2 norm requires all poles strictly in the left half-plane$"
+        with pytest.raises(UnstableSystem, match=message):
             mse_g(bad, rao_garnier)
 
 
@@ -75,7 +76,7 @@ class TestMseTheta:
         assert_allclose(mse_theta([5.0], [1.0, 5.0]), 1.0 / 26.0, rtol=1e-14)
 
     def test_longer_estimate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^estimate vector is longer than the reference$"):
             mse_theta([1.0, 2.0, 3.0], [1.0, 2.0])
 
     def test_exact_match(self, rao_garnier):
@@ -97,9 +98,9 @@ class TestFit:
         assert_allclose(fit(-y, y), -100.0, rtol=1e-12)
 
     def test_constant_reference_undefined(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^reference output is constant; fit is undefined$"):
             fit(np.ones(4), np.ones(4))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sequences must have equal length$"):
             fit(np.ones(3), np.ones(4))

@@ -50,14 +50,15 @@ def quick_config(**kw):
 
 class TestConfigValidation:
     def test_prbs_length_must_match_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^N=1500 does not equal the binary-sequence period 1533$"):
             quick_config(input=PrbsInput(9, 3), N=1500)
         quick_config(input=PrbsInput(9, 3), N=1533)
 
     def test_estimator_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown estimator 'oracle'$"):
             quick_config(estimators=("pem", "oracle"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^at least one estimator is required$"):
             quick_config(estimators=())
 
     def test_positive_sizes(self):
@@ -71,10 +72,10 @@ class TestConfigValidation:
             quick_config(M=0, N=0)
 
     def test_fixed_system_needs_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a fixed-system study needs a sampling period$"):
             quick_config(h=None)
         for system in (G2, RandomSystemSpec(order=2, reldeg=1)):
-            with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+            with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
                 quick_config(system=system, h=np.inf, r=1)
 
     def test_random_multisine_study_needs_period(self):
@@ -94,7 +95,7 @@ class TestConfigValidation:
         assert len(rep.records) == 4
 
     def test_relative_degree_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^relative degree must lie in \[1, n\]$"):
             quick_config(r=3)
 
     @pytest.mark.parametrize("reldeg, message", [
@@ -126,8 +127,19 @@ class TestConfigValidation:
         ({"input": "white"}, "^the input must be a PrbsInput, MultisineInput or "
                              "WhiteNoiseInput, got 'str'$"),
         ({"noise": {"sigma": 0.1}}, "^the noise must be a NoiseSetting, got 'dict'$"),
-        ({"estimators": (PEM, PEM)}, "^an estimator is listed twice"),
-    ], ids=["N", "M", "seed", "input_kind", "noise_kind", "repeated_estimator"])
+        ({"estimators": (PEM, PEM)}, r"^an estimator is listed twice in \('pem', 'pem'\)$"),
+        # a string, null or bool was read by int() or float(), or refused in their words
+        ({"N": "abc"}, "^N must be a number, got 'abc'$"),
+        ({"N": "300"}, "^N must be a number, got '300'$"),
+        ({"N": None}, "^N must be a number, got None$"),
+        ({"N": True}, "^N must be a number, got True$"),
+        ({"seed": "1"}, "^seed must be a number, got '1'$"),
+        ({"r": "2"}, "^r must be a number, got '2'$"),
+        ({"h": "x"}, "^h must be a number, got 'x'$"),
+        ({"h": True}, "^h must be a number, got True$"),
+    ], ids=["N", "M", "seed", "input_kind", "noise_kind", "repeated_estimator", "string_N",
+            "numeric_string_N", "null_N", "bool_N", "string_seed", "string_r", "string_h",
+            "bool_h"])
     def test_python_built_settings_checked(self, change, message):
         # only config_from_dict checked these: a study built in Python took
         # them, and its run failed with a TypeError or an AttributeError, or
@@ -174,9 +186,10 @@ class TestConfigValidation:
         assert hash(spec) == hash(MultisineInput((1.0, 2.0)))
 
     def test_noise_requires_exactly_one_field(self):
-        with pytest.raises(ValueError):
+        message = "^set exactly one of snr_db, sigma, peak_fraction$"
+        with pytest.raises(ValueError, match=message):
             NoiseSetting()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             NoiseSetting(snr_db=10.0, sigma=0.1)
 
     @pytest.mark.parametrize("level, message", [
@@ -188,8 +201,11 @@ class TestConfigValidation:
         ({"snr_db": -np.inf}, "snr_db must be +inf or lie in [-3000, 3000] dB, got -inf"),
         ({"snr_db": 4000}, "snr_db must be +inf or lie in [-3000, 3000] dB, got 4000.0"),
         ({"snr_db": -4000}, "snr_db must be +inf or lie in [-3000, 3000] dB, got -4000.0"),
+        ({"snr_db": "20"}, "snr_db must be a number, got '20'"),
+        ({"sigma": True}, "sigma must be a number, got True"),
     ], ids=["negative_sigma", "negative_peak_fraction", "infinite_sigma", "nan_peak_fraction",
-            "nan_snr_db", "minus_infinite_snr_db", "overflowing_snr_db", "underflowing_snr_db"])
+            "nan_snr_db", "minus_infinite_snr_db", "overflowing_snr_db", "underflowing_snr_db",
+            "string_snr_db", "bool_sigma"])
     def test_noise_level_checked_when_built(self, level, message):
         # unchecked, the setting was built and only a run's resolved
         # deviation was checked, in the middle of a study or a simulation;

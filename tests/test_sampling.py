@@ -106,10 +106,10 @@ class TestC2D:
         assert_same_bits(sampling._zoh_exponential(A, B, h, frechet=True), expm(big)[:p])
 
     def test_rejects_nonpositive_period(self, rao_garnier):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
             c2d_zoh(rao_garnier, 0.0)
         # an infinite period got through, warned twice and failed in expm
-        with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+        with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
             c2d_zoh(rao_garnier, np.inf)
 
     def test_matches_simulation(self, rao_garnier, rng):
@@ -169,7 +169,8 @@ class TestD2C:
         # poles at 2e-12, 3e-12 and 4e-12: the sampled pair (Ad, Bd) is
         # nearly uncontrollable, and the numerator map K with unit columns
         # has condition number about 7e12
-        with pytest.raises(SingularMap):
+        with pytest.raises(SingularMap, match="^zero-order-hold numerator map is singular at "
+                                              "this sampling period$"):
             d2c_zoh(DtModel([1.0, 1.0, 1.0], np.poly([2e-12, 3e-12, 4e-12]), 1.0))
 
     def test_overflowing_logarithms_rejected(self):
@@ -182,7 +183,8 @@ class TestD2C:
         # poles at 1e15 and 0.5: the eigenvalues of the resampled Ad lose the
         # pole at 0.5 to rounding, so poly(Ad) misses the denominator
         # neither pole is negative, so this is no NegativeRealPole
-        with pytest.raises(NonPrincipalLog, match="does not reproduce") as info:
+        with pytest.raises(NonPrincipalLog, match="^sampling the pole logarithms does not "
+                                                  "reproduce the denominator$") as info:
             d2c_zoh(DtModel([0.0, 1.0], np.poly([1e15, 0.5]), 1.0))
         assert not isinstance(info.value, NegativeRealPole)
 
@@ -223,12 +225,6 @@ class TestNaiveTruncate:
     def test_identity_at_r1(self, rao_garnier):
         t = naive_truncate(rao_garnier, 1)
         assert_array_equal(t.theta, rao_garnier.theta)
-
-    def test_bounds(self, rao_garnier):
-        with pytest.raises(ValueError):
-            naive_truncate(rao_garnier, 0)
-        with pytest.raises(ValueError):
-            naive_truncate(rao_garnier, 5)
 
 
 class TestZohJacobian:
@@ -323,14 +319,10 @@ class TestZohJacobian:
         assert np.all(np.abs(J - old) <= 2e-6 * np.abs(J).max(axis=0))
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            zoh_map_point([1.0, 2.0, 3.0], 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
             zoh_map_point([1.0, 2.0], 0.0)
-        with pytest.raises(ValueError):
-            zoh_map_point([1.0, np.nan], 0.1)
         # an infinite period got through and raised DegenerateMap
-        with pytest.raises(ValueError, match="sampling period must be positive and finite"):
+        with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
             zoh_map_point([0.0, 3.0, 2.8, 4.0], np.inf)
 
     def test_map_point_consistency(self, rao_garnier):
@@ -353,12 +345,13 @@ class TestZohJacobian:
 
     def test_degenerate_probe_rejected(self):
         # the matrix exponential overflows at this point
-        with pytest.raises(DegenerateMap):
+        with pytest.raises(DegenerateMap,
+                           match="^matrix exponential of the sampling map is not finite$"):
             zoh_map_point([1.0, 1e300, 1.0, 1e300], 0.1)
 
     def test_degenerate_jacobian_rejected(self):
         # finite exponential, but the numerator K c overflows
-        with pytest.raises(DegenerateMap):
+        with pytest.raises(DegenerateMap, match="^sampling-map Jacobian is not finite$"):
             zoh_map_point([1e308, 1e308, 1e-3, 1e-3], 10.0)
 
     def test_overflowing_jacobian_rejected(self):
@@ -366,7 +359,7 @@ class TestZohJacobian:
         # finite, but the products of the Faddeev-LeVerrier B_1 with the
         # Frechet derivatives overflow, so only the final check on J sees it,
         # and it chains no cause
-        with pytest.raises(DegenerateMap, match="Jacobian is not finite") as info:
+        with pytest.raises(DegenerateMap, match="^sampling-map Jacobian is not finite$") as info:
             zoh_map_point([0.0, 1.0, -459.0, -460.0], 1.0)
         assert info.value.__cause__ is None
 
@@ -394,7 +387,7 @@ class TestSimulateCtZoh:
         assert_allclose(np.std(ds.y), 0.5, rtol=0.05)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sigma must be finite and nonnegative, got -1\.0$"):
             NoiseSpec(sigma=-1.0, seed=0)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan], ids=["infinite", "nan"])
