@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CtIdentError
-from .lti import DtModel, SampledDataset, _check_keys, freq_response, model_from_dict, model_to_dict
+from .lti import (DtModel, SampledDataset, _json_text, _load_json, freq_response, model_from_dict,
+                  model_to_dict)
 from .montecarlo import _experiment, config_from_dict, run_monte_carlo, save_report
 from .pem import fit_report_dict, init_arx_iv, oe_fit
 from .rdproj import pemrd_report_dict, project_estimate
@@ -32,11 +32,6 @@ from .sampling import c2d_zoh, simulate_ct_zoh, zoh_map_point  # noqa: F401
 __all__ = ["main"]
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def _emit(text: str, out):
     if out is None:
         sys.stdout.write(text)
@@ -45,9 +40,8 @@ def _emit(text: str, out):
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_json(args.config)
     keys = ("system", "input", "h", "N", "noise", "seed")
-    _check_keys(cfg, keys, "a simulate config", required=keys[:-1])
+    cfg = _load_json(args.config, "a simulate config", keys, required=keys[:-1])
     # read as a one-run study, so simulate refuses what a study refuses
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     config = config_from_dict(dict(cfg, M=1, r=1, seed=seed))
@@ -66,19 +60,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     data, _meta = load_dataset(args.data)
     result = oe_fit(data, init_arx_iv(data, args.order))
-    report = fit_report_dict(result)
-    _emit(json.dumps(report, indent=1) + "\n", args.out)
+    _emit(_json_text(fit_report_dict(result)), args.out)
     return 0
 
 
 def _cmd_project(args) -> int:
-    rep = _load_json(args.report)
-    _check_keys(rep, None, "a fit report", required=("theta_d", "h", "information", "sigma2_hat"))
+    rep = _load_json(args.report, "a fit report",
+                     required=("theta_d", "h", "information", "sigma2_hat"))
     h = rep["h"]  # read, as every period is, by lti._period
     full_ct = d2c_zoh(DtModel.from_theta(rep["theta_d"], h))
     result = project_estimate(full_ct.theta, rep["information"], rep["sigma2_hat"], h, args.r)
     out = pemrd_report_dict(result, diagnostics={"theta_hat_c": full_ct.theta.tolist()})
-    _emit(json.dumps(out, indent=1) + "\n", args.out)
+    _emit(_json_text(out), args.out)
     return 0
 
 

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -73,12 +74,26 @@ def _finite(c: np.ndarray) -> None:
         raise ValueError("coefficients must be finite")
 
 
-def _coeffs(c) -> np.ndarray:
+def _floats(value, name: str, ndmin: int = 0) -> np.ndarray:
+    """A new float array of ``value``, refused naming ``name`` where an entry is not a number.
+
+    An array goes to numpy as it is.  Anything else, such as a JSON array,
+    is first read entry by entry by :func:`_number`, so a ``true``, a string
+    or a ``null`` is refused by name, where numpy reads ``true`` as 1.
+    """
+    if not isinstance(value, np.ndarray):
+        for entry in np.array(value, dtype=object).flat:
+            _number(entry, name)
+    return np.array(value, dtype=float, ndmin=ndmin)
+
+
+def _coeffs(c, name: str) -> np.ndarray:
     """``c`` as a read-only float array: 1-d, nonempty, finite, exact leading zeros stripped.
 
     A zero polynomial keeps its last coefficient, so its degree is 0.
+    ``name`` is the field that :func:`_floats` names.
     """
-    c = np.array(c, dtype=float, ndmin=1)
+    c = _floats(c, name, ndmin=1)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d sequence")
     _finite(c)
@@ -102,9 +117,9 @@ def _check_keys(d: dict, names, what: str, required=()):
     lacks.  ``names`` None leaves every key free.  Every JSON document that
     the command line reads goes through here, at each level and before
     anything is read from it: a study or ``simulate`` config and its
-    settings objects, a model block, a fit report and a dataset sidecar.
-    So a ``null`` or a list in place of one, and every bad key, is refused
-    by name.
+    settings objects, a model block, a fit report and a dataset sidecar,
+    each read by :func:`_load_json`.  So a ``null`` or a list in place of
+    one, and every bad key, is refused by name.
     """
     if not isinstance(d, dict):
         raise ValueError("%s must be a JSON object" % what)
@@ -114,6 +129,25 @@ def _check_keys(d: dict, names, what: str, required=()):
     for key in required:
         if key not in d:
             raise ValueError("%s needs the setting %r" % (what, key))
+
+
+def _load_json(path, what=None, names=None, required=()):
+    """The JSON document in the file ``path``, key-checked as ``what`` when that is given.
+
+    With ``what`` the document goes through :func:`_check_keys` with
+    ``names`` and ``required``; without it, the reader of the document
+    checks each block itself.
+    """
+    with open(path) as f:
+        doc = json.load(f)
+    if what is not None:
+        _check_keys(doc, names, what, required)
+    return doc
+
+
+def _json_text(doc) -> str:
+    """``doc`` as every JSON file of the package holds it: one-space indent, final newline."""
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def _period(h) -> float:
@@ -137,6 +171,18 @@ def _number(value, name: str, kind=float):
     return kind(value)
 
 
+def _entries(value, name: str) -> tuple:
+    """``tuple(value)``, or a ``ValueError`` naming ``name`` unless ``value`` is a sequence.
+
+    A sequence is a list, a tuple or an array: so a JSON string or ``null``
+    in place of a list is refused by name, where ``tuple`` reads a string
+    as its characters.
+    """
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValueError("%s must be a list, got %r" % (name, value))
+    return tuple(value)
+
+
 def _whole(value, name: str) -> int:
     """``int(value)``, or a ``ValueError`` naming the field ``name`` if ``value`` is not whole.
 
@@ -158,8 +204,11 @@ def _reldeg(r, n: int, name: str = "r") -> int:
 
 
 def _theta(theta, r=1) -> np.ndarray:
-    """A float copy of ``theta``: 1-d, even length ``2 n > 0``, finite, ``_reldeg(r, n)``."""
-    theta = np.array(theta, dtype=float)
+    """A float copy of ``theta``: 1-d, even length ``2 n > 0``, finite, ``_reldeg(r, n)``.
+
+    Each entry must be a number (:func:`_floats`).
+    """
+    theta = _floats(theta, "theta")
     if theta.ndim != 1 or not theta.size or theta.size % 2:
         raise ValueError("parameter vector must be 1-d of even length")
     _finite(theta)
@@ -179,12 +228,12 @@ class _RationalModel:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        num, den = _coeffs(num), _coeffs(den)
+        num, den = _coeffs(num, "num"), _coeffs(den, "den")
         if den.size < 2:
             raise ValueError("denominator must have degree at least 1")
         lead = den[0]
         if lead != 1.0:
-            den, num = _coeffs(den / lead), _coeffs(num / lead)
+            den, num = _coeffs(den / lead, "den"), _coeffs(num / lead, "num")
         if num.size >= den.size:
             raise ValueError("model must be strictly proper")
         self.num = num

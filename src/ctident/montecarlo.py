@@ -10,7 +10,6 @@ seed, so results are reproducible and independent of execution order.
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -22,6 +21,8 @@ from .lti import (
     CtModel,
     SampledDataset,
     _check_keys,
+    _entries,
+    _json_text,
     _period,
     _reldeg,
     _roots,
@@ -105,7 +106,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _store(self, **{name: _whole(getattr(self, name), name) for name in ("N", "M", "seed")},
-               estimators=tuple(self.estimators))
+               estimators=_entries(self.estimators, "estimators"))
         for est in self.estimators:
             if est not in (PEM, PEMRD):
                 raise ValueError("unknown estimator %r" % (est,))
@@ -405,9 +406,7 @@ def save_report(report: McReport, out_dir):
     """Write the JSON report plus the per-run and aggregate CSV files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as f:
-        json.dump(report_to_dict(report), f, indent=1)
-        f.write("\n")
+    (out / "report.json").write_text(_json_text(report_to_dict(report)))
     write_run_csv(report, out / "runs.csv")
     write_aggregate_csv(report, out / "aggregate.csv")
     return out

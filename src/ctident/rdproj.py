@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularCovariance, UnstableSystem
-from .lti import CtModel, SampledDataset, _chol_inverse, _number, _reldeg, _sym, _theta, is_stable
+from .lti import (CtModel, SampledDataset, _chol_inverse, _floats, _number, _reldeg, _sym, _theta,
+                  is_stable)
 from .pem import EstimationResult, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
@@ -138,10 +139,10 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
 
 
 def _metric(M, m: int) -> np.ndarray:
-    """``M`` as a symmetrized float matrix, refused unless it is ``m`` by ``m``."""
+    """``M`` as a symmetrized float matrix of numbers (:func:`_floats`), ``m`` by ``m``."""
     if np.shape(M) != (m, m):
         raise ValueError("information matrix shape does not match the parameter vector")
-    return _sym(np.asarray(M, dtype=float))
+    return _sym(_floats(M, "information"))
 
 
 def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:

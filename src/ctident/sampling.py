@@ -15,7 +15,6 @@ closed negative real axis; offending models raise :class:`NegativeRealPole`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -24,8 +23,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
-from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _check_keys, _companion, _number,
-                  _period, _poly, _roots, _split, _store, _theta, _whole, companion, simulate_dt)
+from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _json_text, _load_json,
+                  _number, _period, _poly, _roots, _split, _store, _theta, _whole, companion,
+                  simulate_dt)
 
 __all__ = [
     "NoiseSetting",
@@ -320,9 +320,7 @@ def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):
     with open(path, "w", newline="") as f:
         f.write("\r\n".join(["k,t,u,y", *map(",".join, zip(*columns)), ""]))
     meta = {"h": ds.h, "N": ds.N, "sigma": sigma, "seed": seed, "system": system}
-    with open(path.with_suffix(".json"), "w") as f:
-        json.dump(meta, f, indent=1)
-        f.write("\n")
+    path.with_suffix(".json").write_text(_json_text(meta))
 
 
 def load_dataset(path):
@@ -334,9 +332,7 @@ def load_dataset(path):
     """
     path = Path(path)
     data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
-    with open(path.with_suffix(".json")) as f:
-        meta = json.load(f)
-    _check_keys(meta, None, "a dataset sidecar", required=("h", "N"))
+    meta = _load_json(path.with_suffix(".json"), "a dataset sidecar", required=("h", "N"))
     if len(data) != (N := _whole(meta["N"], "N")):
         raise ValueError("%s holds %d rows, its sidecar says N=%d" % (path, len(data), N))
     ds = SampledDataset(u=data[:, 0], y=data[:, 1], h=meta["h"])

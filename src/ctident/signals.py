@@ -7,7 +7,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import AliasedFrequency, UnsupportedRegisterLength
-from .lti import CtModel, _number, _period, _poly, _reldeg, _store, _whole
+from .lti import CtModel, _entries, _number, _period, _poly, _reldeg, _store, _whole
 
 __all__ = ["PrbsInput", "MultisineInput", "WhiteNoiseInput", "lfsr_bits", "gen_prbs",
            "gen_multisine", "RandomSystemSpec", "gen_random_system"]
@@ -67,7 +67,7 @@ class MultisineInput:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        _store(self, freqs=tuple(_number(w, "freqs") for w in self.freqs),
+        _store(self, freqs=tuple(_number(w, "freqs") for w in _entries(self.freqs, "freqs")),
                amplitude=_number(self.amplitude, "amplitude"))
         if not self.freqs:
             raise ValueError("need at least one frequency")

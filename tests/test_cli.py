@@ -848,6 +848,28 @@ class TestDocumentKeys:
                      "sigma2_hat must be a number, got None", id="report_null_sigma2_hat"),
         pytest.param("project", dict(FIT_REPORT, h="0.1"), "h must be a number, got '0.1'",
                      id="report_string_h"),
+        # an entry of a coefficient array: true read as 1, a string refused
+        # in numpy's words and null as a non-finite coefficient
+        *(pytest.param("simulate",
+                       read_config("simulate", system={"num": [value], "den": [1.0, 2.8, 4.0]}),
+                       "num must be a number, got %r" % (value,), id="num_" + name)
+          for value, name in ((True, "true"), ("x", "string"), (None, "null"))),
+        *(pytest.param("project", dict(FIT_REPORT, theta_d=[0.3, value, -1.0, 0.4]),
+                       "theta must be a number, got %r" % (value,), id="report_theta_d_" + name)
+          for value, name in ((False, "false"), ("x", "string"), (None, "null"))),
+        *(pytest.param("project", dict(FIT_REPORT, information=[[value] * 4] * 4),
+                       "information must be a number, got %r" % (value,),
+                       id="report_information_" + name)
+          for value, name in ((True, "true"), ("0", "string"), (None, "null"))),
+        # a string or null in place of a list: a string was read as its
+        # characters, and null ended in "'NoneType' object is not iterable"
+        *(pytest.param("montecarlo", read_config("montecarlo", estimators=value),
+                       "estimators must be a list, got %r" % (value,), id="estimators_" + name)
+          for value, name in (("pem", "string"), (None, "null"))),
+        *(pytest.param("simulate",
+                       read_config("simulate", input={"type": "multisine", "freqs": value}),
+                       "freqs must be a list, got %r" % (value,), id="freqs_" + name)
+          for value, name in (("12", "string_list"), (None, "null_list"))),
     ])
     def test_value_refused_unless_a_number(self, reader, doc, message, tmp_path, capsys):
         # each was read by int() or float(): "abc" and null were refused in

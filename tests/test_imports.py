@@ -9,7 +9,9 @@ The same parse keeps each numerical job with its one owner: no module uses
 ``np.roots``, ``np.poly`` or ``np.linalg.inv`` (``lti._roots``, ``_poly``
 and ``_chol_inverse`` serve them) or imports ``scipy.signal``, and only
 ``lti`` refers to the filter band ``_band``, which its prediction kernel
-``lti._predict`` builds for every other module.
+``lti._predict`` builds for every other module.  Only ``lti`` imports
+``json``: its ``_load_json`` and ``_json_text`` read and write every JSON
+document, beside the key check ``_check_keys``.
 
 Each refusal has one owner too: every message that the package passes to an
 exception has one literal site in ``src/``, so the code that finds a
@@ -100,6 +102,8 @@ def owner_breaches(source: str, module: str) -> list:
                  *(name.rpartition(".")[2] for name in imported)}
         if module != "lti.py" and "_band" in named:
             breaches.append((node.lineno, "_band"))
+        if module != "lti.py" and any(name.split(".")[0] == "json" for name in imported):
+            breaches.append((node.lineno, "json"))
     return breaches
 
 
@@ -114,11 +118,16 @@ def test_owner_checker_finds_each_rule():
               "p = numpy.poly(r)\n"
               "q = np.linalg.inv(np.eye(2)) @ np.linalg.pinv(np.eye(2))\n"
               "b = lti._band(p, 3)\n"
-              "roots = inv(q)\n")
+              "roots = inv(q)\n"
+              "import json, jsonschema\n"
+              "from json import dumps\n"
+              "from .lti import _json_text\n")
     breaches = [(2, "scipy.signal"), (3, "scipy.signal"), (4, "scipy.signal"), (5, "_band"),
-                (7, "np.roots"), (8, "numpy.poly"), (9, "np.linalg.inv"), (10, "_band")]
+                (7, "np.roots"), (8, "numpy.poly"), (9, "np.linalg.inv"), (10, "_band"),
+                (12, "json"), (13, "json")]
     assert sorted(owner_breaches(source, "pem.py")) == breaches
-    assert sorted(owner_breaches(source, "lti.py")) == [b for b in breaches if b[1] != "_band"]
+    assert sorted(owner_breaches(source, "lti.py")) == [
+        b for b in breaches if b[1] not in ("_band", "json")]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -137,9 +137,12 @@ class TestConfigValidation:
         ({"r": "2"}, "^r must be a number, got '2'$"),
         ({"h": "x"}, "^h must be a number, got 'x'$"),
         ({"h": True}, "^h must be a number, got True$"),
+        # a string was read as its characters, and None was not iterable
+        ({"estimators": PEM}, "^estimators must be a list, got 'pem'$"),
+        ({"estimators": None}, "^estimators must be a list, got None$"),
     ], ids=["N", "M", "seed", "input_kind", "noise_kind", "repeated_estimator", "string_N",
             "numeric_string_N", "null_N", "bool_N", "string_seed", "string_r", "string_h",
-            "bool_h"])
+            "bool_h", "string_estimators", "null_estimators"])
     def test_python_built_settings_checked(self, change, message):
         # only config_from_dict checked these: a study built in Python took
         # them, and its run failed with a TypeError or an AttributeError, or

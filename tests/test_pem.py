@@ -917,7 +917,9 @@ class TestStopAtMinimizer:
     :func:`oracles.tight_refit`, and measured in ``bench/check.py``'s
     distance relative to the refit's own error against the true system,
     the scale of the check's 1e-4 tolerance.  Runs 0 and 1 end within
-    about 1e-9 of it.  ``oe_fit``'s relative-cost test stops runs 28 and 33
+    about 1e-9 of it.  At runs 2 and 14 the refit stalls, where no damped
+    step lowers the cost, at a decrement below its stall bound; they end
+    within 1e-11 and 2e-7 of it.  ``oe_fit``'s relative-cost test stops runs 28 and 33
     after a heavily damped step, at Gauss-Newton iterations 4 and 7, and
     3.5e-3 and 6.9e-4 of their own error short of the minimizer; so the
     benchmark's reference holds estimates that are not minimizers.  Their
@@ -940,7 +942,7 @@ class TestStopAtMinimizer:
             return g0, data, est
         return fit
 
-    @pytest.mark.parametrize("run", [0, 1, pytest.param(28, marks=LOOSE_STOP),
+    @pytest.mark.parametrize("run", [0, 1, 2, 14, pytest.param(28, marks=LOOSE_STOP),
                                      pytest.param(33, marks=LOOSE_STOP)])
     def test_fit_ends_at_its_minimizer(self, check_block, run):
         check = load_check()
