@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 1
     except CtIdentError as exc:

@@ -68,14 +68,8 @@ def _charpoly(M: np.ndarray) -> np.ndarray:
     return _poly(np.linalg.eigvals(M))
 
 
-def _finite(c: np.ndarray) -> None:
-    """``ValueError`` unless every coefficient in ``c`` is finite."""
-    if not np.isfinite(c).all():
-        raise ValueError("coefficients must be finite")
-
-
 def _floats(value, name: str, ndmin: int = 0) -> np.ndarray:
-    """A new float array of ``value``, refused naming ``name`` where an entry is not a number.
+    """A new float array of ``value``, refused naming ``name`` unless each entry is finite.
 
     An array goes to numpy as it is.  Anything else, such as a JSON array,
     is first read entry by entry by :func:`_number`, so a ``true``, a string
@@ -84,7 +78,10 @@ def _floats(value, name: str, ndmin: int = 0) -> np.ndarray:
     if not isinstance(value, np.ndarray):
         for entry in np.array(value, dtype=object).flat:
             _number(entry, name)
-    return np.array(value, dtype=float, ndmin=ndmin)
+    out = np.array(value, dtype=float, ndmin=ndmin)
+    if not np.isfinite(out).all():
+        raise ValueError("%s must be finite" % name)
+    return out
 
 
 def _coeffs(c, name: str) -> np.ndarray:
@@ -96,7 +93,6 @@ def _coeffs(c, name: str) -> np.ndarray:
     c = _floats(c, name, ndmin=1)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must form a nonempty 1-d sequence")
-    _finite(c)
     c.flags.writeable = False  # before stripping, so the stripped view's base is read-only too
     if c[0] == 0.0:
         c = c[np.flatnonzero(c)[0]:] if c.any() else c[-1:]
@@ -164,11 +160,14 @@ def _number(value, name: str, kind=float):
     A number is a real one, numpy's scalars included, and not a ``bool``:
     so a JSON string, ``null`` or ``true`` in place of a setting is refused
     by name, where ``int`` and ``float`` read ``"300"`` as 300 and ``true``
-    as 1.
+    as 1.  So is a whole number that ``float`` cannot hold.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError("%s must be a number, got %r" % (name, value))
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError("%s lies beyond the float range" % name) from None
 
 
 def _entries(value, name: str) -> tuple:
@@ -206,12 +205,11 @@ def _reldeg(r, n: int, name: str = "r") -> int:
 def _theta(theta, r=1) -> np.ndarray:
     """A float copy of ``theta``: 1-d, even length ``2 n > 0``, finite, ``_reldeg(r, n)``.
 
-    Each entry must be a number (:func:`_floats`).
+    Each entry must be a finite number (:func:`_floats`).
     """
     theta = _floats(theta, "theta")
     if theta.ndim != 1 or not theta.size or theta.size % 2:
         raise ValueError("parameter vector must be 1-d of even length")
-    _finite(theta)
     _reldeg(r, theta.size // 2)
     return theta
 

@@ -87,11 +87,12 @@ class ExperimentConfig:
     classes and a repeated estimator are configuration errors.  ``h`` may be
     None only for a random system driven by a binary sequence or white noise:
     each run then samples its system at that system's default period.
-    ``M`` and ``N`` must be at least 1 and ``seed`` at least 0, ``N`` at
-    least three times the order and, for a binary sequence, its period; a
-    fixed system must be continuous time and stable.  ``ctident simulate``
-    reads its config as a one-run study (``M = 1``, ``r = 1``), so it
-    refuses what a study refuses, in the same words.
+    ``M`` and ``N`` must be at least 1, ``M`` at most ``2**32 - 2`` and
+    ``seed`` at least 0, ``N`` at least three times the order and, for a
+    binary sequence, its period; a fixed system must be continuous time and
+    stable.  ``ctident simulate`` reads its config as a one-run study
+    (``M = 1``, ``r = 1``), so it refuses what a study refuses, in the same
+    words.
     """
 
     system: CtModel | RandomSystemSpec
@@ -125,6 +126,10 @@ class ExperimentConfig:
         for name, least in (("M", 1), ("N", 1), ("seed", 0)):
             if (value := getattr(self, name)) < least:
                 raise ValueError("%s must be at least %d, got %d" % (name, least, value))
+        # numpy's spawn counts the M + 1 run seeds in 32 bits: past 2**32 - 1
+        # its loop wraps and never ends
+        if self.M > 4294967294:
+            raise ValueError("M must be at most 4294967294, got %d" % self.M)
         if isinstance(self.input, PrbsInput):
             period = self.input.p * ((1 << self.input.n_stages) - 1)
             if self.N != period:
@@ -341,7 +346,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def input_from_dict(ind: dict):
     _check_keys(ind, None, "an input")
     kind = ind.get("type")
-    if kind not in _INPUT_KINDS:
+    if not isinstance(kind, str) or kind not in _INPUT_KINDS:
         raise ValueError("unknown input type %r" % (kind,))
     return _settings_from_dict({k: v for k, v in ind.items() if k != "type"}, _INPUT_KINDS[kind])
 

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,32 +17,83 @@ from ctident import (
     c2d_zoh,
     gen_multisine,
     gen_prbs,
+    init_arx_iv,
     is_stable,
     load_dataset,
     model_from_dict,
     model_to_dict,
+    oe_fit,
     save_dataset,
     simulate_dt,
 )
 from ctident.cli import build_parser, main
 from ctident.montecarlo import _experiment, config_from_dict
+from ctident.pem import fit_report_dict
 from conftest import envelope_record
 
 G2 = CtModel([3.0], [1.0, 2.8, 4.0], r=2)
+FIT_REPORT = {"theta_d": [0.3, -0.1, -1.0, 0.4], "h": 0.1,
+              "information": np.eye(4).tolist(), "sigma2_hat": 1.0}
+SIDECAR = {"h": 0.1, "N": 300}
+# the u and y columns of the dataset that a refused fit reads
+RECORD = np.random.default_rng(0).standard_normal((300, 2))
+# each command's option for the document it reads, and its own flags
+READERS = {"simulate": ("--config", []), "montecarlo": ("--config", []),
+           "project": ("--report", ["--r", "1"]), "fit": ("--data", ["--order", "1"]),
+           "bode": ("--model", [])}
+
+
+def read_config(reader, **blocks):
+    """A ``simulate`` config, or for ``montecarlo`` a one-run study, with ``blocks`` replaced."""
+    study = {"M": 1, "r": 1} if reader == "montecarlo" else {}
+    return {"system": {"num": [3.0], "den": [1.0, 2.8, 4.0]}, "input": {"type": "white"},
+            "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "seed": 1, **study, **blocks}
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def command(reader, doc, flags=None, record=RECORD):
+    """Write ``doc`` into the working directory; the command that reads it as ``reader``.
+
+    ``fit`` reads ``doc`` as the sidecar of ``doc.csv``, whose u and y
+    columns are ``record``.  ``flags`` replace the reader's own
+    (``READERS``), and the command writes to ``o``.
+    """
+    Path("doc.json").write_text(json.dumps(doc))
+    if reader == "fit":
+        k = np.arange(len(record))
+        np.savetxt("doc.csv", np.c_[k, 0.1 * k, record], delimiter=",", header="k,t,u,y",
+                   comments="")
+    option, own = READERS[reader]
+    return [reader, option, "doc.csv" if reader == "fit" else "doc.json",
+            *(own if flags is None else flags), "--out", "o"]
+
+
+@pytest.fixture()
+def refused(tmp_path, capsys, monkeypatch):
+    """``refused(reader, doc, line, flags, record)`` runs :func:`command` in ``tmp_path``.
+
+    The command must exit 1, print exactly ``line`` on stderr and write
+    nothing.  Warnings are errors in this suite (pyproject.toml), so a
+    refusal that warns on its way fails here.
+    """
+    monkeypatch.chdir(tmp_path)
+
+    def check(reader, doc, line, flags=None, record=RECORD):
+        assert main(command(reader, doc, flags, record)) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not Path("o").exists()
+    return check
 
 
 @pytest.fixture()
 def sim_config(tmp_path):
-    cfg = {
-        "system": model_to_dict(G2),
-        "input": {"type": "white", "variance": 1.0},
-        "noise": {"snr_db": 20.0},
-        "h": 0.1,
-        "N": 400,
-        "seed": 31,
-    }
     path = tmp_path / "sim.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(read_config("simulate", system=model_to_dict(G2), N=400, seed=31,
+                                           input={"type": "white", "variance": 1.0},
+                                           noise={"snr_db": 20.0})))
     return path
 
 
@@ -101,189 +151,136 @@ class TestSimulate:
         for name in ("dataset.csv", "dataset.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
-    @pytest.mark.parametrize("noise", [
-        {"sigma": -0.1}, {"peak_fraction": -0.1}, {"snr_db": float("nan")},
-        {"sigma": float("inf")},
+    @pytest.mark.parametrize("noise, line", [
+        ({"sigma": -0.1}, "configuration error: sigma must be finite and nonnegative, got -0.1"),
+        ({"peak_fraction": -0.1},
+         "configuration error: peak_fraction must be finite and nonnegative, got -0.1"),
+        ({"snr_db": float("nan")},
+         "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got nan"),
+        ({"sigma": float("inf")},
+         "configuration error: sigma must be finite and nonnegative, got inf"),
     ], ids=["negative_sigma", "negative_peak_fraction", "nan_snr_db", "infinite_sigma"])
-    def test_bad_noise_level_rejected(self, noise, sim_config, tmp_path, capsys):
+    def test_bad_noise_level_rejected(self, noise, line, refused):
         # unchecked, an infinite deviation would write a y column of inf
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, noise=noise)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: ")
-        assert not (out / "dataset.csv").exists()
+        refused("simulate", read_config("simulate", noise=noise), line)
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0], ids=["overflowing", "underflowing"])
-    def test_out_of_range_snr_refused(self, snr_db, sim_config, tmp_path, capsys):
+    def test_out_of_range_snr_refused(self, snr_db, refused):
         # 4000 dB ended in an OverflowError traceback; -4000 dB warned of a
         # division by zero, then blamed the record for the infinite deviation
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, noise={"snr_db": snr_db})))
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got %r\n"
-            % snr_db)
-        assert not out.exists()
+        refused("simulate", read_config("simulate", noise={"snr_db": snr_db}),
+                "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got %r"
+                % snr_db)
 
-    def test_overflowing_deviation_refused(self, sim_config, tmp_path, capsys):
+    def test_overflowing_deviation_refused(self, refused):
         # at -3000 dB a record whose variance is above about 1.8e8 gives an
         # infinite deviation, and the record was blamed: "u and y must be finite"
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, noise={"snr_db": -3000.0},
-                                              input={"type": "white", "variance": 1e12})))
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == ("configuration error: snr_db=-3000.0 gives a "
-                                           "non-finite noise deviation on this record\n")
-        assert not out.exists()
+        refused("simulate", read_config("simulate", noise={"snr_db": -3000.0},
+                                        input={"type": "white", "variance": 1e12}),
+                "configuration error: snr_db=-3000.0 gives a non-finite noise deviation on "
+                "this record")
 
-    @pytest.mark.parametrize("excitation", [
-        {"type": "white", "variance": -1.0},
-        {"type": "white", "variance": float("nan")},
-        {"type": "multisine", "freqs": [1.0], "amplitude": float("nan")},
-        {"type": "multisine", "freqs": [1.0], "amplitude": float("inf")},
-        {"type": "prbs", "n_stages": 2, "p": 100, "high": float("inf")},
-        {"type": "white", "variance": 0.0},
-        {"type": "multisine", "freqs": [1.0], "amplitude": 0.0},
-        {"type": "prbs", "n_stages": 2, "p": 100, "low": 1.0, "high": 1.0},
+    @pytest.mark.parametrize("excitation, line", [
+        ({"type": "white", "variance": -1.0}, "white-noise variance must be finite and positive"),
+        ({"type": "white", "variance": float("nan")},
+         "white-noise variance must be finite and positive"),
+        ({"type": "multisine", "freqs": [1.0], "amplitude": float("nan")},
+         "multisine amplitude must be finite and nonzero"),
+        ({"type": "multisine", "freqs": [1.0], "amplitude": float("inf")},
+         "multisine amplitude must be finite and nonzero"),
+        ({"type": "prbs", "n_stages": 2, "p": 100, "high": float("inf")},
+         "binary-sequence levels must be finite and distinct"),
+        ({"type": "white", "variance": 0.0}, "white-noise variance must be finite and positive"),
+        ({"type": "multisine", "freqs": [1.0], "amplitude": 0.0},
+         "multisine amplitude must be finite and nonzero"),
+        ({"type": "prbs", "n_stages": 2, "p": 100, "low": 1.0, "high": 1.0},
+         "binary-sequence levels must be finite and distinct"),
     ], ids=["negative_variance", "nan_variance", "nan_amplitude", "infinite_amplitude",
             "infinite_prbs_level", "zero_variance", "zero_amplitude", "equal_prbs_levels"])
-    def test_bad_excitation_rejected(self, excitation, sim_config, tmp_path, capsys):
+    def test_bad_excitation_rejected(self, excitation, line, refused):
         # unchecked, each would write u and y columns of nan or inf, or a
         # constant u, and exit 0 (N=300 is the period of the 2-stage register
         # held 100 samples)
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, input=excitation, noise={"sigma": 0.1}, N=300)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: ")
-        assert not (out / "dataset.csv").exists()
+        refused("simulate", read_config("simulate", input=excitation),
+                "configuration error: " + line)
 
-    @pytest.mark.parametrize("change, message", [
-        ({"N": 400.5}, "N must be a whole number, got 400.5"),
-        ({"seed": 3.3}, "seed must be a whole number, got 3.3"),
+    @pytest.mark.parametrize("change, line", [
+        ({"N": 400.5}, "configuration error: N must be a whole number, got 400.5"),
+        ({"seed": 3.3}, "configuration error: seed must be a whole number, got 3.3"),
     ], ids=["N", "seed"])
-    def test_fractional_integer_rejected(self, change, message, sim_config, tmp_path, capsys):
+    def test_fractional_integer_rejected(self, change, line, refused):
         # unchecked, both were truncated: N 400.5 simulated 400 samples
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, **change)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: %s\n" % message
-        assert not out.exists()
+        refused("simulate", read_config("simulate", **change), line)
 
-    @pytest.mark.parametrize("change, message", [
-        ({"sead": 3}, "a simulate config has no setting 'sead'"),
-        ({"noise": {"sigma": 0.1, "snr": 10.0}}, "NoiseSetting has no setting 'snr'"),
+    @pytest.mark.parametrize("change, line", [
+        ({"sead": 3}, "configuration error: a simulate config has no setting 'sead'"),
+        ({"noise": {"sigma": 0.1, "snr": 10.0}},
+         "configuration error: NoiseSetting has no setting 'snr'"),
         ({"input": {"type": "white", "varaince": 2.0}},
-         "WhiteNoiseInput has no setting 'varaince'"),
+         "configuration error: WhiteNoiseInput has no setting 'varaince'"),
         # a study's own settings, which simulate fixes at one run of r = 1
-        ({"M": 1}, "a simulate config has no setting 'M'"),
-        ({"r": 1}, "a simulate config has no setting 'r'"),
-        ({"estimators": ["pem"]}, "a simulate config has no setting 'estimators'"),
+        ({"M": 1}, "configuration error: a simulate config has no setting 'M'"),
+        ({"r": 1}, "configuration error: a simulate config has no setting 'r'"),
+        ({"estimators": ["pem"]},
+         "configuration error: a simulate config has no setting 'estimators'"),
     ], ids=["top_level", "noise", "input", "study_M", "study_r", "study_estimators"])
-    def test_misspelt_key_rejected(self, change, message, sim_config, tmp_path, capsys):
+    def test_misspelt_key_rejected(self, change, line, refused):
         # a misspelt key was ignored, and its setting took its default
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, **change)))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: %s\n" % message
-        assert not out.exists()
+        refused("simulate", read_config("simulate", **change), line)
 
     @pytest.mark.parametrize("key", ["system", "input", "h", "N", "noise"])
-    def test_missing_key_named(self, key, sim_config, tmp_path, capsys):
+    def test_missing_key_named(self, key, refused):
         # a missing key was a bare KeyError: "configuration error: 'N'"
-        cfg = json.loads(sim_config.read_text())
-        del cfg[key]
-        sim_config.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: a simulate config needs the setting %r\n" % key)
-        assert not out.exists()
+        refused("simulate", without(read_config("simulate"), key),
+                "configuration error: a simulate config needs the setting %r" % key)
 
     @pytest.mark.parametrize("h", [0, -0.1], ids=["zero", "negative"])
-    def test_multisine_period_checked(self, h, sim_config, tmp_path, capsys):
+    def test_multisine_period_checked(self, h, refused):
         # unchecked, h = 0 ended in a ZeroDivisionError traceback, and
         # h = -0.1 printed "error: frequency 1 rad/s is not inside (0, -31.4159)"
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, h=h, input={"type": "multisine",
-                                                                "freqs": [1.0]})))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: sampling period must be positive and finite\n")
-        assert not out.exists()
+        refused("simulate", read_config("simulate", h=h, input={"type": "multisine",
+                                                                  "freqs": [1.0]}),
+                "configuration error: sampling period must be positive and finite")
 
-    def test_overflowing_record_rejected(self, tmp_path, capsys):
+    def test_overflowing_record_rejected(self, refused):
         # unchecked, this unstable plant wrote a dataset with 5,865 rows of
         # inf or nan; then it was refused only once its output overflowed
         # ("u and y must be finite"), and a shorter record of it was written.
         # Checked as a study, it is refused before it is simulated
-        cfg = {"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}, "input": {"type": "white"},
-               "h": 0.1, "N": 20000, "noise": {"sigma": 0.1}, "seed": 7}
-        path = tmp_path / "unstable.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: the true system must be stable\n"
-        assert not out.exists()
+        refused("simulate", read_config("simulate", system={"num": [1.0], "den": [1.0, -1.0, 2.0]},
+                                        N=20000, seed=7),
+                "configuration error: the true system must be stable")
 
-    def test_input_length_must_match(self, sim_config, tmp_path, capsys):
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, input={"type": "prbs", "n_stages": 5, "p": 1})))
-        rc = main(["simulate", "--config", str(sim_config), "--out", str(tmp_path / "o")])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "configuration error: N=400 does not equal the binary-sequence period 31\n")
+    def test_input_length_must_match(self, refused):
+        refused("simulate", read_config("simulate", N=400,
+                                        input={"type": "prbs", "n_stages": 5, "p": 1}),
+                "configuration error: N=400 does not equal the binary-sequence period 31")
 
     @pytest.mark.parametrize("change, message", [
         ({"system": {"num": [0.5], "den": [1.0, -0.5], "h": 0.1}},
          "the true system must be continuous time"),
         ({"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}}, "the true system must be stable"),
         ({"input": {"type": "prbs", "n_stages": 5, "p": 1}},
-         "N=400 does not equal the binary-sequence period 31"),
+         "N=300 does not equal the binary-sequence period 31"),
         ({"N": 0}, "N must be at least 1, got 0"),
         ({"N": 5}, "N=5 is below 3 x order = 6, the initialiser's minimum"),
         ({"seed": -1}, "seed must be at least 0, got -1"),
     ], ids=["discrete", "unstable", "prbs_length", "no_samples", "short_record",
             "negative_seed"])
-    def test_refused_as_a_study_refuses(self, change, message, sim_config, tmp_path, capsys):
+    def test_refused_as_a_study_refuses(self, change, message, refused):
         # a simulate config is checked as a one-run study.  Checked by hand,
         # simulate worded the discrete system its own way and the binary
         # sequence by its length, wrote this unstable plant's and the short
         # record, and warned three times before refusing "N": 0; a negative
         # seed reached numpy's "expected non-negative integer"
-        cfg = dict(json.loads(sim_config.read_text()), **change)
-        sim_config.write_text(json.dumps(cfg))
-        study = tmp_path / "study.json"
-        study.write_text(json.dumps(dict(cfg, M=1, r=1)))
-        refusals = []
-        for argv in (["simulate", "--config", str(sim_config), "--out", str(tmp_path / "o")],
-                     ["montecarlo", "--config", str(study), "--out", str(tmp_path / "s")]):
-            assert main(argv) == 1
-            refusals.append(capsys.readouterr().err)
-        assert refusals == ["configuration error: %s\n" % message] * 2
-        assert not (tmp_path / "o").exists() and not (tmp_path / "s").exists()
+        for reader in ("simulate", "montecarlo"):
+            refused(reader, read_config(reader, **change), "configuration error: " + message)
 
     @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
-    def test_negative_seed_override_refused(self, command, sim_config, tmp_path, capsys):
+    def test_negative_seed_override_refused(self, command, refused):
         # --seed replaces the config's seed, and is checked as the config's is
-        cfg = json.loads(sim_config.read_text())
-        if command == "montecarlo":
-            sim_config.write_text(json.dumps(dict(cfg, M=1, r=1)))
-        out = tmp_path / "o"
-        assert main([command, "--config", str(sim_config), "--seed", "-1",
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: seed must be at least 0, got -1\n"
-        assert not out.exists()
+        refused(command, read_config(command), "configuration error: seed must be at least 0, "
+                "got -1", flags=["--seed", "-1"])
 
     def test_random_system_drawn_as_a_study_draws_it(self, sim_config, tmp_path):
         # a study's random-system block was refused as "configuration error:
@@ -306,43 +303,26 @@ class TestSimulate:
         assert (data.h, meta["sigma"]) == (h, sigma)
         assert data.u.tobytes() == u.tobytes() and data.y.tobytes() == y.tobytes()
 
-    def test_empty_record_refused_without_warning(self, sim_config, tmp_path, capsys):
+    def test_empty_record_refused_without_warning(self, refused):
         # "N": 0 reached the noise level, whose variance of the empty record
         # printed three RuntimeWarnings before the dataset refused it
-        sim_config.write_text(json.dumps(dict(json.loads(sim_config.read_text()), N=0)))
-        out = tmp_path / "o"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert caught == []
-        assert capsys.readouterr().err == "configuration error: N must be at least 1, got 0\n"
-        assert not out.exists()
+        refused("simulate", read_config("simulate", N=0, noise={"snr_db": 20.0}),
+                "configuration error: N must be at least 1, got 0")
 
-    def test_discrete_system_rejected(self, tmp_path):
-        cfg = {
-            "system": {"num": [0.5], "den": [1.0, -0.5], "h": 0.1},
-            "input": {"type": "white"},
-            "noise": {"sigma": 0.1},
-            "h": 0.1,
-            "N": 100,
-        }
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert rc == 1
+    def test_discrete_system_rejected(self, refused):
+        refused("simulate", read_config("simulate", system={"num": [0.5], "den": [1.0, -0.5],
+                                                            "h": 0.1}, N=100),
+                "configuration error: the true system must be continuous time")
 
-    def test_unknown_input_type_rejected(self, sim_config, tmp_path, capsys):
-        cfg = json.loads(sim_config.read_text())
-        sim_config.write_text(json.dumps(dict(cfg, input={"type": "square"})))
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(out)]) == 1
-        assert "configuration error: unknown input type 'square'" in capsys.readouterr().err
-        assert not out.exists()
+    def test_unknown_input_type_rejected(self, refused):
+        refused("simulate", read_config("simulate", input={"type": "square"}),
+                "configuration error: unknown input type 'square'")
 
-    def test_missing_config(self, tmp_path):
-        rc = main(["simulate", "--config", str(tmp_path / "none.json"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == 1
+    def test_missing_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", "none.json", "--out", "o"]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: [Errno 2] No such file or directory: 'none.json'\n")
 
 
 class TestFitProjectChain:
@@ -375,18 +355,14 @@ class TestFitProjectChain:
         assert cov.shape == (4, 4)
         assert np.all(cov[0, :] == 0.0)
 
-    def _fit_report(self, sim_config, tmp_path):
+    def test_project_rejects_semidefinite_information(self, sim_config, tmp_path, capsys):
+        # a jitter once made a semidefinite covariance exit 0 with cov_tilde
+        # entries up to 2.9e4; project reads the information matrix now
         data_dir = tmp_path / "data"
         assert main(["simulate", "--config", str(sim_config), "--out", str(data_dir)]) == 0
         fit_path = tmp_path / "fit.json"
         assert main(["fit", "--data", str(data_dir / "dataset.csv"), "--order", "2",
                      "--out", str(fit_path)]) == 0
-        return data_dir, fit_path
-
-    def test_project_rejects_semidefinite_information(self, sim_config, tmp_path, capsys):
-        # a jitter once made a semidefinite covariance exit 0 with cov_tilde
-        # entries up to 2.9e4; project reads the information matrix now
-        _, fit_path = self._fit_report(sim_config, tmp_path)
         rep = json.loads(fit_path.read_text())
         rep["information"] = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
         fit_path.write_text(json.dumps(rep))
@@ -398,20 +374,12 @@ class TestFitProjectChain:
         assert not out.exists()
 
     @pytest.mark.parametrize("key", ["information", "sigma2_hat"])
-    def test_project_needs_information_and_variance(self, key, sim_config, tmp_path, capsys):
+    def test_project_needs_information_and_variance(self, key, refused):
         # project reads the information matrix and the residual variance, and
         # no longer the covariance; a report without either is refused by
         # name (it was a bare KeyError: "configuration error: 'information'")
-        _, fit_path = self._fit_report(sim_config, tmp_path)
-        rep = json.loads(fit_path.read_text())
-        del rep[key]
-        fit_path.write_text(json.dumps(rep))
-        out = tmp_path / "proj.json"
-        capsys.readouterr()
-        assert main(["project", "--report", str(fit_path), "--r", "2", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: a fit report needs the setting %r\n" % key)
-        assert not out.exists()
+        refused("project", without(FIT_REPORT, key),
+                "configuration error: a fit report needs the setting %r" % key)
 
     def test_exact_fit_chain(self, sim_config, tmp_path):
         # a noise-free order-1 record is fitted to the bit, so the residual
@@ -434,101 +402,53 @@ class TestFitProjectChain:
         assert np.all(np.asarray(out["cov_tilde"]) == 0.0)
         assert_allclose(out["theta_tilde_c"], [2.0, 1.5], rtol=1e-12)
 
-    def test_fit_rejects_non_finite_data(self, sim_config, tmp_path, capsys):
+    def test_fit_rejects_non_finite_data(self, refused):
         # unchecked, a nan in y ended as "configuration error: SVD did not converge"
-        data_dir, _ = self._fit_report(sim_config, tmp_path)
-        csv_path = data_dir / "dataset.csv"
-        lines = csv_path.read_text().splitlines(keepends=True)
-        lines[101] = ",".join(lines[101].split(",")[:3] + ["nan\n"])
-        csv_path.write_text("".join(lines))
-        out = tmp_path / "nan_fit.json"
-        capsys.readouterr()
-        assert main(["fit", "--data", str(csv_path), "--order", "2", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: u and y must be finite\n"
-        assert not out.exists()
+        record = RECORD.copy()
+        record[100, 1] = np.nan
+        refused("fit", SIDECAR, "configuration error: u and y must be finite", record=record)
 
-    def test_fit_rejects_truncated_data(self, sim_config, tmp_path, capsys):
-        data_dir, _ = self._fit_report(sim_config, tmp_path)
-        csv_path = data_dir / "dataset.csv"
-        csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:301]))
-        capsys.readouterr()
-        assert main(["fit", "--data", str(csv_path), "--order", "2"]) == 1
-        assert "holds 300 rows, its sidecar says N=400" in capsys.readouterr().err
+    def test_fit_rejects_truncated_data(self, refused):
+        refused("fit", dict(SIDECAR, N=400),
+                "configuration error: doc.csv holds 300 rows, its sidecar says N=400")
 
-    def test_fit_missing_data(self, tmp_path):
-        rc = main(["fit", "--data", str(tmp_path / "no.csv"), "--order", "2"])
-        assert rc == 1
+    def test_fit_missing_data(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["fit", "--data", "no.csv", "--order", "2"]) == 1
+        assert capsys.readouterr().err == "configuration error: no.csv not found.\n"
 
-    def test_fit_rejects_order_zero(self, sim_config, tmp_path, capsys):
-        data_dir = tmp_path / "data"
-        assert main(["simulate", "--config", str(sim_config),
-                     "--out", str(data_dir)]) == 0
-        fit_path = tmp_path / "fit.json"
-        rc = main(["fit", "--data", str(data_dir / "dataset.csv"),
-                   "--order", "0", "--out", str(fit_path)])
-        assert rc == 1
-        assert "configuration error: model order must be at least 1" in capsys.readouterr().err
-        assert not fit_path.exists()
+    def test_fit_rejects_order_zero(self, refused):
+        refused("fit", SIDECAR, "configuration error: model order must be at least 1",
+                flags=["--order", "0"])
 
-    def test_fit_rejects_short_record(self, sim_config, tmp_path, capsys):
+    def test_fit_rejects_short_record(self, refused):
         # order 4 needs N >= 12: N - n equations for 2 n parameters
-        sim_config.write_text(json.dumps(dict(json.loads(sim_config.read_text()), N=11)))
-        data_dir = tmp_path / "data"
-        assert main(["simulate", "--config", str(sim_config), "--out", str(data_dir)]) == 0
-        fit_path = tmp_path / "fit.json"
-        capsys.readouterr()
-        rc = main(["fit", "--data", str(data_dir / "dataset.csv"),
-                   "--order", "4", "--out", str(fit_path)])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "configuration error: not enough samples for the requested order\n")
-        assert not fit_path.exists()
+        refused("fit", dict(SIDECAR, N=11),
+                "configuration error: not enough samples for the requested order",
+                flags=["--order", "4"], record=RECORD[:11])
 
-    @pytest.mark.parametrize("command", ["simulate", "project"])
-    def test_infinite_period_rejected(self, command, sim_config, tmp_path, capsys):
+    @pytest.mark.parametrize("reader, doc", [
+        ("simulate", read_config("simulate", h=float("inf"))),
+        ("project", dict(FIT_REPORT, h=float("inf"))),
+    ], ids=["simulate", "project"])
+    def test_infinite_period_rejected(self, reader, doc, refused):
         # unchecked, both printed two RuntimeWarnings from the matrix
         # exponential, then "Array must not contain infs or NaNs"
-        if command == "simulate":
-            cfg = dict(json.loads(sim_config.read_text()), h=float("inf"))
-        else:
-            cfg = {"theta_d": [0.3, -0.1, -1.0, 0.4], "h": float("inf"),
-                   "information": np.eye(4).tolist(), "sigma2_hat": 1.0}
-        config = tmp_path / "h_inf.json"
-        config.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        argv = (["simulate", "--config", str(config)] if command == "simulate"
-                else ["project", "--report", str(config), "--r", "1"])
-        assert main([*argv, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "configuration error: sampling period must be positive and finite\n")
-        assert not out.exists()
+        refused(reader, doc, "configuration error: sampling period must be positive and finite")
 
-    def test_project_refuses_negative_real_pole(self, tmp_path, capsys):
+    def test_project_refuses_negative_real_pole(self, refused):
         # the discrete pole -0.5 has no real continuous-time preimage
-        rep = tmp_path / "fit.json"
-        rep.write_text(json.dumps({"theta_d": [1.0, 0.5], "h": 0.1,
-                                   "information": [[1.0, 0.0], [0.0, 1.0]],
-                                   "sigma2_hat": 1.0}))
-        out = tmp_path / "proj.json"
-        assert main(["project", "--report", str(rep), "--r", "1", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: discrete-time pole -0.5 lies on the closed negative real axis\n")
-        assert not out.exists()
+        refused("project", {"theta_d": [1.0, 0.5], "h": 0.1,
+                            "information": [[1.0, 0.0], [0.0, 1.0]], "sigma2_hat": 1.0},
+                "error: discrete-time pole -0.5 lies on the closed negative real axis")
 
-    def test_project_refuses_unstable_projection(self, tmp_path, capsys):
+    def test_project_refuses_unstable_projection(self, refused):
         # an envelope record (order 6, r = 4, draw 3, default period, 20 dB)
         # whose fit projects to an unstable model; project once wrote it
         _, data = envelope_record(6, 4, 3, 1.0, 20.0)
-        save_dataset(data, tmp_path / "dataset.csv")
-        fit_path = tmp_path / "fit.json"
-        assert main(["fit", "--data", str(tmp_path / "dataset.csv"), "--order", "6",
-                     "--out", str(fit_path)]) == 0
-        out = tmp_path / "proj.json"
-        capsys.readouterr()
-        assert main(["project", "--report", str(fit_path), "--r", "4", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "error: the relative-degree projection gives an unstable model\n")
-        assert not out.exists()
+        refused("project", fit_report_dict(oe_fit(data, init_arx_iv(data, 6))),
+                "error: the relative-degree projection gives an unstable model",
+                flags=["--r", "4"])
 
 
 class TestParser:
@@ -568,18 +488,10 @@ class TestParser:
 
 class TestMonteCarloCommand:
     def test_study_outputs(self, tmp_path):
-        cfg = {
-            "system": model_to_dict(G2),
-            "input": {"type": "white", "variance": 1.0},
-            "noise": {"snr_db": 10.0},
-            "h": 0.1,
-            "N": 300,
-            "M": 3,
-            "r": 2,
-            "seed": 11,
-        }
         path = tmp_path / "mc.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(read_config("montecarlo", system=model_to_dict(G2), M=3, r=2,
+                                               seed=11, input={"type": "white", "variance": 1.0},
+                                               noise={"snr_db": 10.0})))
         out = tmp_path / "study"
         rc = main(["montecarlo", "--config", str(path), "--out", str(out)])
         assert rc == 0
@@ -594,51 +506,35 @@ class TestMonteCarloCommand:
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["seed"] == 12
 
-    def test_exit_code_two_when_nothing_survives(self, tmp_path, rao_garnier):
-        cfg = {
-            "system": model_to_dict(rao_garnier),
-            "input": {"type": "white", "variance": 1.0},
-            "noise": {"snr_db": -20.0},
-            "h": 0.1,
-            "N": 80,
-            "M": 4,
-            "r": 3,
-            "seed": 20260816,
-        }
-        path = tmp_path / "doomed.json"
-        path.write_text(json.dumps(cfg))
-        rc = main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert rc == 2
+    def test_exit_code_two_when_nothing_survives(self, tmp_path, rao_garnier, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(command("montecarlo", read_config(
+            "montecarlo", system=model_to_dict(rao_garnier), N=80, M=4, r=3, seed=20260816,
+            input={"type": "white", "variance": 1.0}, noise={"snr_db": -20.0}))) == 2
 
-    @pytest.mark.parametrize("change, message", [
-        ({"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}}, "the true system must be stable"),
+    @pytest.mark.parametrize("change, line", [
+        ({"system": {"num": [1.0], "den": [1.0, -1.0, 2.0]}},
+         "configuration error: the true system must be stable"),
         ({"system": {"num": [0.5], "den": [1.0, -0.5], "h": 0.1}},
-         "the true system must be continuous time"),
-        ({"input": {"type": "square"}}, "unknown input type 'square'"),
-        ({"r": 2.5}, "r must be a whole number, got 2.5"),
-        ({"M": 2.7}, "M must be a whole number, got 2.7"),
-        ({"estimator": ["pemrd"]}, "ExperimentConfig has no setting 'estimator'"),
+         "configuration error: the true system must be continuous time"),
+        ({"input": {"type": "square"}}, "configuration error: unknown input type 'square'"),
+        ({"r": 2.5}, "configuration error: r must be a whole number, got 2.5"),
+        ({"M": 2.7}, "configuration error: M must be a whole number, got 2.7"),
+        ({"estimator": ["pemrd"]}, "configuration error: ExperimentConfig has no setting "
+                                   "'estimator'"),
         ({"system": {"random": {"order": 1, "reldeg": 1}}, "h": None,
           "input": {"type": "multisine", "freqs": [5.0, 20.0]}},
-         "a random-system multisine study needs a sampling period"),
+         "configuration error: a random-system multisine study needs a sampling period"),
     ], ids=["unstable", "discrete", "unknown_input", "fractional_r", "fractional_M",
             "misspelt_key", "random_multisine_without_period"])
-    def test_bad_study_rejected(self, change, message, tmp_path, capsys):
+    def test_bad_study_rejected(self, change, line, refused):
         # unchecked, the unstable plant ran all its fits, recorded every one
         # an optimizer_error and exited 2; a fractional r or M was truncated;
         # the random-system multisine study ran 26 runs, then aborted on an
         # aliased tone
-        cfg = dict({"system": model_to_dict(G2), "input": {"type": "white"},
-                    "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "M": 4, "r": 1, "seed": 1},
-                   **change)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "configuration error: %s\n" % message
-        assert not out.exists()
+        refused("montecarlo", read_config("montecarlo", **change), line)
 
-    @pytest.mark.parametrize("change, message", [
+    @pytest.mark.parametrize("change, line", [
         ({"noise": {"snr_db": 4000.0}},
          "configuration error: snr_db must be +inf or lie in [-3000, 3000] dB, got 4000.0"),
         ({"noise": {"snr_db": -4000.0}},
@@ -651,45 +547,26 @@ class TestMonteCarloCommand:
          "configuration error: chip hold count must be at least 1"),
     ], ids=["overflowing_snr", "underflowing_snr", "negative_register", "long_register",
             "zero_hold"])
-    def test_setting_refused_by_its_type(self, change, message, tmp_path, capsys):
+    def test_setting_refused_by_its_type(self, change, line, refused):
         # the noise levels ended in an OverflowError traceback or a warning;
         # the register lengths and hold count reached ExperimentConfig's
         # period, and were refused as "negative shift count", Python's
         # 4300-digit conversion limit and "binary-sequence period 0"
-        cfg = dict({"system": model_to_dict(G2), "input": {"type": "white"},
-                    "noise": {"sigma": 0.1}, "h": 0.1, "N": 1533, "M": 4, "r": 1, "seed": 1},
-                   **change)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == message + "\n"
-        assert not out.exists()
+        refused("montecarlo", read_config("montecarlo", N=1533, **change), line)
 
-    def test_record_too_short_for_order(self, tmp_path, capsys, rao_garnier):
+    def test_record_too_short_for_order(self, refused, rao_garnier):
         # every run would fail in the initialiser, so this is not a study
-        cfg = {"system": model_to_dict(rao_garnier), "input": {"type": "white"},
-               "noise": {"snr_db": 10.0}, "h": 0.1, "N": 11, "M": 6, "r": 3, "seed": 1}
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "o"
-        assert main(["montecarlo", "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(
-            "configuration error: N=11 is below 3 x order = 12")
-        assert not out.exists()
+        refused("montecarlo", read_config("montecarlo", system=model_to_dict(rao_garnier),
+                                          noise={"snr_db": 10.0}, N=11, M=6, r=3),
+                "configuration error: N=11 is below 3 x order = 12, the initialiser's minimum")
 
 
 class TestBode:
-    def test_table_values(self, tmp_path):
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(model_to_dict(G2)))
-        out = tmp_path / "bode.csv"
-        rc = main(["bode", "--model", str(model_path), "--wmin", "2.0",
-                   "--wmax", "2.0", "--points", "1", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
+    def test_table_values(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(command("bode", model_to_dict(G2),
+                            ["--wmin", "2.0", "--wmax", "2.0", "--points", "1"])) == 0
+        lines = Path("o").read_text().splitlines()
         assert lines[0] == "omega,mag_db,phase_deg"
         w, mag_db, phase = (float(x) for x in lines[1].split(","))
         assert w == 2.0
@@ -697,33 +574,21 @@ class TestBode:
         assert_allclose(mag_db, 20 * np.log10(3.0 / 5.6), rtol=1e-10)
         assert_allclose(phase, -90.0, rtol=1e-10)
 
-    def test_grid_size(self, tmp_path):
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(model_to_dict(G2)))
-        out = tmp_path / "bode.csv"
-        rc = main(["bode", "--model", str(model_path), "--points", "17",
-                   "--out", str(out)])
-        assert rc == 0
-        assert len(out.read_text().splitlines()) == 18
+    def test_grid_size(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(command("bode", model_to_dict(G2), ["--points", "17"])) == 0
+        assert len(Path("o").read_text().splitlines()) == 18
 
     @pytest.mark.parametrize("grid", [
         ["--wmin", "0"], ["--wmin", "-1"], ["--wmin", "nan"], ["--wmax", "inf"],
         ["--points", "0"],
     ], ids=["zero_wmin", "negative_wmin", "nan_wmin", "infinite_wmax", "no_points"])
-    def test_bad_grid_rejected(self, grid, tmp_path, capsys):
+    def test_bad_grid_rejected(self, grid, refused):
         # unchecked, a nonpositive wmin would print rows of nan and exit 0
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(model_to_dict(G2)))
-        out = tmp_path / "bode.csv"
-        rc = main(["bode", "--model", str(model_path), *grid, "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == ("configuration error: --wmin and --wmax must be "
-                                           "positive and finite, --points at least 1\n")
-        assert not out.exists()
+        refused("bode", model_to_dict(G2), "configuration error: --wmin and --wmax must be "
+                "positive and finite, --points at least 1", flags=grid)
 
 
-FIT_REPORT = {"theta_d": [0.3, -0.1, -1.0, 0.4], "h": 0.1,
-              "information": np.eye(4).tolist(), "sigma2_hat": 1.0}
 # a config's "system": a key missing, a key unknown, a key beside "random"
 SYSTEMS = [
     ({"num": [3.0]}, "a model needs the setting 'den'", "missing"),
@@ -731,13 +596,42 @@ SYSTEMS = [
     ({"random": {"order": 2, "reldeg": 1}, "num": [3.0]},
      "a random system has no setting 'num'", "random_unknown"),
 ]
+BIG = 10**400  # a JSON whole number that no float holds
+# each key, array entry and whole document that the sweep below reads is
+# set in turn to each of these
+SWEEP = [None, True, 0, -1, 1.5, float("nan"), float("inf"), 1e308, BIG, "x", [], {}, [1],
+         [[1]], {"a": 1}, ["prbs"]]
+SWEPT = {"simulate": read_config("simulate"),
+         "montecarlo": read_config("montecarlo", estimators=["pem", "pemrd"]),
+         "project": FIT_REPORT, "fit": SIDECAR, "bode": model_to_dict(G2)}
+# the sweep's calls that end in a numpy RuntimeWarning, which this test run
+# raises: a 1e308 overflows a product, and bode takes log10(0) of a zero
+# numerator (a known defect, not yet refused by name)
+SWEEP_WARNS = {
+    "simulate": {(("noise", "sigma"), "1e+308"), (("h",), "1e+308")},
+    "montecarlo": {(("system", "num"), "1e+308"), (("system", "num", 0), "1e+308"),
+                   (("noise", "sigma"), "1e+308"), (("h",), "1e+308")},
+    "project": {(("theta_d", 3), "1e+308"), (("sigma2_hat",), "1e+308"),
+                *((("information", i, i), "1e+308") for i in range(4))},
+    "bode": {(("num",), "0"), (("num", 0), "0"), (("den", 1), "1e+308")},
+}
 
 
-def read_config(reader, **blocks):
-    """A ``simulate`` config, or for ``montecarlo`` a one-run study, with ``blocks`` replaced."""
-    study = {"M": 1, "r": 1} if reader == "montecarlo" else {}
-    return {"system": {"num": [3.0], "den": [1.0, 2.8, 4.0]}, "input": {"type": "white"},
-            "noise": {"sigma": 0.1}, "h": 0.1, "N": 300, "seed": 1, **study, **blocks}
+def nodes(doc, at=()):
+    """The path ``at`` of ``doc`` and the path of every key and array entry in it."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from nodes(value, at + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of ``doc`` whose node at ``path`` is ``value``."""
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = replaced(doc[path[0]], path[1:], value)
+    return out
 
 
 class TestDocumentKeys:
@@ -757,48 +651,32 @@ class TestDocumentKeys:
     is not a number is refused by name too.
     """
 
-    @staticmethod
-    def _argv(reader, doc, tmp_path):
-        """The command that reads ``doc`` as ``reader``, writing into ``tmp_path / "o"``."""
-        path, out = tmp_path / "doc.json", str(tmp_path / "o")
-        if reader == "fit":  # doc is the sidecar of a 300-sample dataset
-            data = tmp_path / "doc.csv"
-            rng = np.random.default_rng(0)
-            save_dataset(SampledDataset(rng.standard_normal(300), rng.standard_normal(300), 0.1),
-                         data)
-            path.write_text(json.dumps(doc))
-            return ["fit", "--data", str(data), "--order", "1", "--out", out]
-        option = {"simulate": ["--config"], "montecarlo": ["--config"], "bode": ["--model"],
-                  "project": ["--r", "1", "--report"]}[reader]
-        path.write_text(json.dumps(doc))
-        return [reader, *option, str(path), "--out", out]
-
-    @pytest.mark.parametrize("reader, doc, message", [
-        *(pytest.param(reader, read_config(reader, system=doc), message,
+    @pytest.mark.parametrize("reader, doc, line", [
+        *(pytest.param(reader, read_config(reader, system=doc), "configuration error: " + message,
                        id="%s_%s" % (reader, name))
           for reader in ("simulate", "montecarlo") for doc, message, name in SYSTEMS),
-        pytest.param("bode", {"den": [1.0, 0.5]}, "a model needs the setting 'num'",
-                     id="bode_missing"),
+        pytest.param("bode", {"den": [1.0, 0.5]},
+                     "configuration error: a model needs the setting 'num'", id="bode_missing"),
         pytest.param("bode", {"num": [1], "den": [1, 0.5], "H": 0.1},
-                     "a model has no setting 'H'", id="bode_misspelt_period"),
+                     "configuration error: a model has no setting 'H'", id="bode_misspelt_period"),
         # a relative degree belongs to a continuous-time model only
         pytest.param("bode", {"num": [1], "den": [1, -0.5], "h": 0.1, "r": 5},
-                     "a model has no setting 'r'", id="bode_discrete_r"),
-        *(pytest.param("project", {k: v for k, v in FIT_REPORT.items() if k != key},
-                       "a fit report needs the setting %r" % key, id="report_missing_" + key)
+                     "configuration error: a model has no setting 'r'", id="bode_discrete_r"),
+        *(pytest.param("project", without(FIT_REPORT, key),
+                       "configuration error: a fit report needs the setting %r" % key,
+                       id="report_missing_" + key)
           for key in ("theta_d", "h")),
         *(pytest.param("project", dict(FIT_REPORT, theta_d=theta),
-                       "parameter vector must be 1-d of even length", id="report_theta_d_" + name)
+                       "configuration error: parameter vector must be 1-d of even length",
+                       id="report_theta_d_" + name)
           for theta, name in (([], "empty"), ([1.0, 0.5, 0.2], "odd"))),
-        pytest.param("fit", {"N": 300}, "a dataset sidecar needs the setting 'h'",
-                     id="sidecar_missing_h"),
-        pytest.param("fit", {"h": 0.1, "sigma": None}, "a dataset sidecar needs the setting 'N'",
-                     id="sidecar_missing_N"),
+        pytest.param("fit", {"N": 300}, "configuration error: a dataset sidecar needs the "
+                     "setting 'h'", id="sidecar_missing_h"),
+        pytest.param("fit", {"h": 0.1, "sigma": None}, "configuration error: a dataset sidecar "
+                     "needs the setting 'N'", id="sidecar_missing_N"),
     ])
-    def test_key_refused_by_name(self, reader, doc, message, tmp_path, capsys):
-        assert main(self._argv(reader, doc, tmp_path)) == 1
-        assert capsys.readouterr().err == "configuration error: %s\n" % message
-        assert not (tmp_path / "o").exists()
+    def test_key_refused_by_name(self, reader, doc, line, refused):
+        refused(reader, doc, line)
 
     @pytest.mark.parametrize("value", [None, [1, 2]], ids=["null", "list"])
     @pytest.mark.parametrize("reader, block, what", [
@@ -812,71 +690,125 @@ class TestDocumentKeys:
         pytest.param("fit", None, "a dataset sidecar", id="sidecar"),
         pytest.param("bode", None, "a model", id="bode"),
     ])
-    def test_non_object_refused_by_name(self, reader, block, what, value, tmp_path, capsys):
+    def test_non_object_refused_by_name(self, reader, block, what, value, refused):
         doc = value
         if block == "random":
             doc = read_config(reader, system={"random": value})
         elif block is not None:
             doc = read_config(reader, **{block: value})
-        assert main(self._argv(reader, doc, tmp_path)) == 1
-        assert capsys.readouterr().err == "configuration error: %s must be a JSON object\n" % what
-        assert not (tmp_path / "o").exists()
+        refused(reader, doc, "configuration error: %s must be a JSON object" % what)
 
-    @pytest.mark.parametrize("reader, doc, message", [
+    @pytest.mark.parametrize("reader, doc, line", [
         *(pytest.param("simulate", read_config("simulate", **{key: value}),
-                       "%s must be a number, got %r" % (key, value), id="%s_%s" % (key, name))
+                       "configuration error: %s must be a number, got %r" % (key, value),
+                       id="%s_%s" % (key, name))
           for key, value, name in (("N", "abc", "string"), ("N", None, "null"),
                                    ("N", "300", "numeric_string"), ("N", True, "true"),
                                    ("h", "x", "string"))),
         pytest.param("simulate",
                      read_config("simulate", input={"type": "white", "variance": None}),
-                     "variance must be a number, got None", id="variance_null"),
+                     "configuration error: variance must be a number, got None",
+                     id="variance_null"),
         pytest.param("montecarlo",
                      read_config("montecarlo", input={"type": "multisine", "freqs": [1.0, "2"]}),
-                     "freqs must be a number, got '2'", id="freqs_string"),
+                     "configuration error: freqs must be a number, got '2'", id="freqs_string"),
         pytest.param("montecarlo", read_config("montecarlo", noise={"sigma": "0.1"}),
-                     "sigma must be a number, got '0.1'", id="sigma_string"),
+                     "configuration error: sigma must be a number, got '0.1'", id="sigma_string"),
         pytest.param("montecarlo",
                      read_config("montecarlo", system={"random": {
                          "order": 2, "reldeg": 1, "slowest_pole_bound": None}}),
-                     "slowest_pole_bound must be a number, got None", id="pole_bound_null"),
-        pytest.param("fit", {"h": 0.1, "N": "300"}, "N must be a number, got '300'",
-                     id="sidecar_string_N"),
-        pytest.param("fit", {"h": None, "N": 300}, "h must be a number, got None",
-                     id="sidecar_null_h"),
+                     "configuration error: slowest_pole_bound must be a number, got None",
+                     id="pole_bound_null"),
+        pytest.param("fit", {"h": 0.1, "N": "300"},
+                     "configuration error: N must be a number, got '300'", id="sidecar_string_N"),
+        pytest.param("fit", {"h": None, "N": 300}, "configuration error: h must be a number, "
+                     "got None", id="sidecar_null_h"),
         pytest.param("project", dict(FIT_REPORT, sigma2_hat=None),
-                     "sigma2_hat must be a number, got None", id="report_null_sigma2_hat"),
-        pytest.param("project", dict(FIT_REPORT, h="0.1"), "h must be a number, got '0.1'",
-                     id="report_string_h"),
+                     "configuration error: sigma2_hat must be a number, got None",
+                     id="report_null_sigma2_hat"),
+        pytest.param("project", dict(FIT_REPORT, h="0.1"),
+                     "configuration error: h must be a number, got '0.1'", id="report_string_h"),
         # an entry of a coefficient array: true read as 1, a string refused
         # in numpy's words and null as a non-finite coefficient
         *(pytest.param("simulate",
                        read_config("simulate", system={"num": [value], "den": [1.0, 2.8, 4.0]}),
-                       "num must be a number, got %r" % (value,), id="num_" + name)
+                       "configuration error: num must be a number, got %r" % (value,),
+                       id="num_" + name)
           for value, name in ((True, "true"), ("x", "string"), (None, "null"))),
         *(pytest.param("project", dict(FIT_REPORT, theta_d=[0.3, value, -1.0, 0.4]),
-                       "theta must be a number, got %r" % (value,), id="report_theta_d_" + name)
+                       "configuration error: theta must be a number, got %r" % (value,),
+                       id="report_theta_d_" + name)
           for value, name in ((False, "false"), ("x", "string"), (None, "null"))),
         *(pytest.param("project", dict(FIT_REPORT, information=[[value] * 4] * 4),
-                       "information must be a number, got %r" % (value,),
+                       "configuration error: information must be a number, got %r" % (value,),
                        id="report_information_" + name)
           for value, name in ((True, "true"), ("0", "string"), (None, "null"))),
         # a string or null in place of a list: a string was read as its
         # characters, and null ended in "'NoneType' object is not iterable"
         *(pytest.param("montecarlo", read_config("montecarlo", estimators=value),
-                       "estimators must be a list, got %r" % (value,), id="estimators_" + name)
+                       "configuration error: estimators must be a list, got %r" % (value,),
+                       id="estimators_" + name)
           for value, name in (("pem", "string"), (None, "null"))),
         *(pytest.param("simulate",
                        read_config("simulate", input={"type": "multisine", "freqs": value}),
-                       "freqs must be a list, got %r" % (value,), id="freqs_" + name)
+                       "configuration error: freqs must be a list, got %r" % (value,),
+                       id="freqs_" + name)
           for value, name in (("12", "string_list"), (None, "null_list"))),
+        # a list as the input's type was "unhashable type: 'list'"
+        pytest.param("simulate", read_config("simulate", input={"type": ["prbs"]}),
+                     "configuration error: unknown input type ['prbs']", id="type_list"),
+        # a whole number beyond the float range, in each kind of document,
+        # ended in an OverflowError traceback
+        pytest.param("simulate", read_config("simulate", h=BIG),
+                     "configuration error: h lies beyond the float range", id="h_big"),
+        pytest.param("montecarlo", read_config("montecarlo", noise={"snr_db": BIG}),
+                     "configuration error: snr_db lies beyond the float range", id="snr_db_big"),
+        pytest.param("project", dict(FIT_REPORT, theta_d=[0.3, BIG, -1.0, 0.4]),
+                     "configuration error: theta lies beyond the float range",
+                     id="report_theta_d_big"),
+        pytest.param("fit", dict(SIDECAR, h=BIG),
+                     "configuration error: h lies beyond the float range", id="sidecar_big_h"),
+        pytest.param("bode", {"num": [BIG], "den": [1.0, 0.5]},
+                     "configuration error: num lies beyond the float range", id="bode_big_num"),
+        # numpy spawns the run seeds at 32-bit indices; such an M ended in an
+        # OverflowError traceback from SeedSequence.spawn
+        *(pytest.param("montecarlo", read_config("montecarlo", M=value),
+                       "configuration error: M must be at most 4294967294, got %d" % value,
+                       id="M_" + name)
+          for value, name in ((1e308, "huge_float"), (BIG, "big"))),
+        # a non-finite entry was "coefficients must be finite", or for the
+        # information matrix numpy's "array must not contain infs or NaNs"
+        pytest.param("simulate",
+                     read_config("simulate", system={"num": [float("nan")], "den": [1.0, 2.8]}),
+                     "configuration error: num must be finite", id="num_nan"),
+        pytest.param("project", dict(FIT_REPORT, information=[[float("nan")] * 4] * 4),
+                     "configuration error: information must be finite",
+                     id="report_information_nan"),
     ])
-    def test_value_refused_unless_a_number(self, reader, doc, message, tmp_path, capsys):
+    def test_value_refused_unless_a_number(self, reader, doc, line, refused):
         # each was read by int() or float(): "abc" and null were refused in
         # their words, "300" and "0.1" accepted, and true read as 1
-        assert main(self._argv(reader, doc, tmp_path)) == 1
-        assert capsys.readouterr().err == "configuration error: %s\n" % message
-        assert not (tmp_path / "o").exists()
+        refused(reader, doc, line)
+
+    @pytest.mark.parametrize("reader", SWEPT)
+    def test_every_value_read_or_refused(self, reader, tmp_path, capsys, monkeypatch):
+        # each call exits 0, 1 or 2 (a study with no successful run), and an
+        # exit 1 prints one refusal line.  A whole number beyond the float
+        # range ended in an OverflowError traceback, and a list as the
+        # input's type raised a TypeError, which main no longer catches
+        monkeypatch.chdir(tmp_path)
+        doc, failures = SWEPT[reader], {}
+        for path in nodes(doc):
+            for value in SWEEP:
+                try:
+                    code = main(command(reader, replaced(doc, path, value)))
+                except Exception as exc:  # what leaves main is a finding
+                    code = type(exc).__name__
+                err = capsys.readouterr().err
+                if not (code in (0, 2) or code == 1 and err.count("\n") == 1
+                        and err.startswith(("configuration error: ", "error: "))):
+                    failures[path, repr(value)] = code if isinstance(code, str) else err
+        assert failures == dict.fromkeys(SWEEP_WARNS.get(reader, ()), "RuntimeWarning")
 
 
 STARTUP_SCRIPT = """

@@ -159,7 +159,7 @@ class TestSampledDataset:
     (lambda: CtModel([], [1.0, 2.0]), "coefficients must form a nonempty 1-d sequence"),
     (lambda: DtModel([1.0], [[1.0, 2.0], [3.0, 4.0]], h=0.1),
      "coefficients must form a nonempty 1-d sequence"),
-    (lambda: CtModel([1.0], [1.0, np.nan]), "coefficients must be finite"),
+    (lambda: CtModel([1.0], [1.0, np.nan]), "den must be finite"),
     (lambda: CtModel([1.0], [2.0]), "denominator must have degree at least 1"),
     # the leading zero is stripped, leaving a constant
     (lambda: DtModel([0.0], [0.0, 3.0], h=0.1), "denominator must have degree at least 1"),
@@ -195,7 +195,7 @@ BAD_VECTORS = {
     "empty": ([], 1, "parameter vector must be 1-d of even length"),
     "odd_length": ([1.0, 2.8, 4.0], 1, "parameter vector must be 1-d of even length"),
     "2d": ([[1.0, 2.0], [2.8, 4.0]], 1, "parameter vector must be 1-d of even length"),
-    "nan": ([1.0, np.nan, 2.8, 4.0], 1, "coefficients must be finite"),
+    "nan": ([1.0, np.nan, 2.8, 4.0], 1, "theta must be finite"),
     "r_zero": ([1.0, 2.0, 2.8, 4.0], 0, "relative degree must lie in [1, n]"),
     "r_above_n": ([1.0, 2.0, 2.8, 4.0], 3, "relative degree must lie in [1, n]"),
 }

@@ -197,14 +197,14 @@ class TestProjectRd:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_estimate_rejected(self, bad):
         # before, a nan came back as the projection [0, nan, nan, nan]
-        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
             project_rd([bad, 1.0, 2.0, 3.0], np.eye(4), r=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_information_rejected(self, bad):
         info = np.eye(4)
         info[1, 2] = bad
-        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        with pytest.raises(ValueError, match="^information must be finite$"):
             project_rd([1.0, 1.0, 2.0, 3.0], info, r=2)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -335,7 +335,7 @@ class TestPemrdPipeline:
         (8, 0, 0.5, "relative degree must lie in [1, n]"),
         (8, 5, 0.5, "relative degree must lie in [1, n]"),
         (7, 1, 0.5, "parameter vector must be 1-d of even length"),
-        (8, 2, np.nan, "coefficients must be finite"),
+        (8, 2, np.nan, "theta must be finite"),
     ], ids=["r_zero", "r_above_n", "odd_length", "non_finite"])
     def test_estimate_refusals(self, rao_garnier, monkeypatch, size, r, first, message):
         # refused before the sampling map is evaluated; the nan sits in the

@@ -176,7 +176,7 @@ class TestD2C:
     def test_overflowing_logarithms_rejected(self):
         # at h = 1e-300 the continuous poles log(z) / h are about 1e300, and
         # their product overflows the continuous denominator
-        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        with pytest.raises(ValueError, match="^den must be finite$"):
             d2c_zoh(DtModel([1.0, 0.5], [1.0, -1.2, 0.35], h=1e-300))
 
     def test_unreproduced_denominator_rejected(self):
