@@ -23,7 +23,7 @@ from .lti import (DtModel, SampledDataset, _json_text, _load_json, freq_response
 from .montecarlo import _experiment, config_from_dict, run_monte_carlo, save_report
 from .pem import fit_report_dict, init_arx_iv, oe_fit
 from .rdproj import pemrd_report_dict, project_estimate
-from .sampling import d2c_zoh, load_dataset, save_dataset
+from .sampling import _add_noise, d2c_zoh, load_dataset, save_dataset
 # not called here; bench/spans.py traces these names on this module
 from .lti import simulate_dt  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
@@ -47,8 +47,7 @@ def _cmd_simulate(args) -> int:
     config = config_from_dict(dict(cfg, M=1, r=1, seed=seed))
     system, h, u, y0, sigma = _experiment(
         config, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
-    y = y0 + sigma * np.random.default_rng(config.seed).standard_normal(config.N)
-    data = SampledDataset(u=u, y=y, h=h)
+    data = SampledDataset(u=u, y=_add_noise(y0, sigma, np.random.default_rng(config.seed)), h=h)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_dataset(data, out_dir / "dataset.csv", sigma=sigma, seed=config.seed,
@@ -96,6 +95,8 @@ def _cmd_bode(args) -> int:
     if not (0.0 < args.wmin < np.inf and 0.0 < args.wmax < np.inf) or args.points < 1:
         raise ValueError("--wmin and --wmax must be positive and finite, --points at least 1")
     model = model_from_dict(_load_json(args.model))
+    if not model.num.any():  # freq_response gives its zero response; log10 would give -inf
+        raise ValueError("a zero numerator has no magnitude in dB")
     omega = np.logspace(np.log10(args.wmin), np.log10(args.wmax), args.points)
     resp = freq_response(model, omega)
     lines = ["omega,mag_db,phase_deg"]

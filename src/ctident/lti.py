@@ -84,6 +84,13 @@ def _floats(value, name: str, ndmin: int = 0) -> np.ndarray:
     return out
 
 
+def _info_floats(M, m: int) -> np.ndarray:
+    """An information matrix ``M`` as a new ``m`` by ``m`` float array of numbers (:func:`_floats`)."""
+    if np.shape(M) != (m, m):
+        raise ValueError("information matrix shape does not match the parameter vector")
+    return _floats(M, "information")
+
+
 def _coeffs(c, name: str) -> np.ndarray:
     """``c`` as a read-only float array: 1-d, nonempty, finite, exact leading zeros stripped.
 

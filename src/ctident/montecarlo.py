@@ -36,7 +36,7 @@ from .lti import (
 from .metrics import _mse_g, _truth, fit, mse_theta
 from .pem import _study_buffers, init_arx_iv, oe_fit
 from .rdproj import project_estimate
-from .sampling import NoiseSetting, c2d_zoh, d2c_zoh
+from .sampling import NoiseSetting, _add_noise, c2d_zoh, d2c_zoh
 # not called here; bench/spans.py traces these names on this module
 from .lti import simulate_dt as predict  # noqa: F401
 from .metrics import mse_g  # noqa: F401
@@ -206,8 +206,9 @@ def _experiment(config: ExperimentConfig, rng):
     excitation (``rng`` is drawn from again only for white noise), ``y0`` the
     noiseless sampled output and ``sigma`` the noise deviation that
     ``config.noise`` resolves to on ``y0``.  Every study run and every
-    ``ctident simulate`` dataset is built here.  The caller draws the noise
-    itself, and the ``SampledDataset`` it builds refuses a non-finite record.
+    ``ctident simulate`` dataset is built here.  The caller adds the noise
+    from its own generator (``sampling._add_noise``), and the
+    ``SampledDataset`` it builds refuses a non-finite record.
     """
     g0, spec, N = config.system, config.input, config.N
     if isinstance(g0, RandomSystemSpec):
@@ -300,7 +301,7 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
             rng = np.random.default_rng(run_seeds[run + 1])
             g0, h, u, y0, sigma = fixed or _experiment(config, rng)
             truth = fixed_truth or _truth(g0)
-            data = SampledDataset(u=u, y=y0 + sigma * rng.standard_normal(config.N), h=h)
+            data = SampledDataset(u=u, y=_add_noise(y0, sigma, rng), h=h)
             records.extend(_run_once(run, data, g0, y0, truth, config))
 
     aggregates = {est: _aggregate(records, est) for est in config.estimators}

@@ -42,6 +42,7 @@ from .lti import (
     DtModel,
     SampledDataset,
     _chol_inverse,
+    _info_floats,
     _poly,
     _predict,
     _roots,
@@ -108,6 +109,30 @@ def _buffer(role: str, shape: tuple) -> np.ndarray:
     return buf
 
 
+def _information(M, m: int) -> np.ndarray:
+    """``M``, symmetrized, if it can serve as a fit's information matrix; else a refusal.
+
+    The one rule for an information matrix, which :func:`oe_fit` applies to
+    its own and ``rdproj.project_estimate`` to the one it is handed: ``m``
+    by ``m``, every entry a finite number (``lti._info_floats``), and a
+    condition number of at most 1e12, taken of ``M`` as it is.  Only then is
+    ``M`` symmetrized, so an entry too large for ``M + M^T`` is refused by
+    the rule.  The fit decides on its symmetrized matrix, so a report of it
+    read back passes the same test with the same bits.
+
+    Raises
+    ------
+    ValueError
+        If ``M`` is not an ``m`` by ``m`` matrix of finite numbers.
+    SingularInformation
+        If its condition number exceeds 1e12.
+    """
+    M = _info_floats(M, m)
+    if np.linalg.cond(M) > 1e12:
+        raise SingularInformation("information matrix condition number exceeds 1e12")
+    return _sym(M)
+
+
 @dataclass(frozen=True)
 class EstimationResult:
     """Estimate plus optimizer diagnostics.
@@ -115,7 +140,10 @@ class EstimationResult:
     ``information`` is the Gauss-Newton information matrix ``psi^T psi`` at
     the estimate, symmetrized, in the full length ``2 n`` layout, and
     ``sigma2_hat`` the residual variance; the two are kept apart, so an
-    exact fit (``sigma2_hat = 0``) keeps a definite metric.
+    exact fit (``sigma2_hat = 0``) keeps a definite metric.  From
+    :func:`oe_fit` the matrix has passed :func:`_information`, the rule that
+    ``rdproj.project_estimate`` applies too; one built by hand has not, and
+    :attr:`covariance` refuses it only if it cannot be factored.
     ``cost_history`` records the cost after each accepted step, starting at
     the initial point.
     """
@@ -228,7 +256,9 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
     fast as ``dsyrk``, and ``dposv`` reads only its upper triangle.
 
     The result carries the Gauss-Newton information matrix at the estimate,
-    ``psi^T psi`` of the last pass, and ``sigma2_hat``; nothing here inverts it.
+    ``psi^T psi`` of the last pass, symmetrized and passed through
+    :func:`_information`, the rule ``rdproj.project_estimate`` applies to
+    the matrix it reads, and ``sigma2_hat``; nothing here inverts it.
 
     Raises
     ------
@@ -240,7 +270,7 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
         damping cannot restore descent.
     SingularInformation
         If the information matrix at the estimate has a condition number
-        above 1e12.
+        above 1e12 (:func:`_information`).
     """
     n = init.n
     if not is_stable(init):
@@ -303,12 +333,10 @@ def oe_fit(data: SampledDataset, init: DtModel) -> EstimationResult:
             converged = True
             break
 
-    if np.linalg.cond(H) > 1e12:
-        raise SingularInformation("information matrix condition number exceeds 1e12")
     return EstimationResult(
         model=DtModel.from_theta(theta, data.h),
         sigma2_hat=cost / (data.N - 2 * n),
-        information=_sym(H),
+        information=_information(_sym(H), 2 * n),
         cost=cost,
         iterations=iterations,
         converged=converged,

@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularCovariance, UnstableSystem
-from .lti import (CtModel, SampledDataset, _chol_inverse, _floats, _number, _reldeg, _sym, _theta,
-                  is_stable)
-from .pem import EstimationResult, init_arx_iv, oe_fit
+from .lti import (CtModel, SampledDataset, _chol_inverse, _info_floats, _number, _reldeg, _sym,
+                  _theta, is_stable)
+from .pem import EstimationResult, _information, init_arx_iv, oe_fit
 from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
 
 __all__ = [
@@ -121,7 +121,7 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
     """
     theta = _theta(theta_hat_c, r)
     k = int(r) - 1
-    info = _metric(info_c, theta.size)
+    info = _sym(_info_floats(info_c, theta.size))
     cov = _sym(_chol_inverse(info, NotPositiveDefinite(
         "continuous-time information matrix is not positive definite")))
     cov_tilde = _block_covariance(info, k)
@@ -136,13 +136,6 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
             "free-block and multiplier projections disagree beyond %.1e" % tol)
     return PemrdResult(theta_tilde_c=theta_tilde, cov_tilde=cov_tilde,
                        lagrange_multiplier=lam, r=k + 1)
-
-
-def _metric(M, m: int) -> np.ndarray:
-    """``M`` as a symmetrized float matrix of numbers (:func:`_floats`), ``m`` by ``m``."""
-    if np.shape(M) != (m, m):
-        raise ValueError("information matrix shape does not match the parameter vector")
-    return _sym(_floats(M, "information"))
 
 
 def projected_covariance(cov_c: np.ndarray, r: int) -> np.ndarray:
@@ -187,20 +180,24 @@ def project_estimate(theta_hat_c, information, sigma2: float, h: float, r: int) 
     ``J^T information J`` of that Jacobian ``J``; ``cov_tilde`` is then
     ``sigma2`` times the inverse of the metric's free block.  The result
     carries the ``map_point``.  ``theta_hat_c`` and ``r`` are refused as in
-    :func:`lti._theta`, first.
+    :func:`lti._theta`, first; then ``information`` by ``pem._information``,
+    the rule :func:`oe_fit` applies to the matrix it returns, so a fit's own
+    report is never refused by it.
 
     Raises
     ------
     ValueError
         If ``sigma2`` is not a number, is negative or is not finite, or
         ``information`` is not a finite square matrix of the vector's size.
+    SingularInformation
+        If ``information`` has a condition number above 1e12.
     NotPositiveDefinite, SingularCovariance
         As :func:`project_rd` raises them, for the metric.
     UnstableSystem
         If the projected model is not stable.
     """
     theta = _theta(theta_hat_c, r)
-    H = _metric(information, theta.size)
+    H = _information(information, theta.size)
     sigma2 = _number(sigma2, "sigma2_hat")
     if not 0.0 <= sigma2 < np.inf:
         raise ValueError("residual variance must be finite and nonnegative, got %r" % sigma2)

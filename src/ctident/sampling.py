@@ -299,9 +299,22 @@ def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDat
     ``noise.seed``, so identical arguments give bitwise identical data.
     """
     y = simulate_dt(c2d_zoh(model, h), u)
-    rng = np.random.default_rng(noise.seed)
-    y_m = y + noise.sigma * rng.standard_normal(y.size)
+    y_m = _add_noise(y, noise.sigma, np.random.default_rng(noise.seed))
     return SampledDataset(u=np.asarray(u, dtype=float), y=y_m, h=h)
+
+
+def _add_noise(y0: np.ndarray, sigma: float, rng) -> np.ndarray:
+    """``y0 + sigma * rng.standard_normal(y0.size)``: every noisy record of the package.
+
+    :func:`simulate_ct_zoh`, each Monte Carlo run and ``ctident simulate``
+    add their noise here.  A product ``sigma * draw`` beyond the float
+    range is a ``ValueError`` naming the deviation; the largest draw decides
+    it, since rounding is monotone.
+    """
+    draws = rng.standard_normal(y0.size)
+    if not sigma * float(np.abs(draws).max(initial=0.0)) < math.inf:
+        raise ValueError("noise deviation %r overflows the float range on this record" % sigma)
+    return y0 + sigma * draws
 
 
 def save_dataset(ds: SampledDataset, path, sigma=None, seed=None, system=None):

@@ -17,6 +17,28 @@ def rng():
     return np.random.default_rng(20260816)
 
 
+@pytest.fixture()
+def spy(monkeypatch):
+    """``spy(owner, name, *more)``: a list of the positional arguments of each call of ``owner.name``.
+
+    The attribute is replaced, on ``owner`` and on each of ``more`` (modules
+    that import the same function), by one wrapper that appends the call's
+    positional arguments as a tuple, then makes the call and returns its
+    result; the test's end restores it.
+    """
+    def patch(owner, name, *more):
+        fn, calls = getattr(owner, name), []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        for target in (owner, *more):
+            monkeypatch.setattr(target, name, recorded)
+        return calls
+    return patch
+
+
 def random_stable_ct(rng, order, reldeg=1):
     """Random stable strictly proper model for property loops.
 

@@ -599,10 +599,8 @@ class TestStability:
         (np.array([1.0, -1.5, 0.5625]) * 2.0 ** -400, True, True),  # scale out of range
     ], ids=["certified_stable", "certified_unstable", "undecided_unstable",
             "undecided_stable", "out_of_range"])
-    def test_which_path_decides(self, monkeypatch, den, stable, exact):
-        calls = []
-        exact_test = lti._schur_exact
-        monkeypatch.setattr(lti, "_schur_exact", lambda c: calls.append(c) or exact_test(c))
+    def test_which_path_decides(self, spy, den, stable, exact):
+        calls = spy(lti, "_schur_exact")
         assert lti._schur_stable(den) is stable
         assert fraction_schur_stable(den) is stable
         assert len(calls) == exact

@@ -374,12 +374,10 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match=message):
             run_monte_carlo(quick_config(input=kind(**params), **kw))
 
-    def test_true_system_normed_once(self, monkeypatch):
+    def test_true_system_normed_once(self, spy):
         # the truth's block and squared norm (metrics._truth): once per
         # fixed-system study, once per drawn system when every run draws its own
-        calls = []
-        truth = montecarlo._truth
-        monkeypatch.setattr(montecarlo, "_truth", lambda g: calls.append(g) or truth(g))
+        calls = spy(montecarlo, "_truth")
         rep = run_monte_carlo(quick_config(M=4))
         assert sum(rec.metrics is not None for rec in rep.records) == 8
         assert len(calls) == 1
@@ -389,17 +387,15 @@ class TestRunMonteCarlo:
             h=None, N=200, noise=NoiseSetting(snr_db=20.0), M=5, r=1, seed=5))
         assert len(calls) == len({rec.run for rec in rep.records if rec.metrics is not None}) > 1
 
-    def test_true_system_block_built_once(self, monkeypatch):
+    def test_true_system_block_built_once(self, spy):
         # a fixed true system's poles are found once per study, for its
         # block of the H2 stack, which gives its norm and scores both
         # estimators of every run
         config = quick_config(M=4)
-        calls = []
-        roots = lti._roots
-        monkeypatch.setattr(lti, "_roots", lambda c: calls.append(c) or roots(c))
+        calls = spy(lti, "_roots")
         rep = run_monte_carlo(config)
         assert sum(rec.metrics is not None for rec in rep.records) == 8
-        assert sum(c is config.system.den for c in calls) == 1
+        assert sum(c is config.system.den for c, in calls) == 1
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_true_norm_from_the_negated_block(self, order):
@@ -413,18 +409,16 @@ class TestRunMonteCarlo:
             g0, *_ = montecarlo._experiment(cfg, rng)
             assert_same_bits(montecarlo._truth(g0)[1], lti.l2_norm_sq(g0))
 
-    def test_pem_scored_on_the_fit_prediction(self, monkeypatch):
+    def test_pem_scored_on_the_fit_prediction(self, monkeypatch, spy):
         # the PEM estimate is scored on the prediction its fit already holds,
         # data.y - residuals, which equals simulating the fitted model again
-        runs, fits = [], []
-        run_once, oe_fit = montecarlo._run_once, montecarlo.oe_fit
+        runs, fits = spy(montecarlo, "_run_once"), []
+        oe_fit = montecarlo.oe_fit
 
         def fitting(*args):
             fits.append(oe_fit(*args))
             return fits[-1]
 
-        monkeypatch.setattr(montecarlo, "_run_once",
-                            lambda *args: runs.append(args) or run_once(*args))
         monkeypatch.setattr(montecarlo, "oe_fit", fitting)
         rep = run_monte_carlo(quick_config(M=5))
         pem_records = [rec for rec in rep.records if rec.estimator == PEM]

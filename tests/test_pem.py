@@ -172,13 +172,11 @@ class TestOeFit:
         assert_allclose(c, c.T, rtol=1e-12)
         assert np.linalg.eigvalsh(c).min() > 0
 
-    def test_covariance_from_sensitivities_at_estimate(self, rng, monkeypatch):
+    def test_covariance_from_sensitivities_at_estimate(self, rng, spy):
         # the loop's last sensitivities serve the covariance unless its last
         # iteration moved the model: a fit that ends on the gradient test
         # writes them once per iteration, one that ends on a step once more
-        calls = []
-        lags = pem._lags
-        monkeypatch.setattr(pem, "_lags", lambda *args: calls.append(1) or lags(*args))
+        calls = spy(pem, "_lags")
         init = DtModel([0.3, -0.1], [1.0, -1.0, 0.4], h=0.1)
         ended_on_step = set()
         for sigma in (0.0, 0.1):
@@ -264,28 +262,18 @@ class TestOeFit:
         assert_allclose(fast.model.theta, slow.model.theta, rtol=1e-10)
         assert_allclose(fast.covariance, slow.covariance, rtol=1e-8)
 
-    def test_loop_makes_no_root_finding_and_one_model(self, rao_garnier, monkeypatch):
+    def test_loop_makes_no_root_finding_and_one_model(self, rao_garnier, spy):
         # candidates are tested for stability on their coefficients and the
         # estimate becomes a model once: the loop that built a model and
         # found its roots per candidate made 25 of each on this record
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
-        calls = {"roots": 0, "eigvals": 0, "DtModel": 0}
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return counted
-
-        monkeypatch.setattr(np, "roots", counting("roots", np.roots))
-        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
-        monkeypatch.setattr(DtModel, "__init__", counting("DtModel", DtModel.__init__))
+        roots, eigvals, models = spy(np, "roots"), spy(np.linalg, "eigvals"), spy(DtModel, "__init__")
         res = oe_fit(data, init)
         assert res.iterations > 1
-        assert calls == {"roots": 0, "eigvals": 0, "DtModel": 1}
+        assert (len(roots), len(eigvals), len(models)) == (0, 0, 1)
 
-    def test_loop_makes_no_lu_solve_and_one_identity(self, rao_garnier, monkeypatch):
+    def test_loop_makes_no_lu_solve_and_one_identity(self, rao_garnier, spy):
         # each damped step is one Cholesky solve of H + mu I, with I built
         # once per fit; the loop that LU-solved H + mu eye(2n) made one
         # np.linalg.solve and one np.eye per damped step on this record.
@@ -294,21 +282,12 @@ class TestOeFit:
         # only when the covariance is asked for
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
-        calls = {"solve": 0, "eye": 0}
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return counted
-
-        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
-        monkeypatch.setattr(np, "eye", counting("eye", np.eye))
+        solves, eyes = spy(np.linalg, "solve"), spy(np, "eye")
         res = oe_fit(data, init)
         assert res.iterations > 1
-        assert calls == {"solve": 0, "eye": 1}
+        assert (len(solves), len(eyes)) == (0, 1)
         assert res.covariance.shape == (8, 8)
-        assert calls == {"solve": 0, "eye": 2}
+        assert (len(solves), len(eyes)) == (0, 2)
 
     def test_gemm_gram_matches_syrk(self, rao_garnier, monkeypatch):
         # the loop and the information matrix at the estimate build psi^T psi
@@ -385,7 +364,7 @@ class TestOeFit:
         with pytest.raises(DivergedUnstable, match=message):
             oe_fit(data, init)
 
-    def test_stall_with_stable_candidates_converges(self, monkeypatch):
+    def test_stall_with_stable_candidates_converges(self, spy):
         # a noiseless record of amplitude 1e6, filtered in long double and
         # rounded, fitted from its own model: the residuals are rounding
         # alone, so no damped step lowers the cost, while their gradient
@@ -394,8 +373,7 @@ class TestOeFit:
         truth = DtModel([0.4, 0.1], np.poly([0.5, 0.3]), h=0.1)
         u = 1e6 * np.random.default_rng(0).standard_normal(300)
         y = long_double_filter([0.0, 0.4, 0.1], truth.den, u).astype(float)
-        dgemm, calls = pem.dgemm, []
-        monkeypatch.setattr(pem, "dgemm", lambda *a, **k: calls.append(1) or dgemm(*a, **k))
+        calls = spy(pem, "dgemm")
         res = oe_fit(SampledDataset(u, y, 0.1), truth)
         assert res.converged and res.iterations == 1
         assert res.cost_history.size == 1  # the one iteration accepted no step
@@ -533,17 +511,10 @@ class TestInitArxIv:
         with pytest.raises(RankDeficientRegression, match="ARX regressor rank 3 < 4"):
             run(1)
 
-    def test_makes_no_lstsq_call(self, rao_garnier, monkeypatch):
+    def test_makes_no_lstsq_call(self, rao_garnier, spy):
         # every regression is one QR; the lstsq chain made 21 calls on this
         # record, one for ARX and one per refinement pass
-        calls = []
-        lstsq = np.linalg.lstsq
-
-        def counting_lstsq(*args, **kwargs):
-            calls.append(1)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        calls = spy(np.linalg, "lstsq")
         init_arx_iv(rg_prbs_data(rao_garnier, 1), 4)
         assert len(calls) == 0
 
@@ -593,7 +564,7 @@ class TestLeastSquaresPaths:
         y = simulate_dt(TRUE_DT, u) + 1e-3 * rng.standard_normal(u.size)
         return regression(u, y, 3)
 
-    def test_two_step_tier(self, rng, paths, monkeypatch):
+    def test_two_step_tier(self, rng, paths, spy):
         # double pole at 0.99: kappa(Phi D) 5.8e5, above the one-step tier's
         # 1e5, so the Gram path refines twice (three dpotrs solves).  Measured
         # against a 40-digit solve of the same doubles, in the norm of D^-1 x:
@@ -604,14 +575,7 @@ class TestLeastSquaresPaths:
         norms = np.linalg.norm(phi, axis=0)
         kappa = np.linalg.cond(phi / norms)
         assert 1e5 < kappa < 1e6
-        solves = []
-        dpotrs = pem.dpotrs
-
-        def counted_dpotrs(*args):
-            solves.append(1)
-            return dpotrs(*args)
-
-        monkeypatch.setattr(pem, "dpotrs", counted_dpotrs)
+        solves = spy(pem, "dpotrs")
         theta, rank = pem._qr_lstsq(buf)
         assert paths == ["gram"] and rank == 6 and len(solves) == 3
         exact = high_precision_lstsq(buf)
@@ -776,21 +740,10 @@ class TestFilterKernel:
     """Every filter is a band of its denominator plus banded solves on it."""
 
     @pytest.fixture()
-    def counts(self, monkeypatch):
-        calls = {"band": 0, "solve": 0, "qr": 0}
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return counted
-
-        solve = counting("solve", lti._solve)
-        monkeypatch.setattr(lti, "_band", counting("band", lti._band))
-        monkeypatch.setattr(lti, "_solve", solve)
-        monkeypatch.setattr(pem, "_solve", solve)
-        monkeypatch.setattr(pem, "_qr_lstsq", counting("qr", pem._qr_lstsq))
-        return calls
+    def counts(self, spy):
+        # the calls of each: lti._solve is pem._solve, one function in two modules
+        return {"band": spy(lti, "_band"), "solve": spy(lti, "_solve", pem),
+                "qr": spy(pem, "_qr_lstsq")}
 
     def test_two_recursions_per_accepted_step(self, rao_garnier, counts):
         # a point gets one band, u / F on it and, for its sensitivities,
@@ -798,25 +751,23 @@ class TestFilterKernel:
         # visited costs exactly that
         data = rg_prbs_data(rao_garnier, 1)
         init = init_arx_iv(data, 4)
-        counts.update(band=0, solve=0)
+        counts["band"].clear(), counts["solve"].clear()
         res = oe_fit(data, init)
         points = res.cost_history.size
         assert points > 10
-        assert counts == {"band": points, "solve": 2 * points, "qr": counts["qr"]}
+        assert (len(counts["band"]), len(counts["solve"])) == (points, 2 * points)
 
-    def test_one_band_buffer_and_one_more_solve_per_point(self, rng, counts, monkeypatch):
+    def test_one_band_buffer_and_one_more_solve_per_point(self, rng, counts):
         # this fit rejects some candidates: each candidate costs a band and
         # u / F, each point visited one more recursion, yhat / F, and every
         # band goes into the fit's one buffer
         data = make_data(rng, sigma=0.1)
-        counts.update(band=0, solve=0)
-        outs = []
-        band = lti._band
-        monkeypatch.setattr(lti, "_band", lambda a, N, out=None: outs.append(out) or band(a, N, out))
+        counts["band"].clear(), counts["solve"].clear()
         res = oe_fit(data, DtModel([0.0, 1.0], [1.0, 0.0, 0.0], h=0.1))
         points = res.cost_history.size
-        assert counts["band"] > points > 5
-        assert counts["solve"] == counts["band"] + points
+        assert len(counts["band"]) > points > 5
+        assert len(counts["solve"]) == len(counts["band"]) + points
+        outs = [out for _, _, out in counts["band"]]
         assert outs[0] is not None and all(out is outs[0] for out in outs)
 
     def test_lags_write_only_samples_of_the_record(self, rng):
@@ -836,12 +787,12 @@ class TestFilterKernel:
         # ARX and IV models: one band and u / F each; a pass then solves
         # y / F on its model's band and builds the next model (band, u / F)
         data = rg_prbs_data(rao_garnier, 1)
-        counts.update(band=0, solve=0)
+        counts["band"].clear(), counts["solve"].clear()
         init_arx_iv(data, 4)
-        passes = counts["qr"] - 1
+        passes = len(counts["qr"]) - 1
         assert passes > 5
-        assert counts["band"] == 2 + passes
-        assert counts["solve"] == 2 + 2 * passes
+        assert len(counts["band"]) == 2 + passes
+        assert len(counts["solve"]) == 2 + 2 * passes
 
     def test_simulation_is_the_fit_prediction(self, rao_garnier):
         # simulate_dt runs the fit's kernel, 1 / F and then the numerator:

@@ -23,7 +23,7 @@ from ctident import (
     simulate_ct_zoh,
 )
 from ctident.errors import (NegativeRealPole, NotPositiveDefinite, SingularCovariance,
-                            UnstableSystem)
+                            SingularInformation, UnstableSystem)
 from ctident.lti import DtModel, SampledDataset, simulate_dt
 from ctident import lti, rdproj
 from ctident.rdproj import pemrd_report_dict
@@ -364,6 +364,14 @@ class TestPemrdPipeline:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             project_estimate(rao_garnier.theta, information, sigma2, 0.05, 3)
 
+    def test_estimate_refuses_singular_information(self, monkeypatch):
+        # the fit's own rule, before the sampling map is evaluated: rounding in
+        # J^T H J once let a semidefinite information matrix pass its Cholesky
+        monkeypatch.setattr(rdproj, "zoh_map_point", None)
+        with pytest.raises(SingularInformation,
+                           match="^information matrix condition number exceeds 1e12$"):
+            project_estimate([0.0, 3.0, 2.8, 4.0], np.diag([1.0, 1.0, 1.0, 0.0]), 1.0, 0.1, 2)
+
     @pytest.mark.parametrize("g, r", [
         (CtModel([2.0], [1.0, 1.5]), 1),
         (CtModel([3.0], [1.0, 2.8, 4.0]), 2),
@@ -381,11 +389,10 @@ class TestPemrdPipeline:
         assert res.lagrange_multiplier.size == r - 1
         assert np.all(np.isfinite(res.lagrange_multiplier))
 
-    def test_two_factorizations_per_estimate(self, dataset, monkeypatch):
+    def test_two_factorizations_per_estimate(self, dataset, spy):
         # the metric J^T H J and its free block are factored once each; the
         # fit's covariance and its inverse are no longer formed on the way
-        factor, calls = lti.dpotrf, []
-        monkeypatch.setattr(lti, "dpotrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        calls = spy(lti, "dpotrf")
         pemrd(dataset, n=4, r=3)
         assert len(calls) == 2
 

@@ -331,15 +331,9 @@ class TestZohJacobian:
         assert pt.h == h
         assert_allclose(pt.theta_d, c2d_zoh(rao_garnier, h).theta, rtol=1e-12)
 
-    def test_map_point_uses_one_exponential(self, rao_garnier, monkeypatch):
+    def test_map_point_uses_one_exponential(self, rao_garnier, spy):
         # theta_d is read off the diagonal block of the Jacobian's exponential
-        calls = []
-
-        def counting_expm(M):
-            calls.append(M.shape)
-            return expm(M)
-
-        monkeypatch.setattr(sampling, "expm", counting_expm)
+        calls = spy(sampling, "expm")
         zoh_map_point(rao_garnier.theta, 0.05)
         assert len(calls) == 1
 
