@@ -38,8 +38,8 @@ class SingularMap(CtIdentError):
 class DegenerateMap(CtIdentError):
     """The sampling map or its Jacobian is not finite at the requested point.
 
-    Raised when the matrix exponential behind the Jacobian overflows, for
-    parameters far too large for the sampling period.
+    Raised when the sampling exponential, the sampled model or the Jacobian
+    overflows, for parameters or a period far too large for each other.
     """
 
 

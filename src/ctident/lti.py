@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgees, dpotrf, dpotrs, dtrsyl
 
-from .errors import NotPositiveDefinite, UnstableSystem
+from .errors import CtIdentError, NotPositiveDefinite, UnstableSystem
 
 __all__ = [
     "CtModel",
@@ -46,13 +46,41 @@ __all__ = [
 ]
 
 
-def _roots(c: np.ndarray) -> np.ndarray:
-    """``np.roots(c)`` for a 1-d ``c`` with ``c[0] != 0``, step for step."""
-    m = np.flatnonzero(c)[-1] + 1  # c[m:] are zero roots
-    A = np.eye(m - 1, k=-1)
-    A[:1] = -c[1:m] / c[0]
-    r = np.linalg.eigvals(A)
-    return np.concatenate([r, np.zeros(c.size - m, r.dtype)])
+def _roots(c: np.ndarray):
+    """``np.roots(c)`` for a 1-d ``c`` with ``c[0] != 0``, step for step.
+
+    For a 2-d ``c``, the list of its rows' roots, each as its own call gives
+    them: rows with as many trailing zeros share one stacked ``eigvals``.
+    """
+    rows = np.atleast_2d(c)
+    size = rows.shape[1]
+    if np.count_nonzero(rows[:, -1]) == len(rows):  # no zero roots: one stack
+        groups = [(slice(None), size)]
+    else:  # row[m:] are zero roots
+        ms = size - np.argmax(rows[:, ::-1] != 0.0, axis=1)
+        groups = [(np.flatnonzero(ms == m), m) for m in set(ms.tolist())]
+    out = [None] * len(rows)
+    for at, m in groups:
+        lead = rows[at]
+        A = np.zeros((len(lead), m - 1, m - 1))
+        A[:] = np.eye(m - 1, k=-1)
+        A[:, :1] = (-lead[:, 1:m] / lead[:, :1])[:, None]
+        for i, r in zip(np.arange(len(rows))[at], _eigvals(A)):
+            out[i] = r if m == size else np.concatenate([r, np.zeros(size - m, r.dtype)])
+    return out if np.ndim(c) == 2 else out[0]
+
+
+def _eigvals(M: np.ndarray) -> list:
+    """``np.linalg.eigvals`` of each matrix of the stack ``M``, in one call.
+
+    Each row comes in the dtype its own call gives it: real when every
+    imaginary part is zero, so a stack does not turn one matrix's real
+    eigenvalues complex because another matrix has a complex pair.
+    """
+    stack = np.linalg.eigvals(M)
+    if stack.dtype.kind != "c":  # numpy found every row real
+        return list(stack)
+    return [w.real if not w.imag.any() else w for w in stack]
 
 
 def _poly(zeros: np.ndarray) -> np.ndarray:
@@ -64,8 +92,11 @@ def _poly(zeros: np.ndarray) -> np.ndarray:
 
 
 def _charpoly(M: np.ndarray) -> np.ndarray:
-    """``np.poly(M)`` of a real square matrix: :func:`_poly` of its eigenvalues."""
-    return _poly(np.linalg.eigvals(M))
+    """``np.poly`` of each real square matrix of the stack ``M``: :func:`_poly` of its eigenvalues.
+
+    A stack of coefficient rows.
+    """
+    return np.array([_poly(w) for w in _eigvals(M)]).reshape(len(M), M.shape[-1] + 1)
 
 
 def _floats(value, name: str, ndmin: int = 0) -> np.ndarray:
@@ -222,9 +253,14 @@ def _theta(theta, r=1) -> np.ndarray:
 
 
 def _split(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The padded numerator ``theta[:n]`` and the monic denominator ``[1, *theta[n:]]``."""
-    n = theta.size // 2
-    return theta[:n], np.concatenate(([1.0], theta[n:]))
+    """The padded numerator ``theta[:n]`` and the monic denominator ``[1, *theta[n:]]``.
+
+    A stack of vectors gives the stacks of its rows'.
+    """
+    n = theta.shape[-1] // 2
+    if theta.ndim == 1:
+        return theta[:n], np.concatenate(([1.0], theta[n:]))
+    return theta[:, :n], np.concatenate((np.ones((len(theta), 1)), theta[:, n:]), axis=1)
 
 
 class _RationalModel:
@@ -352,14 +388,19 @@ def companion(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _companion(den, num) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`companion` of a monic ``den``, length ``n + 1``, and a ``num`` of length ``<= n``."""
-    n = len(den) - 1
-    A = np.eye(n, k=1)
-    A[-1, :] = -den[:0:-1]
-    B = np.zeros((n, 1))
-    B[-1, 0] = 1.0
-    C = np.zeros((1, n))
-    C[0, :len(num)] = num[::-1]
+    """:func:`companion` of a monic ``den``, length ``n + 1``, and a ``num`` of length ``<= n``.
+
+    Stacks of rows give stacks of realizations.
+    """
+    den, num = np.asarray(den), np.asarray(num)
+    lead, n = den.shape[:-1], den.shape[-1] - 1
+    A = np.zeros(lead + (n, n))
+    A[...] = np.eye(n, k=1)
+    A[..., -1, :] = -den[..., :0:-1]
+    B = np.zeros(lead + (n, 1))
+    B[..., -1, 0] = 1.0
+    C = np.zeros(lead + (1, n))
+    C[..., 0, :num.shape[-1]] = num[..., ::-1]
     return A, B, C
 
 
@@ -458,22 +499,75 @@ def l2_norm_sq(model: CtModel) -> float:
     NotPositiveDefinite
         If the computed quadratic form is negative beyond rounding, or the
         Gramian's Lyapunov equation is singular to working precision.
+    ValueError
+        If the squared norm overflows the float range.
     """
-    return _h2_norm_sq(_h2_block(1.0, model))
+    return _h2_norm_sq(_one(_h2_block(1.0, model.den, model.num)))
 
 
-def _h2_block(c: float, g: CtModel):
-    """``(A, B, C)`` of ``c * g`` in :func:`_h2_norm_sq`'s stack.
+# what a stacked core records as a row's failure (np.linalg.LinAlgError is
+# a ValueError); anything else is a defect and propagates
+_FAILURES = (CtIdentError, ValueError)
 
-    ``g``'s companion form scaled by ``diag(rho**k)``, ``rho`` its largest
-    pole modulus; UnstableSystem if a pole has nonnegative real part.
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the failure it raises, returned in its place.
+
+    The failure is returned without its traceback, whose frames would hold
+    the stage's arrays, and the list the failure is kept in, until the
+    cycle collector runs.
     """
-    p = _roots(g.den)
-    if not np.all(p.real < 0.0):
-        raise UnstableSystem("L2 norm requires all poles strictly in the left half-plane")
-    A, B, C = companion(g)
-    t = np.abs(p).max() ** np.arange(g.n)
-    return A * t / t[:, None], B / t[:, None], c * C * t
+    try:
+        return fn(*args)
+    except _FAILURES as exc:
+        return exc.with_traceback(None)
+
+
+def _live(out: list) -> np.ndarray:
+    """The indices of the rows of a stacked core's list that no failure has stopped."""
+    return np.array([i for i, row in enumerate(out) if not isinstance(row, Exception)], dtype=int)
+
+
+def _keep(out: list, rows: np.ndarray, ok: np.ndarray, failure, *arrays) -> tuple:
+    """The ``rows`` where ``ok`` holds, and each of ``arrays`` cut to them.
+
+    ``arrays`` hold a stage's results, row ``j`` for ``rows[j]``; each other
+    ``rows[j]`` of ``out`` gets ``failure(j)``, an exception.
+    """
+    if np.count_nonzero(ok) == ok.size:
+        return (rows, *arrays)
+    for j in np.flatnonzero(~ok):
+        out[rows[j]] = failure(j)
+    return (rows[ok], *(a[ok] for a in arrays))
+
+
+def _one(rows: list):
+    """The one row of a stacked core's list: its value, or its exception raised."""
+    [row] = rows
+    if isinstance(row, Exception):
+        raise row
+    return row
+
+
+def _h2_block(c: float, den, num) -> list:
+    """``(A, B, C)`` of ``c * g`` in :func:`_h2_norm_sq`'s stack, for each model ``g = num / den``.
+
+    ``den`` and ``num`` are stacks of rows, or one model's 1-d arrays.  Each
+    block is ``g``'s companion form scaled by ``diag(rho**k)``, ``rho`` its
+    largest pole modulus; a row with a pole of nonnegative real part holds
+    its UnstableSystem instead.
+    """
+    out = _roots(den) if np.ndim(den) == 2 else [_roots(den)]
+    stable = np.array([np.all(p.real < 0.0) for p in out], dtype=bool)
+    rho = np.array([np.abs(p).max() for p in out])
+    rows, rho = _keep(out, np.arange(len(out)), stable, lambda j: UnstableSystem(
+        "L2 norm requires all poles strictly in the left half-plane"), rho)
+    A, B, C = _companion(np.atleast_2d(den)[rows], np.atleast_2d(num)[rows])
+    t = rho[:, None] ** np.arange(A.shape[-1])
+    for i, block in zip(rows, zip(A * t[:, None] / t[:, :, None], B / t[:, :, None],
+                                  c * C * t[:, None])):
+        out[i] = block
+    return out
 
 
 def _h2_norm_sq(*blocks) -> float:
@@ -485,7 +579,7 @@ def _h2_norm_sq(*blocks) -> float:
     the real Schur form of ``A``.  Negative is 0 within rounding and
     NotPositiveDefinite beyond it, as is an equation ``dtrsyl`` could solve
     only by perturbing it (a pole pair summing to about 0 relative to the
-    largest pole).
+    largest pole).  A form that overflows is a ``ValueError``.
     """
     size = sum(Ag.shape[0] for Ag, _, _ in blocks)
     A, B, C = np.zeros((size, size)), np.zeros((size, 1)), np.zeros((1, size))
@@ -506,7 +600,10 @@ def _h2_norm_sq(*blocks) -> float:
                                   "A has an eigenvalue pair summing to about zero")
     Y *= scale
     P = U.dot(Y).dot(U.T)
-    val = (C @ P @ C.T).item()
+    with np.errstate(over="ignore"):
+        val = (C @ P @ C.T).item()
+    if not np.isfinite(val):
+        raise ValueError("the squared H2 norm overflows the float range")
     if val < 0.0 and val < -1e-10 * (np.abs(C) @ np.abs(P) @ np.abs(C).T).item():
         raise NotPositiveDefinite("Gramian quadratic form %.3g is negative" % val)
     return max(val, 0.0)
@@ -520,7 +617,9 @@ def freq_response(model, omega) -> np.ndarray:
     """Frequency response on a grid of angular frequencies (rad/s).
 
     Continuous-time models are evaluated at ``s = j omega``, discrete-time
-    models at ``z = exp(j omega h)``.
+    models at ``z = exp(j omega h)``.  A ``ValueError`` refuses a grid where
+    a polynomial or the response is not finite, as when a coefficient near
+    the float range overflows its polynomial.
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     if isinstance(model, CtModel):
@@ -529,7 +628,13 @@ def freq_response(model, omega) -> np.ndarray:
         pts = np.exp(1j * omega * model.h)
     else:
         raise TypeError("unsupported model type: %r" % type(model).__name__)
-    return np.polyval(model.num, pts) / np.polyval(model.den, pts)
+    with np.errstate(all="ignore"):
+        num, den = np.polyval(model.num, pts), np.polyval(model.den, pts)
+        resp = num / den
+    # a denominator that overflows would pass as a zero response
+    if not (np.isfinite(den).all() and np.isfinite(resp).all()):
+        raise ValueError("the frequency response overflows the float range on this grid")
+    return resp
 
 
 def is_stable(model) -> bool:

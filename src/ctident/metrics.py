@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lti import CtModel, _h2_block, _h2_norm_sq
+from .lti import CtModel, _attempt, _h2_block, _h2_norm_sq, _one, _split
 
 __all__ = ["mse_g", "mse_theta", "fit"]
 
@@ -24,6 +24,8 @@ def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
     NotPositiveDefinite
         If a Gramian quadratic form is negative beyond rounding, or a
         Gramian's Lyapunov equation is singular to working precision.
+    ValueError
+        If a squared norm overflows the float range.
     """
     return _mse_g(g_hat, *_truth(g_true))
 
@@ -33,7 +35,7 @@ def _truth(g: CtModel) -> tuple:
 
     Negating ``C`` is exact, so the block's norm is ``l2_norm_sq(g)`` to the bit.
     """
-    block = _h2_block(-1.0, g)
+    block = _one(_h2_block(-1.0, g.den, g.num))
     return block, _h2_norm_sq(block)
 
 
@@ -42,7 +44,18 @@ def _mse_g(g_hat: CtModel, minus_true, true_norm_sq: float) -> float:
 
     For callers that score several estimates against one true system.
     """
-    return _h2_norm_sq(_h2_block(1.0, g_hat), minus_true) / true_norm_sq
+    return _one(_mse_g_rows(g_hat.theta[None], [(minus_true, true_norm_sq)]))
+
+
+def _mse_g_rows(thetas: np.ndarray, truths) -> list:
+    """:func:`_mse_g` of each estimate ``thetas[i]`` against ``truths[i] = _truth(g_true)``.
+
+    One stacked :func:`lti._h2_block` for the estimates, then each row's
+    Lyapunov solve; a row that its own call would refuse holds the exception.
+    """
+    num, den = _split(thetas)
+    return [_attempt(lambda: _h2_norm_sq(_one([block]), minus_true) / true_norm_sq)
+            for block, (minus_true, true_norm_sq) in zip(_h2_block(1.0, den, num), truths)]
 
 
 def mse_theta(theta_hat, theta_true) -> float:

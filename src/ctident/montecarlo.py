@@ -13,19 +13,24 @@ import csv
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CtIdentError, NonPrincipalLog
+from .errors import NonPrincipalLog
 from .lti import (
+    _FAILURES,
     CtModel,
     SampledDataset,
+    _attempt,
     _check_keys,
     _entries,
     _json_text,
+    _live,
     _period,
     _reldeg,
     _roots,
+    _split,
     _store,
     _whole,
     is_stable,
@@ -33,15 +38,15 @@ from .lti import (
     model_to_dict,
     simulate_dt,
 )
-from .metrics import _mse_g, _truth, fit, mse_theta
+from .metrics import _mse_g_rows, _truth, fit, mse_theta
 from .pem import _study_buffers, init_arx_iv, oe_fit
-from .rdproj import project_estimate
-from .sampling import NoiseSetting, _add_noise, c2d_zoh, d2c_zoh
+from .rdproj import _estimate_rows
+from .sampling import NoiseSetting, _add_noise, _c2d_rows, _d2c_rows, c2d_zoh
 # not called here; bench/spans.py traces these names on this module
 from .lti import simulate_dt as predict  # noqa: F401
 from .metrics import mse_g  # noqa: F401
 from .rdproj import ct_info_matrix, project_rd  # noqa: F401
-from .sampling import zoh_map_point  # noqa: F401
+from .sampling import d2c_zoh, zoh_map_point  # noqa: F401
 from .signals import (MultisineInput, PrbsInput, RandomSystemSpec, WhiteNoiseInput,
                       gen_multisine, gen_prbs, gen_random_system)
 
@@ -73,9 +78,9 @@ _STATUS_OK = "ok"
 _STATUS_NEG_POLE = "negative_real_pole"
 _STATUS_NEG_FIT = "negative_fit"
 _STATUS_ERROR = "optimizer_error"
-# what a run may raise (np.linalg.LinAlgError is a ValueError); anything
-# else is a bug and propagates
-_FAILURES = (CtIdentError, ValueError)
+# runs whose fits are scored as one stack (_score); per run, the stacked
+# chain's cost stops falling at about this many rows
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -231,41 +236,119 @@ def _failed(run, estimators, exc, iterations=None, converged=None):
             for est in estimators]
 
 
-def _run_once(run, data, g0, y0, truth, config):
-    """Fit once, then build the record of every requested estimator on that fit.
+class _Fit(NamedTuple):
+    """What scoring a run needs of its output-error fit, kept until its chunk is scored.
 
-    A failure of the shared fit (the initialiser, the output-error fit or the
-    inverse sampling map) fails every estimator, with the fit's iterations
-    and convergence flag if the output-error fit returned.
+    ``pem_fit`` is PEM's fit value, or the failure that computing it raised
+    (None when PEM is not requested).  The experiment's ``g0``, ``h``,
+    ``u``, ``y0`` and ``truth`` are shared by every run of a fixed-system
+    study.
     """
-    diagnostics = {}
+
+    run: int
+    theta_d: np.ndarray
+    information: np.ndarray
+    sigma2_hat: float
+    diagnostics: dict
+    pem_fit: object
+    g0: CtModel
+    h: float
+    u: np.ndarray
+    y0: np.ndarray
+    truth: tuple
+
+
+def _fit_run(run, data, g0, y0, truth, config):
+    """The run's fit as a :class:`_Fit`, or the records of every estimator if the fit fails.
+
+    PEM is scored here on the prediction its fit already holds, ``data.y -
+    residuals``, which equals simulating the fitted model again, so a chunk
+    keeps no record-length array of a fit.
+    """
     try:
         est = oe_fit(data, init_arx_iv(data, g0.n))
-        diagnostics = {"iterations": est.iterations, "converged": est.converged}
-        g_full = d2c_zoh(est.model)
     except _FAILURES as exc:
-        return _failed(run, config.estimators, exc, **diagnostics)
+        return _failed(run, config.estimators, exc)
+    pem_fit = _attempt(fit, data.y - est.residuals, y0) if PEM in config.estimators else None
+    return _Fit(run, est.model.theta, est.information, est.sigma2_hat,
+                {"iterations": est.iterations, "converged": est.converged}, pem_fit,
+                g0, data.h, data.u, y0, truth)
 
-    records = []
-    for estimator in config.estimators:
-        try:
-            if estimator == PEM:
-                model, theta, y_hat = g_full, g_full.theta, data.y - est.residuals
-            else:
-                proj = project_estimate(g_full.theta, est.information, est.sigma2_hat,
-                                        data.h, config.r)
-                model, theta = proj.model, proj.theta_tilde_c
-                y_hat = simulate_dt(c2d_zoh(model, data.h), data.u)
-            fit_val = fit(y_hat, y0)
-            metrics = Metrics(_mse_g(model, *truth),
-                              mse_theta(theta, g0.theta), fit_val)
-        except _FAILURES as exc:
-            records += _failed(run, [estimator], exc, **diagnostics)
+
+def _score(chunk, config):
+    """The records of a chunk of runs in run order, the chunk's fits scored as one stack.
+
+    Each stage of the chain runs once, on the stack of the fits still
+    going: the inverse sampling map, whose failure fails every estimator of
+    its run with the fit's iterations and convergence flag, the projection,
+    the sampling of the projected model and the H2 errors of both
+    estimators.  Each fit gets the records that scoring it alone gives.
+    """
+    fits = [item for item in chunk if isinstance(item, _Fit)]
+    if not fits:
+        return [rec for records in chunk for rec in records]
+    h = np.array([f.h for f in fits])
+    full = _d2c_rows(np.array([f.theta_d for f in fits]), h)
+    # each estimator's (model theta, estimate, fit value) on each fit, or its failure
+    scored = {}
+    if PEM in config.estimators:
+        scored[PEM] = [g if isinstance(g, Exception) else f.pem_fit
+                       if isinstance(f.pem_fit, Exception) else (g.theta, g.theta, f.pem_fit)
+                       for f, g in zip(fits, full)]
+    if PEMRD in config.estimators:
+        scored[PEMRD] = _rescored(fits, full, h, config.r)
+    live = [(est, j) for est, rows in scored.items() for j in _live(rows)]
+    errors = _mse_g_rows(np.array([scored[est][j][0] for est, j in live]).reshape(
+        len(live), fits[0].theta_d.size), [fits[j].truth for _, j in live])
+    for (est, j), error in zip(live, errors):
+        _, theta, fit_val = scored[est][j]
+        scored[est][j] = error if isinstance(error, Exception) else (
+            theta, Metrics(error, mse_theta(theta, fits[j].g0.theta), fit_val))
+
+    records, fitted = [], iter(range(len(fits)))
+    for item in chunk:
+        if not isinstance(item, _Fit):
+            records += item
             continue
-        status = _STATUS_OK if fit_val >= 0 else _STATUS_NEG_FIT
-        records.append(RunRecord(run, estimator, status, metrics,
-                                 np.asarray(theta, dtype=float), **diagnostics))
+        j = next(fitted)
+        if isinstance(full[j], Exception):
+            records += _failed(item.run, config.estimators, full[j], **item.diagnostics)
+            continue
+        for est in config.estimators:
+            if isinstance(scored[est][j], Exception):
+                records += _failed(item.run, [est], scored[est][j], **item.diagnostics)
+                continue
+            theta, metrics = scored[est][j]
+            status = _STATUS_OK if metrics.fit >= 0 else _STATUS_NEG_FIT
+            records.append(RunRecord(item.run, est, status, metrics,
+                                     np.asarray(theta, dtype=float), **item.diagnostics))
     return records
+
+
+def _rescored(fits, full, h, r):
+    """PEMRD's ``(model theta, estimate, fit value)`` on each fit, or its failure.
+
+    The projection of each inverse-sampled fit ``full[i]``, then the fit of
+    the projected model's simulated output to the noiseless record.
+    """
+    out, m = list(full), fits[0].theta_d.size
+    rows = _live(out)
+    projected = _estimate_rows(
+        np.array([full[i].theta for i in rows]).reshape(rows.size, m),
+        np.array([fits[i].information for i in rows]).reshape(rows.size, m, m),
+        np.array([fits[i].sigma2_hat for i in rows]), h[rows], r)
+    for i, proj in zip(rows, projected):
+        out[i] = proj
+    rows = _live(out)
+    models = [out[i].model for i in rows]
+    sampled = _c2d_rows(*_split(np.array([g.theta for g in models]).reshape(rows.size, m)),
+                        h[rows])
+    for i, g, dt in zip(rows, models, sampled):
+        fit_val = dt if isinstance(dt, Exception) else _attempt(
+            fit, simulate_dt(dt, fits[i].u), fits[i].y0)
+        out[i] = fit_val if isinstance(fit_val, Exception) else (
+            g.theta, out[i].theta_tilde_c, fit_val)
+    return out
 
 
 def _aggregate(records, estimator):
@@ -287,7 +370,10 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
     breakdown) are recorded with their cause and excluded from aggregates.
     Every record carries its fit's iteration count and convergence flag,
     and each estimator's aggregate counts the fits that stopped at the
-    iteration cap (``nonconverged``), whatever their status.
+    iteration cap (``nonconverged``), whatever their status.  Each run is
+    fitted in turn, and the fits are scored ``_CHUNK`` runs at a time
+    through the stacked chain (:func:`_score`); each record is the one that
+    scoring its run alone gives, bit for bit.
     Identical configurations produce bitwise identical reports.
     """
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
@@ -295,14 +381,17 @@ def run_monte_carlo(config: ExperimentConfig) -> McReport:
              else _experiment(config, np.random.default_rng(run_seeds[0])))
     # what scoring against a true system reuses: once per study for a fixed one
     fixed_truth = fixed and _truth(config.system)
-    records = []
+    records, chunk = [], []
     with _study_buffers():
         for run in range(config.M):
             rng = np.random.default_rng(run_seeds[run + 1])
             g0, h, u, y0, sigma = fixed or _experiment(config, rng)
             truth = fixed_truth or _truth(g0)
             data = SampledDataset(u=u, y=_add_noise(y0, sigma, rng), h=h)
-            records.extend(_run_once(run, data, g0, y0, truth, config))
+            chunk.append(_fit_run(run, data, g0, y0, truth, config))
+            if len(chunk) == _CHUNK or run == config.M - 1:
+                records += _score(chunk, config)
+                chunk = []
 
     aggregates = {est: _aggregate(records, est) for est in config.estimators}
     return McReport(config=config_to_dict(config), seed=config.seed,

@@ -25,10 +25,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotPositiveDefinite, SingularCovariance, UnstableSystem
-from .lti import (CtModel, SampledDataset, _chol_inverse, _info_floats, _number, _reldeg, _sym,
-                  _theta, is_stable)
+from .lti import (CtModel, SampledDataset, _attempt, _chol_inverse, _floats, _info_floats, _keep,
+                  _live, _number, _one, _period, _reldeg, _roots, _split, _sym, _theta)
 from .pem import EstimationResult, _information, init_arx_iv, oe_fit
-from .sampling import ZohMapPoint, d2c_zoh, zoh_map_point
+from .sampling import ZohMapPoint, _map_point_rows, d2c_zoh
 
 __all__ = [
     "PemrdResult",
@@ -120,7 +120,15 @@ def project_rd(theta_hat_c, info_c, r: int) -> PemrdResult:
         reliably.
     """
     theta = _theta(theta_hat_c, r)
-    k = int(r) - 1
+    return _project(theta, info_c, int(r) - 1)
+
+
+def _project(theta: np.ndarray, info_c, k: int) -> PemrdResult:
+    """:func:`project_rd` of a checked vector ``theta``, ``k = r - 1``.
+
+    The per-row core of :func:`project_estimate`'s stack too: its two
+    factorizations run row by row.
+    """
     info = _sym(_info_floats(info_c, theta.size))
     cov = _sym(_chol_inverse(info, NotPositiveDefinite(
         "continuous-time information matrix is not positive definite")))
@@ -195,19 +203,51 @@ def project_estimate(theta_hat_c, information, sigma2: float, h: float, r: int) 
         As :func:`project_rd` raises them, for the metric.
     UnstableSystem
         If the projected model is not stable.
+    DegenerateMap
+        As :func:`zoh_map_point` raises it, at the naive truncation.
+    ValueError
+        Also if ``sigma2`` times the projected covariance overflows.
     """
     theta = _theta(theta_hat_c, r)
     H = _information(information, theta.size)
     sigma2 = _number(sigma2, "sigma2_hat")
     if not 0.0 <= sigma2 < np.inf:
         raise ValueError("residual variance must be finite and nonnegative, got %r" % sigma2)
+    return _one(_estimate_rows(theta[None], H[None], np.array([sigma2]),
+                               np.array([_period(h)]), r))
+
+
+def _estimate_rows(theta: np.ndarray, H: np.ndarray, sigma2: np.ndarray, h: np.ndarray,
+                   r: int) -> list:
+    """:func:`project_estimate` of each row of ``theta`` with ``H[i]``, ``sigma2[i]`` and ``h[i]``.
+
+    The arguments are taken as checked.  Each row holds its ``PemrdResult``,
+    or the exception its own call raises; each stage runs on the rows that
+    passed the stages before it.
+    """
     point = theta.copy()
-    point[:int(r) - 1] = 0.0  # the naive truncation
-    map_point = zoh_map_point(point, h)
-    result = project_rd(theta, map_point.J.T @ H @ map_point.J, r)
-    if not is_stable(result.model):
-        raise UnstableSystem("the relative-degree projection gives an unstable model")
-    return replace(result, cov_tilde=sigma2 * result.cov_tilde, map_point=map_point)
+    point[:, :int(r) - 1] = 0.0  # the naive truncation
+    points = _map_point_rows(point, h)
+    out = list(points)
+    rows = _live(out)
+    J = np.array([points[i].J for i in rows]).reshape(rows.size, *H.shape[1:])
+    for i, metric in zip(rows, J.swapaxes(1, 2) @ H[rows] @ J):
+        out[i] = _attempt(_project, theta[i], metric, int(r) - 1)
+    rows = _live(out)
+    tilde = np.array([out[i].theta_tilde_c for i in rows]).reshape(rows.size, theta.shape[1])
+    # the projected model, refused as CtModel refuses a non-finite one
+    rows, tilde = _keep(out, rows, np.isfinite(tilde).all(axis=1),
+                        lambda j: _attempt(_floats, tilde[j], "theta"), tilde)
+    stable = np.array([np.all(p.real < 0.0) for p in _roots(_split(tilde)[1])], dtype=bool)
+    rows, = _keep(out, rows, stable, lambda j: UnstableSystem(
+        "the relative-degree projection gives an unstable model"))
+    with np.errstate(over="ignore"):
+        covs = [sigma2[i] * out[i].cov_tilde for i in rows]
+    for i, cov in zip(rows, covs):
+        out[i] = (replace(out[i], cov_tilde=cov, map_point=points[i]) if np.isfinite(cov).all()
+                  else ValueError("sigma2_hat=%r overflows the projected covariance"
+                                  % float(sigma2[i])))
+    return out
 
 
 def pemrd(data: SampledDataset, n: int, r: int) -> PemrdResult:

@@ -23,9 +23,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateMap, NegativeRealPole, NonPrincipalLog, SingularMap
-from .lti import (CtModel, DtModel, SampledDataset, _charpoly, _companion, _json_text, _load_json,
-                  _number, _period, _poly, _roots, _split, _store, _theta, _whole, companion,
-                  simulate_dt)
+from .lti import (CtModel, DtModel, SampledDataset, _attempt, _charpoly, _companion, _floats,
+                  _json_text, _keep, _live, _load_json, _number, _one, _period, _poly, _roots,
+                  _split, _store, _theta, _whole, simulate_dt)
 
 __all__ = [
     "NoiseSetting",
@@ -140,13 +140,27 @@ def c2d_zoh(model: CtModel, h: float) -> DtModel:
     The discrete model produces, at the sample instants, exactly the output
     of ``model`` driven by the staircase input.  Generically the result has
     relative degree one regardless of the relative degree of ``model``.
+
+    Raises
+    ------
+    DegenerateMap
+        If the sampling exponential, or the sampled denominator or numerator
+        map, is not finite, as when ``h`` times a coefficient overflows.
     """
-    h = _period(h)
-    A, B, C = companion(model)
-    n = model.n
-    E = _zoh_exponential(A, B, h)
-    den, _, K = _faddeev_leverrier(E[:n, :n], E[:n, n:])
-    return DtModel(K @ C[0], den, h)
+    return _one(_c2d_rows(model.num[None], model.den[None], np.array([_period(h)])))
+
+
+def _c2d_rows(num: np.ndarray, den: np.ndarray, h: np.ndarray) -> list:
+    """:func:`c2d_zoh` of each model ``num[i] / den[i]`` (monic) at the period ``h[i]``.
+
+    Each row holds its ``DtModel``, or the exception its own call raises.
+    """
+    A, B, C = _companion(den, num)
+    out = [None] * len(den)
+    rows, _, den_d, _, K = _sampled(out, np.arange(len(den)), A, B, h)
+    for i, den_i, K_i in zip(rows, den_d, K):
+        out[i] = _attempt(DtModel, K_i @ C[i, 0], den_i, h[i])
+    return out
 
 
 def d2c_zoh(model: DtModel) -> CtModel:
@@ -162,28 +176,54 @@ def d2c_zoh(model: DtModel) -> CtModel:
     NegativeRealPole
         If a pole of ``model`` lies on the closed negative real axis
         (including the origin), where no principal real logarithm exists.
+    DegenerateMap
+        If resampling the logarithms is not finite.
     NonPrincipalLog
         If resampling the logarithms misses the denominator by over 1e-8.
     SingularMap
         If ``K`` with unit columns has a condition number above 1e12.
     """
-    zp = _roots(model.den)
-    bad = (zp.real <= 0.0) & (abs(zp.imag) <= 1e-9 * np.maximum(1.0, abs(zp))) | (abs(zp) <= 1e-12)
-    if bad.any():
-        raise NegativeRealPole(
-            "discrete-time pole %s lies on the closed negative real axis" % zp[bad.argmax()])
-    n = model.n
-    poles = CtModel([1.0], _poly(np.log(zp) / model.h))  # refuses a non-finite denominator
-    A, B, _ = companion(poles)
-    E = _zoh_exponential(A, B, model.h)
-    den_d, _, K = _faddeev_leverrier(E[:n, :n], E[:n, n:])
-    if not np.abs(den_d - model.den).max() <= 1e-8 * np.abs(model.den).max():
-        raise NonPrincipalLog("sampling the pole logarithms does not reproduce the denominator")
-    scale = np.linalg.norm(K, axis=0)  # unit columns: independent of the time unit
-    if not (scale.min() > 0.0 and np.linalg.cond(K / scale) <= 1e12):
-        raise SingularMap("zero-order-hold numerator map is singular at this sampling period")
-    num = np.linalg.solve(K, model.theta[:n])
-    return CtModel(num[::-1], poles.den, r=1)
+    return _one(_d2c_rows(model.theta[None], np.array([model.h])))
+
+
+def _d2c_rows(theta_d: np.ndarray, h: np.ndarray) -> list:
+    """:func:`d2c_zoh` of each row of ``theta_d`` at the period ``h[i]``.
+
+    Each row holds its ``CtModel``, or the exception its own call raises;
+    each stage runs on the rows that passed the stages before it.
+    """
+    num_d, den_d = _split(theta_d)
+    out = [None] * len(theta_d)
+    den_c = np.zeros(den_d.shape)
+    for i, zp in enumerate(_roots(den_d)):
+        bad = (zp.real <= 0.0) & (abs(zp.imag) <= 1e-9 * np.maximum(1.0, abs(zp))) | (abs(zp) <= 1e-12)
+        if bad.any():
+            out[i] = NegativeRealPole(
+                "discrete-time pole %s lies on the closed negative real axis" % zp[bad.argmax()])
+            continue
+        # refused as CtModel refuses a non-finite denominator
+        den = _attempt(_floats, _poly(np.log(zp) / h[i]), "den")
+        if isinstance(den, Exception):
+            out[i] = den
+        else:
+            den_c[i] = den
+    rows = _live(out)
+    A, B, _ = _companion(den_c[rows], np.ones((rows.size, 1)))
+    rows, _, den_s, _, K = _sampled(out, rows, A, B, h[rows])
+    close = np.abs(den_s - den_d[rows]).max(axis=1) <= 1e-8 * np.abs(den_d[rows]).max(axis=1)
+    rows, K = _keep(out, rows, close, lambda j: NonPrincipalLog(
+        "sampling the pole logarithms does not reproduce the denominator"), K)
+
+    def singular(j):
+        return SingularMap("zero-order-hold numerator map is singular at this sampling period")
+
+    scale = np.linalg.norm(K, axis=1)  # unit columns: independent of the time unit
+    rows, K, scale = _keep(out, rows, scale.min(axis=1) > 0.0, singular, K, scale)
+    rows, K = _keep(out, rows, np.linalg.cond(K / scale[:, None]) <= 1e12, singular, K)
+    num = np.linalg.solve(K, num_d[rows, :, None])[:, :, 0]
+    for i, num_c in zip(rows, num):
+        out[i] = _attempt(CtModel, num_c[::-1], den_c[i], 1)
+    return out
 
 
 def naive_truncate(model: CtModel, r: int) -> CtModel:
@@ -227,68 +267,115 @@ def zoh_map_point(theta_c, h: float) -> ZohMapPoint:
         when the parameters are so large that the exponential overflows.
     """
     theta_c = _theta(theta_c)
-    h = _period(h)
-    n = theta_c.size // 2
+    return _one(_map_point_rows(theta_c[None], np.array([_period(h)])))
+
+
+def _map_point_rows(theta_c: np.ndarray, h: np.ndarray) -> list:
+    """:func:`zoh_map_point` of each row of ``theta_c`` at the period ``h[i]``.
+
+    Each row holds its ``ZohMapPoint``, or the exception its own call raises.
+    """
+    n = theta_c.shape[1] // 2
+    p = n + 1
     num_c, den_c = _split(theta_c)
     A, B, C = _companion(den_c, num_c)
-    p = n + 1
+    out = [None] * len(theta_c)
+    rows, E, den, Bk, K = _sampled(out, np.arange(len(theta_c)), A, B, h, frechet=True)
+    C = C[rows]
     with np.errstate(all="ignore"):
-        E = _zoh_exponential(A, B, h, frechet=True)
-        if not np.all(np.isfinite(E)):
-            raise DegenerateMap("matrix exponential of the sampling map is not finite")
-        Ad, Bd = E[:n, :n], E[:n, n:p]
+        Ad, Bd = E[:, :n, :n], E[:, :n, n:p]
         # denominator i moves (Ad, Bd) by E[:n]'s block i + 1
-        blocks = E[:n, p:].reshape(n, n, p).swapaxes(0, 1)
-        dAd, dBd = blocks[:, :, :n], blocks[:, :, n:]
-        den, Bk, K = _faddeev_leverrier(Ad, Bd)
-        d_den = -np.einsum("kij,dji->kd", Bk, dAd)
+        blocks = E[:, :n, p:].reshape(rows.size, n, n, p).swapaxes(1, 2)
+        dAd, dBd = blocks[..., :n], blocks[..., n:]
+        d_den = -np.einsum("rkij,rdji->rkd", Bk, dAd)
         dBk = [np.zeros_like(dAd)]
         for k in range(1, n):
-            dBk.append(dAd @ Bk[k - 1] + Ad @ dBk[-1] + d_den[k - 1, :, None, None] * np.eye(n))
-        d_num = (np.array(dBk) @ Bd + Bk[:, None] @ dBd)[..., 0] @ C[0]
-        theta_d = np.concatenate([K @ C[0], den[1:]])  # den is monic
+            dBk.append(dAd @ Bk[:, k - 1, None] + Ad[:, None] @ dBk[-1]
+                       + d_den[:, k - 1, :, None, None] * np.eye(n))
+        dK = (np.stack(dBk, axis=1) @ Bd[:, None, None] + Bk[:, :, None] @ dBd[:, None])[..., 0]
+        theta_d, J = np.zeros((rows.size, 2 * n)), np.zeros((rows.size, 2 * n, 2 * n))
+        theta_d[:, n:] = den[:, 1:]  # den is monic
         # numerator i moves C[0, n - 1 - i], so its column of K is n - 1 - i
-        J = np.block([[K[:, ::-1], d_num], [np.zeros((n, n)), d_den]])
-    if not (np.all(np.isfinite(J)) and np.all(np.isfinite(theta_d))):
-        raise DegenerateMap("sampling-map Jacobian is not finite")
-    return ZohMapPoint(theta_c=theta_c, h=h, theta_d=theta_d, J=J)
+        J[:, :n, :n], J[:, n:, n:] = K[:, :, ::-1], d_den
+        for j in range(rows.size):  # the products with the numerator, row by row
+            theta_d[j, :n], J[j, :n, n:] = K[j] @ C[j, 0], dK[j] @ C[j, 0]
+    finite = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(theta_d).all(axis=1)
+    for j, i in enumerate(rows):
+        out[i] = (ZohMapPoint(theta_c=theta_c[i], h=float(h[i]), theta_d=theta_d[j], J=J[j])
+                  if finite[j] else DegenerateMap("sampling-map Jacobian is not finite"))
+    return out
+
+
+def _sampled(out: list, rows: np.ndarray, A: np.ndarray, B: np.ndarray, h: np.ndarray,
+             frechet=False) -> tuple:
+    """The sampling of ``(A[j], B[j])`` at ``h[j]`` for each row ``rows[j]`` of ``out``.
+
+    Returns ``(rows, E, den, Bk, K)``: the rows sampled, and for each the
+    exponential of :func:`_zoh_exponential` and the :func:`_faddeev_leverrier`
+    ``den``, ``Bk`` and ``K`` of its ``(Ad, Bd)``, from one stacked
+    exponential and one stacked expansion under one ``np.errstate``.  A row
+    whose exponential is not finite gets its ``DegenerateMap`` in ``out``,
+    and so does, without ``frechet``, one whose ``den`` or ``K`` is not
+    finite (:func:`zoh_map_point` refuses those through its Jacobian).
+    """
+    n = A.shape[-1]
+    p = n + 1
+    with np.errstate(all="ignore"):
+        E = _zoh_exponential(A, B, h, frechet)
+        rows, E = _keep(out, rows, np.isfinite(E).all(axis=(1, 2)), lambda j: DegenerateMap(
+            "matrix exponential of the sampling map is not finite"), E)
+        den = _charpoly(E[:, :n, :n])  # Ad as a strided view, as a single exponential's
+        Bk, K = _faddeev_leverrier(E[:, :n, :n], E[:, :n, n:p], den)
+    if frechet:
+        return rows, E, den, Bk, K
+    finite = np.isfinite(den).all(axis=1) & np.isfinite(K).all(axis=(1, 2))
+    return _keep(out, rows, finite, lambda j: DegenerateMap(
+        "sampled denominator or numerator map is not finite"), E, den, Bk, K)
 
 
 def _zoh_exponential(A, B, h, frechet=False) -> np.ndarray:
-    """``expm(X) = [[Ad, Bd], [0, 1]]`` for ``X = h [[A, B], [0, 0]]``.
+    """``expm(X)[:p] = [[Ad, Bd]]`` of each row's ``X = h [[A, B], [0, 0]]``.
 
-    With ``frechet``, the first block row of :func:`zoh_map_point`'s exponential.
+    ``A``, ``B`` and ``h`` are stacks of rows; a row whose ``X`` is not
+    finite is nan.  With ``frechet``, the first block row of
+    :func:`zoh_map_point`'s exponential.
     """
-    n = A.shape[0]
+    R, n = A.shape[:2]
     p = n + 1
-    X = np.zeros((p, p))
-    X[:n, :n] = A * h
-    X[:n, n:] = B * h
+    X = np.zeros((R, p, p))
+    X[:, :n, :n] = A * h[:, None, None]
+    X[:, :n, n:] = B * h[:, None, None]
+    # scipy refuses a whole stack for one matrix that is not finite
+    stopped = ~np.isfinite(X).all(axis=(1, 2))
+    X[stopped] = 0.0
     big = X
     if frechet:  # X on each of the p diagonal blocks
-        big = np.zeros((p * p, p * p))
-        big.reshape(p, p, p, p)[range(p), :, range(p), :] = X
+        big = np.zeros((R, p * p, p * p))
+        big.reshape(R, p, p, p, p)[:, range(p), :, range(p), :] = X
     # denominator parameter i (coefficient of s**(n-1-i)) sits at A[n-1, n-1-i]
     for i in range(n if frechet else 0):
-        big[n - 1, p * (i + 1) + n - 1 - i] = -h
-    return expm(big)[:p]
+        big[:, n - 1, p * (i + 1) + n - 1 - i] = -h
+    E = expm(big)[:, :p]
+    E[stopped] = np.nan
+    return E
 
 
-def _faddeev_leverrier(Ad: np.ndarray, Bd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``c = np.poly(Ad)``, the Faddeev-LeVerrier ``B_k`` and the numerator map ``K``.
+def _faddeev_leverrier(Ad: np.ndarray, Bd: np.ndarray, c: np.ndarray) -> tuple:
+    """The Faddeev-LeVerrier ``B_k`` and numerator map ``K`` of each matrix of the stack ``Ad``.
 
+    ``c`` holds each matrix's characteristic coefficients, ``np.poly(Ad)``.
     ``B_0 = I`` and ``B_k = Ad B_{k-1} + c_k I`` are the coefficients of
     ``adj(x I - Ad) = sum_k B_k x**(n-1-k)``.  Row ``k`` of ``K`` is
     ``(B_k Bd)^T``, so the sampled numerator ``C adj(x I - Ad) Bd`` of an
     output row ``C`` is ``K C^T``, linear in ``C``.
     """
-    c = _charpoly(Ad)
-    eye = np.eye(len(Ad))
-    Bk = [eye]
-    for ck in c[1:-1]:
-        Bk.append(Ad @ Bk[-1] + ck * eye)
-    Bk = np.array(Bk)
-    return c, Bk, (Bk @ Bd)[:, :, 0]
+    R, n = Ad.shape[:2]
+    eye = np.eye(n)
+    Bk = np.empty((R, n, n, n))
+    Bk[:, 0] = eye
+    for k in range(1, n):
+        Bk[:, k] = Ad @ Bk[:, k - 1] + c[:, k, None, None] * eye
+    return Bk, (Bk @ Bd[:, None])[..., 0]
 
 
 def simulate_ct_zoh(model: CtModel, u, h: float, noise: NoiseSpec) -> SampledDataset:

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 from scipy.integrate import quad, quad_vec
 from scipy.signal import cont2discrete, dlsim
 

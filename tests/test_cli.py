@@ -608,17 +608,6 @@ SWEEP = [None, True, 0, -1, 1.5, float("nan"), float("inf"), 1e308, BIG, "x", []
 SWEPT = {"simulate": read_config("simulate"),
          "montecarlo": read_config("montecarlo", estimators=["pem", "pemrd"]),
          "project": FIT_REPORT, "fit": SIDECAR, "bode": model_to_dict(G2)}
-# the sweep's calls that end in a numpy RuntimeWarning, which this test run
-# raises: a 1e308 overflows a product (known defects, not yet refused by name)
-SWEEP_WARNS = {
-    "simulate": {(("h",), "1e+308")},
-    "montecarlo": {(("system", "num"), "1e+308"), (("system", "num", 0), "1e+308"),
-                   (("h",), "1e+308")},
-    "project": {(("theta_d", 3), "1e+308"), (("sigma2_hat",), "1e+308")},
-    "bode": {(("den", 1), "1e+308")},
-}
-
-
 def nodes(doc, at=()):
     """The path ``at`` of ``doc`` and the path of every key and array entry in it."""
     yield at
@@ -810,7 +799,35 @@ class TestDocumentKeys:
                 if not (code in (0, 2) or code == 1 and err.count("\n") == 1
                         and err.startswith(("configuration error: ", "error: "))):
                     failures[path, repr(value)] = code if isinstance(code, str) else err
-        assert failures == dict.fromkeys(SWEEP_WARNS.get(reader, ()), "RuntimeWarning")
+        assert failures == {}
+
+
+    @pytest.mark.parametrize("reader, doc, line", [
+        *(pytest.param(reader, read_config(reader, h=1e308),
+                       "error: matrix exponential of the sampling map is not finite",
+                       id=reader + "_h") for reader in ("simulate", "montecarlo")),
+        *(pytest.param("montecarlo",
+                       read_config("montecarlo", system={"num": num, "den": [1.0, 2.8, 4.0]}),
+                       "configuration error: the squared H2 norm overflows the float range",
+                       id="montecarlo_" + name)
+          for num, name in ((1e308, "num"), ([1e308], "num_0"))),
+        pytest.param("project", dict(FIT_REPORT, theta_d=[0.3, -0.1, -1.0, 1e308]),
+                     "error: sampled denominator or numerator map is not finite",
+                     id="project_theta_d_3"),
+        pytest.param("project", dict(FIT_REPORT, sigma2_hat=1e308),
+                     "configuration error: sigma2_hat=1e+308 overflows the projected covariance",
+                     id="project_sigma2_hat"),
+        pytest.param("bode", dict(model_to_dict(G2), den=[1.0, 1e308, 4.0]),
+                     "configuration error: the frequency response overflows the float range on "
+                     "this grid", id="bode_den_1"),
+    ])
+    def test_overflow_refused_by_name(self, reader, doc, line, refused):
+        # the sweep's last values that ended in a numpy RuntimeWarning: a 1e308
+        # overflowed A * h in the sampling exponential, C P C^T of the true
+        # system's H2 norm, the Faddeev-LeVerrier products of the resampled
+        # poles, sigma2 * cov_tilde (project wrote Infinity and exited 0) and
+        # bode's polyval of the denominator
+        refused(reader, doc, line)
 
 
 STARTUP_SCRIPT = """

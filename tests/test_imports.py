@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used there, or marked a re-export.
 
 No linter runs on this repository, and moving a helper from one module to
-another easily leaves its old import behind.  A name imported on purpose
+another easily leaves its old import behind, in the package and in its
+test modules alike.  A name imported on purpose
 without being used (a re-export that ``bench/spans.py`` traces) carries
 ``# noqa: F401`` on its import statement.
 
@@ -33,6 +34,7 @@ from ctident import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ctident"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # np.<name> (or numpy.<name>) that no module of the package uses
 SHUNNED = {"roots", "poly", "linalg.inv"}
 
@@ -68,7 +70,8 @@ def test_checker_finds_unused_and_honours_marker():
     assert unused_imports(source) == [(2, "os"), (4, "tau")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda p: p.name if p in MODULES else "tests/" + p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

@@ -23,11 +23,15 @@ from ctident import (
     run_monte_carlo,
     simulate_dt,
 )
-from ctident import d2c_zoh, lti, montecarlo, pem
-from ctident.errors import RankDeficientRegression, UnsupportedRegisterLength
+from ctident import (SampledDataset, c2d_zoh, d2c_zoh, init_arx_iv, lti, metrics, montecarlo,
+                     mse_g, mse_theta, oe_fit, pem, project_estimate, rdproj, sampling)
+from ctident.errors import (CtIdentError, NegativeRealPole, RankDeficientRegression, SingularMap,
+                            UnstableSystem, UnsupportedRegisterLength)
 from ctident.montecarlo import (
     PEM,
     PEMRD,
+    Metrics,
+    RunRecord,
     config_from_dict,
     config_to_dict,
     report_to_dict,
@@ -411,19 +415,20 @@ class TestRunMonteCarlo:
 
     def test_pem_scored_on_the_fit_prediction(self, monkeypatch, spy):
         # the PEM estimate is scored on the prediction its fit already holds,
-        # data.y - residuals, which equals simulating the fitted model again
-        runs, fits = spy(montecarlo, "_run_once"), []
+        # data.y - residuals, which equals simulating the fitted model again;
+        # each run's noiseless record is the one its noise is added to
+        noises, fits = spy(montecarlo, "_add_noise"), []
         oe_fit = montecarlo.oe_fit
 
-        def fitting(*args):
-            fits.append(oe_fit(*args))
-            return fits[-1]
+        def fitting(data, init):
+            fits.append((data, oe_fit(data, init)))
+            return fits[-1][1]
 
         monkeypatch.setattr(montecarlo, "oe_fit", fitting)
         rep = run_monte_carlo(quick_config(M=5))
         pem_records = [rec for rec in rep.records if rec.estimator == PEM]
-        assert len(pem_records) == len(runs) == len(fits) == 5
-        for rec, (_, data, _, y0, _, _), est in zip(pem_records, runs, fits):
+        assert len(pem_records) == len(noises) == len(fits) == 5
+        for rec, (y0, _, _), (data, est) in zip(pem_records, noises, fits):
             expected = fit(simulate_dt(est.model, data.u), y0)
             assert rec.metrics.fit == pytest.approx(expected, rel=1e-12, abs=0.0)
 
@@ -482,6 +487,144 @@ class TestRunMonteCarlo:
         assert rep.aggregates[PEMRD]["mean"].fit > rep.aggregates[PEM]["mean"].fit
         assert rep.aggregates[PEMRD]["mean"].mse_g < rep.aggregates[PEM]["mean"].mse_g
         assert 97.0 < rep.aggregates[PEM]["mean"].fit < 99.0
+
+
+def same_as_alone(row, call, *fields):
+    """``row`` of a stacked core is ``call()``'s result, ``fields`` to the bit, or what it raises.
+
+    Returns the class of the exception, or None.
+    """
+    try:
+        want = call()
+    except (CtIdentError, ValueError) as exc:
+        assert type(row) is type(exc) and str(row) == str(exc), (row, exc)
+        return type(exc)
+    assert not isinstance(row, Exception), row
+    for name in fields:
+        assert_same_bits(getattr(row, name), getattr(want, name))
+    return None
+
+
+def scored_alone(config):
+    """The records of ``config``'s study, each run fitted and scored on its own.
+
+    The reference for the stacked chain: each run is scored by the one-row
+    calls, ``d2c_zoh``, then ``project_estimate``, ``c2d_zoh``, ``fit`` and
+    ``_mse_g``, one run after another.
+    """
+    run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
+    records = []
+    for run in range(config.M):
+        rng = np.random.default_rng(run_seeds[run + 1])
+        g0, h, u, y0, sigma = montecarlo._experiment(config, rng)
+        data = SampledDataset(u, sampling._add_noise(y0, sigma, rng), h)
+        truth = metrics._truth(g0)
+        try:
+            est = oe_fit(data, init_arx_iv(data, g0.n))
+            diagnostics = {"iterations": est.iterations, "converged": est.converged}
+        except (CtIdentError, ValueError) as exc:
+            records += montecarlo._failed(run, config.estimators, exc)
+            continue
+        try:
+            g_full = d2c_zoh(est.model)
+        except (CtIdentError, ValueError) as exc:
+            records += montecarlo._failed(run, config.estimators, exc, **diagnostics)
+            continue
+        for est_name in config.estimators:
+            try:
+                if est_name == PEM:
+                    model, theta, y_hat = g_full, g_full.theta, data.y - est.residuals
+                else:
+                    proj = project_estimate(g_full.theta, est.information, est.sigma2_hat, h,
+                                            config.r)
+                    model, theta = proj.model, proj.theta_tilde_c
+                    y_hat = simulate_dt(c2d_zoh(model, h), u)
+                fit_val = fit(y_hat, y0)
+                scores = Metrics(metrics._mse_g(model, *truth), mse_theta(theta, g0.theta),
+                                 fit_val)
+            except (CtIdentError, ValueError) as exc:
+                records += montecarlo._failed(run, [est_name], exc, **diagnostics)
+                continue
+            status = "ok" if fit_val >= 0 else "negative_fit"
+            records.append(RunRecord(run, est_name, status, scores, theta, **diagnostics))
+    return records
+
+
+class TestStackedScoring:
+    """A study scores its fits a chunk at a time, each stage of the chain on a
+    stack of rows; every row is what its one-row call gives, bit for bit."""
+
+    def test_mixed_stack_rows_match_one_row_calls(self):
+        # order 3, r = 2, a different period per row: rows that fail at
+        # each stage beside rows that pass, and poles all real beside
+        # complex pairs, whose stacked eigenvalues come back complex
+        pair = CtModel([0.5, -1.0, 2.0], np.poly([-0.5 + 3j, -0.5 - 3j, -4.0]).real)
+        real = CtModel([1.0, 2.0, 1.5], np.poly([-1.0, -2.0, -3.0]))
+        M = np.random.default_rng(0).standard_normal((6, 6))
+        rows = [  # (discrete fit, information, residual variance)
+            (c2d_zoh(pair, 0.05), np.eye(6), 0.01),
+            (DtModel([1.0, 0.2], np.poly([-0.5, 0.9, 0.8]), 0.1), np.eye(6), 0.01),
+            (c2d_zoh(real, 0.1), M @ M.T + 0.1 * np.eye(6), 0.01),  # projects unstable
+            (DtModel([1.0, 1.0, 1.0], np.poly([2e-12, 3e-12, 4e-12]), 1.0), np.eye(6), 1.0),
+            (c2d_zoh(real, 0.3), np.eye(6), 0.5),
+            (c2d_zoh(pair, 0.2), 2.0 * np.eye(6), 0.0),
+        ]
+        h = np.array([dt.h for dt, _, _ in rows])
+        full = sampling._d2c_rows(np.array([dt.theta for dt, _, _ in rows]), h)
+        kinds = [same_as_alone(row, lambda dt=dt: d2c_zoh(dt), "num", "den")
+                 for row, (dt, _, _) in zip(full, rows)]
+        assert kinds == [None, NegativeRealPole, None, SingularMap, None, None]
+        # a real pole, printed as its own call prints it, not as a complex number
+        assert re.fullmatch(r"discrete-time pole -0\.5\d* lies on the closed negative real axis",
+                            str(full[1]))
+        live = [i for i, kind in enumerate(kinds) if kind is None]
+        theta_c = np.array([full[i].theta for i in live])
+        projected = rdproj._estimate_rows(theta_c, np.array([rows[i][1] for i in live]),
+                                          np.array([rows[i][2] for i in live]), h[live], 2)
+        kinds = [same_as_alone(p, lambda th=th, i=i: project_estimate(th, *rows[i][1:], h[i], 2),
+                               "theta_tilde_c", "cov_tilde", "lagrange_multiplier")
+                 for p, th, i in zip(projected, theta_c, live)]
+        assert kinds == [None, UnstableSystem, None, None]
+        ok = [j for j, kind in enumerate(kinds) if kind is None]
+        for j in ok:
+            alone = project_estimate(theta_c[j], *rows[live[j]][1:], h[live[j]], 2)
+            assert_same_bits(projected[j].map_point.J, alone.map_point.J)
+        models = [projected[j].model for j in ok]
+        sampled = sampling._c2d_rows(*lti._split(np.array([g.theta for g in models])),
+                                     h[live][ok])
+        for row, g, hi in zip(sampled, models, h[live][ok]):
+            assert same_as_alone(row, lambda: c2d_zoh(g, hi), "num", "den") is None
+        # the H2 errors, an unstable row among them
+        unstable = CtModel([1.0], [1.0, -1.0, 2.0, 1.0])
+        scored = models + [full[0], unstable]
+        errors = metrics._mse_g_rows(np.array([g.theta for g in scored]),
+                                     [metrics._truth(pair)] * len(scored))
+        for error, g in zip(errors[:-1], scored):
+            assert_same_bits(error, mse_g(g, pair))
+        assert same_as_alone(errors[-1], lambda: mse_g(unstable, pair)) is UnstableSystem
+
+    def test_study_records_equal_runs_scored_alone(self):
+        # a random-system study one run longer than a chunk, so the second
+        # chunk holds one run; its runs fail in the fit, in the inverse
+        # sampling map and in the projection alone
+        config = ExperimentConfig(system=RandomSystemSpec(order=4, reldeg=2),
+                                  input=WhiteNoiseInput(), h=None, N=300,
+                                  noise=NoiseSetting(snr_db=0.0), M=montecarlo._CHUNK + 1,
+                                  r=2, seed=0)
+        got, want = run_monte_carlo(config).records, scored_alone(config)
+        assert len(got) == len(want) == 2 * config.M
+        for rec, ref in zip(got, want):
+            assert (rec.run, rec.estimator, rec.status, rec.iterations, rec.converged) == (
+                ref.run, ref.estimator, ref.status, ref.iterations, ref.converged)
+            assert (rec.metrics is None) == (ref.metrics is None)
+            if rec.metrics is not None:
+                assert_same_bits(list(vars(rec.metrics).values()),
+                                 list(vars(ref.metrics).values()))
+                assert_same_bits(rec.theta_c, ref.theta_c)
+        failed = {(rec.status, rec.estimator, rec.iterations is None)
+                  for rec in got if rec.status != "ok"}
+        assert {("negative_real_pole", PEM, False), ("optimizer_error", PEM, True),
+                ("optimizer_error", PEMRD, False)} <= failed
 
 
 def pooled():

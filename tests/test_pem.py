@@ -11,7 +11,6 @@ from scipy.stats import random_correlation
 from ctident import (
     CtModel,
     DtModel,
-    EstimationResult,
     NoiseSetting,
     NoiseSpec,
     SampledDataset,

@@ -340,7 +340,7 @@ class TestPemrdPipeline:
     def test_estimate_refusals(self, rao_garnier, monkeypatch, size, r, first, message):
         # refused before the sampling map is evaluated; the nan sits in the
         # entry that the naive truncation would zero
-        monkeypatch.setattr(rdproj, "zoh_map_point", None)
+        monkeypatch.setattr(rdproj, "_map_point_rows", None)
         theta = np.r_[first, rao_garnier.theta[1:]][:size]
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             project_estimate(theta, np.eye(size), 1.0, 0.05, r)
@@ -360,14 +360,14 @@ class TestPemrdPipeline:
         # refused unless positive definite, so a negative residual variance
         # would otherwise pass into cov_tilde.  Both are refused before the
         # sampling map is evaluated
-        monkeypatch.setattr(rdproj, "zoh_map_point", None)
+        monkeypatch.setattr(rdproj, "_map_point_rows", None)
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             project_estimate(rao_garnier.theta, information, sigma2, 0.05, 3)
 
     def test_estimate_refuses_singular_information(self, monkeypatch):
         # the fit's own rule, before the sampling map is evaluated: rounding in
         # J^T H J once let a semidefinite information matrix pass its Cholesky
-        monkeypatch.setattr(rdproj, "zoh_map_point", None)
+        monkeypatch.setattr(rdproj, "_map_point_rows", None)
         with pytest.raises(SingularInformation,
                            match="^information matrix condition number exceeds 1e12$"):
             project_estimate([0.0, 3.0, 2.8, 4.0], np.diag([1.0, 1.0, 1.0, 0.0]), 1.0, 0.1, 2)

@@ -89,7 +89,8 @@ class TestC2D:
         A, B, _ = companion(rao_garnier)
         X = np.zeros((5, 5))
         X[:4, :4], X[:4, 4:] = A, B
-        assert_array_equal(sampling._zoh_exponential(A, B, 0.05), expm(0.05 * X))
+        assert_array_equal(sampling._zoh_exponential(A[None], B[None], np.array([0.05]))[0],
+                           expm(0.05 * X))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6),
@@ -103,7 +104,8 @@ class TestC2D:
         big = np.kron(np.eye(p), X)
         for i in range(order):
             big[order - 1, p * (i + 1) + order - 1 - i] = -h
-        assert_same_bits(sampling._zoh_exponential(A, B, h, frechet=True), expm(big)[:p])
+        E = sampling._zoh_exponential(A[None], B[None], np.array([h]), frechet=True)
+        assert_same_bits(E[0], expm(big)[:p])
 
     def test_rejects_nonpositive_period(self, rao_garnier):
         with pytest.raises(ValueError, match="^sampling period must be positive and finite$"):
