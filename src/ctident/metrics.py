@@ -25,30 +25,26 @@ def mse_g(g_hat: CtModel, g_true: CtModel) -> float:
         If a Gramian quadratic form is negative beyond rounding, or a
         Gramian's Lyapunov equation is singular to working precision.
     ValueError
-        If a squared norm overflows the float range.
+        If a squared norm overflows the float range, or ``g_true``'s is zero.
     """
-    return _mse_g(g_hat, *_truth(g_true))
+    return _one(_mse_g_rows(g_hat.theta[None], [_truth(g_true)]))
 
 
 def _truth(g: CtModel) -> tuple:
     """``(_h2_block(-1.0, g), ||g||_2^2)``: what scoring an estimate against ``g`` reuses.
 
     Negating ``C`` is exact, so the block's norm is ``l2_norm_sq(g)`` to the bit.
+    A zero norm, against which no error is relative, is a ``ValueError``.
     """
     block = _one(_h2_block(-1.0, g.den, g.num))
-    return block, _h2_norm_sq(block)
-
-
-def _mse_g(g_hat: CtModel, minus_true, true_norm_sq: float) -> float:
-    """:func:`mse_g` given ``(minus_true, true_norm_sq) = _truth(g_true)``.
-
-    For callers that score several estimates against one true system.
-    """
-    return _one(_mse_g_rows(g_hat.theta[None], [(minus_true, true_norm_sq)]))
+    norm_sq = _h2_norm_sq(block)
+    if norm_sq == 0.0:
+        raise ValueError("the true system has a zero H2 norm; mse_g is undefined")
+    return block, norm_sq
 
 
 def _mse_g_rows(thetas: np.ndarray, truths) -> list:
-    """:func:`_mse_g` of each estimate ``thetas[i]`` against ``truths[i] = _truth(g_true)``.
+    """:func:`mse_g` of each estimate ``thetas[i]`` against ``truths[i] = _truth(g_true)``.
 
     One stacked :func:`lti._h2_block` for the estimates, then each row's
     Lyapunov solve; a row that its own call would refuse holds the exception.
@@ -62,7 +58,8 @@ def mse_theta(theta_hat, theta_true) -> float:
     """Relative squared parameter error ``||theta_hat - theta||^2 / ||theta||^2``.
 
     A shorter estimate vector is padded with leading zeros, matching the
-    layout where constrained high-order numerator entries come first.
+    layout where constrained high-order numerator entries come first.  A
+    reference of zero norm is a ``ValueError``.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     theta_true = np.asarray(theta_true, dtype=float)
@@ -71,8 +68,10 @@ def mse_theta(theta_hat, theta_true) -> float:
             [np.zeros(theta_true.size - theta_hat.size), theta_hat])
     elif theta_hat.size > theta_true.size:
         raise ValueError("estimate vector is longer than the reference")
-    diff = theta_hat - theta_true
-    return float(diff @ diff) / float(theta_true @ theta_true)
+    diff, norm_sq = theta_hat - theta_true, float(theta_true @ theta_true)
+    if norm_sq == 0.0:
+        raise ValueError("the reference parameter vector has a zero norm; mse_theta is undefined")
+    return float(diff @ diff) / norm_sq
 
 
 def fit(y_hat, y) -> float:

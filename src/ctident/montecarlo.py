@@ -278,77 +278,58 @@ def _fit_run(run, data, g0, y0, truth, config):
 def _score(chunk, config):
     """The records of a chunk of runs in run order, the chunk's fits scored as one stack.
 
-    Each stage of the chain runs once, on the stack of the fits still
-    going: the inverse sampling map, whose failure fails every estimator of
-    its run with the fit's iterations and convergence flag, the projection,
-    the sampling of the projected model and the H2 errors of both
-    estimators.  Each fit gets the records that scoring it alone gives.
+    Each requested estimator has one list over the fits, each entry its
+    ``(estimate, fit value)`` or the failure that stopped it.  Each stage of the chain
+    runs once, on the stack of the entries still going: the inverse
+    sampling map, PEMRD's projection and the sampling of the projected
+    model, then the H2 errors of every estimator's entries.  A failure is recorded with the
+    fit's iterations and convergence flag.  Each fit gets the records that
+    scoring it alone gives.
     """
     fits = [item for item in chunk if isinstance(item, _Fit)]
+    records = [rec for item in chunk if not isinstance(item, _Fit) for rec in item]
     if not fits:
-        return [rec for records in chunk for rec in records]
-    h = np.array([f.h for f in fits])
+        return records
+    h, m = np.array([f.h for f in fits]), fits[0].theta_d.size
     full = _d2c_rows(np.array([f.theta_d for f in fits]), h)
-    # each estimator's (model theta, estimate, fit value) on each fit, or its failure
-    scored = {}
+    table = {}
     if PEM in config.estimators:
-        scored[PEM] = [g if isinstance(g, Exception) else f.pem_fit
-                       if isinstance(f.pem_fit, Exception) else (g.theta, g.theta, f.pem_fit)
-                       for f, g in zip(fits, full)]
+        table[PEM] = [g if isinstance(g, Exception) else f.pem_fit
+                      if isinstance(f.pem_fit, Exception) else (g.theta, f.pem_fit)
+                      for f, g in zip(fits, full)]
     if PEMRD in config.estimators:
-        scored[PEMRD] = _rescored(fits, full, h, config.r)
-    live = [(est, j) for est, rows in scored.items() for j in _live(rows)]
-    errors = _mse_g_rows(np.array([scored[est][j][0] for est, j in live]).reshape(
-        len(live), fits[0].theta_d.size), [fits[j].truth for _, j in live])
-    for (est, j), error in zip(live, errors):
-        _, theta, fit_val = scored[est][j]
-        scored[est][j] = error if isinstance(error, Exception) else (
-            theta, Metrics(error, mse_theta(theta, fits[j].g0.theta), fit_val))
-
-    records, fitted = [], iter(range(len(fits)))
-    for item in chunk:
-        if not isinstance(item, _Fit):
-            records += item
-            continue
-        j = next(fitted)
-        if isinstance(full[j], Exception):
-            records += _failed(item.run, config.estimators, full[j], **item.diagnostics)
-            continue
-        for est in config.estimators:
-            if isinstance(scored[est][j], Exception):
-                records += _failed(item.run, [est], scored[est][j], **item.diagnostics)
+        table[PEMRD] = out = list(full)
+        rows = _live(out)
+        projected = _estimate_rows(
+            np.array([full[i].theta for i in rows]).reshape(rows.size, m),
+            np.array([fits[i].information for i in rows]).reshape(rows.size, m, m),
+            np.array([fits[i].sigma2_hat for i in rows]), h[rows], config.r)
+        for i, proj in zip(rows, projected):
+            out[i] = proj
+        rows = _live(out)
+        tilde = np.array([out[i].theta_tilde_c for i in rows]).reshape(rows.size, m)
+        for i, theta, dt in zip(rows, tilde, _c2d_rows(*_split(tilde), h[rows])):
+            fit_val = dt if isinstance(dt, Exception) else _attempt(
+                fit, simulate_dt(dt, fits[i].u), fits[i].y0)
+            out[i] = fit_val if isinstance(fit_val, Exception) else (theta, fit_val)
+    live = [(row[0], f.truth) for est in config.estimators
+            for f, row in zip(fits, table[est]) if not isinstance(row, Exception)]
+    errors = iter(_mse_g_rows(np.array([theta for theta, _ in live]).reshape(len(live), m),
+                              [truth for _, truth in live]))
+    for est in config.estimators:
+        for f, row in zip(fits, table[est]):
+            error = row if isinstance(row, Exception) else next(errors)
+            if isinstance(error, Exception):
+                records += _failed(f.run, [est], error, **f.diagnostics)
                 continue
-            theta, metrics = scored[est][j]
-            status = _STATUS_OK if metrics.fit >= 0 else _STATUS_NEG_FIT
-            records.append(RunRecord(item.run, est, status, metrics,
-                                     np.asarray(theta, dtype=float), **item.diagnostics))
-    return records
-
-
-def _rescored(fits, full, h, r):
-    """PEMRD's ``(model theta, estimate, fit value)`` on each fit, or its failure.
-
-    The projection of each inverse-sampled fit ``full[i]``, then the fit of
-    the projected model's simulated output to the noiseless record.
-    """
-    out, m = list(full), fits[0].theta_d.size
-    rows = _live(out)
-    projected = _estimate_rows(
-        np.array([full[i].theta for i in rows]).reshape(rows.size, m),
-        np.array([fits[i].information for i in rows]).reshape(rows.size, m, m),
-        np.array([fits[i].sigma2_hat for i in rows]), h[rows], r)
-    for i, proj in zip(rows, projected):
-        out[i] = proj
-    rows = _live(out)
-    models = [out[i].model for i in rows]
-    sampled = _c2d_rows(*_split(np.array([g.theta for g in models]).reshape(rows.size, m)),
-                        h[rows])
-    for i, g, dt in zip(rows, models, sampled):
-        fit_val = dt if isinstance(dt, Exception) else _attempt(
-            fit, simulate_dt(dt, fits[i].u), fits[i].y0)
-        out[i] = fit_val if isinstance(fit_val, Exception) else (
-            g.theta, out[i].theta_tilde_c, fit_val)
-    return out
+            theta, fit_val = row
+            status = _STATUS_OK if fit_val >= 0 else _STATUS_NEG_FIT
+            records.append(RunRecord(f.run, est, status,
+                                     Metrics(error, mse_theta(theta, f.g0.theta), fit_val),
+                                     theta, **f.diagnostics))
+    # the failed fits' records come first; a stable sort keeps each run's
+    # estimators in their order
+    return sorted(records, key=lambda rec: rec.run)
 
 
 def _aggregate(records, estimator):

@@ -811,6 +811,10 @@ class TestDocumentKeys:
                        "configuration error: the squared H2 norm overflows the float range",
                        id="montecarlo_" + name)
           for num, name in ((1e308, "num"), ([1e308], "num_0"))),
+        pytest.param("montecarlo",
+                     read_config("montecarlo", system={"num": [0.0], "den": [1.0, 1.0]}),
+                     "configuration error: the true system has a zero H2 norm; mse_g is undefined",
+                     id="montecarlo_zero_system"),
         pytest.param("project", dict(FIT_REPORT, theta_d=[0.3, -0.1, -1.0, 1e308]),
                      "error: sampled denominator or numerator map is not finite",
                      id="project_theta_d_3"),
@@ -826,7 +830,8 @@ class TestDocumentKeys:
         # overflowed A * h in the sampling exponential, C P C^T of the true
         # system's H2 norm, the Faddeev-LeVerrier products of the resampled
         # poles, sigma2 * cov_tilde (project wrote Infinity and exited 0) and
-        # bode's polyval of the denominator
+        # bode's polyval of the denominator.  A zero true system, against
+        # which no H2 error is relative, is refused before any run as well
         refused(reader, doc, line)
 
 

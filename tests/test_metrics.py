@@ -65,6 +65,11 @@ class TestMseG:
         with pytest.raises(UnstableSystem, match=message):
             mse_g(bad, rao_garnier)
 
+    def test_zero_true_system_refused(self):
+        message = "^the true system has a zero H2 norm; mse_g is undefined$"
+        with pytest.raises(ValueError, match=message):
+            mse_g(CtModel([1.0], [1.0, 1.0]), CtModel([0.0], [1.0, 1.0]))
+
 
 class TestMseTheta:
     def test_frozen_value(self):
@@ -78,6 +83,11 @@ class TestMseTheta:
     def test_longer_estimate_rejected(self):
         with pytest.raises(ValueError, match="^estimate vector is longer than the reference$"):
             mse_theta([1.0, 2.0, 3.0], [1.0, 2.0])
+
+    def test_zero_reference_refused(self):
+        message = "^the reference parameter vector has a zero norm; mse_theta is undefined$"
+        with pytest.raises(ValueError, match=message):
+            mse_theta([1.0, 2.0], [0.0, 0.0])
 
     def test_exact_match(self, rao_garnier):
         assert mse_theta(rao_garnier.theta, rao_garnier.theta) == 0.0

@@ -510,7 +510,7 @@ def scored_alone(config):
 
     The reference for the stacked chain: each run is scored by the one-row
     calls, ``d2c_zoh``, then ``project_estimate``, ``c2d_zoh``, ``fit`` and
-    ``_mse_g``, one run after another.
+    ``mse_g``, one run after another.
     """
     run_seeds = np.random.SeedSequence(config.seed).spawn(config.M + 1)
     records = []
@@ -518,7 +518,6 @@ def scored_alone(config):
         rng = np.random.default_rng(run_seeds[run + 1])
         g0, h, u, y0, sigma = montecarlo._experiment(config, rng)
         data = SampledDataset(u, sampling._add_noise(y0, sigma, rng), h)
-        truth = metrics._truth(g0)
         try:
             est = oe_fit(data, init_arx_iv(data, g0.n))
             diagnostics = {"iterations": est.iterations, "converged": est.converged}
@@ -540,8 +539,7 @@ def scored_alone(config):
                     model, theta = proj.model, proj.theta_tilde_c
                     y_hat = simulate_dt(c2d_zoh(model, h), u)
                 fit_val = fit(y_hat, y0)
-                scores = Metrics(metrics._mse_g(model, *truth), mse_theta(theta, g0.theta),
-                                 fit_val)
+                scores = Metrics(mse_g(model, g0), mse_theta(theta, g0.theta), fit_val)
             except (CtIdentError, ValueError) as exc:
                 records += montecarlo._failed(run, [est_name], exc, **diagnostics)
                 continue
@@ -603,16 +601,33 @@ class TestStackedScoring:
             assert_same_bits(error, mse_g(g, pair))
         assert same_as_alone(errors[-1], lambda: mse_g(unstable, pair)) is UnstableSystem
 
-    def test_study_records_equal_runs_scored_alone(self):
+    @pytest.mark.parametrize("config, kinds", [
         # a random-system study one run longer than a chunk, so the second
         # chunk holds one run; its runs fail in the fit, in the inverse
-        # sampling map and in the projection alone
-        config = ExperimentConfig(system=RandomSystemSpec(order=4, reldeg=2),
-                                  input=WhiteNoiseInput(), h=None, N=300,
-                                  noise=NoiseSetting(snr_db=0.0), M=montecarlo._CHUNK + 1,
-                                  r=2, seed=0)
+        # sampling map and in the projection alone, for each estimator set
+        *(pytest.param(ExperimentConfig(system=RandomSystemSpec(order=4, reldeg=2),
+                                        input=WhiteNoiseInput(), h=None, N=300,
+                                        noise=NoiseSetting(snr_db=0.0),
+                                        M=montecarlo._CHUNK + 1, r=2, seed=0, estimators=ests),
+                       {kind for kind in (("ok", PEM, False), ("negative_real_pole", PEM, False),
+                                          ("optimizer_error", PEM, True), ("ok", PEMRD, False),
+                                          ("negative_real_pole", PEMRD, False),
+                                          ("optimizer_error", PEMRD, False),
+                                          ("optimizer_error", PEMRD, True))
+                        if kind[1] in ests}, id="-".join(ests))
+          for ests in ((PEM, PEMRD), (PEM,), (PEMRD,), (PEMRD, PEM))),
+        # one tone leaves the order-3 ARX regressor at rank 5 of 6, so every
+        # run's fit fails and the chunk holds no fit to score
+        pytest.param(ExperimentConfig(system=CtModel([1.0, 2.0, 1.5], np.poly([-1.0, -2.0, -3.0])),
+                                      input=MultisineInput(freqs=(1.0,)), h=0.1, N=300,
+                                      noise=NoiseSetting(snr_db=0.0), M=3, r=2, seed=0),
+                     {("optimizer_error", PEM, True), ("optimizer_error", PEMRD, True)},
+                     id="no_fit"),
+    ])
+    def test_study_records_equal_runs_scored_alone(self, config, kinds):
+        # kinds: each record's (status, estimator, failed in the fit)
         got, want = run_monte_carlo(config).records, scored_alone(config)
-        assert len(got) == len(want) == 2 * config.M
+        assert len(got) == len(want) == len(config.estimators) * config.M
         for rec, ref in zip(got, want):
             assert (rec.run, rec.estimator, rec.status, rec.iterations, rec.converged) == (
                 ref.run, ref.estimator, ref.status, ref.iterations, ref.converged)
@@ -621,10 +636,7 @@ class TestStackedScoring:
                 assert_same_bits(list(vars(rec.metrics).values()),
                                  list(vars(ref.metrics).values()))
                 assert_same_bits(rec.theta_c, ref.theta_c)
-        failed = {(rec.status, rec.estimator, rec.iterations is None)
-                  for rec in got if rec.status != "ok"}
-        assert {("negative_real_pole", PEM, False), ("optimizer_error", PEM, True),
-                ("optimizer_error", PEMRD, False)} <= failed
+        assert {(rec.status, rec.estimator, rec.iterations is None) for rec in got} == kinds
 
 
 def pooled():
